@@ -71,13 +71,21 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class DimQuery:
-    """A dimension query: m >= 1 variables, n >= 1 points, 0 <= r <= n resonant."""
+    """A dimension query: m >= 1 variables, n >= 1 points, 0 <= r <= n resonant.
+
+    Each field must be an int (bool is rejected); anything else raises
+    DomainError here rather than a TypeError deep inside a route.
+    """
 
     m: int
     n: int
     r: int
 
     def __post_init__(self) -> None:
+        for name in ("m", "n", "r"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an int, got {value!r}")
         if self.m < 1:
             raise DomainError(f"m must be >= 1, got {self.m}")
         if self.n < 1:

@@ -14,6 +14,15 @@ counts as termination, not as a pole. That convention is what makes the
 series agree with the finite alternating sums it is used to repackage
 (the factor that would blow up is already multiplied by zero).
 
+The walk itself runs on plain ints. All five parameters are scaled to
+integers over their common denominator L, so each step multiplies by an
+integer ratio of numerator and denominator factors, and the partial sum is
+carried as one integer numerator over one shared integer denominator. A
+Fraction is built only once, from the final pair, so the loop performs no
+gcd. The scaling multiplies each factor by a nonzero constant, so an
+integer factor is zero exactly when the rational one is and the
+zero-numerator-first rule is unchanged.
+
 Everything downstream of the series is an identity checker:
 
 * Pfaff-Saalschuetz: a terminating balanced 3F2 at x=1 equals a ratio of
@@ -30,10 +39,11 @@ counterexample rather than a silent assumption.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import is_integer, pochhammer
+from .exactnum import pochhammer
 
 __all__ = [
     "HypParams3F2",
@@ -96,32 +106,63 @@ class HypParams3F2:
 
 
 def _eval_terms(params: HypParams3F2) -> tuple[Fraction, int]:
-    """Evaluate the series; return (value, number of terms actually summed)."""
-    witnesses = [-a for a in params.upper if is_integer(a) and a <= 0]
-    if not witnesses:
+    """Evaluate the series; return (value, number of terms actually summed).
+
+    The walk runs on plain ints. With L the lcm of the five parameter
+    denominators and x = u/v, every factor a + k is (p + kL)/L for an
+    integer p = aL, and likewise b + k = (q + kL)/L. The ratio of term k+1
+    to term k is then
+
+        (p1+kL)(p2+kL)(p3+kL) u  /  ((q1+kL)(q2+kL)(k+1) L v),
+
+    so the partial sum is kept as ``total / den`` over one shared integer
+    denominator: each step multiplies ``total`` and ``den`` by the same
+    step factor and adds the new term's numerator. The only Fraction is
+    built once, from the final pair.
+
+    The zero tests see exactly what the rational loop saw. Since L, u and v
+    never enter them, (a)_{k+1} vanishes iff (p1+kL)(p2+kL)(p3+kL) does,
+    and (b1)_{k+1} (b2)_{k+1} (k+1)! vanishes iff (q1+kL)(q2+kL)(k+1) does;
+    the numerator factor is tested first, so an index where both vanish is
+    still termination. With x = 0 the terms after the first are zero, but
+    the walk, the term count and any pole index are unchanged.
+    """
+    if not any(a.denominator == 1 and a.numerator <= 0 for a in params.upper):
         raise NonTerminatingError(
             "no upper parameter is a non-positive integer; series does not terminate"
         )
     a1, a2, a3 = params.upper
     b1, b2 = params.lower
     x = params.argument
+    L = math.lcm(a1.denominator, a2.denominator, a3.denominator, b1.denominator, b2.denominator)
+    p1, p2, p3 = (a.numerator * (L // a.denominator) for a in (a1, a2, a3))
+    q1, q2 = (b.numerator * (L // b.denominator) for b in (b1, b2))
+    u = x.numerator
+    lv = L * x.denominator
 
-    total = Fraction(0)
-    num = Fraction(1)  # (a1)_k (a2)_k (a3)_k
-    den = Fraction(1)  # (b1)_k (b2)_k k!
-    power = Fraction(1)  # x^k
-    k = 0
+    # Term 0 (= 1) is summed. At the top of each pass k is the index of the
+    # next term and p*, q* hold p + (k-1)L, q + (k-1)L; term / den is the
+    # last term summed and total / den the partial sum.
+    total = den = term = 1
+    k = 1
     while True:
-        if num == 0:
+        step_num = p1 * p2 * p3
+        if step_num == 0:
             # Termination: every later numerator stays zero, including any
             # index where a denominator factor would also vanish.
-            return total, k
-        if den == 0:
+            return Fraction(total, den), k
+        step_den = q1 * q2 * k
+        if step_den == 0:
             raise PoleBeforeTerminationError(k)
-        total += num / den * power
-        num *= (a1 + k) * (a2 + k) * (a3 + k)
-        den *= (b1 + k) * (b2 + k) * (k + 1)
-        power *= x
+        step_den *= lv
+        term *= step_num * u
+        total = total * step_den + term
+        den *= step_den
+        p1 += L
+        p2 += L
+        p3 += L
+        q1 += L
+        q2 += L
         k += 1
 
 

@@ -21,6 +21,7 @@ from selbergdim.dims import (
     table,
 )
 from selbergdim.exactnum import binom
+from selbergdim.hyper import ZeroDenominatorError, pfaff_saalschutz_rhs
 
 
 class TestDimD:
@@ -115,6 +116,30 @@ class TestImageRoutes:
         assert isinstance(value, Fraction)
         assert value.denominator == 1
 
+    def test_pfaff_saalschutz_witness_at_r_n_minus_1(self):
+        # At r = n - 1 the image series is balanced, so Pfaff-Saalschuetz
+        # sums it in closed form; D times that closed form must equal
+        # C(n-1, m) and the hypergeometric route. Where the closed form's
+        # denominator vanishes only a cancelled limit would apply, so those
+        # points are counted, and the counts pin that none were skipped
+        # silently.
+        agree, disagree, no_closed_form = 0, [], 0
+        for m in range(1, 12):
+            for n in range(2, 16):
+                try:
+                    rhs = pfaff_saalschutz_rhs(
+                        Fraction(-m, 2), Fraction(1 - m, 2), Fraction(2 - n - m, 2), n - 1
+                    )
+                except ZeroDenominatorError:
+                    no_closed_form += 1
+                    continue
+                if dim_D(m, n) * rhs == binom(n - 1, m) == dim_I_hyp(m, n, n - 1):
+                    agree += 1
+                else:
+                    disagree.append((m, n))
+        assert disagree == []
+        assert (agree, no_closed_form) == (55, 99)
+
 
 class TestExtremeResonance:
     def test_spot_values(self):
@@ -192,6 +217,12 @@ class TestComputeRecord:
             DimQuery(2, 4, 5)
         with pytest.raises(DomainError):
             DimQuery(2, 4, -1)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_query_requires_exact_int(self, bad):
+        for fields in ((bad, 4, 1), (2, bad, 1), (2, 4, bad)):
+            with pytest.raises(DomainError):
+                DimQuery(*fields)
 
 
 class TestTable:

@@ -3,9 +3,10 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from selbergdim.exactnum import is_integer
 from selbergdim.hyper import (
     HypParams3F2,
     HyperEvalError,
@@ -45,6 +46,54 @@ def naive_3f2(upper, lower, x=F(1), max_terms=64):
 
 def params(upper, lower, x=F(1)):
     return HypParams3F2(tuple(F(u) for u in upper), tuple(F(l) for l in lower), F(x))
+
+
+def frozen_fraction_terms(params: HypParams3F2) -> tuple[Fraction, int]:
+    """The original all-Fraction series loop, kept verbatim as an oracle."""
+    witnesses = [-a for a in params.upper if is_integer(a) and a <= 0]
+    if not witnesses:
+        raise NonTerminatingError(
+            "no upper parameter is a non-positive integer; series does not terminate"
+        )
+    a1, a2, a3 = params.upper
+    b1, b2 = params.lower
+    x = params.argument
+
+    total = Fraction(0)
+    num = Fraction(1)  # (a1)_k (a2)_k (a3)_k
+    den = Fraction(1)  # (b1)_k (b2)_k k!
+    power = Fraction(1)  # x^k
+    k = 0
+    while True:
+        if num == 0:
+            # Termination: every later numerator stays zero, including any
+            # index where a denominator factor would also vanish.
+            return total, k
+        if den == 0:
+            raise PoleBeforeTerminationError(k)
+        total += num / den * power
+        num *= (a1 + k) * (a2 + k) * (a3 + k)
+        den *= (b1 + k) * (b2 + k) * (k + 1)
+        power *= x
+        k += 1
+
+
+def outcome(evaluate, p):
+    """(value, n_terms), or ("pole", k) when the series hits a pole first."""
+    try:
+        return evaluate(p)
+    except PoleBeforeTerminationError as exc:
+        return ("pole", exc.k)
+
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+# Lower parameters: general rationals, or non-positive integers to force poles
+# and indices where numerator and denominator vanish together.
+lower_params = st.one_of(small_rationals, st.integers(min_value=-10, max_value=0).map(F))
+arguments = st.one_of(
+    st.sampled_from([F(0), F(1), F(1, 2), F(-3, 2)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+)
 
 
 class TestEvalTerminating3F2:
@@ -116,6 +165,30 @@ class TestEvalTerminating3F2:
             HypParams3F2((F(1), F(2)), (F(1), F(2)))
         with pytest.raises(ValueError):
             HypParams3F2((F(1), F(2), F(3)), (F(1),))
+
+
+class TestIntegerKernelMatchesFractionLoop:
+    @settings(max_examples=300)
+    @given(
+        free_upper=st.tuples(small_rationals, small_rationals),
+        stop=st.integers(min_value=0, max_value=12),
+        slot=st.integers(min_value=0, max_value=2),
+        lower=st.tuples(lower_params, lower_params),
+        x=arguments,
+    )
+    # A pole at k=3 before termination at k=4.
+    @example(free_upper=(F(1, 2), F(5)), stop=3, slot=0, lower=(F(-2), F(1, 3)), x=F(1))
+    # -2 above and below: numerator and denominator first vanish together at k=3.
+    @example(free_upper=(F(1, 2), F(1)), stop=2, slot=0, lower=(F(-2), F(1, 3)), x=F(1))
+    # x = 0: every term after the first is zero, yet the pole at k=3 is reached.
+    @example(free_upper=(F(1, 2), F(5)), stop=3, slot=0, lower=(F(-2), F(1, 3)), x=F(0))
+    # x = 0 without a pole: six terms are still walked.
+    @example(free_upper=(F(1, 2), F(5)), stop=5, slot=0, lower=(F(1, 3), F(7, 2)), x=F(0))
+    def test_same_value_term_count_and_pole(self, free_upper, stop, slot, lower, x):
+        upper = list(free_upper)
+        upper.insert(slot, F(-stop))
+        p = HypParams3F2(tuple(upper), lower, x)
+        assert outcome(_eval_terms, p) == outcome(frozen_fraction_terms, p)
 
 
 class TestPfaffSaalschutz:
