@@ -19,6 +19,13 @@ K and I are each computed by several mutually independent routes:
 * ``dim_I_hyp`` packages that sum as a prefactored terminating 3F2,
 * the subtraction route recovers I as D - K.
 
+The recursion and reduction routes are evaluated bottom-up: each builds
+the whole row K(m, n, 0..n) from the base row of m's parity by one rolling
+row per step m' -> m' + 2, so a query costs O(m n) integer additions at
+constant stack depth. Each route caches only the last row it built, which
+``table`` reuses across its r loop. The two routes keep their own formulas
+and share no intermediate values, so they stay independent witnesses.
+
 Agreement of all routes is recorded, never assumed: ``compute_record``
 fills every field and flags disagreement instead of raising. The closed
 forms at full resonance (r = n) and one below it (r = n - 1) are exposed
@@ -35,6 +42,7 @@ base case, so the two routes cannot disagree over it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -157,13 +165,19 @@ def dim_D(m: int, n: int) -> int:
 # resonant double point when m = 2), not re-derived here.
 
 
-@functools.cache
-def _k_recursion(m: int, n: int, r: int) -> int:
-    if r == 0 or m == 1:
-        return 0
-    if m == 2:
-        return r
-    return dim_D(m - 2, n) + _k_recursion(m, n, r - 1) - _k_recursion(m - 2, n, r - 1)
+def _k_base_row(m: int, n: int) -> list[int]:
+    """K(m', n, 0..n) at the bottom of m's parity chain: m' = 1 or m' = 2."""
+    return list(range(n + 1)) if m % 2 == 0 else [0] * (n + 1)
+
+
+@functools.lru_cache(maxsize=1)
+def _k_recursion_row(m: int, n: int) -> tuple[int, ...]:
+    row = _k_base_row(m, n)
+    for step in range(4 - m % 2, m + 1, 2):
+        d = dim_D(step - 2, n)
+        # new[r] = D(m'-2, n) + new[r-1] - old[r-1], from new[0] = 0.
+        row = list(itertools.accumulate((d - old for old in row[:-1]), initial=0))
+    return tuple(row)
 
 
 def dim_K_recursion(m: int, n: int, r: int) -> int:
@@ -171,20 +185,24 @@ def dim_K_recursion(m: int, n: int, r: int) -> int:
 
         K(m, n, r) = D(m-2, n) + K(m, n, r-1) - K(m-2, n, r-1)
 
-    for m >= 3, on top of the shared base cases. Memoized; safe to call
-    concurrently (cache inserts are idempotent).
+    for m >= 3, on top of the shared base cases. Evaluated bottom-up as
+    whole rows over r in O(m n) additions and constant stack depth; the
+    last row is cached, so consecutive calls with the same (m, n) share it.
     """
     _check_query(m, n, r)
-    return _k_recursion(m, n, r)
+    return _k_recursion_row(m, n)[r]
 
 
-@functools.cache
-def _k_reduction(m: int, n: int, r: int) -> int:
-    if r == 0 or m == 1:
-        return 0
-    if m == 2:
-        return r
-    return r * dim_D(m - 2, n) - sum(_k_reduction(m - 2, n, t) for t in range(1, r))
+@functools.lru_cache(maxsize=1)
+def _k_reduction_row(m: int, n: int) -> tuple[int, ...]:
+    row = _k_base_row(m, n)
+    for step in range(4 - m % 2, m + 1, 2):
+        d = dim_D(step - 2, n)
+        # new[r] = r D(m'-2, n) - (old[1] + ... + old[r-1]); old[0] = 0, so
+        # the running prefix sum of old[0..r-1] is the subtrahend.
+        prefix = itertools.accumulate(row[:-1], initial=0)
+        row = [r * d - acc for r, acc in enumerate(prefix)]
+    return tuple(row)
 
 
 def dim_K_reduction(m: int, n: int, r: int) -> int:
@@ -192,11 +210,13 @@ def dim_K_reduction(m: int, n: int, r: int) -> int:
 
         K(m, n, r) = r D(m-2, n) - K(m-2, n, 1) - ... - K(m-2, n, r-1)
 
-    for m >= 3, recursing on m - 2 down to the shared base cases. For m = 3
-    this collapses to r * D(1, n) = r (n - 1).
+    for m >= 3, on top of the shared base cases. For m = 3 this collapses
+    to r * D(1, n) = r (n - 1). Evaluated bottom-up as whole rows over r,
+    with the subtracted sum kept as a running prefix sum, in O(m n)
+    additions; the last row is cached, as for ``dim_K_recursion``.
     """
     _check_query(m, n, r)
-    return _k_reduction(m, n, r)
+    return _k_reduction_row(m, n)[r]
 
 
 def dim_K_closed(m: int, n: int, r: int) -> int:
@@ -349,10 +369,8 @@ def _r_values(n: int, r_policy: str) -> Iterator[int]:
         yield from range(0, n + 1)
     elif r_policy == "only_n":
         yield n
-    elif r_policy == "only_n_minus_1":
+    else:  # "only_n_minus_1"; table() has already validated the policy
         yield n - 1
-    else:
-        raise DomainError(f"unknown r policy {r_policy!r}; expected one of {R_POLICIES}")
 
 
 def table(

@@ -86,9 +86,10 @@ class ZeroDenominatorError(HyperEvalError):
 class HypParams3F2:
     """Parameters of a 3F2 series: three upper, two lower, one argument.
 
-    Values are coerced to Fraction on construction; instances are immutable
-    and safe to share. Termination is a property of ``upper`` and is checked
-    at evaluation time, not here.
+    Values are coerced to Fraction on construction (values that already
+    are exactly Fraction are kept as they are); instances are immutable and
+    safe to share. Termination is a property of ``upper`` and is checked at
+    evaluation time, not here.
     """
 
     upper: tuple[Fraction, Fraction, Fraction]
@@ -100,9 +101,15 @@ class HypParams3F2:
             raise ValueError(f"expected exactly 3 upper parameters, got {len(self.upper)}")
         if len(self.lower) != 2:
             raise ValueError(f"expected exactly 2 lower parameters, got {len(self.lower)}")
-        object.__setattr__(self, "upper", tuple(Fraction(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(Fraction(b) for b in self.lower))
-        object.__setattr__(self, "argument", Fraction(self.argument))
+        object.__setattr__(self, "upper", tuple(map(_as_fraction, self.upper)))
+        object.__setattr__(self, "lower", tuple(map(_as_fraction, self.lower)))
+        object.__setattr__(self, "argument", _as_fraction(self.argument))
+
+
+def _as_fraction(value) -> Fraction:
+    # Fraction(f) builds a new object through the numbers ABCs even when f
+    # already is a Fraction; skip that for the common case.
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def _eval_terms(params: HypParams3F2) -> tuple[Fraction, int]:

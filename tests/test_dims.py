@@ -1,10 +1,13 @@
+import functools
+import json
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selbergdim import cli
 from selbergdim.dims import (
     DimensionRecord,
     DimQuery,
@@ -19,6 +22,8 @@ from selbergdim.dims import (
     dim_K_recursion,
     dim_K_reduction,
     table,
+    _k_recursion_row,
+    _k_reduction_row,
 )
 from selbergdim.exactnum import binom
 from selbergdim.hyper import ZeroDenominatorError, pfaff_saalschutz_rhs
@@ -292,3 +297,63 @@ class TestRouteEquivalence:
             and rec.I_sum == rec.I_subtract
         )
         assert isinstance(rec, DimensionRecord)
+
+
+# The memoized recurrences the row builders replaced, kept verbatim as an oracle.
+
+
+@functools.cache
+def _k_recursion(m: int, n: int, r: int) -> int:
+    if r == 0 or m == 1:
+        return 0
+    if m == 2:
+        return r
+    return dim_D(m - 2, n) + _k_recursion(m, n, r - 1) - _k_recursion(m - 2, n, r - 1)
+
+
+@functools.cache
+def _k_reduction(m: int, n: int, r: int) -> int:
+    if r == 0 or m == 1:
+        return 0
+    if m == 2:
+        return r
+    return r * dim_D(m - 2, n) - sum(_k_reduction(m - 2, n, t) for t in range(1, r))
+
+
+class TestRowBuildersMatchMemoizedOracle:
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=40),
+        st.data(),
+    )
+    def test_small_grid(self, m, n, data):
+        r = data.draw(st.integers(min_value=0, max_value=n))
+        assert dim_K_recursion(m, n, r) == _k_recursion(m, n, r)
+        assert dim_K_reduction(m, n, r) == _k_reduction(m, n, r)
+
+    @pytest.mark.parametrize("m", [199, 200])
+    @pytest.mark.parametrize("r", [0, 1, 79, 80])
+    def test_large_points(self, m, r):
+        assert dim_K_recursion(m, 80, r) == _k_recursion(m, 80, r)
+        assert dim_K_reduction(m, 80, r) == _k_reduction(m, 80, r)
+
+
+class TestDeepInputsAndBoundedTables:
+    def test_cli_deep_query_answers(self, capsys):
+        assert cli.main(["dims", "-m", "3", "-n", "990", "-r", "990", "--format", "json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        expected = 990 * 989
+        assert rec["K_recursion"] == rec["K_reduction"] == rec["K_closed"] == expected
+        assert rec["routes_agree"] is True
+
+    def test_m4_full_resonance_at_n_3000(self):
+        n = r = 3000
+        expected = r * binom(n, 2) - binom(r, 2)
+        for route in (dim_K_recursion, dim_K_reduction, dim_K_closed):
+            assert route(4, n, r) == expected
+
+    def test_row_caches_hold_one_row_after_a_table(self):
+        table((1, 30), (2, 30))
+        for builder in (_k_recursion_row, _k_reduction_row):
+            assert builder.cache_info().currsize <= 1

@@ -166,6 +166,23 @@ class TestEvalTerminating3F2:
         with pytest.raises(ValueError):
             HypParams3F2((F(1), F(2), F(3)), (F(1),))
 
+    def test_fields_coerced_to_fraction_tuples(self):
+        class Half(Fraction):
+            pass
+
+        p = HypParams3F2([-2, "1/3", Half(1, 2)], (F(5, 2), 7), 1)
+        assert p.upper == (F(-2), F(1, 3), F(1, 2))
+        assert p.lower == (F(5, 2), F(7))
+        assert p.argument == F(1)
+        fields = (*p.upper, *p.lower, p.argument)
+        assert all(type(v) is Fraction for v in fields)
+        assert isinstance(p.upper, tuple) and isinstance(p.lower, tuple)
+
+    def test_fraction_fields_are_kept_not_rebuilt(self):
+        a, b, x = F(-3), F(7, 2), F(1, 3)
+        p = HypParams3F2((a, b, a), (b, b), x)
+        assert p.upper[0] is a and p.lower[1] is b and p.argument is x
+
 
 class TestIntegerKernelMatchesFractionLoop:
     @settings(max_examples=300)
