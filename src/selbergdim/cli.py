@@ -428,12 +428,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built once at import: construction costs more than parsing, and parsing
+# leaves the parser unchanged, so every call to ``main`` can share it.
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "cases", None) is not None and args.cases < 1:
-        parser.error("--cases must be >= 1")
+        _PARSER.error("--cases must be >= 1")
     return args.func(args)
 
 

@@ -23,8 +23,9 @@ The recursion and reduction routes are evaluated bottom-up: each builds
 the whole row K(m, n, 0..n) from the base row of m's parity by one rolling
 row per step m' -> m' + 2, so a query costs O(m n) integer additions at
 constant stack depth. Each route caches only the last row it built, which
-``table`` reuses across its r loop. The two routes keep their own formulas
-and share no intermediate values, so they stay independent witnesses.
+``table`` reuses across its r loop; ``dim_D`` is one binomial and keeps no
+cache. The two routes keep their own formulas and share no intermediate
+values, so they stay independent witnesses.
 
 Agreement of all routes is recorded, never assumed: ``compute_record``
 fills every field and flags disagreement instead of raising. The closed
@@ -144,7 +145,6 @@ def _check_query(m: int, n: int, r: int) -> None:
         raise DomainError(f"r must satisfy 0 <= r <= n={n}, got {r}")
 
 
-@functools.cache
 def dim_D(m: int, n: int) -> int:
     """Total invariant dimension C(n+m-2, m), with D(0, n) = 1 and D(m<0, n) = 0.
 

@@ -4,7 +4,9 @@ Every scalar in this package is a :class:`fractions.Fraction`: arbitrary
 precision, always reduced to lowest terms with a positive denominator, so
 equality is structural. No floating point exists anywhere downstream.
 
-On top of that this module provides the rising factorial, binomial
+On top of that this module provides the rising factorial (with its
+plain-int kernel ``scaled_rising``, which the identity checks in
+:mod:`selbergdim.hyper` use directly), binomial
 coefficients with the vanishing convention for out-of-range arguments, a
 direct-summation checker for the hockey-stick identity, and the strict
 ``p/q`` text form used for rationals in all CLI and JSON output.
@@ -23,6 +25,8 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "is_integer",
+    "as_fraction",
+    "scaled_rising",
     "pochhammer",
     "binom",
     "hockey_stick_check",
@@ -57,7 +61,10 @@ def format_rational(q: Fraction | int) -> str:
     >>> format_rational(Fraction(7, 1))
     '7'
     """
-    q = Fraction(q)
+    if type(q) is int:
+        return str(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -68,20 +75,43 @@ def is_integer(q: Fraction | int) -> bool:
     return Fraction(q).denominator == 1
 
 
+def as_fraction(value) -> Fraction:
+    """``value`` as a Fraction; a value whose type is exactly Fraction is returned as is."""
+    # Fraction(f) builds a new object through the numbers ABCs even when f
+    # already is a Fraction; skip that for the common case.
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def scaled_rising(p: int, q: int, k: int) -> int:
+    """``q^k (p/q)_k = p (p+q) ... (p+(k-1)q)`` on plain ints; 1 for k = 0.
+
+    ``p/q`` need not be reduced. Since ``q != 0``, the product vanishes
+    exactly when the rational rising factorial does.
+    """
+    if k < 0:
+        raise ValueError(f"pochhammer order must be nonnegative, got {k}")
+    out = 1
+    for _ in range(k):
+        out *= p
+        p += q
+    return out
+
+
 def pochhammer(a: Fraction | int, k: int) -> Fraction:
     """Rising factorial ``a (a+1) ... (a+k-1)``; the empty product (k=0) is 1.
 
     Exact over rationals, total for every k >= 0. Once a factor hits zero
     the value is zero, which is what makes terminating hypergeometric sums
-    finite.
+    finite. With ``a = p/q`` the product is taken on ints by
+    :func:`scaled_rising` and divided by ``q^k`` once, so only one Fraction
+    (one gcd) is built however large ``k`` is.
+
+    Raises:
+        ValueError: ``k < 0``.
     """
-    if k < 0:
-        raise ValueError(f"pochhammer order must be nonnegative, got {k}")
-    a = Fraction(a)
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
+    a = as_fraction(a)
+    q = a.denominator
+    return Fraction(scaled_rising(a.numerator, q, k), q**k)
 
 
 def binom(r: int, s: int) -> int:

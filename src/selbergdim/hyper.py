@@ -32,6 +32,16 @@ Everything downstream of the series is an identity checker:
 * The Pochhammer identity a (a+1)_k (b)_k - b (a)_k (b+1)_k =
   (a-b) (a)_k (b)_k that the contiguity relation rests on.
 
+The identity checks run on plain ints as well. With the parameters over
+one integer denominator, every Pochhammer symbol is an int rising product
+from :func:`selbergdim.exactnum.scaled_rising` over a power of that
+denominator, so a closed form or a residual is one integer combination
+with one Fraction built from it. The Pfaff-Saalschuetz check compares the
+series value with the closed form's unreduced (num, den) pair by
+cross-multiplication, and the contiguity residual combines the three
+series values over the product of their denominators. The series
+themselves still go through :func:`eval_terminating_3f2`.
+
 The residual functions return exact values whose contract is "always
 zero"; they exist so that a violation would be a loud, reproducible
 counterexample rather than a silent assumption.
@@ -43,7 +53,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import pochhammer
+from .exactnum import as_fraction, scaled_rising
 
 __all__ = [
     "HypParams3F2",
@@ -101,15 +111,9 @@ class HypParams3F2:
             raise ValueError(f"expected exactly 3 upper parameters, got {len(self.upper)}")
         if len(self.lower) != 2:
             raise ValueError(f"expected exactly 2 lower parameters, got {len(self.lower)}")
-        object.__setattr__(self, "upper", tuple(map(_as_fraction, self.upper)))
-        object.__setattr__(self, "lower", tuple(map(_as_fraction, self.lower)))
-        object.__setattr__(self, "argument", _as_fraction(self.argument))
-
-
-def _as_fraction(value) -> Fraction:
-    # Fraction(f) builds a new object through the numbers ABCs even when f
-    # already is a Fraction; skip that for the common case.
-    return value if type(value) is Fraction else Fraction(value)
+        object.__setattr__(self, "upper", tuple(map(as_fraction, self.upper)))
+        object.__setattr__(self, "lower", tuple(map(as_fraction, self.lower)))
+        object.__setattr__(self, "argument", as_fraction(self.argument))
 
 
 def _eval_terms(params: HypParams3F2) -> tuple[Fraction, int]:
@@ -189,6 +193,31 @@ def eval_terminating_3f2(params: HypParams3F2) -> Fraction:
     return value
 
 
+def _over_common_denominator(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
+    """(A, B, C, D) with a = A/D, b = B/D, c = C/D and D = qa qb qc > 0."""
+    qa, qb, qc = a.denominator, b.denominator, c.denominator
+    return a.numerator * qb * qc, b.numerator * qa * qc, c.numerator * qa * qb, qa * qb * qc
+
+
+def _pfaff_rhs_pair(a: Fraction, b: Fraction, c: Fraction, j: int) -> tuple[int, int]:
+    """Unreduced (num, den) of the Pfaff-Saalschuetz closed form, den != 0.
+
+    Over the common denominator D the four parameters c, c-a-b, c-a and
+    c-b are C/D, (C-A-B)/D, (C-A)/D and (C-B)/D, so each (x/D)_j is an
+    int rising product over D^j and the D^j cancel in the ratio. Both
+    denominator products are tested for zero as ints; D^j != 0, so either
+    vanishes exactly when its Pochhammer symbol does.
+    """
+    A, B, C, D = _over_common_denominator(a, b, c)
+    den = scaled_rising(C, D, j)
+    den_cab = scaled_rising(C - A - B, D, j)
+    if den == 0 or den_cab == 0:
+        raise ZeroDenominatorError(
+            f"(c)_{j} or (c-a-b)_{j} vanishes for a={a}, b={b}, c={c}"
+        )
+    return scaled_rising(C - A, D, j) * scaled_rising(C - B, D, j), den * den_cab
+
+
 def pfaff_saalschutz_rhs(
     a: Fraction | int,
     b: Fraction | int,
@@ -199,22 +228,20 @@ def pfaff_saalschutz_rhs(
 
         (c-a)_j (c-b)_j / ( (c)_j (c-a-b)_j )
 
+    The four rising products are taken on ints and one Fraction is built.
+
     Raises:
         ZeroDenominatorError: (c)_j or (c-a-b)_j vanishes.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    den_c = pochhammer(c, j)
-    den_cab = pochhammer(c - a - b, j)
-    if den_c == 0 or den_cab == 0:
-        raise ZeroDenominatorError(
-            f"(c)_{j} or (c-a-b)_{j} vanishes for a={a}, b={b}, c={c}"
-        )
-    return pochhammer(c - a, j) * pochhammer(c - b, j) / (den_c * den_cab)
+    num, den = _pfaff_rhs_pair(as_fraction(a), as_fraction(b), as_fraction(c), j)
+    return Fraction(num, den)
 
 
 def _pfaff_lhs_params(a: Fraction, b: Fraction, c: Fraction, j: int) -> HypParams3F2:
-    # Balanced terminating series: upper (a, b, -j), lower (c, 1+a+b-c-j), x=1.
-    return HypParams3F2(upper=(a, b, Fraction(-j)), lower=(c, 1 + a + b - c - j))
+    # Balanced terminating series: upper (a, b, -j), lower (c, 1+a+b-c-j), x=1,
+    # with 1+a+b-c-j built as one Fraction over qa qb qc.
+    A, B, C, D = _over_common_denominator(a, b, c)
+    return HypParams3F2(upper=(a, b, Fraction(-j)), lower=(c, Fraction(D + A + B - C - j * D, D)))
 
 
 def pfaff_saalschutz_check(
@@ -226,12 +253,14 @@ def pfaff_saalschutz_check(
     """True iff both sides of the Pfaff-Saalschuetz identity agree exactly.
 
     The left side is the terminating series 3F2(a, b, -j; c, 1+a+b-c-j; 1)
-    evaluated term by term; the right side is :func:`pfaff_saalschutz_rhs`.
-    Evaluation errors on either side propagate.
+    evaluated term by term, first; the right side is the closed form of
+    :func:`pfaff_saalschutz_rhs`, compared as an unreduced int pair by
+    cross-multiplication. Evaluation errors on either side propagate.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = as_fraction(a), as_fraction(b), as_fraction(c)
     lhs = eval_terminating_3f2(_pfaff_lhs_params(a, b, c, j))
-    return lhs == pfaff_saalschutz_rhs(a, b, c, j)
+    rn, rd = _pfaff_rhs_pair(a, b, c, j)
+    return lhs.numerator * rd == rn * lhs.denominator
 
 
 def contiguity_residual(
@@ -248,14 +277,23 @@ def contiguity_residual(
 
     All three series must be defined: an input whose shared lower row
     produces a pole before termination raises, it is not interpreted as a
-    limit.
+    limit. With a = p/q, b = s/t and F values n_i/d_i, the combination is
+    taken on ints over q t d1 d2 d3 and one Fraction is built.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    lower = (c, a + b - c + 2 - j)
-    f_ab = eval_terminating_3f2(HypParams3F2((a, b, Fraction(-j)), lower))
-    f_a1b = eval_terminating_3f2(HypParams3F2((a + 1, b, Fraction(-j)), lower))
-    f_ab1 = eval_terminating_3f2(HypParams3F2((a, b + 1, Fraction(-j)), lower))
-    return (b - a) * f_ab + a * f_a1b - b * f_ab1
+    a, b, c = as_fraction(a), as_fraction(b), as_fraction(c)
+    p, q = a.numerator, a.denominator
+    s, t = b.numerator, b.denominator
+    qc = c.denominator
+    lower = (c, Fraction((p * t + s * q + (2 - j) * q * t) * qc - c.numerator * q * t, q * t * qc))
+    minus_j = Fraction(-j)
+    f1 = eval_terminating_3f2(HypParams3F2((a, b, minus_j), lower))
+    f2 = eval_terminating_3f2(HypParams3F2((Fraction(p + q, q), b, minus_j), lower))
+    f3 = eval_terminating_3f2(HypParams3F2((a, Fraction(s + t, t), minus_j), lower))
+    n1, d1 = f1.numerator, f1.denominator
+    n2, d2 = f2.numerator, f2.denominator
+    n3, d3 = f3.numerator, f3.denominator
+    num = (s * q - p * t) * n1 * d2 * d3 + p * t * n2 * d1 * d3 - s * q * n3 * d1 * d2
+    return Fraction(num, q * t * d1 * d2 * d3)
 
 
 def pochhammer_identity_residual(
@@ -263,10 +301,18 @@ def pochhammer_identity_residual(
     b: Fraction | int,
     k: int,
 ) -> Fraction:
-    """a (a+1)_k (b)_k - b (a)_k (b+1)_k - (a-b) (a)_k (b)_k; always zero."""
-    a, b = Fraction(a), Fraction(b)
-    return (
-        a * pochhammer(a + 1, k) * pochhammer(b, k)
-        - b * pochhammer(a, k) * pochhammer(b + 1, k)
-        - (a - b) * pochhammer(a, k) * pochhammer(b, k)
-    )
+    """a (a+1)_k (b)_k - b (a)_k (b+1)_k - (a-b) (a)_k (b)_k; always zero.
+
+    With a = p/q and b = s/t, the residual times (q t)^(k+1) is an int
+    built from the rising products of :func:`scaled_rising`; one Fraction
+    is built from it.
+    """
+    a, b = as_fraction(a), as_fraction(b)
+    p, q = a.numerator, a.denominator
+    s, t = b.numerator, b.denominator
+    ra1 = scaled_rising(p + q, q, k)
+    rb = scaled_rising(s, t, k)
+    ra = scaled_rising(p, q, k)
+    rb1 = scaled_rising(s + t, t, k)
+    num = p * t * ra1 * rb - s * q * ra * rb1 - (p * t - s * q) * ra * rb
+    return Fraction(num, (q * t) ** (k + 1))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import DATA_DIR, GOLDEN_CASES, compare_golden
+from selbergdim import cli
 from selbergdim.resonance import config_from_json
 
 
@@ -83,6 +84,19 @@ class TestDeterminism:
         first = run_cli("verify", "pfaff", "--seed", "11", "--cases", "40", "--format", "json")
         second = run_cli("verify", "pfaff", "--seed", "11", "--cases", "40", "--format", "json")
         assert first == second
+
+    def test_parser_shared_across_calls(self, run_cli, monkeypatch):
+        # main parses with the parser built at import; a usage error in one
+        # call leaves nothing behind for the next.
+        def no_rebuild():
+            raise AssertionError("main must not build a new parser")
+
+        monkeypatch.setattr(cli, "_build_parser", no_rebuild)
+        first = run_cli("dims", "-m", "4", "-n", "5", "-r", "3", "--format", "csv")
+        assert run_cli("dims", "-m", "4", "-n", "5")[0] == 1
+        assert run_cli("verify", "pfaff", "--cases", "0")[0] == 1
+        assert run_cli("dims", "-m", "4", "-n", "5", "-r", "3", "--format", "csv") == first
+        assert first[0] == 0
 
     def test_verify_seed_changes_draws(self, run_cli):
         _, out_a, _ = run_cli("verify", "pfaff", "--seed", "1", "--cases", "40", "--format", "json")

@@ -357,3 +357,4 @@ class TestDeepInputsAndBoundedTables:
         table((1, 30), (2, 30))
         for builder in (_k_recursion_row, _k_reduction_row):
             assert builder.cache_info().currsize <= 1
+        assert not hasattr(dim_D, "cache_info")

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selbergdim.exactnum import (
@@ -11,9 +11,35 @@ from selbergdim.exactnum import (
     is_integer,
     parse_rational,
     pochhammer,
+    scaled_rising,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+# Numerators in -30..30 over denominators in 1..12, or plain ints.
+small_rationals = st.one_of(
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    st.integers(-30, 30),
+)
+
+
+def frozen_fraction_pochhammer(a, k):
+    """The original Fraction-per-factor loop, kept verbatim as an oracle."""
+    if k < 0:
+        raise ValueError(f"pochhammer order must be nonnegative, got {k}")
+    a = Fraction(a)
+    out = Fraction(1)
+    for i in range(k):
+        out *= a + i
+    return out
+
+
+def outcome(fn, *args):
+    """The value with its type, or the exception class and message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is part of the outcome
+        return ("raised", type(exc), str(exc))
+    return (value, type(value))
 
 
 class TestPochhammer:
@@ -39,6 +65,37 @@ class TestPochhammer:
     @given(rationals, st.integers(min_value=1, max_value=25))
     def test_recurrence(self, a, k):
         assert pochhammer(a, k) == pochhammer(a, k - 1) * (a + k - 1)
+
+    @settings(max_examples=300)
+    @given(small_rationals, st.integers(min_value=-2, max_value=12))
+    @example(Fraction(-7, 3), 12)  # no factor vanishes
+    @example(-4, 5)  # the factor at i = 4 is zero
+    @example(Fraction(-12, 4), 4)  # unreduced input that reduces to -3
+    @example(7, -1)
+    def test_matches_fraction_loop(self, a, k):
+        assert outcome(pochhammer, a, k) == outcome(frozen_fraction_pochhammer, a, k)
+
+
+class TestScaledRising:
+    def test_empty_product(self):
+        assert scaled_rising(5, 3, 0) == 1
+
+    def test_small_case(self):
+        # 3^3 (2/3)_3 = 2 * 5 * 8
+        assert scaled_rising(2, 3, 3) == 80
+
+    def test_unreduced_denominator(self):
+        # 2/4 = 1/2, but the product is taken over q = 4 as given: 2 * 6
+        assert scaled_rising(2, 4, 2) == 12
+        assert Fraction(scaled_rising(2, 4, 2), 4**2) == pochhammer(Fraction(1, 2), 2)
+
+    def test_zero_factor(self):
+        assert scaled_rising(-6, 3, 3) == 0  # -6, -3, 0
+        assert scaled_rising(-6, 3, 2) == 18
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative, got -2"):
+            scaled_rising(1, 2, -2)
 
 
 class TestBinom:
@@ -109,6 +166,16 @@ class TestTextForm:
         assert format_rational(Fraction(7)) == "7"
         assert format_rational(Fraction(0)) == "0"
         assert format_rational(Fraction(4, 6)) == "2/3"
+
+    def test_format_int_and_other_types(self):
+        assert format_rational(-12) == "-12"
+        assert format_rational(0) == "0"
+        assert format_rational(True) == "1"
+
+        class Half(Fraction):
+            pass
+
+        assert format_rational(Half(-3, 6)) == "-1/2"
 
     def test_parse(self):
         assert parse_rational("-13/12") == Fraction(-13, 12)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from selbergdim import hyper
 from selbergdim.exactnum import is_integer
 from selbergdim.hyper import (
     HypParams3F2,
@@ -20,6 +21,7 @@ from selbergdim.hyper import (
     pfaff_saalschutz_rhs,
     pochhammer_identity_residual,
 )
+from selbergdim.suites import run_suites
 
 F = Fraction
 
@@ -302,3 +304,169 @@ class TestPochhammerIdentity:
     )
     def test_residual_always_zero(self, a, b, k):
         assert pochhammer_identity_residual(a, b, k) == 0
+
+
+# ---------------------------------------------------------------------------
+# The identity checks as they were before they moved onto ints: every
+# Pochhammer factor a Fraction multiply. Kept verbatim as oracles.
+
+
+def frozen_pochhammer(a, k):
+    if k < 0:
+        raise ValueError(f"pochhammer order must be nonnegative, got {k}")
+    a = Fraction(a)
+    out = Fraction(1)
+    for i in range(k):
+        out *= a + i
+    return out
+
+
+def frozen_pfaff_saalschutz_rhs(a, b, c, j):
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    den_c = frozen_pochhammer(c, j)
+    den_cab = frozen_pochhammer(c - a - b, j)
+    if den_c == 0 or den_cab == 0:
+        raise ZeroDenominatorError(
+            f"(c)_{j} or (c-a-b)_{j} vanishes for a={a}, b={b}, c={c}"
+        )
+    return frozen_pochhammer(c - a, j) * frozen_pochhammer(c - b, j) / (den_c * den_cab)
+
+
+def frozen_pfaff_lhs_params(a, b, c, j):
+    return HypParams3F2(upper=(a, b, Fraction(-j)), lower=(c, 1 + a + b - c - j))
+
+
+def frozen_pfaff_saalschutz_check(a, b, c, j):
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    lhs = eval_terminating_3f2(frozen_pfaff_lhs_params(a, b, c, j))
+    return lhs == frozen_pfaff_saalschutz_rhs(a, b, c, j)
+
+
+def frozen_contiguity_residual(a, b, c, j):
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    lower = (c, a + b - c + 2 - j)
+    f_ab = eval_terminating_3f2(HypParams3F2((a, b, Fraction(-j)), lower))
+    f_a1b = eval_terminating_3f2(HypParams3F2((a + 1, b, Fraction(-j)), lower))
+    f_ab1 = eval_terminating_3f2(HypParams3F2((a, b + 1, Fraction(-j)), lower))
+    return (b - a) * f_ab + a * f_a1b - b * f_ab1
+
+
+def frozen_pochhammer_identity_residual(a, b, k):
+    a, b = Fraction(a), Fraction(b)
+    return (
+        a * frozen_pochhammer(a + 1, k) * frozen_pochhammer(b, k)
+        - b * frozen_pochhammer(a, k) * frozen_pochhammer(b + 1, k)
+        - (a - b) * frozen_pochhammer(a, k) * frozen_pochhammer(b, k)
+    )
+
+
+def identity_outcome(fn, *args):
+    """The value with its type, or the exception class and message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is part of the outcome
+        return ("raised", type(exc), str(exc))
+    return (value, type(value))
+
+
+# Numerators in -30..30 over denominators in 1..12, or plain ints.
+identity_params = st.one_of(
+    st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
+    st.integers(-30, 30),
+)
+orders = st.integers(min_value=0, max_value=12)
+
+# (a, b, c, j) inputs where a factor vanishes or the order is negative.
+ZERO_FACTOR_CASES = [
+    (1, 1, 0, 1),  # (c)_1 = 0
+    (1, 1, 2, 1),  # (c-a-b)_1 = 0
+    (F(-2), F(1, 3), F(-2), 3),  # (c)_3 = 0 and a pole in the series
+    (F(3, 2), F(1, 3), F(1, 2), 2),  # (c-a)_2 = 0: closed form is zero
+    (F(1, 3), F(5, 2), F(1, 2), 3),  # (c-b)_3 = 0
+    (-3, F(1, 2), F(7, 4), 5),  # the series stops at k=4, before -j does
+    (1, 1, 3, 2),  # a pole before termination in the contiguity series
+    (-2, 1, 5, -1),  # negative order
+    (F(1, 2), 1, 5, -2),  # negative order on a non-terminating series
+    (0, 0, 0, 0),
+]
+
+
+class TestIdentityKernelMatchesFractionLoops:
+    @settings(max_examples=300)
+    @given(identity_params, identity_params, identity_params, orders)
+    def test_pfaff_rhs(self, a, b, c, j):
+        assert identity_outcome(pfaff_saalschutz_rhs, a, b, c, j) == identity_outcome(
+            frozen_pfaff_saalschutz_rhs, a, b, c, j
+        )
+
+    @settings(max_examples=300)
+    @given(identity_params, identity_params, identity_params, orders)
+    def test_pfaff_check(self, a, b, c, j):
+        assert identity_outcome(pfaff_saalschutz_check, a, b, c, j) == identity_outcome(
+            frozen_pfaff_saalschutz_check, a, b, c, j
+        )
+
+    @settings(max_examples=200)
+    @given(identity_params, identity_params, identity_params, orders)
+    def test_contiguity_residual(self, a, b, c, j):
+        assert identity_outcome(contiguity_residual, a, b, c, j) == identity_outcome(
+            frozen_contiguity_residual, a, b, c, j
+        )
+
+    @settings(max_examples=300)
+    @given(identity_params, identity_params, orders)
+    @example(F(-3), F(1, 2), 5)  # (a)_5 = 0
+    @example(F(-4), F(-2), 6)  # (a+1)_6 = (b)_6 = (b+1)_6 = 0
+    @example(0, 0, 0)
+    def test_pochhammer_residual(self, a, b, k):
+        assert identity_outcome(pochhammer_identity_residual, a, b, k) == identity_outcome(
+            frozen_pochhammer_identity_residual, a, b, k
+        )
+
+    @pytest.mark.parametrize("a, b, c, j", ZERO_FACTOR_CASES)
+    def test_zero_factor_and_negative_order_inputs(self, a, b, c, j):
+        pairs = [
+            (pfaff_saalschutz_rhs, frozen_pfaff_saalschutz_rhs),
+            (pfaff_saalschutz_check, frozen_pfaff_saalschutz_check),
+            (contiguity_residual, frozen_contiguity_residual),
+        ]
+        for new, old in pairs:
+            assert identity_outcome(new, a, b, c, j) == identity_outcome(old, a, b, c, j), new
+        assert identity_outcome(pochhammer_identity_residual, a, b, j) == identity_outcome(
+            frozen_pochhammer_identity_residual, a, b, j
+        )
+
+    def test_negative_order_message(self):
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            pfaff_saalschutz_rhs(1, 1, 5, -1)
+        with pytest.raises(ValueError, match="nonnegative, got -3"):
+            pochhammer_identity_residual(F(1, 2), 2, -3)
+
+    def test_int_inputs_give_fractions(self):
+        assert type(pfaff_saalschutz_rhs(1, 1, 3, 1)) is Fraction
+        assert type(contiguity_residual(1, 1, F(1, 3), 2)) is Fraction
+        assert type(pochhammer_identity_residual(7, 7, 3)) is Fraction
+
+
+class TestPfaffCheckIsLive:
+    """A wrong closed form must make the check, and the pfaff suite, fail."""
+
+    @pytest.fixture
+    def off_by_one_rhs(self, monkeypatch):
+        pair = hyper._pfaff_rhs_pair
+
+        def shifted(a, b, c, j):
+            rn, rd = pair(a, b, c, j)
+            return rn + rd, rd
+
+        monkeypatch.setattr(hyper, "_pfaff_rhs_pair", shifted)
+
+    def test_check_fails(self, off_by_one_rhs):
+        assert not pfaff_saalschutz_check(1, 1, 3, 1)
+        assert not pfaff_saalschutz_check(F(1, 2), F(1, 3), F(2), 2)
+
+    def test_suite_reports_counterexample(self, off_by_one_rhs):
+        (result,) = run_suites("pfaff", 7, 20)
+        assert result.failed > 0
+        assert not result.ok
+        assert result.counterexample is not None
