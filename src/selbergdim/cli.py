@@ -13,6 +13,13 @@ output. Rationals are always rendered in the exact ``p/q`` form (``/q``
 omitted when the denominator is 1); CSV contains only integers, ``p/q``
 strings and ``true``/``false``.
 
+Each output kind has one schema. ``RECORD_COLUMNS`` orders a dimension
+record's fields for JSON; the CSV header, CSV cells, pretty table and the
+record part of ``classify --format csv`` take the same list without the
+JSON-only ``K``, ``I`` and ``hyp_error``. The verify outputs take their
+columns from ``SuiteResult``'s fields. Every subcommand renders through a
+table from ``--format`` (one of ``FORMATS``) to a renderer.
+
 Exit codes:
     0  success (all routes agree / assumptions hold / all checks pass)
     1  usage, parse or I/O error
@@ -23,11 +30,14 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import operator
 import sys
-from typing import Any, Sequence
+from fractions import Fraction
+from typing import Any, Callable, Iterable, Sequence
 
-from .dims import DimensionRecord, DimQuery, DomainError, compute_record, table
+from .dims import R_POLICIES, DimensionRecord, DimQuery, DomainError, compute_record, table
 from .exactnum import format_rational
 from .resonance import (
     ConfigParseError,
@@ -46,10 +56,24 @@ EXIT_USAGE = 1
 EXIT_DISAGREEMENT = 2
 EXIT_ASSUMPTION = 3
 
-CSV_RECORD_HEADER = (
-    "m,n,r,D,K_recursion,K_reduction,K_closed,"
-    "I_sum,I_hyp,I_subtract,routes_agree,in_validity_range"
+FORMATS = ("pretty", "json", "csv")
+
+# The columns of a dimension record, in JSON key order. The derived K and I
+# and the error text are JSON-only; CSV and the pretty table show the rest.
+RECORD_COLUMNS = (
+    "m", "n", "r", "D", "K_recursion", "K_reduction", "K_closed",
+    "I_sum", "I_hyp", "I_subtract", "K", "I",
+    "routes_agree", "in_validity_range", "hyp_error",
 )
+CSV_COLUMNS = tuple(c for c in RECORD_COLUMNS if c not in ("K", "I", "hyp_error"))
+
+
+def _record_getter(columns: Sequence[str]) -> Callable[[DimensionRecord], tuple[Any, ...]]:
+    return operator.attrgetter(*(f"query.{c}" if c in ("m", "n", "r") else c for c in columns))
+
+
+_record_values = _record_getter(RECORD_COLUMNS)
+_csv_values = _record_getter(CSV_COLUMNS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,51 +101,40 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-# ---------------------------------------------------------------------------
-# record rendering
-
-def _record_cells(rec: DimensionRecord) -> list[str]:
-    q = rec.query
-    return [
-        str(q.m),
-        str(q.n),
-        str(q.r),
-        str(rec.D),
-        str(rec.K_recursion),
-        str(rec.K_reduction),
-        str(rec.K_closed),
-        str(rec.I_sum),
-        format_rational(rec.I_hyp) if rec.I_hyp is not None else "",
-        str(rec.I_subtract),
-        _bool_str(rec.routes_agree),
-        _bool_str(rec.in_validity_range),
-    ]
-
-
-def _records_csv(records: Sequence[DimensionRecord]) -> str:
-    lines = [CSV_RECORD_HEADER]
-    lines.extend(",".join(_record_cells(rec)) for rec in records)
+def _lines(lines: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(doc: Any) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# record rendering
+
+# A record cell by value type: an int as digits, a rational as p/q text,
+# a bool as true/false, a missing value as an empty cell.
+_CSV_CELL: dict[type, Callable[[Any], str]] = {
+    int: str,
+    Fraction: format_rational,
+    bool: _bool_str,
+    type(None): lambda _: "",
+}
+
+
+def _record_cells(rec: DimensionRecord) -> list[str]:
+    return [_CSV_CELL[type(value)](value) for value in _csv_values(rec)]
+
+
+def _records_csv(records: Sequence[DimensionRecord]) -> str:
+    return _lines([",".join(CSV_COLUMNS)] + [",".join(_record_cells(rec)) for rec in records])
+
+
 def _record_json_dict(rec: DimensionRecord) -> dict[str, Any]:
-    q = rec.query
+    # Rationals become p/q text; ints, bools, strings and None stay as they are.
     return {
-        "m": q.m,
-        "n": q.n,
-        "r": q.r,
-        "D": rec.D,
-        "K_recursion": rec.K_recursion,
-        "K_reduction": rec.K_reduction,
-        "K_closed": rec.K_closed,
-        "I_sum": rec.I_sum,
-        "I_hyp": format_rational(rec.I_hyp) if rec.I_hyp is not None else None,
-        "I_subtract": rec.I_subtract,
-        "K": rec.K,
-        "I": rec.I,
-        "routes_agree": rec.routes_agree,
-        "in_validity_range": rec.in_validity_range,
-        "hyp_error": rec.hyp_error,
+        column: format_rational(value) if type(value) is Fraction else value
+        for column, value in zip(RECORD_COLUMNS, _record_values(rec))
     }
 
 
@@ -141,30 +154,29 @@ def _record_pretty(rec: DimensionRecord) -> str:
     ]
     if rec.hyp_error is not None:
         lines.append(f"  hyp_error = {rec.hyp_error}")
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
 def _records_pretty_table(records: Sequence[DimensionRecord]) -> str:
-    header = CSV_RECORD_HEADER.split(",")
-    rows = [header] + [_record_cells(rec) for rec in records]
-    widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
-    lines = [
+    rows = [list(CSV_COLUMNS)] + [_record_cells(rec) for rec in records]
+    widths = [max(len(row[col]) for row in rows) for col in range(len(CSV_COLUMNS))]
+    return _lines(
         "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
         for row in rows
-    ]
-    return "\n".join(lines) + "\n"
+    )
 
 
-def _render_records(records: Sequence[DimensionRecord], fmt: str, single: bool) -> str:
-    if fmt == "csv":
-        return _records_csv(records)
-    if fmt == "json":
-        if single:
-            return json.dumps(_record_json_dict(records[0]), indent=2) + "\n"
-        return json.dumps([_record_json_dict(rec) for rec in records], indent=2) + "\n"
-    if single:
-        return _record_pretty(records[0])
-    return _records_pretty_table(records)
+_DIMS_RENDERERS: dict[str, Callable[[DimensionRecord], str]] = {
+    "pretty": _record_pretty,
+    "json": lambda rec: _json_text(_record_json_dict(rec)),
+    "csv": lambda rec: _records_csv([rec]),
+}
+
+_TABLE_RENDERERS: dict[str, Callable[[Sequence[DimensionRecord]], str]] = {
+    "pretty": _records_pretty_table,
+    "json": lambda records: _json_text([_record_json_dict(rec) for rec in records]),
+    "csv": _records_csv,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +199,7 @@ def _violation_compact(v: Any) -> str:
 def _classify_json(
     cfg: Any, report: ResonanceReport, record: DimensionRecord | None
 ) -> str:
-    doc = {
+    return _json_text({
         "config": config_to_json_dict(cfg),
         "lambda_infinity": format_rational(report.lambda_infinity),
         "resonant_indices": list(report.resonant_indices),
@@ -195,8 +207,7 @@ def _classify_json(
         "violations": [_violation_json(v) for v in report.violations],
         "assumption_valid": report.assumption_valid,
         "dimensions": _record_json_dict(record) if record is not None else None,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    })
 
 
 def _classify_pretty(
@@ -217,20 +228,21 @@ def _classify_pretty(
     else:
         lines.append("violations: none")
     lines.append(f"assumption_valid = {_bool_str(report.assumption_valid)}")
-    out = "\n".join(lines) + "\n"
+    out = _lines(lines)
     if record is not None:
         out += "\n" + _record_pretty(record)
     return out
 
 
+# The report's own columns, then the record's CSV columns from D onward,
+# blank when the assumptions fail and there is no record.
+_CLASSIFY_COLUMNS = ("m", "n", "r", "lambda_infinity", "assumption_valid", "violations")
+_CLASSIFY_RECORD_FROM = CSV_COLUMNS.index("D")
+
+
 def _classify_csv(
     cfg: Any, report: ResonanceReport, record: DimensionRecord | None
 ) -> str:
-    header = (
-        "m,n,r,lambda_infinity,assumption_valid,violations,"
-        "D,K_recursion,K_reduction,K_closed,I_sum,I_hyp,I_subtract,"
-        "routes_agree,in_validity_range"
-    )
     cells = [
         str(cfg.m),
         str(cfg.n),
@@ -240,84 +252,78 @@ def _classify_csv(
         ";".join(_violation_compact(v) for v in report.violations),
     ]
     if record is not None:
-        cells.extend(_record_cells(record)[3:])  # D onward
+        cells.extend(_record_cells(record)[_CLASSIFY_RECORD_FROM:])
     else:
-        cells.extend([""] * 9)
-    return header + "\n" + ",".join(cells) + "\n"
+        cells.extend([""] * (len(CSV_COLUMNS) - _CLASSIFY_RECORD_FROM))
+    header = _CLASSIFY_COLUMNS + CSV_COLUMNS[_CLASSIFY_RECORD_FROM:]
+    return _lines([",".join(header), ",".join(cells)])
+
+
+_CLASSIFY_RENDERERS = {"pretty": _classify_pretty, "json": _classify_json, "csv": _classify_csv}
 
 
 # ---------------------------------------------------------------------------
 # verify rendering
 
-def _verify_pretty(results: Sequence[SuiteResult]) -> str:
+# suite, the counts, counterexample: the csv columns, as asdict/astuple order them.
+_SUITE_FIELDS = tuple(field.name for field in dataclasses.fields(SuiteResult))
+
+
+def _verify_pretty(results: Sequence[SuiteResult], args: argparse.Namespace) -> str:
     lines = []
     for res in results:
-        lines.append(
-            f"{res.suite}: passed={res.passed} failed={res.failed} skipped={res.skipped}"
-        )
+        counts = " ".join(f"{name}={getattr(res, name)}" for name in _SUITE_FIELDS[1:-1])
+        lines.append(f"{res.suite}: {counts}")
         if res.counterexample is not None:
             lines.append(f"  counterexample: {res.counterexample}")
     n_failed = sum(1 for res in results if not res.ok)
     lines.append("all checks passed" if n_failed == 0 else f"{n_failed} suite(s) failed")
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
-def _verify_json(results: Sequence[SuiteResult], seed: int, cases: int | None) -> str:
-    doc = {
-        "seed": seed,
-        "cases": cases,
-        "results": [
-            {
-                "suite": res.suite,
-                "passed": res.passed,
-                "failed": res.failed,
-                "skipped": res.skipped,
-                "counterexample": res.counterexample,
-            }
-            for res in results
-        ],
+def _verify_json(results: Sequence[SuiteResult], args: argparse.Namespace) -> str:
+    return _json_text({
+        "seed": args.seed,
+        "cases": args.cases,
+        "results": [dataclasses.asdict(res) for res in results],
         "all_passed": all(res.ok for res in results),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    })
 
 
-def _verify_csv(results: Sequence[SuiteResult]) -> str:
-    lines = ["suite,passed,failed,skipped,counterexample"]
-    lines.extend(
-        f"{res.suite},{res.passed},{res.failed},{res.skipped},"
-        f"{res.counterexample if res.counterexample is not None else ''}"
-        for res in results
+def _verify_csv(results: Sequence[SuiteResult], args: argparse.Namespace) -> str:
+    rows = (dataclasses.astuple(res) for res in results)
+    return _lines(
+        [",".join(_SUITE_FIELDS)]
+        + [",".join("" if value is None else str(value) for value in row) for row in rows]
     )
-    return "\n".join(lines) + "\n"
+
+
+_VERIFY_RENDERERS = {"pretty": _verify_pretty, "json": _verify_json, "csv": _verify_csv}
 
 
 # ---------------------------------------------------------------------------
 # subcommand drivers
 
+def _usage_error(args: argparse.Namespace, message: str) -> int:
+    print(f"selbergdim {args.command}: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_dims(args: argparse.Namespace) -> int:
-    try:
-        record = compute_record(DimQuery(m=args.m, n=args.n, r=args.r))
-    except DomainError as exc:
-        print(f"selbergdim dims: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    sys.stdout.write(_render_records([record], args.format, single=True))
+    record = compute_record(DimQuery(m=args.m, n=args.n, r=args.r))
+    sys.stdout.write(_DIMS_RENDERERS[args.format](record))
     return EXIT_OK if record.routes_agree else EXIT_DISAGREEMENT
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    try:
-        records = table(args.m_range, args.n_range, args.r_policy.replace("-", "_"))
-    except DomainError as exc:
-        print(f"selbergdim table: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rendered = _render_records(records, args.format, single=False)
+    records = table(args.m_range, args.n_range, args.r_policy.replace("-", "_"))
+    rendered = _TABLE_RENDERERS[args.format](records)
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(rendered)
         except OSError as exc:
-            print(f"selbergdim table: error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error(args, f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(rendered)
     return EXIT_OK if all(rec.routes_agree for rec in records) else EXIT_DISAGREEMENT
@@ -328,36 +334,21 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        print(f"selbergdim classify: error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = config_from_json(text)
-    except ConfigParseError as exc:
-        print(f"selbergdim classify: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+        return _usage_error(args, f"cannot read {args.config}: {exc}")
+    cfg = config_from_json(text)
     report = classify(cfg)
     record = None
     if report.assumption_valid:
         _, record = dims_for_config(cfg)
-
-    if args.format == "json":
-        sys.stdout.write(_classify_json(cfg, report, record))
-    elif args.format == "csv":
-        sys.stdout.write(_classify_csv(cfg, report, record))
-    else:
-        sys.stdout.write(_classify_pretty(cfg, report, record))
+    sys.stdout.write(_CLASSIFY_RENDERERS[args.format](cfg, report, record))
     return EXIT_OK if report.assumption_valid else EXIT_ASSUMPTION
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.cases is not None and args.cases < 1:
+        _PARSER.error("--cases must be >= 1")
     results = run_suites(args.suite, seed=args.seed, cases=args.cases)
-    if args.format == "json":
-        sys.stdout.write(_verify_json(results, args.seed, args.cases))
-    elif args.format == "csv":
-        sys.stdout.write(_verify_csv(results))
-    else:
-        sys.stdout.write(_verify_pretty(results))
+    sys.stdout.write(_VERIFY_RENDERERS[args.format](results, args))
     return EXIT_OK if all(res.ok for res in results) else EXIT_DISAGREEMENT
 
 
@@ -377,9 +368,6 @@ def _build_parser() -> _Parser:
     p_dims.add_argument("-m", type=int, required=True, help="number of integration variables (>= 1)")
     p_dims.add_argument("-n", type=int, required=True, help="number of marked points (>= 1)")
     p_dims.add_argument("-r", type=int, required=True, help="number of resonant exponents (0..n)")
-    p_dims.add_argument(
-        "--format", choices=("pretty", "json", "csv"), default="pretty", help="output format"
-    )
     p_dims.set_defaults(func=_cmd_dims)
 
     p_table = sub.add_parser("table", help="compute a table of dimension records")
@@ -387,12 +375,9 @@ def _build_parser() -> _Parser:
     p_table.add_argument("--n-range", type=_parse_range, required=True, metavar="LO..HI")
     p_table.add_argument(
         "--r-policy",
-        choices=("all", "only-n", "only-n-minus-1"),
+        choices=[policy.replace("_", "-") for policy in R_POLICIES],
         default="all",
         help="which r values to include per (m, n)",
-    )
-    p_table.add_argument(
-        "--format", choices=("pretty", "json", "csv"), default="csv", help="output format"
     )
     p_table.add_argument("--out", default=None, help="write to this file instead of stdout")
     p_table.set_defaults(func=_cmd_table)
@@ -402,9 +387,6 @@ def _build_parser() -> _Parser:
     )
     p_classify.add_argument(
         "config", help='JSON file: {"m": int, "g": "p/q", "lambdas": ["p/q", ...]}'
-    )
-    p_classify.add_argument(
-        "--format", choices=("pretty", "json", "csv"), default="pretty", help="output format"
     )
     p_classify.set_defaults(func=_cmd_classify)
 
@@ -421,10 +403,13 @@ def _build_parser() -> _Parser:
             + ")"
         ),
     )
-    p_verify.add_argument(
-        "--format", choices=("pretty", "json", "csv"), default="pretty", help="output format"
-    )
     p_verify.set_defaults(func=_cmd_verify)
+
+    for name, command in sub.choices.items():
+        command.add_argument(
+            "--format", choices=FORMATS, default="csv" if name == "table" else "pretty",
+            help="output format",
+        )
     return parser
 
 
@@ -436,9 +421,10 @@ _PARSER = _build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     args = _PARSER.parse_args(argv)
-    if getattr(args, "cases", None) is not None and args.cases < 1:
-        _PARSER.error("--cases must be >= 1")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DomainError, ConfigParseError) as exc:  # input outside the domain
+        return _usage_error(args, str(exc))
 
 
 def run() -> None:

@@ -27,6 +27,11 @@ constant stack depth. Each route caches only the last row it built, which
 cache. The two routes keep their own formulas and share no intermediate
 values, so they stay independent witnesses.
 
+The domain is m >= 1, n >= 1 and 0 <= r <= n, each an exact int. One
+function holds its rules and messages; ``DimQuery`` and every public route
+call it, and raise DomainError outside the domain, so no route fails with
+a TypeError or a wrong answer on a bool or a float.
+
 Agreement of all routes is recorded, never assumed: ``compute_record``
 fills every field and flags disagreement instead of raising. The closed
 forms at full resonance (r = n) and one below it (r = n - 1) are exposed
@@ -47,7 +52,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple, Sequence
 
 from .exactnum import binom
 from .hyper import HypParams3F2, HyperEvalError, eval_terminating_3f2
@@ -71,11 +76,35 @@ __all__ = [
 ]
 
 RPolicy = Literal["all", "only_n", "only_n_minus_1"]
-R_POLICIES: tuple[str, ...] = ("all", "only_n", "only_n_minus_1")
+# The r values that ``table`` takes for one n, by policy.
+_R_VALUES: dict[str, Callable[[int], Sequence[int]]] = {
+    "all": lambda n: range(n + 1),
+    "only_n": lambda n: (n,),
+    "only_n_minus_1": lambda n: (n - 1,),
+}
+R_POLICIES: tuple[str, ...] = tuple(_R_VALUES)
 
 
 class DomainError(ValueError):
     """An (m, n, r) query outside the defined domain."""
+
+
+def _validate(m: int, n: int, r: int) -> None:
+    """The (m, n, r) domain: exact ints, m >= 1, n >= 1, 0 <= r <= n.
+
+    ``DimQuery`` and every route call this, so each rule and message lives
+    here. The ``type(v) is int`` test rejects bool and costs no more than a
+    range test, which matters because one record runs this six times.
+    """
+    if not type(m) is type(n) is type(r) is int:
+        name, value = next((k, v) for k, v in (("m", m), ("n", n), ("r", r)) if type(v) is not int)
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if not 0 <= r <= n:
+        raise DomainError(f"r must satisfy 0 <= r <= n={n}, got {r}")
 
 
 @dataclass(frozen=True)
@@ -91,16 +120,7 @@ class DimQuery:
     r: int
 
     def __post_init__(self) -> None:
-        for name in ("m", "n", "r"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an int, got {value!r}")
-        if self.m < 1:
-            raise DomainError(f"m must be >= 1, got {self.m}")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.r <= self.n:
-            raise DomainError(f"r must satisfy 0 <= r <= n={self.n}, got {self.r}")
+        _validate(self.m, self.n, self.r)
 
 
 @dataclass(frozen=True)
@@ -136,13 +156,6 @@ class DimensionRecord:
     def I(self) -> int | None:
         """The agreed image dimension, or None if the routes disagree."""
         return self.I_sum if self.routes_agree else None
-
-
-def _check_query(m: int, n: int, r: int) -> None:
-    if m < 1 or n < 1:
-        raise DomainError(f"m and n must be >= 1, got (m={m}, n={n})")
-    if not 0 <= r <= n:
-        raise DomainError(f"r must satisfy 0 <= r <= n={n}, got {r}")
 
 
 def dim_D(m: int, n: int) -> int:
@@ -189,7 +202,7 @@ def dim_K_recursion(m: int, n: int, r: int) -> int:
     whole rows over r in O(m n) additions and constant stack depth; the
     last row is cached, so consecutive calls with the same (m, n) share it.
     """
-    _check_query(m, n, r)
+    _validate(m, n, r)
     return _k_recursion_row(m, n)[r]
 
 
@@ -215,7 +228,7 @@ def dim_K_reduction(m: int, n: int, r: int) -> int:
     with the subtracted sum kept as a running prefix sum, in O(m n)
     additions; the last row is cached, as for ``dim_K_recursion``.
     """
-    _check_query(m, n, r)
+    _validate(m, n, r)
     return _k_reduction_row(m, n)[r]
 
 
@@ -225,7 +238,7 @@ def dim_K_closed(m: int, n: int, r: int) -> int:
     C(r, s) = 0 for s > r and the D conventions truncate the sum at
     s = min(r, floor(m/2)).
     """
-    _check_query(m, n, r)
+    _validate(m, n, r)
     return sum(
         (-1) ** (s - 1) * binom(r, s) * dim_D(m - 2 * s, n)
         for s in range(1, m // 2 + 1)
@@ -234,7 +247,7 @@ def dim_K_closed(m: int, n: int, r: int) -> int:
 
 def dim_I_sum(m: int, n: int, r: int) -> int:
     """Image dimension as the alternating sum over 0 <= s <= floor(m/2) of (-1)^s C(r, s) D(m-2s, n)."""
-    _check_query(m, n, r)
+    _validate(m, n, r)
     return sum(
         (-1) ** s * binom(r, s) * dim_D(m - 2 * s, n) for s in range(0, m // 2 + 1)
     )
@@ -259,7 +272,7 @@ def dim_I_hyp(m: int, n: int, r: int) -> Fraction:
     defined; it is returned unconverted so that an integrality failure
     would be observable rather than masked. Series errors propagate.
     """
-    _check_query(m, n, r)
+    _validate(m, n, r)
     return dim_D(m, n) * eval_terminating_3f2(hyp_params(m, n, r))
 
 
@@ -277,8 +290,7 @@ def dim_I_extremes(m: int, n: int) -> ExtremeImageDims:
     The difference can be negative (it is for n < 2m); values are returned
     as computed and the validity question is left to the record flags.
     """
-    if m < 1 or n < 1:
-        raise DomainError(f"m and n must be >= 1, got (m={m}, n={n})")
+    _validate(m, n, 0)
     return ExtremeImageDims(
         at_n=binom(n, m) - binom(n, m - 1),
         at_n_minus_1=binom(n - 1, m),
@@ -294,10 +306,9 @@ def dim_I_full_resonance_product(m: int, n: int) -> Fraction:
     Exact rational on the way through; equals ``dim_I_extremes(m, n).at_n``.
     Requires m >= 2 so that both parities have a nonempty product.
     """
+    _validate(m, n, 0)
     if m < 2:
         raise DomainError(f"product form requires m >= 2, got {m}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     if m % 2 == 0:
         j = m // 2
         falling = Fraction(1)
@@ -364,15 +375,6 @@ def compute_record(query: DimQuery) -> DimensionRecord:
     )
 
 
-def _r_values(n: int, r_policy: str) -> Iterator[int]:
-    if r_policy == "all":
-        yield from range(0, n + 1)
-    elif r_policy == "only_n":
-        yield n
-    else:  # "only_n_minus_1"; table() has already validated the policy
-        yield n - 1
-
-
 def table(
     m_range: tuple[int, int],
     n_range: tuple[int, int],
@@ -385,17 +387,18 @@ def table(
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
-    if m_lo < 1 or n_lo < 1:
-        raise DomainError(f"range bounds must be >= 1, got m>={m_lo}, n>={n_lo}")
+    _validate(m_lo, n_lo, 0)
+    _validate(m_hi, n_hi, 0)
     if m_hi < m_lo or n_hi < n_lo:
         raise DomainError(
             f"empty range: m {m_lo}..{m_hi}, n {n_lo}..{n_hi} (bounds are inclusive)"
         )
     if r_policy not in R_POLICIES:
         raise DomainError(f"unknown r policy {r_policy!r}; expected one of {R_POLICIES}")
+    r_values = _R_VALUES[r_policy]
     return [
         compute_record(DimQuery(m, n, r))
         for m in range(m_lo, m_hi + 1)
         for n in range(n_lo, n_hi + 1)
-        for r in _r_values(n, r_policy)
+        for r in r_values(n)
     ]

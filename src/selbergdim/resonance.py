@@ -65,7 +65,7 @@ class ExponentConfig:
     lambdas: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
+        if type(self.m) is not int or self.m < 1:
             raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
         object.__setattr__(self, "g", Fraction(self.g))
         object.__setattr__(self, "lambdas", tuple(Fraction(lam) for lam in self.lambdas))

@@ -1,5 +1,10 @@
 """Seeded and exhaustive verification suites behind ``selbergdim verify``.
 
+A suite is its inputs (seeded draws or a fixed grid) plus a check of one
+input. One driver runs every suite: it keeps the passed, failed and
+skipped counts and the first counterexample, whose text the check builds
+only when asked.
+
 Randomized suites draw parameters from a self-contained 64-bit linear
 congruential generator (documented in the README) rather than the host
 language's RNG, so a reported counterexample is reproducible from
@@ -20,8 +25,10 @@ Exhaustive suites ignore seed and cases:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, Callable, NamedTuple
 
 from . import dims, hyper
 from .exactnum import binom, format_rational, hockey_stick_check
@@ -69,29 +76,118 @@ class SuiteResult:
         return self.failed == 0
 
 
-SUITE_NAMES: tuple[str, ...] = (
-    "pfaff",
-    "contiguity",
-    "pochhammer",
-    "hockey",
-    "routes",
-    "closedforms",
-)
-
-DEFAULT_CASES: dict[str, int] = {"pfaff": 500, "contiguity": 200, "pochhammer": 200}
+# A check takes one input and returns (ok, detail): detail() is the text
+# that follows the inputs in a counterexample, built only for a suite's
+# first failure.
+_Outcome = tuple[bool, Callable[[], str]]
 
 
-def _run_pfaff(seed: int, cases: int) -> SuiteResult:
-    rng = Lcg(seed)
+def _no_detail() -> str:
+    return ""
+
+
+def _pfaff(a: Fraction, b: Fraction, c: Fraction, j: int) -> _Outcome:
+    return hyper.pfaff_saalschutz_check(a, b, c, j), _no_detail
+
+
+def _contiguity(a: Fraction, b: Fraction, c: Fraction, j: int) -> _Outcome:
+    residual = hyper.contiguity_residual(a, b, c, j)
+    return residual == 0, lambda: f" residual={format_rational(residual)}"
+
+
+def _pochhammer(a: Fraction, b: Fraction, k: int) -> _Outcome:
+    residual = hyper.pochhammer_identity_residual(a, b, k)
+    return residual == 0, lambda: f" residual={format_rational(residual)}"
+
+
+def _hockey(r: int, s: int) -> _Outcome:
+    return hockey_stick_check(r, s), _no_detail
+
+
+def _routes(m: int, n: int, r: int) -> _Outcome:
+    rec = dims.compute_record(dims.DimQuery(m, n, r))
+    ok = (
+        rec.routes_agree
+        and rec.D == rec.K_closed + rec.I_sum
+        and rec.I_hyp is not None
+        and rec.I_hyp.denominator == 1
+    )
+    return ok, lambda: (
+        f": D={rec.D} K=({rec.K_recursion},{rec.K_reduction},{rec.K_closed}) "
+        f"I=({rec.I_sum},{rec.I_hyp},{rec.I_subtract})"
+    )
+
+
+def _closedforms(m: int, n: int) -> _Outcome:
+    extremes = dims.dim_I_extremes(m, n)
+    ok = (
+        extremes.at_n == dims.dim_I_sum(m, n, n)
+        and extremes.at_n_minus_1 == dims.dim_I_sum(m, n, n - 1)
+        and extremes.at_n == binom(n, m) - binom(n, m - 1)
+        and extremes.at_n_minus_1 == binom(n - 1, m)
+        and dims.dim_I_full_resonance_product(m, n) == extremes.at_n
+    )
+    return ok, _no_detail
+
+
+class _Suite(NamedTuple):
+    names: str  # the inputs' names, as a counterexample prints them
+    check: Callable[..., _Outcome]
+    cases: int | None  # default number of checks; None for an exhaustive suite
+    inputs: Callable[..., Any]  # seeded: draw(rng) gives one input; else grid() gives all
+
+
+_SUITES: dict[str, _Suite] = {
+    "pfaff": _Suite(
+        "a b c j", _pfaff, 500,
+        lambda rng: (rng.rational(), rng.rational(), rng.rational(), rng.randint(1, 8)),
+    ),
+    "contiguity": _Suite(
+        "a b c j", _contiguity, 200,
+        lambda rng: (rng.rational(), rng.rational(), rng.rational(), rng.randint(0, 10)),
+    ),
+    "pochhammer": _Suite(
+        "a b k", _pochhammer, 200,
+        lambda rng: (rng.rational(), rng.rational(), rng.randint(0, 10)),
+    ),
+    "hockey": _Suite(
+        "r s", _hockey, None,
+        lambda: ((r, s) for r in range(1, 41) for s in range(r)),
+    ),
+    "routes": _Suite(
+        "m n r", _routes, None,
+        lambda: ((m, n, r) for m in range(1, 9) for n in range(2, 11) for r in range(n + 1)),
+    ),
+    "closedforms": _Suite(
+        "m n", _closedforms, None,
+        lambda: ((m, n) for m in range(2, 9) for n in range(m, 13)),
+    ),
+}
+
+SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)
+
+DEFAULT_CASES: dict[str, int] = {
+    name: suite.cases for name, suite in _SUITES.items() if suite.cases is not None
+}
+
+
+def _run(name: str, seed: int, cases: int | None) -> SuiteResult:
+    """Check inputs until ``cases`` have passed or failed, or the grid ends.
+
+    A check that raises a declared series error (a pole before termination,
+    a vanishing closed-form denominator) counts its input as skipped.
+    """
+    suite = _SUITES[name]
+    if suite.cases is None:
+        inputs, cases = suite.inputs(), None
+    else:
+        inputs = map(suite.inputs, itertools.repeat(Lcg(seed)))
+        cases = suite.cases if cases is None else cases
     passed = failed = skipped = 0
     counterexample = None
-    while passed + failed < cases:
-        a = rng.rational()
-        b = rng.rational()
-        c = rng.rational()
-        j = rng.randint(1, 8)
+    for args in inputs:
         try:
-            ok = hyper.pfaff_saalschutz_check(a, b, c, j)
+            ok, detail = suite.check(*args)
         except hyper.HyperEvalError:
             skipped += 1
             continue
@@ -100,146 +196,26 @@ def _run_pfaff(seed: int, cases: int) -> SuiteResult:
         else:
             failed += 1
             if counterexample is None:
-                counterexample = (
-                    f"a={format_rational(a)} b={format_rational(b)} "
-                    f"c={format_rational(c)} j={j}"
-                )
-    return SuiteResult("pfaff", passed, failed, skipped, counterexample)
-
-
-def _run_contiguity(seed: int, cases: int) -> SuiteResult:
-    rng = Lcg(seed)
-    passed = failed = skipped = 0
-    counterexample = None
-    while passed + failed < cases:
-        a = rng.rational()
-        b = rng.rational()
-        c = rng.rational()
-        j = rng.randint(0, 10)
-        try:
-            residual = hyper.contiguity_residual(a, b, c, j)
-        except hyper.HyperEvalError:
-            skipped += 1
-            continue
-        if residual == 0:
-            passed += 1
-        else:
-            failed += 1
-            if counterexample is None:
-                counterexample = (
-                    f"a={format_rational(a)} b={format_rational(b)} "
-                    f"c={format_rational(c)} j={j} residual={format_rational(residual)}"
-                )
-    return SuiteResult("contiguity", passed, failed, skipped, counterexample)
-
-
-def _run_pochhammer(seed: int, cases: int) -> SuiteResult:
-    rng = Lcg(seed)
-    passed = failed = 0
-    counterexample = None
-    for _ in range(cases):
-        a = rng.rational()
-        b = rng.rational()
-        k = rng.randint(0, 10)
-        residual = hyper.pochhammer_identity_residual(a, b, k)
-        if residual == 0:
-            passed += 1
-        else:
-            failed += 1
-            if counterexample is None:
-                counterexample = (
-                    f"a={format_rational(a)} b={format_rational(b)} k={k} "
-                    f"residual={format_rational(residual)}"
-                )
-    return SuiteResult("pochhammer", passed, failed, 0, counterexample)
-
-
-def _run_hockey() -> SuiteResult:
-    passed = failed = 0
-    counterexample = None
-    for r in range(1, 41):
-        for s in range(0, r):
-            if hockey_stick_check(r, s):
-                passed += 1
-            else:
-                failed += 1
-                if counterexample is None:
-                    counterexample = f"r={r} s={s}"
-    return SuiteResult("hockey", passed, failed, 0, counterexample)
-
-
-def _run_routes() -> SuiteResult:
-    passed = failed = 0
-    counterexample = None
-    for m in range(1, 9):
-        for n in range(2, 11):
-            for r in range(0, n + 1):
-                rec = dims.compute_record(dims.DimQuery(m, n, r))
-                ok = (
-                    rec.routes_agree
-                    and rec.D == rec.K_closed + rec.I_sum
-                    and rec.I_hyp is not None
-                    and rec.I_hyp.denominator == 1
-                )
-                if ok:
-                    passed += 1
-                else:
-                    failed += 1
-                    if counterexample is None:
-                        counterexample = (
-                            f"m={m} n={n} r={r}: D={rec.D} "
-                            f"K=({rec.K_recursion},{rec.K_reduction},{rec.K_closed}) "
-                            f"I=({rec.I_sum},{rec.I_hyp},{rec.I_subtract})"
-                        )
-    return SuiteResult("routes", passed, failed, 0, counterexample)
-
-
-def _run_closedforms() -> SuiteResult:
-    passed = failed = 0
-    counterexample = None
-    for m in range(2, 9):
-        for n in range(m, 13):
-            extremes = dims.dim_I_extremes(m, n)
-            ok = (
-                extremes.at_n == dims.dim_I_sum(m, n, n)
-                and extremes.at_n_minus_1 == dims.dim_I_sum(m, n, n - 1)
-                and extremes.at_n == binom(n, m) - binom(n, m - 1)
-                and extremes.at_n_minus_1 == binom(n - 1, m)
-                and dims.dim_I_full_resonance_product(m, n) == extremes.at_n
-            )
-            if ok:
-                passed += 1
-            else:
-                failed += 1
-                if counterexample is None:
-                    counterexample = f"m={m} n={n}"
-    return SuiteResult("closedforms", passed, failed, 0, counterexample)
+                named = zip(suite.names.split(), args)
+                counterexample = " ".join(f"{k}={format_rational(v)}" for k, v in named) + detail()
+        if passed + failed == cases:
+            break
+    return SuiteResult(name, passed, failed, skipped, counterexample)
 
 
 def run_suites(suite: str, seed: int = 0, cases: int | None = None) -> list[SuiteResult]:
     """Run one named suite, or all of them, deterministically.
 
-    ``cases`` applies to the randomized suites only and defaults per suite
-    (pfaff 500, contiguity 200, pochhammer 200); exhaustive suites ignore
-    it. Raises ValueError for an unknown suite name.
+    ``cases`` applies to the randomized suites only; None, the only default
+    value, means the per-suite default (pfaff 500, contiguity 200,
+    pochhammer 200), and exhaustive suites ignore it. Raises ValueError for
+    an unknown suite name or ``cases < 1``.
     """
-    if suite != "all" and suite not in SUITE_NAMES:
+    if suite != "all" and suite not in _SUITES:
         raise ValueError(
             f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES + ('all',))}"
         )
+    if cases is not None and cases < 1:
+        raise ValueError(f"cases must be >= 1, got {cases}")
     names = SUITE_NAMES if suite == "all" else (suite,)
-    results = []
-    for name in names:
-        if name == "pfaff":
-            results.append(_run_pfaff(seed, cases or DEFAULT_CASES["pfaff"]))
-        elif name == "contiguity":
-            results.append(_run_contiguity(seed, cases or DEFAULT_CASES["contiguity"]))
-        elif name == "pochhammer":
-            results.append(_run_pochhammer(seed, cases or DEFAULT_CASES["pochhammer"]))
-        elif name == "hockey":
-            results.append(_run_hockey())
-        elif name == "routes":
-            results.append(_run_routes())
-        elif name == "closedforms":
-            results.append(_run_closedforms())
-    return results
+    return [_run(name, seed, cases) for name in names]

@@ -66,6 +66,12 @@ class TestExitCodes:
         assert code == 1
         assert "--cases" in err
 
+    def test_verify_negative_cases_rejected(self, run_cli):
+        for suite in ("pfaff", "hockey", "all"):
+            code, out, err = run_cli("verify", suite, "--cases", "-3")
+            assert (code, out) == (1, "")
+            assert "--cases" in err
+
     def test_verify_passing_suite_exits_zero(self, run_cli):
         code, out, _ = run_cli("verify", "pochhammer", "--cases", "5")
         assert code == 0
@@ -156,6 +162,16 @@ class TestContent:
     def test_csv_never_contains_a_decimal_point(self, run_cli):
         _, out, _ = run_cli("table", "--m-range", "1..5", "--n-range", "2..7", "--format", "csv")
         assert "." not in out
+
+    def test_classify_violation_csv_leaves_record_cells_blank(self, run_cli):
+        config = str(DATA_DIR / "config_violation.json")
+        code, out, err = run_cli("classify", config, "--format", "csv")
+        assert (code, err) == (3, "")
+        assert out == (
+            "m,n,r,lambda_infinity,assumption_valid,violations,D,K_recursion,"
+            "K_reduction,K_closed,I_sum,I_hyp,I_subtract,routes_agree,in_validity_range\n"
+            "2,2,0,-31/12,false,diagonal:k=2:value=2,,,,,,,,,\n"
+        )
 
     def test_dims_n1_pole_edge_is_visible_and_exits_2(self, run_cli):
         code, out, _ = run_cli("dims", "-m", "2", "-n", "1", "-r", "1", "--format", "json")

@@ -88,13 +88,17 @@ class TestKernelRoutes:
         assert dim_K_closed(6, 9, 0) == 0
 
     def test_domain_errors(self):
-        for fn in (dim_K_recursion, dim_K_reduction, dim_K_closed, dim_I_sum):
+        for fn in (dim_K_recursion, dim_K_reduction, dim_K_closed, dim_I_sum, dim_I_hyp):
             with pytest.raises(DomainError):
                 fn(3, 5, -1)
             with pytest.raises(DomainError):
                 fn(3, 5, 6)
             with pytest.raises(DomainError):
                 fn(0, 5, 1)
+            for bad in (True, 2.0, "2"):
+                for fields in ((bad, 4, 1), (2, bad, 1), (2, 4, bad)):
+                    with pytest.raises(DomainError, match="must be an int"):
+                        fn(*fields)
 
 
 class TestImageRoutes:
@@ -258,6 +262,9 @@ class TestTable:
             table((2, 2), (0, 4), "all")
         with pytest.raises(DomainError):
             table((2, 2), (4, 4), "sometimes")
+        for bounds in (((1, 2.5), (2, 3)), ((1, 2), (True, 3)), ((1, True), (2, 3))):
+            with pytest.raises(DomainError, match="must be an int"):
+                table(*bounds)
 
 
 class TestConcurrency:

@@ -184,3 +184,5 @@ class TestConfigJson:
             ExponentConfig(m=0, g=F(1, 2), lambdas=(F(1, 4),))
         with pytest.raises(ValueError):
             ExponentConfig(m=2, g=F(1, 2), lambdas=())
+        with pytest.raises(ValueError, match="m must be an integer >= 1, got True"):
+            ExponentConfig(m=True, g=F(1, 2), lambdas=(F(1, 4),))
