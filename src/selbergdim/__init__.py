@@ -24,6 +24,7 @@ from .dims import (
     dim_K_closed,
     dim_K_recursion,
     dim_K_reduction,
+    iter_table,
     table,
 )
 from .exactnum import (
@@ -92,6 +93,7 @@ __all__ = [
     "dim_I_extremes",
     "dim_I_full_resonance_product",
     "compute_record",
+    "iter_table",
     "table",
     "ExponentConfig",
     "Violation",

@@ -18,13 +18,25 @@ record's fields for JSON; the CSV header, CSV cells, pretty table and the
 record part of ``classify --format csv`` take the same list without the
 JSON-only ``K``, ``I`` and ``hyp_error``. The verify outputs take their
 columns from ``SuiteResult``'s fields. Every subcommand renders through a
-table from ``--format`` (one of ``FORMATS``) to a renderer.
+table from ``--format`` (one of ``FORMATS``) to a renderer. Every CSV line
+goes through one RFC 4180 minimal-quoting rule, so a cell with a comma, a
+quote or a line break is quoted and rows keep their header's width.
+
+``table --format csv`` and ``--format json`` stream: each record is
+written, to stdout or to the ``--out`` file opened before the first one,
+as soon as it is computed, and none is kept, so memory stays constant
+however large the ranges. The JSON is written record by record yet is
+byte-identical to ``json.dumps(records, indent=2)``. The exit code is
+decided after the last record. The pretty table needs every row's width
+before its first line, so it is built whole and then written.
 
 Exit codes:
     0  success (all routes agree / assumptions hold / all checks pass)
     1  usage, parse or I/O error
     2  route disagreement or a failed verification suite
     3  resonance assumptions violated (classify; report still printed)
+  141  stdout was closed before all output was written (``... | head``);
+       the run ends quietly, as a process killed by SIGPIPE would
 """
 
 from __future__ import annotations
@@ -33,11 +45,20 @@ import argparse
 import dataclasses
 import json
 import operator
+import os
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
-from .dims import R_POLICIES, DimensionRecord, DimQuery, DomainError, compute_record, table
+from .dims import (
+    R_POLICIES,
+    DimensionRecord,
+    DimQuery,
+    DomainError,
+    compute_record,
+    iter_table,
+)
 from .exactnum import format_rational
 from .resonance import (
     ConfigParseError,
@@ -45,7 +66,6 @@ from .resonance import (
     classify,
     config_from_json,
     config_to_json_dict,
-    dims_for_config,
 )
 from .suites import DEFAULT_CASES, SUITE_NAMES, SuiteResult, run_suites
 
@@ -55,6 +75,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREEMENT = 2
 EXIT_ASSUMPTION = 3
+# What a shell reports for a process killed by SIGPIPE (128 + 13): the
+# reader of stdout closed it before all output was written.
+EXIT_BROKEN_PIPE = 141
 
 FORMATS = ("pretty", "json", "csv")
 
@@ -109,6 +132,22 @@ def _json_text(doc: Any) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+_CSV_QUOTED = re.compile(r'[",\r\n]')
+
+
+def _csv_row(cells: Sequence[str]) -> str:
+    """One CSV line under RFC 4180 minimal quoting, without its line end.
+
+    A cell that holds a comma, a double quote, CR or LF is wrapped in
+    double quotes with each inner quote doubled; any other cell is written
+    as it is, so rows of numbers, ``p/q`` text and flags never change.
+    """
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"' if _CSV_QUOTED.search(cell) else cell
+        for cell in cells
+    )
+
+
 # ---------------------------------------------------------------------------
 # record rendering
 
@@ -124,10 +163,6 @@ _CSV_CELL: dict[type, Callable[[Any], str]] = {
 
 def _record_cells(rec: DimensionRecord) -> list[str]:
     return [_CSV_CELL[type(value)](value) for value in _csv_values(rec)]
-
-
-def _records_csv(records: Sequence[DimensionRecord]) -> str:
-    return _lines([",".join(CSV_COLUMNS)] + [",".join(_record_cells(rec)) for rec in records])
 
 
 def _record_json_dict(rec: DimensionRecord) -> dict[str, Any]:
@@ -169,13 +204,58 @@ def _records_pretty_table(records: Sequence[DimensionRecord]) -> str:
 _DIMS_RENDERERS: dict[str, Callable[[DimensionRecord], str]] = {
     "pretty": _record_pretty,
     "json": lambda rec: _json_text(_record_json_dict(rec)),
-    "csv": lambda rec: _records_csv([rec]),
+    "csv": lambda rec: _lines([_csv_row(CSV_COLUMNS), _csv_row(_record_cells(rec))]),
 }
 
-_TABLE_RENDERERS: dict[str, Callable[[Sequence[DimensionRecord]], str]] = {
-    "pretty": _records_pretty_table,
-    "json": lambda records: _json_text([_record_json_dict(rec) for rec in records]),
-    "csv": _records_csv,
+
+# Every value of a JSON record is a scalar, so its ``indent=2`` form inside a
+# list is the one-line form with each item separator widened to a line break
+# and the indent; json.dumps writes that in its C encoder.
+_JSON_ITEM_SEPARATORS = (",\n    ", ": ")
+
+
+def _record_json_item(rec: DimensionRecord) -> str:
+    """One record as ``json.dumps(records, indent=2)`` writes it inside the list."""
+    fields = json.dumps(_record_json_dict(rec), separators=_JSON_ITEM_SEPARATORS)[1:-1]
+    return "  {\n    " + fields + "\n  }"
+
+
+# Table writers: each writes the records it is given through ``write`` and
+# returns whether every record's routes agree. csv and json write each
+# record as soon as it is computed and keep none of them; the pretty table
+# needs every row's width before its first line, so it collects them first.
+
+def _write_csv(records: Iterable[DimensionRecord], write: Callable[[str], Any]) -> bool:
+    write(_csv_row(CSV_COLUMNS) + "\n")
+    agree = True
+    for rec in records:
+        write(_csv_row(_record_cells(rec)) + "\n")
+        agree = agree and rec.routes_agree
+    return agree
+
+
+def _write_json(records: Iterable[DimensionRecord], write: Callable[[str], Any]) -> bool:
+    # The bytes of json.dumps(list_of_records, indent=2) + "\n", one record at a time.
+    agree = True
+    opening = "[\n"
+    for rec in records:
+        write(opening + _record_json_item(rec))
+        opening = ",\n"
+        agree = agree and rec.routes_agree
+    write("[]\n" if opening == "[\n" else "\n]\n")
+    return agree
+
+
+def _write_pretty(records: Iterable[DimensionRecord], write: Callable[[str], Any]) -> bool:
+    rows = list(records)
+    write(_records_pretty_table(rows))
+    return all(rec.routes_agree for rec in rows)
+
+
+_TABLE_WRITERS: dict[str, Callable[..., bool]] = {
+    "pretty": _write_pretty,
+    "json": _write_json,
+    "csv": _write_csv,
 }
 
 
@@ -256,7 +336,7 @@ def _classify_csv(
     else:
         cells.extend([""] * (len(CSV_COLUMNS) - _CLASSIFY_RECORD_FROM))
     header = _CLASSIFY_COLUMNS + CSV_COLUMNS[_CLASSIFY_RECORD_FROM:]
-    return _lines([",".join(header), ",".join(cells)])
+    return _lines([_csv_row(header), _csv_row(cells)])
 
 
 _CLASSIFY_RENDERERS = {"pretty": _classify_pretty, "json": _classify_json, "csv": _classify_csv}
@@ -293,8 +373,8 @@ def _verify_json(results: Sequence[SuiteResult], args: argparse.Namespace) -> st
 def _verify_csv(results: Sequence[SuiteResult], args: argparse.Namespace) -> str:
     rows = (dataclasses.astuple(res) for res in results)
     return _lines(
-        [",".join(_SUITE_FIELDS)]
-        + [",".join("" if value is None else str(value) for value in row) for row in rows]
+        [_csv_row(_SUITE_FIELDS)]
+        + [_csv_row(["" if value is None else str(value) for value in row]) for row in rows]
     )
 
 
@@ -316,17 +396,18 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    records = table(args.m_range, args.n_range, args.r_policy.replace("-", "_"))
-    rendered = _TABLE_RENDERERS[args.format](records)
+    # iter_table checks the bounds before anything is opened or written.
+    records = iter_table(args.m_range, args.n_range, args.r_policy.replace("-", "_"))
+    write_table = _TABLE_WRITERS[args.format]
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(rendered)
+                agree = write_table(records, handle.write)
         except OSError as exc:
             return _usage_error(args, f"cannot write {args.out}: {exc}")
     else:
-        sys.stdout.write(rendered)
-    return EXIT_OK if all(rec.routes_agree for rec in records) else EXIT_DISAGREEMENT
+        agree = write_table(records, sys.stdout.write)
+    return EXIT_OK if agree else EXIT_DISAGREEMENT
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -339,7 +420,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     report = classify(cfg)
     record = None
     if report.assumption_valid:
-        _, record = dims_for_config(cfg)
+        record = compute_record(DimQuery(cfg.m, cfg.n, report.r))
     sys.stdout.write(_CLASSIFY_RENDERERS[args.format](cfg, report, record))
     return EXIT_OK if report.assumption_valid else EXIT_ASSUMPTION
 
@@ -428,8 +509,20 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Console-script entry point."""
-    sys.exit(main())
+    """Console-script entry point.
+
+    A reader that closes stdout early (``selbergdim table ... | head``)
+    ends the run quietly with EXIT_BROKEN_PIPE: stdout is pointed at the
+    null device, so the final flush at exit cannot fail a second time.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()  # a broken pipe surfaces here, inside the try
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

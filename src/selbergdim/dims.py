@@ -16,16 +16,22 @@ K and I are each computed by several mutually independent routes:
 * ``dim_K_reduction`` drops two integration variables at a time,
 * ``dim_K_closed`` is a single alternating binomial sum,
 * ``dim_I_sum`` is the complementary alternating sum,
-* ``dim_I_hyp`` packages that sum as a prefactored terminating 3F2,
+* ``dim_I_hyp`` packages that sum as a prefactored terminating 3F2, whose
+  parameters are all halves of ints, so it calls the int series kernel
+  directly over the denominator 2 and builds no parameter Fraction,
 * the subtraction route recovers I as D - K.
 
 The recursion and reduction routes are evaluated bottom-up: each builds
 the whole row K(m, n, 0..n) from the base row of m's parity by one rolling
 row per step m' -> m' + 2, so a query costs O(m n) integer additions at
 constant stack depth. Each route caches only the last row it built, which
-``table`` reuses across its r loop; ``dim_D`` is one binomial and keeps no
+``iter_table`` reuses across its r loop; ``dim_D`` is one binomial and keeps no
 cache. The two routes keep their own formulas and share no intermediate
 values, so they stay independent witnesses.
+
+``iter_table`` yields a table's records lazily, one at a time, so a caller
+that writes each one out runs in constant memory; ``table`` is that
+iterator collected into a list.
 
 The domain is m >= 1, n >= 1 and 0 <= r <= n, each an exact int. One
 function holds its rules and messages; ``DimQuery`` and every public route
@@ -52,10 +58,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .exactnum import binom
-from .hyper import HypParams3F2, HyperEvalError, eval_terminating_3f2
+from .hyper import HyperEvalError, _eval_scaled_3f2
 
 __all__ = [
     "DomainError",
@@ -70,6 +76,7 @@ __all__ = [
     "dim_I_extremes",
     "dim_I_full_resonance_product",
     "compute_record",
+    "iter_table",
     "table",
     "RPolicy",
     "R_POLICIES",
@@ -253,27 +260,20 @@ def dim_I_sum(m: int, n: int, r: int) -> int:
     )
 
 
-def hyp_params(m: int, n: int, r: int) -> HypParams3F2:
-    """The terminating 3F2 whose value, times C(n+m-2, m), is the image dimension.
-
-    Upper row (-r, -m/2, (1-m)/2), lower row ((2-n-m)/2, (3-n-m)/2), at x=1.
-    """
-    return HypParams3F2(
-        upper=(Fraction(-r), Fraction(-m, 2), Fraction(1 - m, 2)),
-        lower=(Fraction(2 - n - m, 2), Fraction(3 - n - m, 2)),
-    )
-
-
 def dim_I_hyp(m: int, n: int, r: int) -> Fraction:
     """Image dimension via the hypergeometric route, as an exact rational.
 
     Returns C(n+m-2, m) * 3F2(-r, -m/2, (1-m)/2; (2-n-m)/2, (3-n-m)/2; 1).
-    The value is integral and equals ``dim_I_sum`` whenever the series is
-    defined; it is returned unconverted so that an integrality failure
-    would be observable rather than masked. Series errors propagate.
+    Every parameter is half an int, so the series goes straight to the int
+    kernel over L = 2, as (-2r, -m, 1-m; 2-n-m, 3-n-m) at x = 1/1, with no
+    Fraction built for a parameter. The value is integral and equals
+    ``dim_I_sum`` whenever the series is defined; it is returned
+    unconverted so that an integrality failure would be observable rather
+    than masked. Series errors propagate.
     """
     _validate(m, n, r)
-    return dim_D(m, n) * eval_terminating_3f2(hyp_params(m, n, r))
+    value, _ = _eval_scaled_3f2(-2 * r, -m, 1 - m, 2 - n - m, 3 - n - m, 2, 1, 1)
+    return dim_D(m, n) * value
 
 
 class ExtremeImageDims(NamedTuple):
@@ -375,15 +375,19 @@ def compute_record(query: DimQuery) -> DimensionRecord:
     )
 
 
-def table(
+def iter_table(
     m_range: tuple[int, int],
     n_range: tuple[int, int],
     r_policy: RPolicy = "all",
-) -> list[DimensionRecord]:
-    """Records for every (m, n, r) in the given inclusive ranges, in (m, n, r) order.
+) -> Iterator[DimensionRecord]:
+    """Lazily yield the records of ``table``, one at a time, in (m, n, r) order.
 
-    ``r_policy`` selects all 0 <= r <= n, only r = n, or only r = n - 1.
-    Raises DomainError on empty or out-of-range bounds.
+    The bounds and the policy are checked when this is called, before the
+    first record is computed, so bad input raises DomainError before a
+    caller writes anything. Records are computed as they are asked for and
+    none is kept, so a caller that writes each one out runs in constant
+    memory however large the ranges are. The r values of one (m, n) come
+    one after another, so each K row builder's one-row cache serves them all.
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
@@ -396,9 +400,23 @@ def table(
     if r_policy not in R_POLICIES:
         raise DomainError(f"unknown r policy {r_policy!r}; expected one of {R_POLICIES}")
     r_values = _R_VALUES[r_policy]
-    return [
+    return (
         compute_record(DimQuery(m, n, r))
         for m in range(m_lo, m_hi + 1)
         for n in range(n_lo, n_hi + 1)
         for r in r_values(n)
-    ]
+    )
+
+
+def table(
+    m_range: tuple[int, int],
+    n_range: tuple[int, int],
+    r_policy: RPolicy = "all",
+) -> list[DimensionRecord]:
+    """Records for every (m, n, r) in the given inclusive ranges, in (m, n, r) order.
+
+    ``r_policy`` selects all 0 <= r <= n, only r = n, or only r = n - 1.
+    Raises DomainError on empty or out-of-range bounds. This is
+    ``iter_table`` collected into a list.
+    """
+    return list(iter_table(m_range, n_range, r_policy))

@@ -21,7 +21,11 @@ carried as one integer numerator over one shared integer denominator. A
 Fraction is built only once, from the final pair, so the loop performs no
 gcd. The scaling multiplies each factor by a nonzero constant, so an
 integer factor is zero exactly when the rational one is and the
-zero-numerator-first rule is unchanged.
+zero-numerator-first rule is unchanged. The kernel,
+:func:`_eval_scaled_3f2`, takes the scaled integers themselves; a
+``HypParams3F2`` is scaled by a thin front end, and a caller whose
+parameters are already integers over a known denominator (the image
+series of ``dims``, over 2) calls the kernel directly.
 
 Everything downstream of the series is an identity checker:
 
@@ -116,41 +120,40 @@ class HypParams3F2:
         object.__setattr__(self, "argument", as_fraction(self.argument))
 
 
-def _eval_terms(params: HypParams3F2) -> tuple[Fraction, int]:
-    """Evaluate the series; return (value, number of terms actually summed).
+def _eval_scaled_3f2(
+    p1: int, p2: int, p3: int, q1: int, q2: int, L: int, u: int, v: int
+) -> tuple[Fraction, int]:
+    """Sum 3F2(p1/L, p2/L, p3/L; q1/L, q2/L; u/v); return (value, terms summed).
 
-    The walk runs on plain ints. With L the lcm of the five parameter
-    denominators and x = u/v, every factor a + k is (p + kL)/L for an
-    integer p = aL, and likewise b + k = (q + kL)/L. The ratio of term k+1
-    to term k is then
+    The series kernel, on plain ints: every parameter is an integer over the
+    common denominator L > 0 and the argument is u/v with v > 0. It is
+    internal and checks neither; its callers guarantee both: the
+    ``HypParams3F2`` front end (L the lcm of the denominators, v the
+    argument's denominator) and ``dims.dim_I_hyp`` (L = 2, u = v = 1).
+    Each factor a + k is then (p + kL)/L, and b + k is (q + kL)/L, so the ratio of term
+    k+1 to term k is
 
-        (p1+kL)(p2+kL)(p3+kL) u  /  ((q1+kL)(q2+kL)(k+1) L v),
+        (p1+kL)(p2+kL)(p3+kL) u  /  ((q1+kL)(q2+kL)(k+1) L v).
 
-    so the partial sum is kept as ``total / den`` over one shared integer
+    The partial sum is kept as ``total / den`` over one shared integer
     denominator: each step multiplies ``total`` and ``den`` by the same
     step factor and adds the new term's numerator. The only Fraction is
     built once, from the final pair.
 
-    The zero tests see exactly what the rational loop saw. Since L, u and v
+    The zero tests see exactly what a rational loop would. Since L, u and v
     never enter them, (a)_{k+1} vanishes iff (p1+kL)(p2+kL)(p3+kL) does,
     and (b1)_{k+1} (b2)_{k+1} (k+1)! vanishes iff (q1+kL)(q2+kL)(k+1) does;
     the numerator factor is tested first, so an index where both vanish is
-    still termination. With x = 0 the terms after the first are zero, but
-    the walk, the term count and any pole index are unchanged.
+    termination. With x = 0 the terms after the first are zero, but the
+    walk, the term count and any pole index are unchanged. Any common
+    multiple of the denominators serves as L: the zero tests, the pole
+    index and the reduced value do not depend on which one.
     """
-    if not any(a.denominator == 1 and a.numerator <= 0 for a in params.upper):
+    if not any(p <= 0 and p % L == 0 for p in (p1, p2, p3)):
         raise NonTerminatingError(
             "no upper parameter is a non-positive integer; series does not terminate"
         )
-    a1, a2, a3 = params.upper
-    b1, b2 = params.lower
-    x = params.argument
-    L = math.lcm(a1.denominator, a2.denominator, a3.denominator, b1.denominator, b2.denominator)
-    p1, p2, p3 = (a.numerator * (L // a.denominator) for a in (a1, a2, a3))
-    q1, q2 = (b.numerator * (L // b.denominator) for b in (b1, b2))
-    u = x.numerator
-    lv = L * x.denominator
-
+    lv = L * v
     # Term 0 (= 1) is summed. At the top of each pass k is the index of the
     # next term and p*, q* hold p + (k-1)L, q + (k-1)L; term / den is the
     # last term summed and total / den the partial sum.
@@ -175,6 +178,20 @@ def _eval_terms(params: HypParams3F2) -> tuple[Fraction, int]:
         q1 += L
         q2 += L
         k += 1
+
+
+def _eval_terms(params: HypParams3F2) -> tuple[Fraction, int]:
+    """Evaluate the series; return (value, number of terms actually summed).
+
+    Scales the five parameters to integers over L, the lcm of their
+    denominators, and hands them to :func:`_eval_scaled_3f2`, the one kernel.
+    """
+    a1, a2, a3 = params.upper
+    b1, b2 = params.lower
+    x = params.argument
+    L = math.lcm(a1.denominator, a2.denominator, a3.denominator, b1.denominator, b2.denominator)
+    p1, p2, p3, q1, q2 = (a.numerator * (L // a.denominator) for a in (a1, a2, a3, b1, b2))
+    return _eval_scaled_3f2(p1, p2, p3, q1, q2, L, x.numerator, x.denominator)
 
 
 def eval_terminating_3f2(params: HypParams3F2) -> Fraction:

@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 
 import pytest
 
 from conftest import DATA_DIR, GOLDEN_CASES, compare_golden
-from selbergdim import cli
+from selbergdim import cli, resonance
 from selbergdim.resonance import config_from_json
 
 
@@ -180,3 +182,34 @@ class TestContent:
         assert doc["I_hyp"] is None
         assert doc["hyp_error"] is not None
         assert doc["routes_agree"] is False
+
+
+class TestCsvQuoting:
+    def test_plain_cells_are_written_as_they_are(self):
+        assert cli._csv_row(["4", "-13/12", "true", ""]) == "4,-13/12,true,"
+
+    @pytest.mark.parametrize(
+        "cells",
+        [["a,b", "c"], ['say "hi"', ""], ["two\nlines", "x"], ["cr\rhere"], ['",', ",,"], [","]],
+    )
+    def test_special_cells_are_quoted_and_read_back(self, cells):
+        line = cli._csv_row(cells)
+        assert list(csv.reader(io.StringIO(line + "\n"))) == [cells]
+        quoted = [cell for cell in cells if any(c in cell for c in ',"\r\n')]
+        assert all(f'"{cell.replace(chr(34), chr(34) * 2)}"' in line for cell in quoted)
+
+
+def test_classify_classifies_once(run_cli, monkeypatch):
+    calls = []
+    real = resonance.classify
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "classify", counting)
+    monkeypatch.setattr(resonance, "classify", counting)
+    code, out, _ = run_cli("classify", str(DATA_DIR / "config_resonant.json"), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["dimensions"]["routes_agree"] is True
+    assert len(calls) == 1

@@ -1,10 +1,11 @@
 import functools
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selbergdim import cli
@@ -26,7 +27,14 @@ from selbergdim.dims import (
     _k_reduction_row,
 )
 from selbergdim.exactnum import binom
-from selbergdim.hyper import ZeroDenominatorError, pfaff_saalschutz_rhs
+from selbergdim.hyper import (
+    HypParams3F2,
+    HyperEvalError,
+    NonTerminatingError,
+    PoleBeforeTerminationError,
+    ZeroDenominatorError,
+    pfaff_saalschutz_rhs,
+)
 
 
 class TestDimD:
@@ -365,3 +373,106 @@ class TestDeepInputsAndBoundedTables:
         for builder in (_k_recursion_row, _k_reduction_row):
             assert builder.cache_info().currsize <= 1
         assert not hasattr(dim_D, "cache_info")
+
+
+# The hypergeometric route as it was before dim_I_hyp called the int kernel
+# directly: hyp_params, _eval_terms and eval_terminating_3f2, kept verbatim
+# as an oracle.
+
+
+def hyp_params(m: int, n: int, r: int) -> HypParams3F2:
+    """The terminating 3F2 whose value, times C(n+m-2, m), is the image dimension.
+
+    Upper row (-r, -m/2, (1-m)/2), lower row ((2-n-m)/2, (3-n-m)/2), at x=1.
+    """
+    return HypParams3F2(
+        upper=(Fraction(-r), Fraction(-m, 2), Fraction(1 - m, 2)),
+        lower=(Fraction(2 - n - m, 2), Fraction(3 - n - m, 2)),
+    )
+
+
+def _eval_terms(params: HypParams3F2) -> tuple[Fraction, int]:
+    if not any(a.denominator == 1 and a.numerator <= 0 for a in params.upper):
+        raise NonTerminatingError(
+            "no upper parameter is a non-positive integer; series does not terminate"
+        )
+    a1, a2, a3 = params.upper
+    b1, b2 = params.lower
+    x = params.argument
+    L = math.lcm(a1.denominator, a2.denominator, a3.denominator, b1.denominator, b2.denominator)
+    p1, p2, p3 = (a.numerator * (L // a.denominator) for a in (a1, a2, a3))
+    q1, q2 = (b.numerator * (L // b.denominator) for b in (b1, b2))
+    u = x.numerator
+    lv = L * x.denominator
+
+    # Term 0 (= 1) is summed. At the top of each pass k is the index of the
+    # next term and p*, q* hold p + (k-1)L, q + (k-1)L; term / den is the
+    # last term summed and total / den the partial sum.
+    total = den = term = 1
+    k = 1
+    while True:
+        step_num = p1 * p2 * p3
+        if step_num == 0:
+            # Termination: every later numerator stays zero, including any
+            # index where a denominator factor would also vanish.
+            return Fraction(total, den), k
+        step_den = q1 * q2 * k
+        if step_den == 0:
+            raise PoleBeforeTerminationError(k)
+        step_den *= lv
+        term *= step_num * u
+        total = total * step_den + term
+        den *= step_den
+        p1 += L
+        p2 += L
+        p3 += L
+        q1 += L
+        q2 += L
+        k += 1
+
+
+def eval_terminating_3f2(params: HypParams3F2) -> Fraction:
+    value, _ = _eval_terms(params)
+    return value
+
+
+def frozen_dim_I_hyp(m: int, n: int, r: int) -> Fraction:
+    return dim_D(m, n) * eval_terminating_3f2(hyp_params(m, n, r))
+
+
+def hyp_outcome(route, m, n, r):
+    """The value with its type, or the exception's class and message."""
+    try:
+        value = route(m, n, r)
+    except HyperEvalError as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+class TestImageSeriesMatchesFrozenRoute:
+    @settings(max_examples=400)
+    @given(
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=1, max_value=80),
+        st.data(),
+    )
+    # n = r = 1: a pole at k = 1 (m = 2), numerator and denominator vanishing
+    # together, which is termination (m = 4), and a plain value (m = 3).
+    @example(m=2, n=1, data=None)
+    @example(m=4, n=1, data=None)
+    @example(m=3, n=1, data=None)
+    def test_same_value_or_same_error(self, m, n, data):
+        r = n if data is None else data.draw(st.integers(min_value=0, max_value=n))
+        assert hyp_outcome(dim_I_hyp, m, n, r) == hyp_outcome(frozen_dim_I_hyp, m, n, r)
+
+    def test_every_n1_point_up_to_m_60(self):
+        outcomes = [
+            hyp_outcome(dim_I_hyp, m, 1, r) == hyp_outcome(frozen_dim_I_hyp, m, 1, r)
+            for m in range(1, 61)
+            for r in (0, 1)
+        ]
+        assert all(outcomes)
+        assert hyp_outcome(dim_I_hyp, 2, 1, 1) == (
+            PoleBeforeTerminationError,
+            "denominator vanishes at term k=1 before the series terminates",
+        )

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -14,6 +15,7 @@ from selbergdim.hyper import (
     NonTerminatingError,
     PoleBeforeTerminationError,
     ZeroDenominatorError,
+    _eval_scaled_3f2,
     _eval_terms,
     contiguity_residual,
     eval_terminating_3f2,
@@ -208,6 +210,34 @@ class TestIntegerKernelMatchesFractionLoop:
         upper.insert(slot, F(-stop))
         p = HypParams3F2(tuple(upper), lower, x)
         assert outcome(_eval_terms, p) == outcome(frozen_fraction_terms, p)
+
+
+class TestScaledKernel:
+    @settings(max_examples=200)
+    @given(
+        free_upper=st.tuples(small_rationals, small_rationals),
+        stop=st.integers(min_value=0, max_value=12),
+        lower=st.tuples(lower_params, lower_params),
+        x=arguments,
+        c=st.integers(min_value=1, max_value=5),
+    )
+    def test_any_common_denominator_gives_the_same_outcome(self, free_upper, stop, lower, x, c):
+        # The front end scales over the lcm L; any multiple cL must give the
+        # same value, term count and pole index.
+        p = HypParams3F2((F(-stop), *free_upper), lower, x)
+        L = c * math.lcm(*(a.denominator for a in (*p.upper, *p.lower)))
+        scaled = [a.numerator * (L // a.denominator) for a in (*p.upper, *p.lower)]
+
+        def direct(_):
+            return _eval_scaled_3f2(*scaled, L, x.numerator, x.denominator)
+
+        assert outcome(direct, p) == outcome(_eval_terms, p) == outcome(frozen_fraction_terms, p)
+
+    def test_non_terminating_scaled_parameters(self):
+        # -3/2 and -4/2 = -2 over L = 2: only the second is a non-positive integer.
+        assert _eval_scaled_3f2(-3, -4, 1, 5, 7, 2, 1, 1)[1] == 3
+        with pytest.raises(NonTerminatingError):
+            _eval_scaled_3f2(-3, 4, 1, 5, 7, 2, 1, 1)
 
 
 class TestPfaffSaalschutz:

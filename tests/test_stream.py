@@ -1,0 +1,176 @@
+"""``table`` as a stream: csv and json records are written as they are computed.
+
+The records come from ``dims.iter_table``, which looks ``compute_record`` up
+in ``dims`` for every record, so patching it there counts or alters each
+record on its way to the writer.
+"""
+
+import dataclasses
+import io
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from selbergdim import cli, dims
+from selbergdim.dims import iter_table, table
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The (m, n, r) of every record computed, in order, while the test runs."""
+    calls = []
+    compute = dims.compute_record
+
+    def counting(query):
+        calls.append((query.m, query.n, query.r))
+        return compute(query)
+
+    monkeypatch.setattr(dims, "compute_record", counting)
+    return calls
+
+
+class _Sink:
+    """A stdout stand-in that notes how many records were computed at each write."""
+
+    def __init__(self, computed):
+        self.computed = computed
+        self.parts = []
+        self.computed_at = []
+
+    def write(self, text):
+        self.parts.append(text)
+        self.computed_at.append(len(self.computed))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreaming:
+    ARGV = ("table", "--m-range", "1..4", "--n-range", "2..3")  # 4 * (3 + 4) = 28 records
+
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            # The header before any record, then each record right after it is computed.
+            ("csv", list(range(29))),
+            # Each record with its separator, then the closing bracket.
+            ("json", list(range(1, 29)) + [28]),
+            # The pretty table needs every width first, so it is written once, at the end.
+            ("pretty", [28]),
+        ],
+    )
+    def test_records_written_as_computed(self, monkeypatch, computed, fmt, expected):
+        sink = _Sink(computed)
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert cli.main([*self.ARGV, "--format", fmt]) == 0
+        assert len(computed) == 28
+        assert sink.computed_at == expected
+
+    def test_iter_table_is_lazy_and_validates_eagerly(self, computed):
+        records = iter_table((1, 4), (2, 3))
+        assert computed == []
+        first = next(records)
+        assert computed == [(1, 2, 0)] and first.query == dims.DimQuery(1, 2, 0)
+        assert [first, *records] == table((1, 4), (2, 3))
+        with pytest.raises(dims.DomainError, match="empty range"):
+            iter_table((4, 1), (2, 3))
+        with pytest.raises(dims.DomainError, match="unknown r policy"):
+            iter_table((1, 4), (2, 3), "sometimes")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mid_grid_disagreement_writes_every_record_and_exits_2(
+        self, monkeypatch, run_cli, tmp_path, fmt
+    ):
+        argv = ("table", "--m-range", "1..6", "--n-range", "2..3", "--format", fmt)
+        code, clean, _ = run_cli(*argv)
+        assert code == 0
+        compute = dims.compute_record
+
+        def off_at_3_2_1(query):
+            rec = compute(query)
+            if (query.m, query.n, query.r) == (3, 2, 1):
+                return dataclasses.replace(rec, K_reduction=rec.K_reduction + 1, routes_agree=False)
+            return rec
+
+        monkeypatch.setattr(dims, "compute_record", off_at_3_2_1)
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (2, "")
+        out_path = tmp_path / f"table.{fmt}"
+        assert run_cli(*argv, "--out", str(out_path)) == (2, "", "")
+        assert out_path.read_text(encoding="utf-8") == out
+
+        # All 42 records are written; only record 15, (3, 2, 1), differs.
+        if fmt == "csv":
+            got, want = out.splitlines()[1:], clean.splitlines()[1:]
+        else:
+            got, want = json.loads(out), json.loads(clean)
+        assert len(got) == len(want) == 42
+        assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == [15]
+
+
+class TestJsonWriter:
+    def test_matches_json_dumps_on_a_grid_with_hyp_errors(self, run_cli):
+        records = table((1, 8), (1, 4))
+        assert any(rec.hyp_error is not None for rec in records)
+        argv = ("table", "--m-range", "1..8", "--n-range", "1..4", "--format", "json")
+        code, out, _ = run_cli(*argv)
+        assert code == 2
+        assert out == json.dumps([cli._record_json_dict(rec) for rec in records], indent=2) + "\n"
+
+    def test_strings_escaped_as_json_dumps_escapes_them(self):
+        rec = dataclasses.replace(
+            dims.compute_record(dims.DimQuery(2, 1, 1)), hyp_error='pole "k=1"\\\n\té '
+        )
+        buf = io.StringIO()
+        assert cli._write_json([rec, rec], buf.write) is False
+        assert buf.getvalue() == json.dumps([cli._record_json_dict(rec)] * 2, indent=2) + "\n"
+
+    def test_empty_stream_is_an_empty_list(self):
+        buf = io.StringIO()
+        assert cli._write_json([], buf.write) is True
+        assert buf.getvalue() == json.dumps([], indent=2) + "\n"
+
+
+def _traced_peak(m_hi: int) -> int:
+    """Peak traced bytes of one csv table over m 1..m_hi, n 2..3, written to the null device."""
+    tracemalloc.start()
+    try:
+        argv = ["table", "--m-range", f"1..{m_hi}", "--n-range", "2..3", "--out", os.devnull]
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_csv_peak_memory_does_not_grow_with_records():
+    _traced_peak(5)  # first-call allocations are not per record
+    small, large = _traced_peak(30), _traced_peak(300)  # 210 and 2,100 records
+    assert large < 1.5 * small, (small, large)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_pipe_ends_without_traceback(fmt):
+    # Far more output than a pipe buffers, so the writer meets the closed pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "selbergdim", "table", "--m-range", "1..2000",
+         "--n-range", "2..3", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+    assert err == b""
+    assert head[0] == (b"m,n,r,D,K_recursion,K_reduction,K_closed,I_sum,I_hyp,I_subtract,"
+                       b"routes_agree,in_validity_range\n" if fmt == "csv" else b"[\n")

@@ -6,7 +6,9 @@ The seeded suites keep the real check on the other draws, so the skips, and
 with them the LCG draw order, are pinned too.
 """
 
+import csv
 import dataclasses
+import io
 from fractions import Fraction
 
 import pytest
@@ -55,7 +57,7 @@ def test_hockey_counterexample(monkeypatch):
     assert run_suites("hockey") == [SuiteResult("hockey", 819, 1, 0, "r=7 s=3")]
 
 
-def test_routes_counterexample(monkeypatch):
+def _break_routes_at_4_6_2(monkeypatch):
     compute = dims.compute_record
 
     def off_at_4_6_2(query):
@@ -65,8 +67,29 @@ def test_routes_counterexample(monkeypatch):
         return rec
 
     monkeypatch.setattr(dims, "compute_record", off_at_4_6_2)
-    assert run_suites("routes") == [
-        SuiteResult("routes", 503, 1, 0, "m=4 n=6 r=2: D=70 K=(29,30,29) I=(41,41,41)")
+
+
+ROUTES_COUNTEREXAMPLE = "m=4 n=6 r=2: D=70 K=(29,30,29) I=(41,41,41)"
+
+
+def test_routes_counterexample(monkeypatch):
+    _break_routes_at_4_6_2(monkeypatch)
+    assert run_suites("routes") == [SuiteResult("routes", 503, 1, 0, ROUTES_COUNTEREXAMPLE)]
+
+
+def test_routes_counterexample_is_one_quoted_csv_cell(monkeypatch, run_cli):
+    # The counterexample holds commas, so its cell is quoted and the failing
+    # row keeps as many cells as the header.
+    _break_routes_at_4_6_2(monkeypatch)
+    code, out, err = run_cli("verify", "routes", "--format", "csv")
+    assert (code, err) == (2, "")
+    assert out == (
+        "suite,passed,failed,skipped,counterexample\n"
+        f'routes,503,1,0,"{ROUTES_COUNTEREXAMPLE}"\n'
+    )
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["suite", "passed", "failed", "skipped", "counterexample"],
+        ["routes", "503", "1", "0", ROUTES_COUNTEREXAMPLE],
     ]
 
 
