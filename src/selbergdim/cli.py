@@ -414,7 +414,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _usage_error(args, f"cannot read {args.config}: {exc}")
     cfg = config_from_json(text)
     report = classify(cfg)

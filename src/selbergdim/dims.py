@@ -248,15 +248,19 @@ def dim_K_closed(m: int, n: int, r: int) -> int:
     _validate(m, n, r)
     return sum(
         (-1) ** (s - 1) * binom(r, s) * dim_D(m - 2 * s, n)
-        for s in range(1, m // 2 + 1)
+        for s in range(1, min(r, m // 2) + 1)
     )
 
 
 def dim_I_sum(m: int, n: int, r: int) -> int:
-    """Image dimension as the alternating sum over 0 <= s <= floor(m/2) of (-1)^s C(r, s) D(m-2s, n)."""
+    """Image dimension as the alternating sum over s >= 0 of (-1)^s C(r, s) D(m-2s, n).
+
+    C(r, s) = 0 for s > r and the D conventions truncate the sum at
+    s = min(r, floor(m/2)).
+    """
     _validate(m, n, r)
     return sum(
-        (-1) ** s * binom(r, s) * dim_D(m - 2 * s, n) for s in range(0, m // 2 + 1)
+        (-1) ** s * binom(r, s) * dim_D(m - 2 * s, n) for s in range(0, min(r, m // 2) + 1)
     )
 
 
@@ -303,23 +307,15 @@ def dim_I_full_resonance_product(m: int, n: int) -> Fraction:
     For even m = 2j:  n (n-1) ... (n-2j+2) / (2j)!  *  (n + 1 - 4j)
     For odd  m = 2j+1: n (n-1) ... (n-2j+1) / (2j+1)! * (n - 4j - 1)
 
-    Exact rational on the way through; equals ``dim_I_extremes(m, n).at_n``.
-    Requires m >= 2 so that both parities have a nonempty product.
+    Both parities are the one formula n (n-1) ... (n-m+2) / m! * (n+1-2m),
+    a falling product of m-1 factors. Exact rational on the way through;
+    equals ``dim_I_extremes(m, n).at_n``. Requires m >= 2 so that both
+    parities have a nonempty product.
     """
     _validate(m, n, 0)
     if m < 2:
         raise DomainError(f"product form requires m >= 2, got {m}")
-    if m % 2 == 0:
-        j = m // 2
-        falling = Fraction(1)
-        for t in range(n, n - 2 * j + 1, -1):  # 2j - 1 factors: n .. n-2j+2
-            falling *= t
-        return falling / math.factorial(2 * j) * (n + 1 - 4 * j)
-    j = (m - 1) // 2
-    falling = Fraction(1)
-    for t in range(n, n - 2 * j, -1):  # 2j factors: n .. n-2j+1
-        falling *= t
-    return falling / math.factorial(2 * j + 1) * (n - 4 * j - 1)
+    return Fraction(math.perm(n, m - 1) * (n + 1 - 2 * m), math.factorial(m))
 
 
 def compute_record(query: DimQuery) -> DimensionRecord:

@@ -22,10 +22,9 @@ Fraction is built only once, from the final pair, so the loop performs no
 gcd. The scaling multiplies each factor by a nonzero constant, so an
 integer factor is zero exactly when the rational one is and the
 zero-numerator-first rule is unchanged. The kernel,
-:func:`_eval_scaled_3f2`, takes the scaled integers themselves; a
-``HypParams3F2`` is scaled by a thin front end, and a caller whose
-parameters are already integers over a known denominator (the image
-series of ``dims``, over 2) calls the kernel directly.
+:func:`_eval_scaled_3f2`, takes the scaled integers themselves, and
+:func:`_scale` is the one place that computes L: the lcm of the
+denominators, with every value as an int over it.
 
 Everything downstream of the series is an identity checker:
 
@@ -36,15 +35,16 @@ Everything downstream of the series is an identity checker:
 * The Pochhammer identity a (a+1)_k (b)_k - b (a)_k (b+1)_k =
   (a-b) (a)_k (b)_k that the contiguity relation rests on.
 
-The identity checks run on plain ints as well. With the parameters over
-one integer denominator, every Pochhammer symbol is an int rising product
-from :func:`selbergdim.exactnum.scaled_rising` over a power of that
-denominator, so a closed form or a residual is one integer combination
-with one Fraction built from it. The Pfaff-Saalschuetz check compares the
-series value with the closed form's unreduced (num, den) pair by
-cross-multiplication, and the contiguity residual combines the three
-series values over the product of their denominators. The series
-themselves still go through :func:`eval_terminating_3f2`.
+The identity checks run on plain ints as well. Each scales its parameters
+once with :func:`_scale`, so every series is a direct kernel call and
+every Pochhammer symbol is an int rising product from
+:func:`selbergdim.exactnum.scaled_rising` over a power of L; a closed form
+or a residual is one integer combination with one Fraction built from it.
+The Pfaff-Saalschuetz check compares the series value with the closed
+form's unreduced (num, den) pair by cross-multiplication, and the
+contiguity residual combines the three series values over the product of
+their denominators. ``HypParams3F2`` and :func:`eval_terminating_3f2` are
+the public front end for callers outside the package.
 
 The residual functions return exact values whose contract is "always
 zero"; they exist so that a violation would be a loud, reproducible
@@ -127,11 +127,14 @@ def _eval_scaled_3f2(
 
     The series kernel, on plain ints: every parameter is an integer over the
     common denominator L > 0 and the argument is u/v with v > 0. It is
-    internal and checks neither; its callers guarantee both: the
-    ``HypParams3F2`` front end (L the lcm of the denominators, v the
-    argument's denominator) and ``dims.dim_I_hyp`` (L = 2, u = v = 1).
-    Each factor a + k is then (p + kL)/L, and b + k is (q + kL)/L, so the ratio of term
-    k+1 to term k is
+    internal and checks neither; its callers guarantee both. The
+    ``HypParams3F2`` front end (v the argument's denominator) and the
+    identity checks (u = v = 1) take L from :func:`_scale`;
+    ``dims.dim_I_hyp``, whose parameters are halves of ints, passes L = 2
+    and u = v = 1.
+
+    Each factor a + k is then (p + kL)/L, and b + k is (q + kL)/L, so the
+    ratio of term k+1 to term k is
 
         (p1+kL)(p2+kL)(p3+kL) u  /  ((q1+kL)(q2+kL)(k+1) L v).
 
@@ -180,17 +183,20 @@ def _eval_scaled_3f2(
         k += 1
 
 
+def _scale(*values: Fraction | int) -> tuple[int, ...]:
+    """(L, v1 L, v2 L, ...): L > 0 the lcm of the denominators, all plain ints."""
+    L = math.lcm(*(v.denominator for v in values))
+    return (L, *(v.numerator * (L // v.denominator) for v in values))
+
+
 def _eval_terms(params: HypParams3F2) -> tuple[Fraction, int]:
     """Evaluate the series; return (value, number of terms actually summed).
 
-    Scales the five parameters to integers over L, the lcm of their
-    denominators, and hands them to :func:`_eval_scaled_3f2`, the one kernel.
+    Scales the five parameters with :func:`_scale` and hands them to
+    :func:`_eval_scaled_3f2`, the one kernel.
     """
-    a1, a2, a3 = params.upper
-    b1, b2 = params.lower
+    L, p1, p2, p3, q1, q2 = _scale(*params.upper, *params.lower)
     x = params.argument
-    L = math.lcm(a1.denominator, a2.denominator, a3.denominator, b1.denominator, b2.denominator)
-    p1, p2, p3, q1, q2 = (a.numerator * (L // a.denominator) for a in (a1, a2, a3, b1, b2))
     return _eval_scaled_3f2(p1, p2, p3, q1, q2, L, x.numerator, x.denominator)
 
 
@@ -210,29 +216,23 @@ def eval_terminating_3f2(params: HypParams3F2) -> Fraction:
     return value
 
 
-def _over_common_denominator(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
-    """(A, B, C, D) with a = A/D, b = B/D, c = C/D and D = qa qb qc > 0."""
-    qa, qb, qc = a.denominator, b.denominator, c.denominator
-    return a.numerator * qb * qc, b.numerator * qa * qc, c.numerator * qa * qb, qa * qb * qc
-
-
 def _pfaff_rhs_pair(a: Fraction, b: Fraction, c: Fraction, j: int) -> tuple[int, int]:
     """Unreduced (num, den) of the Pfaff-Saalschuetz closed form, den != 0.
 
-    Over the common denominator D the four parameters c, c-a-b, c-a and
-    c-b are C/D, (C-A-B)/D, (C-A)/D and (C-B)/D, so each (x/D)_j is an
-    int rising product over D^j and the D^j cancel in the ratio. Both
-    denominator products are tested for zero as ints; D^j != 0, so either
+    Over the common denominator L the four parameters c, c-a-b, c-a and
+    c-b are C/L, (C-A-B)/L, (C-A)/L and (C-B)/L, so each (x/L)_j is an
+    int rising product over L^j and the L^j cancel in the ratio. Both
+    denominator products are tested for zero as ints; L^j != 0, so either
     vanishes exactly when its Pochhammer symbol does.
     """
-    A, B, C, D = _over_common_denominator(a, b, c)
-    den = scaled_rising(C, D, j)
-    den_cab = scaled_rising(C - A - B, D, j)
+    L, A, B, C = _scale(a, b, c)
+    den = scaled_rising(C, L, j)
+    den_cab = scaled_rising(C - A - B, L, j)
     if den == 0 or den_cab == 0:
         raise ZeroDenominatorError(
             f"(c)_{j} or (c-a-b)_{j} vanishes for a={a}, b={b}, c={c}"
         )
-    return scaled_rising(C - A, D, j) * scaled_rising(C - B, D, j), den * den_cab
+    return scaled_rising(C - A, L, j) * scaled_rising(C - B, L, j), den * den_cab
 
 
 def pfaff_saalschutz_rhs(
@@ -254,13 +254,6 @@ def pfaff_saalschutz_rhs(
     return Fraction(num, den)
 
 
-def _pfaff_lhs_params(a: Fraction, b: Fraction, c: Fraction, j: int) -> HypParams3F2:
-    # Balanced terminating series: upper (a, b, -j), lower (c, 1+a+b-c-j), x=1,
-    # with 1+a+b-c-j built as one Fraction over qa qb qc.
-    A, B, C, D = _over_common_denominator(a, b, c)
-    return HypParams3F2(upper=(a, b, Fraction(-j)), lower=(c, Fraction(D + A + B - C - j * D, D)))
-
-
 def pfaff_saalschutz_check(
     a: Fraction | int,
     b: Fraction | int,
@@ -275,7 +268,8 @@ def pfaff_saalschutz_check(
     cross-multiplication. Evaluation errors on either side propagate.
     """
     a, b, c = as_fraction(a), as_fraction(b), as_fraction(c)
-    lhs = eval_terminating_3f2(_pfaff_lhs_params(a, b, c, j))
+    L, A, B, C = _scale(a, b, c)
+    lhs, _ = _eval_scaled_3f2(A, B, -j * L, C, L + A + B - C - j * L, L, 1, 1)
     rn, rd = _pfaff_rhs_pair(a, b, c, j)
     return lhs.numerator * rd == rn * lhs.denominator
 
@@ -294,23 +288,20 @@ def contiguity_residual(
 
     All three series must be defined: an input whose shared lower row
     produces a pole before termination raises, it is not interpreted as a
-    limit. With a = p/q, b = s/t and F values n_i/d_i, the combination is
-    taken on ints over q t d1 d2 d3 and one Fraction is built.
+    limit. With a, b, c over one denominator L and F values n_i/d_i, the
+    three series are direct kernel calls and the combination is taken on
+    ints over L d1 d2 d3; one Fraction is built.
     """
-    a, b, c = as_fraction(a), as_fraction(b), as_fraction(c)
-    p, q = a.numerator, a.denominator
-    s, t = b.numerator, b.denominator
-    qc = c.denominator
-    lower = (c, Fraction((p * t + s * q + (2 - j) * q * t) * qc - c.numerator * q * t, q * t * qc))
-    minus_j = Fraction(-j)
-    f1 = eval_terminating_3f2(HypParams3F2((a, b, minus_j), lower))
-    f2 = eval_terminating_3f2(HypParams3F2((Fraction(p + q, q), b, minus_j), lower))
-    f3 = eval_terminating_3f2(HypParams3F2((a, Fraction(s + t, t), minus_j), lower))
+    L, A, B, C = _scale(as_fraction(a), as_fraction(b), as_fraction(c))
+    minus_j, lower = -j * L, A + B - C + (2 - j) * L
+    f1, _ = _eval_scaled_3f2(A, B, minus_j, C, lower, L, 1, 1)
+    f2, _ = _eval_scaled_3f2(A + L, B, minus_j, C, lower, L, 1, 1)
+    f3, _ = _eval_scaled_3f2(A, B + L, minus_j, C, lower, L, 1, 1)
     n1, d1 = f1.numerator, f1.denominator
     n2, d2 = f2.numerator, f2.denominator
     n3, d3 = f3.numerator, f3.denominator
-    num = (s * q - p * t) * n1 * d2 * d3 + p * t * n2 * d1 * d3 - s * q * n3 * d1 * d2
-    return Fraction(num, q * t * d1 * d2 * d3)
+    num = (B - A) * n1 * d2 * d3 + A * n2 * d1 * d3 - B * n3 * d1 * d2
+    return Fraction(num, L * d1 * d2 * d3)
 
 
 def pochhammer_identity_residual(
@@ -320,16 +311,14 @@ def pochhammer_identity_residual(
 ) -> Fraction:
     """a (a+1)_k (b)_k - b (a)_k (b+1)_k - (a-b) (a)_k (b)_k; always zero.
 
-    With a = p/q and b = s/t, the residual times (q t)^(k+1) is an int
-    built from the rising products of :func:`scaled_rising`; one Fraction
-    is built from it.
+    With a = A/L and b = B/L over one denominator L, the residual times
+    L^(2k+1) is an int built from the rising products of
+    :func:`scaled_rising`; one Fraction is built from it.
     """
-    a, b = as_fraction(a), as_fraction(b)
-    p, q = a.numerator, a.denominator
-    s, t = b.numerator, b.denominator
-    ra1 = scaled_rising(p + q, q, k)
-    rb = scaled_rising(s, t, k)
-    ra = scaled_rising(p, q, k)
-    rb1 = scaled_rising(s + t, t, k)
-    num = p * t * ra1 * rb - s * q * ra * rb1 - (p * t - s * q) * ra * rb
-    return Fraction(num, (q * t) ** (k + 1))
+    L, A, B = _scale(as_fraction(a), as_fraction(b))
+    ra1 = scaled_rising(A + L, L, k)
+    rb = scaled_rising(B, L, k)
+    ra = scaled_rising(A, L, k)
+    rb1 = scaled_rising(B + L, L, k)
+    num = A * ra1 * rb - B * ra * rb1 - (A - B) * ra * rb
+    return Fraction(num, L ** (2 * k + 1))

@@ -196,7 +196,7 @@ def config_from_json(doc: str | bytes | dict[str, Any]) -> ExponentConfig:
     if isinstance(doc, (str, bytes)):
         try:
             data = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigParseError(f"not valid JSON: {exc}") from exc
     else:
         data = doc

@@ -58,6 +58,14 @@ class TestExitCodes:
         assert code == 1
         assert "cannot read" in err
 
+    def test_classify_non_utf8_file(self, run_cli, tmp_path):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b'\xff\xfe{"m":1}')
+        code, out, err = run_cli("classify", str(bad))
+        assert code == 1
+        assert out == ""
+        assert "cannot read" in err and "Traceback" not in err
+
     def test_verify_unknown_suite_is_usage_error(self, run_cli):
         code, _, err = run_cli("verify", "everything")
         assert code == 1

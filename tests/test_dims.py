@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selbergdim import cli
+from selbergdim import cli, dims
 from selbergdim.dims import (
     DimensionRecord,
     DimQuery,
@@ -94,6 +94,23 @@ class TestKernelRoutes:
 
     def test_closed_r_zero(self):
         assert dim_K_closed(6, 9, 0) == 0
+
+    def test_alternating_sums_stop_at_r(self, monkeypatch):
+        # C(r, s) = 0 for s > r, so at r = 3 each sum takes s up to 3 only:
+        # one C(r, s) and one C inside dim_D per term, not m // 2 = 300 terms.
+        calls = []
+
+        def counting(r, s):
+            calls.append((r, s))
+            return binom(r, s)
+
+        monkeypatch.setattr(dims, "binom", counting)
+        # 3 D(598, 3) - 3 D(596, 3) + D(594, 3) = 3*599 - 3*597 + 595.
+        assert dim_K_closed(600, 3, 3) == 601
+        assert len(calls) <= 6
+        calls.clear()
+        assert dim_I_sum(600, 3, 3) == 0
+        assert len(calls) <= 8
 
     def test_domain_errors(self):
         for fn in (dim_K_recursion, dim_K_reduction, dim_K_closed, dim_I_sum, dim_I_hyp):
@@ -182,8 +199,8 @@ class TestExtremeResonance:
         assert dim_I_full_resonance_product(2, 3) == 0  # vanishing last factor
 
     def test_product_form_matches_extremes(self):
-        for m in range(2, 9):
-            for n in range(1, 13):
+        for m in range(2, 41):
+            for n in range(1, 61):
                 assert dim_I_full_resonance_product(m, n) == dim_I_extremes(m, n).at_n
 
     def test_product_form_requires_m_at_least_two(self):

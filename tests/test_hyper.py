@@ -240,6 +240,17 @@ class TestScaledKernel:
             _eval_scaled_3f2(-3, 4, 1, 5, 7, 2, 1, 1)
 
 
+class TestScale:
+    def test_lcm_below_the_product_of_denominators(self):
+        # lcm(6, 4, 10) = 60, not 6 * 4 * 10 = 240.
+        assert hyper._scale(F(1, 6), F(1, 4), F(-3, 10)) == (60, 10, 15, -18)
+
+    def test_plain_ints(self):
+        scaled = hyper._scale(F(-3), 2, F(0))
+        assert scaled == (1, -3, 2, 0)
+        assert all(type(v) is int for v in scaled)
+
+
 class TestPfaffSaalschutz:
     def test_rhs_empty_products(self):
         assert pfaff_saalschutz_rhs(F(5, 7), F(-2, 3), F(9), 0) == 1
@@ -431,6 +442,7 @@ class TestIdentityKernelMatchesFractionLoops:
 
     @settings(max_examples=300)
     @given(identity_params, identity_params, identity_params, orders)
+    @example(F(1, 4), F(1, 6), F(3, 10), 5)  # lcm 60 of the denominators < product 240
     def test_pfaff_check(self, a, b, c, j):
         assert identity_outcome(pfaff_saalschutz_check, a, b, c, j) == identity_outcome(
             frozen_pfaff_saalschutz_check, a, b, c, j
@@ -438,6 +450,7 @@ class TestIdentityKernelMatchesFractionLoops:
 
     @settings(max_examples=200)
     @given(identity_params, identity_params, identity_params, orders)
+    @example(F(1, 4), F(1, 6), F(3, 10), 5)  # lcm 60 of the denominators < product 240
     def test_contiguity_residual(self, a, b, c, j):
         assert identity_outcome(contiguity_residual, a, b, c, j) == identity_outcome(
             frozen_contiguity_residual, a, b, c, j

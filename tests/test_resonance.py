@@ -179,6 +179,11 @@ class TestConfigJson:
             config_from_json(doc)
         assert fragment in str(exc_info.value)
 
+    @pytest.mark.parametrize("doc", [b"\xff\xff", b'\xff\xfe{"m":1}'])
+    def test_undecodable_bytes_are_a_parse_error(self, doc):
+        with pytest.raises(ConfigParseError, match="not valid JSON"):
+            config_from_json(doc)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExponentConfig(m=0, g=F(1, 2), lambdas=(F(1, 4),))
