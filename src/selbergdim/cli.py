@@ -142,6 +142,14 @@ def _csv_row(cells: Sequence[str]) -> str:
     double quotes with each inner quote doubled; any other cell is written
     as it is, so rows of numbers, ``p/q`` text and flags never change.
     """
+    line = ",".join(cells)
+    # Most lines need no quoting: then the join has one comma between each
+    # pair of cells and none inside one, and no quote or line break.
+    if (
+        line.count(",") == len(cells) - 1
+        and '"' not in line and "\r" not in line and "\n" not in line
+    ):
+        return line
     return ",".join(
         '"' + cell.replace('"', '""') + '"' if _CSV_QUOTED.search(cell) else cell
         for cell in cells
@@ -212,11 +220,13 @@ _DIMS_RENDERERS: dict[str, Callable[[DimensionRecord], str]] = {
 # list is the one-line form with each item separator widened to a line break
 # and the indent; json.dumps writes that in its C encoder.
 _JSON_ITEM_SEPARATORS = (",\n    ", ": ")
+# One encoder for every record: json.dumps would build a new one per call.
+_JSON_ITEM_ENCODER = json.JSONEncoder(separators=_JSON_ITEM_SEPARATORS)
 
 
 def _record_json_item(rec: DimensionRecord) -> str:
     """One record as ``json.dumps(records, indent=2)`` writes it inside the list."""
-    fields = json.dumps(_record_json_dict(rec), separators=_JSON_ITEM_SEPARATORS)[1:-1]
+    fields = _JSON_ITEM_ENCODER.encode(_record_json_dict(rec))[1:-1]
     return "  {\n    " + fields + "\n  }"
 
 

@@ -29,6 +29,22 @@ constant stack depth. Each route caches only the last row it built, which
 cache. The two routes keep their own formulas and share no intermediate
 values, so they stay independent witnesses.
 
+The two alternating sums share one term walk, ``_alternating_terms``. It
+computes one ``dim_D`` and one ``binom`` at the deepest term
+s = min(r, m // 2), M = m - 2s, and takes each next term from the last:
+
+    D(M+2, n) = D(M, n) (n+M-1)(n+M) / ((M+1)(M+2))
+    C(r, s-1) = C(r, s) s / (r-s+1)
+
+Both divisions are exact: each dividend is the next value times the
+divisor, D(M, n) (n+M-1)(n+M) = D(M+2, n) (M+1)(M+2) and
+C(r, s) s = C(r, s-1) (r-s+1), so the walk stays on ints.
+It walks upward, from small M to m, because the downward step would divide
+by (n+M-1)(n+M), which is 0 at n = 1, M = 0. The row routes call ``dim_D``
+themselves and share nothing with the walk, so they stay independent
+witnesses; the walk's last term, D(m, n), is checked against ``dim_D``
+through I_sum == D - K_closed.
+
 ``iter_table`` yields a table's records lazily, one at a time, so a caller
 that writes each one out runs in constant memory; ``table`` is that
 iterator collected into a list.
@@ -239,29 +255,53 @@ def dim_K_reduction(m: int, n: int, r: int) -> int:
     return _k_reduction_row(m, n)[r]
 
 
+def _alternating_terms(m: int, n: int, r: int) -> Iterator[int]:
+    """(-1)^s C(r, s) D(m-2s, n) for s = min(r, m // 2) down to 0, on running ints.
+
+    The upward walk of the module docstring: one ``dim_D`` and one ``binom``
+    at M = m - 2s, then one exact step per term. The last term is D(m, n).
+    """
+    s = min(r, m // 2)
+    M = m - 2 * s
+    d = dim_D(M, n)
+    c = -binom(r, s) if s % 2 else binom(r, s)  # (-1)^s C(r, s)
+    while True:
+        yield c * d
+        if s == 0:
+            return
+        d = d * (n + M - 1) * (n + M) // ((M + 1) * (M + 2))
+        c = -c * s // (r - s + 1)
+        M += 2
+        s -= 1
+
+
 def dim_K_closed(m: int, n: int, r: int) -> int:
     """Kernel dimension as the alternating sum over s >= 1 of (-1)^(s-1) C(r, s) D(m-2s, n).
 
     C(r, s) = 0 for s > r and the D conventions truncate the sum at
-    s = min(r, floor(m/2)).
+    s = min(r, floor(m/2)). The terms come from ``_alternating_terms``, an
+    upward walk on ints that starts from one ``dim_D`` and one ``binom`` at
+    the deepest term and takes each next term from the last by an exact
+    division, never by zero; this is the negated sum of all of them but the
+    last, the s = 0 term D(m, n).
     """
     _validate(m, n, r)
-    return sum(
-        (-1) ** (s - 1) * binom(r, s) * dim_D(m - 2 * s, n)
-        for s in range(1, min(r, m // 2) + 1)
-    )
+    *terms, _ = _alternating_terms(m, n, r)
+    return -sum(terms)
 
 
 def dim_I_sum(m: int, n: int, r: int) -> int:
     """Image dimension as the alternating sum over s >= 0 of (-1)^s C(r, s) D(m-2s, n).
 
     C(r, s) = 0 for s > r and the D conventions truncate the sum at
-    s = min(r, floor(m/2)).
+    s = min(r, floor(m/2)). This is the sum of every term of the upward
+    walk ``_alternating_terms`` (one ``dim_D`` and one ``binom`` at the
+    deepest term, then exact int steps). Its last term is D(m, n) as the
+    walk reached it, so ``compute_record``'s test I_sum == D - K_closed
+    also checks that value against ``dim_D``.
     """
     _validate(m, n, r)
-    return sum(
-        (-1) ** s * binom(r, s) * dim_D(m - 2 * s, n) for s in range(0, min(r, m // 2) + 1)
-    )
+    return sum(_alternating_terms(m, n, r))
 
 
 def dim_I_hyp(m: int, n: int, r: int) -> Fraction:
@@ -277,7 +317,8 @@ def dim_I_hyp(m: int, n: int, r: int) -> Fraction:
     """
     _validate(m, n, r)
     value, _ = _eval_scaled_3f2(-2 * r, -m, 1 - m, 2 - n - m, 3 - n - m, 2, 1, 1)
-    return dim_D(m, n) * value
+    # One reduced Fraction from ints, without int * Fraction's dispatch.
+    return Fraction(dim_D(m, n) * value.numerator, value.denominator)
 
 
 class ExtremeImageDims(NamedTuple):
@@ -342,20 +383,11 @@ def compute_record(query: DimQuery) -> DimensionRecord:
         i_hyp = None
         hyp_error = str(exc)
 
-    routes_agree = (
-        k_rec == k_red == k_clo
-        and i_hyp is not None
-        and Fraction(i_sum) == i_hyp
-        and i_sum == i_sub
-    )
+    # An I_hyp of None equals no int, so a series error is a disagreement.
+    routes_agree = k_rec == k_red == k_clo and i_hyp == i_sum == i_sub
     ks = (k_rec, k_red, k_clo)
-    is_ = [i_sum, i_sub] + ([i_hyp] if i_hyp is not None else [])
-    in_validity = (
-        d >= 0
-        and all(k >= 0 for k in ks)
-        and all(k <= d for k in ks)
-        and all(i >= 0 for i in is_)
-    )
+    is_ = (i_sum, i_sub) if i_hyp is None else (i_sum, i_sub, i_hyp)
+    in_validity = d >= 0 and min(ks) >= 0 and max(ks) <= d and min(is_) >= 0
     return DimensionRecord(
         query=query,
         D=d,

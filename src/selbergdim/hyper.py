@@ -152,7 +152,9 @@ def _eval_scaled_3f2(
     multiple of the denominators serves as L: the zero tests, the pole
     index and the reduced value do not depend on which one.
     """
-    if not any(p <= 0 and p % L == 0 for p in (p1, p2, p3)):
+    if not (
+        p1 <= 0 and p1 % L == 0 or p2 <= 0 and p2 % L == 0 or p3 <= 0 and p3 % L == 0
+    ):
         raise NonTerminatingError(
             "no upper parameter is a non-positive integer; series does not terminate"
         )

@@ -196,7 +196,9 @@ def config_from_json(doc: str | bytes | dict[str, Any]) -> ExponentConfig:
     if isinstance(doc, (str, bytes)):
         try:
             data = json.loads(doc)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, and the ValueError of an
+        # integer literal longer than the int-string digit limit.
+        except ValueError as exc:
             raise ConfigParseError(f"not valid JSON: {exc}") from exc
     else:
         data = doc

@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR, GOLDEN_CASES, compare_golden
 from selbergdim import cli, resonance
@@ -65,6 +68,14 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "cannot read" in err and "Traceback" not in err
+
+    def test_classify_integer_over_the_digit_limit(self, run_cli, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text('{"m": 1' + "0" * 4999 + ', "g": "1/2", "lambdas": ["1/4"]}')
+        code, out, err = run_cli("classify", str(big))
+        assert code == 1
+        assert out == ""
+        assert "not valid JSON" in err and err.count("\n") == 1
 
     def test_verify_unknown_suite_is_usage_error(self, run_cli):
         code, _, err = run_cli("verify", "everything")
@@ -205,6 +216,34 @@ class TestCsvQuoting:
         assert list(csv.reader(io.StringIO(line + "\n"))) == [cells]
         quoted = [cell for cell in cells if any(c in cell for c in ',"\r\n')]
         assert all(f'"{cell.replace(chr(34), chr(34) * 2)}"' in line for cell in quoted)
+
+
+# The per-cell rule _csv_row applied to every line before it gained its
+# plain-join fast path, kept verbatim as an oracle.
+_FROZEN_CSV_QUOTED = re.compile(r'[",\r\n]')
+
+
+def frozen_csv_row(cells):
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"' if _FROZEN_CSV_QUOTED.search(cell) else cell
+        for cell in cells
+    )
+
+
+class TestCsvRowMatchesFrozenRule:
+    @settings(max_examples=500)
+    @given(st.lists(st.text(alphabet='0123456789/-,"\r\na', max_size=6), max_size=6))
+    @example(cells=[])
+    @example(cells=[""])
+    @example(cells=["", ""])
+    @example(cells=["a,b"])
+    @example(cells=["1", "2,"])
+    def test_same_line_and_read_back(self, cells):
+        line = cli._csv_row(cells)
+        assert line == frozen_csv_row(cells)
+        # One empty cell and no cell both write an empty line, read back as no cell.
+        expected = [] if cells == [""] else cells
+        assert list(csv.reader(io.StringIO(line + "\n"))) == [expected]
 
 
 def test_classify_classifies_once(run_cli, monkeypatch):

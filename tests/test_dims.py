@@ -96,8 +96,9 @@ class TestKernelRoutes:
         assert dim_K_closed(6, 9, 0) == 0
 
     def test_alternating_sums_stop_at_r(self, monkeypatch):
-        # C(r, s) = 0 for s > r, so at r = 3 each sum takes s up to 3 only:
-        # one C(r, s) and one C inside dim_D per term, not m // 2 = 300 terms.
+        # C(r, s) = 0 for s > r, so at r = 3 each sum walks s = 3 down to 0
+        # only, not m // 2 = 300 terms. The walk starts from one C(r, s) and
+        # one C inside dim_D, and takes every later term from the last one.
         calls = []
 
         def counting(r, s):
@@ -107,10 +108,10 @@ class TestKernelRoutes:
         monkeypatch.setattr(dims, "binom", counting)
         # 3 D(598, 3) - 3 D(596, 3) + D(594, 3) = 3*599 - 3*597 + 595.
         assert dim_K_closed(600, 3, 3) == 601
-        assert len(calls) <= 6
+        assert len(calls) == 2
         calls.clear()
         assert dim_I_sum(600, 3, 3) == 0
-        assert len(calls) <= 8
+        assert len(calls) == 2
 
     def test_domain_errors(self):
         for fn in (dim_K_recursion, dim_K_reduction, dim_K_closed, dim_I_sum, dim_I_hyp):
@@ -224,6 +225,18 @@ class TestComputeRecord:
         assert rec.I_sum == -1
         assert rec.I_hyp == Fraction(-1)
         assert rec.routes_agree
+        assert not rec.in_validity_range
+
+    @pytest.mark.parametrize(
+        "route,value",
+        [("dim_K_recursion", -1), ("dim_K_reduction", 36), ("dim_I_hyp", Fraction(-1, 2))],
+    )
+    def test_each_validity_bound_is_checked(self, monkeypatch, route, value):
+        # D(4, 5) = 35: one forced value below 0 or a K above D is out of range,
+        # even though the other routes stay in it.
+        monkeypatch.setattr(dims, route, lambda m, n, r: value)
+        rec = compute_record(DimQuery(4, 5, 3))
+        assert not rec.routes_agree
         assert not rec.in_validity_range
 
     def test_r_zero_record(self):
@@ -493,3 +506,53 @@ class TestImageSeriesMatchesFrozenRoute:
             PoleBeforeTerminationError,
             "denominator vanishes at term k=1 before the series terminates",
         )
+
+
+# The per-term alternating sums the term walk replaced, kept verbatim as an
+# oracle.
+
+
+def frozen_dim_K_closed(m: int, n: int, r: int) -> int:
+    dims._validate(m, n, r)
+    return sum(
+        (-1) ** (s - 1) * binom(r, s) * dim_D(m - 2 * s, n)
+        for s in range(1, min(r, m // 2) + 1)
+    )
+
+
+def frozen_dim_I_sum(m: int, n: int, r: int) -> int:
+    dims._validate(m, n, r)
+    return sum(
+        (-1) ** s * binom(r, s) * dim_D(m - 2 * s, n) for s in range(0, min(r, m // 2) + 1)
+    )
+
+
+class TestAlternatingSumsMatchFrozenRoutes:
+    @settings(max_examples=400)
+    @given(
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=1, max_value=80),
+        st.data(),
+    )
+    # n = 1 (D(M, 1) = 0 for M >= 1), odd and even m at full resonance, and
+    # r past m // 2.
+    @example(m=2, n=1, data=None)
+    @example(m=7, n=3, data=None)
+    @example(m=8, n=80, data=None)
+    def test_same_values(self, m, n, data):
+        r = n if data is None else data.draw(st.integers(min_value=0, max_value=n))
+        assert dim_K_closed(m, n, r) == frozen_dim_K_closed(m, n, r)
+        assert dim_I_sum(m, n, r) == frozen_dim_I_sum(m, n, r)
+
+    def test_every_n1_point_up_to_m_60(self):
+        for m in range(1, 61):
+            for r in (0, 1):
+                assert dim_K_closed(m, 1, r) == frozen_dim_K_closed(m, 1, r)
+                assert dim_I_sum(m, 1, r) == frozen_dim_I_sum(m, 1, r)
+
+    @pytest.mark.parametrize("m,n,r", [(1, 5, 3), (6, 4, 2), (9, 5, 5), (40, 30, 12)])
+    def test_terms_are_the_signed_products_in_walk_order(self, m, n, r):
+        top = min(r, m // 2)
+        assert list(dims._alternating_terms(m, n, r)) == [
+            (-1) ** s * binom(r, s) * dim_D(m - 2 * s, n) for s in range(top, -1, -1)
+        ]

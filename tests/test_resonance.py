@@ -184,6 +184,13 @@ class TestConfigJson:
         with pytest.raises(ConfigParseError, match="not valid JSON"):
             config_from_json(doc)
 
+    def test_integer_over_the_digit_limit_is_a_parse_error(self):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer literal longer than the interpreter's int-string limit.
+        doc = '{"m": 1' + "0" * 4999 + ', "g": "1/2", "lambdas": ["1/4"]}'
+        with pytest.raises(ConfigParseError, match="not valid JSON"):
+            config_from_json(doc)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExponentConfig(m=0, g=F(1, 2), lambdas=(F(1, 4),))
