@@ -61,11 +61,12 @@ from .dims import (
 )
 from .exactnum import format_rational
 from .resonance import (
+    AssumptionViolatedError,
     ConfigParseError,
     ResonanceReport,
-    classify,
     config_from_json,
     config_to_json_dict,
+    dims_for_config,
 )
 from .suites import DEFAULT_CASES, SUITE_NAMES, SuiteResult, run_suites
 
@@ -427,10 +428,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         return _usage_error(args, f"cannot read {args.config}: {exc}")
     cfg = config_from_json(text)
-    report = classify(cfg)
-    record = None
-    if report.assumption_valid:
-        record = compute_record(DimQuery(cfg.m, cfg.n, report.r))
+    try:
+        report, record = dims_for_config(cfg)
+    except AssumptionViolatedError as exc:
+        report, record = exc.report, None
     sys.stdout.write(_CLASSIFY_RENDERERS[args.format](cfg, report, record))
     return EXIT_OK if report.assumption_valid else EXIT_ASSUMPTION
 

@@ -24,10 +24,11 @@ K and I are each computed by several mutually independent routes:
 The recursion and reduction routes are evaluated bottom-up: each builds
 the whole row K(m, n, 0..n) from the base row of m's parity by one rolling
 row per step m' -> m' + 2, so a query costs O(m n) integer additions at
-constant stack depth. Each route caches only the last row it built, which
-``iter_table`` reuses across its r loop; ``dim_D`` is one binomial and keeps no
-cache. The two routes keep their own formulas and share no intermediate
-values, so they stay independent witnesses.
+constant stack depth. No route keeps a cache: ``compute_record`` builds both
+rows for its one query, and ``iter_table`` builds them once per (m, n) and
+reads every r of its loop from them; ``dim_D`` is one binomial. The two
+routes keep their own formulas and share no intermediate values, so they
+stay independent witnesses.
 
 The two alternating sums share one term walk, ``_alternating_terms``. It
 computes one ``dim_D`` and one ``binom`` at the deepest term
@@ -69,7 +70,6 @@ base case, so the two routes cannot disagree over it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -117,7 +117,8 @@ def _validate(m: int, n: int, r: int) -> None:
 
     ``DimQuery`` and every route call this, so each rule and message lives
     here. The ``type(v) is int`` test rejects bool and costs no more than a
-    range test, which matters because one record runs this six times.
+    range test, which matters because one record runs this four times: in
+    ``DimQuery`` and in the three routes it calls by their public names.
     """
     if not type(m) is type(n) is type(r) is int:
         name, value = next((k, v) for k, v in (("m", m), ("n", n), ("r", r)) if type(v) is not int)
@@ -185,8 +186,11 @@ def dim_D(m: int, n: int) -> int:
     """Total invariant dimension C(n+m-2, m), with D(0, n) = 1 and D(m<0, n) = 0.
 
     The out-of-range conventions make the alternating sums over s truncate
-    by themselves.
+    by themselves. m and n must be exact ints, as for every route; the row
+    builders call this once per step, so the test is one type comparison.
     """
+    if not type(m) is type(n) is int:
+        _validate(m, n, 0)  # raises the type error, which it tests first
     if m < 0:
         return 0
     if m == 0:
@@ -206,14 +210,14 @@ def _k_base_row(m: int, n: int) -> list[int]:
     return list(range(n + 1)) if m % 2 == 0 else [0] * (n + 1)
 
 
-@functools.lru_cache(maxsize=1)
-def _k_recursion_row(m: int, n: int) -> tuple[int, ...]:
+def _k_recursion_row(m: int, n: int) -> list[int]:
+    """K(m, n, 0..n) by the recursion of ``dim_K_recursion``."""
     row = _k_base_row(m, n)
     for step in range(4 - m % 2, m + 1, 2):
         d = dim_D(step - 2, n)
         # new[r] = D(m'-2, n) + new[r-1] - old[r-1], from new[0] = 0.
         row = list(itertools.accumulate((d - old for old in row[:-1]), initial=0))
-    return tuple(row)
+    return row
 
 
 def dim_K_recursion(m: int, n: int, r: int) -> int:
@@ -222,15 +226,14 @@ def dim_K_recursion(m: int, n: int, r: int) -> int:
         K(m, n, r) = D(m-2, n) + K(m, n, r-1) - K(m-2, n, r-1)
 
     for m >= 3, on top of the shared base cases. Evaluated bottom-up as
-    whole rows over r in O(m n) additions and constant stack depth; the
-    last row is cached, so consecutive calls with the same (m, n) share it.
+    the whole row over r, in O(m n) additions and constant stack depth.
     """
     _validate(m, n, r)
     return _k_recursion_row(m, n)[r]
 
 
-@functools.lru_cache(maxsize=1)
-def _k_reduction_row(m: int, n: int) -> tuple[int, ...]:
+def _k_reduction_row(m: int, n: int) -> list[int]:
+    """K(m, n, 0..n) by the reduction of ``dim_K_reduction``."""
     row = _k_base_row(m, n)
     for step in range(4 - m % 2, m + 1, 2):
         d = dim_D(step - 2, n)
@@ -238,7 +241,7 @@ def _k_reduction_row(m: int, n: int) -> tuple[int, ...]:
         # the running prefix sum of old[0..r-1] is the subtrahend.
         prefix = itertools.accumulate(row[:-1], initial=0)
         row = [r * d - acc for r, acc in enumerate(prefix)]
-    return tuple(row)
+    return row
 
 
 def dim_K_reduction(m: int, n: int, r: int) -> int:
@@ -249,7 +252,7 @@ def dim_K_reduction(m: int, n: int, r: int) -> int:
     for m >= 3, on top of the shared base cases. For m = 3 this collapses
     to r * D(1, n) = r (n - 1). Evaluated bottom-up as whole rows over r,
     with the subtracted sum kept as a running prefix sum, in O(m n)
-    additions; the last row is cached, as for ``dim_K_recursion``.
+    additions.
     """
     _validate(m, n, r)
     return _k_reduction_row(m, n)[r]
@@ -367,10 +370,15 @@ def compute_record(query: DimQuery) -> DimensionRecord:
     ``hyp_error`` with ``I_hyp = None``; all integer routes are still filled
     in. Disagreement of any kind yields ``routes_agree = False``.
     """
+    m, n = query.m, query.n
+    return _record(query, dim_D(m, n), _k_recursion_row(m, n), _k_reduction_row(m, n))
+
+
+def _record(query: DimQuery, d: int, rec_row: list[int], red_row: list[int]) -> DimensionRecord:
+    """``compute_record`` given D(m, n) and both K rows K(m, n, 0..n) of the query's (m, n)."""
     m, n, r = query.m, query.n, query.r
-    d = dim_D(m, n)
-    k_rec = dim_K_recursion(m, n, r)
-    k_red = dim_K_reduction(m, n, r)
+    k_rec = rec_row[r]
+    k_red = red_row[r]
     k_clo = dim_K_closed(m, n, r)
     i_sum = dim_I_sum(m, n, r)
     i_sub = d - k_clo
@@ -414,8 +422,9 @@ def iter_table(
     first record is computed, so bad input raises DomainError before a
     caller writes anything. Records are computed as they are asked for and
     none is kept, so a caller that writes each one out runs in constant
-    memory however large the ranges are. The r values of one (m, n) come
-    one after another, so each K row builder's one-row cache serves them all.
+    memory however large the ranges are. D and both K rows are built once
+    per (m, n), when its first record is asked for, and serve all its r;
+    each record equals ``compute_record`` of its query.
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
@@ -428,12 +437,15 @@ def iter_table(
     if r_policy not in R_POLICIES:
         raise DomainError(f"unknown r policy {r_policy!r}; expected one of {R_POLICIES}")
     r_values = _R_VALUES[r_policy]
-    return (
-        compute_record(DimQuery(m, n, r))
-        for m in range(m_lo, m_hi + 1)
-        for n in range(n_lo, n_hi + 1)
-        for r in r_values(n)
-    )
+
+    def records() -> Iterator[DimensionRecord]:
+        for m in range(m_lo, m_hi + 1):
+            for n in range(n_lo, n_hi + 1):
+                d, rec_row, red_row = dim_D(m, n), _k_recursion_row(m, n), _k_reduction_row(m, n)
+                for r in r_values(n):
+                    yield _record(DimQuery(m, n, r), d, rec_row, red_row)
+
+    return records()
 
 
 def table(

@@ -254,7 +254,6 @@ def test_classify_classifies_once(run_cli, monkeypatch):
         calls.append(cfg)
         return real(cfg)
 
-    monkeypatch.setattr(cli, "classify", counting)
     monkeypatch.setattr(resonance, "classify", counting)
     code, out, _ = run_cli("classify", str(DATA_DIR / "config_resonant.json"), "--format", "json")
     assert code == 0

@@ -1,6 +1,7 @@
-"""The package's "no floats, no runtime dependencies" contract, read from its source."""
+"""The package's "no floats, no runtime dependencies, no memo tables" contract."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -43,3 +44,22 @@ def test_no_float_literals_or_float_calls(path):
         assert not (
             isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
         ), f"{path.name}:{node.lineno} calls float()"
+
+
+def test_no_module_attribute_is_a_cache():
+    # The scan of bench/passes.package_caches: every module of the package,
+    # each attribute followed through __wrapped__, looking for cache_clear.
+    for path in SOURCES:
+        if path.stem != "__main__":  # importing it runs the CLI
+            suffix = "" if path.stem == "__init__" else f".{path.stem}"
+            importlib.import_module(f"selbergdim{suffix}")
+    caches = []
+    for name, module in list(sys.modules.items()):
+        if name != "selbergdim" and not name.startswith("selbergdim."):
+            continue
+        for attr, value in vars(module).items():
+            while not hasattr(value, "cache_clear") and hasattr(value, "__wrapped__"):
+                value = value.__wrapped__
+            if hasattr(value, "cache_clear"):
+                caches.append(f"{name}.{attr}")
+    assert caches == []

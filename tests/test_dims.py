@@ -22,9 +22,8 @@ from selbergdim.dims import (
     dim_K_closed,
     dim_K_recursion,
     dim_K_reduction,
+    iter_table,
     table,
-    _k_recursion_row,
-    _k_reduction_row,
 )
 from selbergdim.exactnum import binom
 from selbergdim.hyper import (
@@ -125,6 +124,16 @@ class TestKernelRoutes:
                 for fields in ((bad, 4, 1), (2, bad, 1), (2, 4, bad)):
                     with pytest.raises(DomainError, match="must be an int"):
                         fn(*fields)
+        for bad in (True, 2.0, "2", Fraction(2)):
+            with pytest.raises(DomainError, match="^m must be an int"):
+                dim_D(bad, 3)
+            with pytest.raises(DomainError, match="^n must be an int"):
+                dim_D(2, bad)
+            with pytest.raises(DomainError, match="^n must be an int"):
+                dim_D(0, bad)
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            dim_D(2, 0)
+        assert (dim_D(0, 0), dim_D(-1, 0), dim_D(-3, 5)) == (1, 0, 0)
 
 
 class TestImageRoutes:
@@ -228,13 +237,18 @@ class TestComputeRecord:
         assert not rec.in_validity_range
 
     @pytest.mark.parametrize(
-        "route,value",
-        [("dim_K_recursion", -1), ("dim_K_reduction", 36), ("dim_I_hyp", Fraction(-1, 2))],
+        "route,forced",
+        [
+            ("_k_recursion_row", lambda m, n: [-1] * (n + 1)),
+            ("_k_reduction_row", lambda m, n: [36] * (n + 1)),
+            ("dim_I_hyp", lambda m, n, r: Fraction(-1, 2)),
+        ],
+        ids=["dim_K_recursion -1", "dim_K_reduction 36", "dim_I_hyp -1/2"],
     )
-    def test_each_validity_bound_is_checked(self, monkeypatch, route, value):
+    def test_each_validity_bound_is_checked(self, monkeypatch, route, forced):
         # D(4, 5) = 35: one forced value below 0 or a K above D is out of range,
         # even though the other routes stay in it.
-        monkeypatch.setattr(dims, route, lambda m, n, r: value)
+        monkeypatch.setattr(dims, route, forced)
         rec = compute_record(DimQuery(4, 5, 3))
         assert not rec.routes_agree
         assert not rec.in_validity_range
@@ -398,11 +412,43 @@ class TestDeepInputsAndBoundedTables:
         for route in (dim_K_recursion, dim_K_reduction, dim_K_closed):
             assert route(4, n, r) == expected
 
-    def test_row_caches_hold_one_row_after_a_table(self):
-        table((1, 30), (2, 30))
-        for builder in (_k_recursion_row, _k_reduction_row):
-            assert builder.cache_info().currsize <= 1
-        assert not hasattr(dim_D, "cache_info")
+    @pytest.fixture
+    def row_builds(self, monkeypatch):
+        """The (m, n) of every K row built, by builder name, while the test runs."""
+        builds = {}
+
+        def counting(name):
+            calls = builds[name] = []
+            build = getattr(dims, name)
+
+            def counted(m, n):
+                calls.append((m, n))
+                return build(m, n)
+
+            return counted
+
+        for name in ("_k_recursion_row", "_k_reduction_row"):
+            monkeypatch.setattr(dims, name, counting(name))
+        return builds
+
+    def test_table_builds_each_row_once_per_m_n(self, row_builds):
+        # 30 * 29 = 870 (m, n), and 14,790 records over them.
+        assert len(table((1, 30), (2, 30))) == 14_790
+        every_m_n = [(m, n) for m in range(1, 31) for n in range(2, 31)]
+        assert row_builds == {"_k_recursion_row": every_m_n, "_k_reduction_row": every_m_n}
+
+    def test_compute_record_builds_each_row_once(self, row_builds):
+        compute_record(DimQuery(7, 9, 4))
+        assert row_builds == {"_k_recursion_row": [(7, 9)], "_k_reduction_row": [(7, 9)]}
+
+    @pytest.mark.parametrize("r_policy", dims.R_POLICIES)
+    def test_table_records_equal_compute_record(self, r_policy):
+        # Rows shared across r against rows built for one query; n = 1 holds
+        # the hyp_error records.
+        records = list(iter_table((1, 12), (1, 10), r_policy))
+        assert any(rec.hyp_error is not None for rec in records) == (r_policy != "only_n_minus_1")
+        for rec in records:
+            assert rec == compute_record(rec.query)
 
 
 # The hypergeometric route as it was before dim_I_hyp called the int kernel

@@ -1,8 +1,8 @@
 """``table`` as a stream: csv and json records are written as they are computed.
 
-The records come from ``dims.iter_table``, which looks ``compute_record`` up
-in ``dims`` for every record, so patching it there counts or alters each
-record on its way to the writer.
+The records come from ``dims.iter_table``, which looks ``_record`` up in
+``dims`` for every record, so patching it there counts or alters each record
+on its way to the writer.
 """
 
 import dataclasses
@@ -26,13 +26,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def computed(monkeypatch):
     """The (m, n, r) of every record computed, in order, while the test runs."""
     calls = []
-    compute = dims.compute_record
+    record = dims._record
 
-    def counting(query):
+    def counting(query, *rows):
         calls.append((query.m, query.n, query.r))
-        return compute(query)
+        return record(query, *rows)
 
-    monkeypatch.setattr(dims, "compute_record", counting)
+    monkeypatch.setattr(dims, "_record", counting)
     return calls
 
 
@@ -92,15 +92,15 @@ class TestStreaming:
         argv = ("table", "--m-range", "1..6", "--n-range", "2..3", "--format", fmt)
         code, clean, _ = run_cli(*argv)
         assert code == 0
-        compute = dims.compute_record
+        record = dims._record
 
-        def off_at_3_2_1(query):
-            rec = compute(query)
+        def off_at_3_2_1(query, *rows):
+            rec = record(query, *rows)
             if (query.m, query.n, query.r) == (3, 2, 1):
                 return dataclasses.replace(rec, K_reduction=rec.K_reduction + 1, routes_agree=False)
             return rec
 
-        monkeypatch.setattr(dims, "compute_record", off_at_3_2_1)
+        monkeypatch.setattr(dims, "_record", off_at_3_2_1)
         code, out, err = run_cli(*argv)
         assert (code, err) == (2, "")
         out_path = tmp_path / f"table.{fmt}"
