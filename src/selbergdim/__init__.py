@@ -9,103 +9,26 @@ The public surface mirrors the module layout:
 * :mod:`selbergdim.resonance` -- the resonance classifier;
 * :mod:`selbergdim.suites`    -- seeded/exhaustive verification suites;
 * :mod:`selbergdim.cli`       -- the ``selbergdim`` command.
+
+Each module's ``__all__`` is its public surface, and the package re-exports
+exactly those names, in module order, plus ``__version__``. A name a module
+keeps out of its ``__all__`` stays importable from that module.
 """
 
-from .dims import (
-    DimensionRecord,
-    DimQuery,
-    DomainError,
-    compute_record,
-    dim_D,
-    dim_I_extremes,
-    dim_I_full_resonance_product,
-    dim_I_hyp,
-    dim_I_sum,
-    dim_K_closed,
-    dim_K_recursion,
-    dim_K_reduction,
-    iter_table,
-    table,
-)
-from .exactnum import (
-    Rational,
-    binom,
-    format_rational,
-    hockey_stick_check,
-    is_integer,
-    parse_rational,
-    pochhammer,
-)
-from .hyper import (
-    HypParams3F2,
-    HyperEvalError,
-    NonTerminatingError,
-    PoleBeforeTerminationError,
-    ZeroDenominatorError,
-    contiguity_residual,
-    eval_terminating_3f2,
-    pfaff_saalschutz_check,
-    pfaff_saalschutz_rhs,
-    pochhammer_identity_residual,
-)
-from .resonance import (
-    AssumptionViolatedError,
-    ConfigParseError,
-    ExponentConfig,
-    ResonanceReport,
-    Violation,
-    classify,
-    config_from_json,
-    config_to_json_dict,
-    dims_for_config,
-)
-from .suites import Lcg, SuiteResult, run_suites
+from . import dims, exactnum, hyper, resonance, suites
+from .dims import *
+from .exactnum import *
+from .hyper import *
+from .resonance import *
+from .suites import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
-    "parse_rational",
-    "format_rational",
-    "is_integer",
-    "pochhammer",
-    "binom",
-    "hockey_stick_check",
-    "HypParams3F2",
-    "HyperEvalError",
-    "NonTerminatingError",
-    "PoleBeforeTerminationError",
-    "ZeroDenominatorError",
-    "eval_terminating_3f2",
-    "pfaff_saalschutz_rhs",
-    "pfaff_saalschutz_check",
-    "contiguity_residual",
-    "pochhammer_identity_residual",
-    "DomainError",
-    "DimQuery",
-    "DimensionRecord",
-    "dim_D",
-    "dim_K_recursion",
-    "dim_K_reduction",
-    "dim_K_closed",
-    "dim_I_sum",
-    "dim_I_hyp",
-    "dim_I_extremes",
-    "dim_I_full_resonance_product",
-    "compute_record",
-    "iter_table",
-    "table",
-    "ExponentConfig",
-    "Violation",
-    "ResonanceReport",
-    "AssumptionViolatedError",
-    "ConfigParseError",
-    "classify",
-    "dims_for_config",
-    "config_from_json",
-    "config_to_json_dict",
-    "Lcg",
-    "SuiteResult",
-    "run_suites",
+    *exactnum.__all__,
+    *hyper.__all__,
+    *dims.__all__,
+    *resonance.__all__,
+    *suites.__all__,
     "__version__",
 ]

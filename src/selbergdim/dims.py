@@ -30,9 +30,11 @@ reads every r of its loop from them; ``dim_D`` is one binomial. The two
 routes keep their own formulas and share no intermediate values, so they
 stay independent witnesses.
 
-The two alternating sums share one term walk, ``_alternating_terms``. It
-computes one ``dim_D`` and one ``binom`` at the deepest term
-s = min(r, m // 2), M = m - 2s, and takes each next term from the last:
+One term walk, ``_alternating_sums``, gives both alternating sums at once:
+K_closed is the negated sum of its terms for s >= 1 and I_sum adds the
+s = 0 term, the walk's own D(m, n). It computes one ``dim_D`` and one
+``binom`` at the deepest term s = min(r, m // 2), M = m - 2s, and takes
+each next term from the last:
 
     D(M+2, n) = D(M, n) (n+M-1)(n+M) / ((M+1)(M+2))
     C(r, s-1) = C(r, s) s / (r-s+1)
@@ -94,8 +96,6 @@ __all__ = [
     "compute_record",
     "iter_table",
     "table",
-    "RPolicy",
-    "R_POLICIES",
 ]
 
 RPolicy = Literal["all", "only_n", "only_n_minus_1"]
@@ -117,8 +117,9 @@ def _validate(m: int, n: int, r: int) -> None:
 
     ``DimQuery`` and every route call this, so each rule and message lives
     here. The ``type(v) is int`` test rejects bool and costs no more than a
-    range test, which matters because one record runs this four times: in
-    ``DimQuery`` and in the three routes it calls by their public names.
+    range test, which matters because one record runs this twice: in
+    ``DimQuery`` and in ``dim_I_hyp``, the one route it calls by its public
+    name.
     """
     if not type(m) is type(n) is type(r) is int:
         name, value = next((k, v) for k, v in (("m", m), ("n", n), ("r", r)) if type(v) is not int)
@@ -186,17 +187,16 @@ def dim_D(m: int, n: int) -> int:
     """Total invariant dimension C(n+m-2, m), with D(0, n) = 1 and D(m<0, n) = 0.
 
     The out-of-range conventions make the alternating sums over s truncate
-    by themselves. m and n must be exact ints, as for every route; the row
-    builders call this once per step, so the test is one type comparison.
+    by themselves. m and n must be exact ints, as for every route, and n >= 1
+    once m >= 1; the row builders call this once per step, so the test is
+    one type comparison and one range test.
     """
-    if not type(m) is type(n) is int:
-        _validate(m, n, 0)  # raises the type error, which it tests first
+    if not type(m) is type(n) is int or (m >= 1 and n < 1):
+        _validate(m, n, 0)  # raises: the type error first, else the n >= 1 one
     if m < 0:
         return 0
     if m == 0:
         return 1
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     return binom(n + m - 2, m)
 
 
@@ -258,39 +258,40 @@ def dim_K_reduction(m: int, n: int, r: int) -> int:
     return _k_reduction_row(m, n)[r]
 
 
-def _alternating_terms(m: int, n: int, r: int) -> Iterator[int]:
-    """(-1)^s C(r, s) D(m-2s, n) for s = min(r, m // 2) down to 0, on running ints.
+def _alternating_sums(m: int, n: int, r: int) -> tuple[int, int]:
+    """(K_closed, I_sum) from one walk over the terms (-1)^s C(r, s) D(m-2s, n).
 
     The upward walk of the module docstring: one ``dim_D`` and one ``binom``
-    at M = m - 2s, then one exact step per term. The last term is D(m, n).
+    at M = m - 2s for s = min(r, m // 2), then one exact step per term down
+    to s = 0, whose term is the walk's own D(m, n). K_closed is minus the
+    sum over s >= 1 and I_sum is the sum over s >= 0.
     """
     s = min(r, m // 2)
     M = m - 2 * s
     d = dim_D(M, n)
     c = -binom(r, s) if s % 2 else binom(r, s)  # (-1)^s C(r, s)
-    while True:
-        yield c * d
-        if s == 0:
-            return
+    total = 0
+    while s:
+        total += c * d
         d = d * (n + M - 1) * (n + M) // ((M + 1) * (M + 2))
         c = -c * s // (r - s + 1)
         M += 2
         s -= 1
+    return -total, total + d  # at s = 0, c = 1 and d = D(m, n)
 
 
 def dim_K_closed(m: int, n: int, r: int) -> int:
     """Kernel dimension as the alternating sum over s >= 1 of (-1)^(s-1) C(r, s) D(m-2s, n).
 
     C(r, s) = 0 for s > r and the D conventions truncate the sum at
-    s = min(r, floor(m/2)). The terms come from ``_alternating_terms``, an
+    s = min(r, floor(m/2)). The terms come from ``_alternating_sums``, an
     upward walk on ints that starts from one ``dim_D`` and one ``binom`` at
     the deepest term and takes each next term from the last by an exact
     division, never by zero; this is the negated sum of all of them but the
     last, the s = 0 term D(m, n).
     """
     _validate(m, n, r)
-    *terms, _ = _alternating_terms(m, n, r)
-    return -sum(terms)
+    return _alternating_sums(m, n, r)[0]
 
 
 def dim_I_sum(m: int, n: int, r: int) -> int:
@@ -298,13 +299,13 @@ def dim_I_sum(m: int, n: int, r: int) -> int:
 
     C(r, s) = 0 for s > r and the D conventions truncate the sum at
     s = min(r, floor(m/2)). This is the sum of every term of the upward
-    walk ``_alternating_terms`` (one ``dim_D`` and one ``binom`` at the
+    walk ``_alternating_sums`` (one ``dim_D`` and one ``binom`` at the
     deepest term, then exact int steps). Its last term is D(m, n) as the
     walk reached it, so ``compute_record``'s test I_sum == D - K_closed
     also checks that value against ``dim_D``.
     """
     _validate(m, n, r)
-    return sum(_alternating_terms(m, n, r))
+    return _alternating_sums(m, n, r)[1]
 
 
 def dim_I_hyp(m: int, n: int, r: int) -> Fraction:
@@ -379,8 +380,7 @@ def _record(query: DimQuery, d: int, rec_row: list[int], red_row: list[int]) -> 
     m, n, r = query.m, query.n, query.r
     k_rec = rec_row[r]
     k_red = red_row[r]
-    k_clo = dim_K_closed(m, n, r)
-    i_sum = dim_I_sum(m, n, r)
+    k_clo, i_sum = _alternating_sums(m, n, r)
     i_sub = d - k_clo
     i_hyp: Fraction | None
     hyp_error: str | None

@@ -25,8 +25,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "is_integer",
-    "as_fraction",
-    "scaled_rising",
     "pochhammer",
     "binom",
     "hockey_stick_check",

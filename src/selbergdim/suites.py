@@ -1,9 +1,10 @@
 """Seeded and exhaustive verification suites behind ``selbergdim verify``.
 
 A suite is its inputs (seeded draws or a fixed grid) plus a check of one
-input. One driver runs every suite: it keeps the passed, failed and
-skipped counts and the first counterexample, whose text the check builds
-only when asked.
+input, which returns None when the input passes and otherwise the text
+that follows the inputs in a counterexample. One driver runs every suite:
+it keeps the passed, failed and skipped counts and the first
+counterexample.
 
 Randomized suites draw parameters from a self-contained 64-bit linear
 congruential generator (documented in the README) rather than the host
@@ -33,7 +34,7 @@ from typing import Any, Callable, NamedTuple
 from . import dims, hyper
 from .exactnum import binom, format_rational, hockey_stick_check
 
-__all__ = ["Lcg", "SuiteResult", "SUITE_NAMES", "DEFAULT_CASES", "run_suites"]
+__all__ = ["Lcg", "SuiteResult", "run_suites"]
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -76,49 +77,46 @@ class SuiteResult:
         return self.failed == 0
 
 
-# A check takes one input and returns (ok, detail): detail() is the text
-# that follows the inputs in a counterexample, built only for a suite's
-# first failure.
-_Outcome = tuple[bool, Callable[[], str]]
+# A check takes one input and returns None when it holds, else the text
+# (possibly empty) that follows the inputs in a counterexample.
 
 
-def _no_detail() -> str:
-    return ""
+def _pfaff(a: Fraction, b: Fraction, c: Fraction, j: int) -> str | None:
+    return None if hyper.pfaff_saalschutz_check(a, b, c, j) else ""
 
 
-def _pfaff(a: Fraction, b: Fraction, c: Fraction, j: int) -> _Outcome:
-    return hyper.pfaff_saalschutz_check(a, b, c, j), _no_detail
+def _residual(residual: Fraction) -> str | None:
+    return None if residual == 0 else f" residual={format_rational(residual)}"
 
 
-def _contiguity(a: Fraction, b: Fraction, c: Fraction, j: int) -> _Outcome:
-    residual = hyper.contiguity_residual(a, b, c, j)
-    return residual == 0, lambda: f" residual={format_rational(residual)}"
+def _contiguity(a: Fraction, b: Fraction, c: Fraction, j: int) -> str | None:
+    return _residual(hyper.contiguity_residual(a, b, c, j))
 
 
-def _pochhammer(a: Fraction, b: Fraction, k: int) -> _Outcome:
-    residual = hyper.pochhammer_identity_residual(a, b, k)
-    return residual == 0, lambda: f" residual={format_rational(residual)}"
+def _pochhammer(a: Fraction, b: Fraction, k: int) -> str | None:
+    return _residual(hyper.pochhammer_identity_residual(a, b, k))
 
 
-def _hockey(r: int, s: int) -> _Outcome:
-    return hockey_stick_check(r, s), _no_detail
+def _hockey(r: int, s: int) -> str | None:
+    return None if hockey_stick_check(r, s) else ""
 
 
-def _routes(m: int, n: int, r: int) -> _Outcome:
+def _routes(m: int, n: int, r: int) -> str | None:
     rec = dims.compute_record(dims.DimQuery(m, n, r))
-    ok = (
+    if (
         rec.routes_agree
         and rec.D == rec.K_closed + rec.I_sum
         and rec.I_hyp is not None
         and rec.I_hyp.denominator == 1
-    )
-    return ok, lambda: (
+    ):
+        return None
+    return (
         f": D={rec.D} K=({rec.K_recursion},{rec.K_reduction},{rec.K_closed}) "
         f"I=({rec.I_sum},{rec.I_hyp},{rec.I_subtract})"
     )
 
 
-def _closedforms(m: int, n: int) -> _Outcome:
+def _closedforms(m: int, n: int) -> str | None:
     extremes = dims.dim_I_extremes(m, n)
     ok = (
         extremes.at_n == dims.dim_I_sum(m, n, n)
@@ -127,12 +125,12 @@ def _closedforms(m: int, n: int) -> _Outcome:
         and extremes.at_n_minus_1 == binom(n - 1, m)
         and dims.dim_I_full_resonance_product(m, n) == extremes.at_n
     )
-    return ok, _no_detail
+    return None if ok else ""
 
 
 class _Suite(NamedTuple):
     names: str  # the inputs' names, as a counterexample prints them
-    check: Callable[..., _Outcome]
+    check: Callable[..., str | None]
     cases: int | None  # default number of checks; None for an exhaustive suite
     inputs: Callable[..., Any]  # seeded: draw(rng) gives one input; else grid() gives all
 
@@ -187,17 +185,17 @@ def _run(name: str, seed: int, cases: int | None) -> SuiteResult:
     counterexample = None
     for args in inputs:
         try:
-            ok, detail = suite.check(*args)
+            detail = suite.check(*args)
         except hyper.HyperEvalError:
             skipped += 1
             continue
-        if ok:
+        if detail is None:
             passed += 1
         else:
             failed += 1
             if counterexample is None:
                 named = zip(suite.names.split(), args)
-                counterexample = " ".join(f"{k}={format_rational(v)}" for k, v in named) + detail()
+                counterexample = " ".join(f"{k}={format_rational(v)}" for k, v in named) + detail
         if passed + failed == cases:
             break
     return SuiteResult(name, passed, failed, skipped, counterexample)

@@ -131,8 +131,9 @@ class TestKernelRoutes:
                 dim_D(2, bad)
             with pytest.raises(DomainError, match="^n must be an int"):
                 dim_D(0, bad)
-        with pytest.raises(DomainError, match="n must be >= 1"):
-            dim_D(2, 0)
+        for m in (1, 2):
+            with pytest.raises(DomainError, match="^n must be >= 1, got 0$"):
+                dim_D(m, 0)
         assert (dim_D(0, 0), dim_D(-1, 0), dim_D(-3, 5)) == (1, 0, 0)
 
 
@@ -242,8 +243,16 @@ class TestComputeRecord:
             ("_k_recursion_row", lambda m, n: [-1] * (n + 1)),
             ("_k_reduction_row", lambda m, n: [36] * (n + 1)),
             ("dim_I_hyp", lambda m, n, r: Fraction(-1, 2)),
+            ("_alternating_sums", lambda m, n, r: (36, 8)),
+            ("_alternating_sums", lambda m, n, r: (27, -1)),
         ],
-        ids=["dim_K_recursion -1", "dim_K_reduction 36", "dim_I_hyp -1/2"],
+        ids=[
+            "dim_K_recursion -1",
+            "dim_K_reduction 36",
+            "dim_I_hyp -1/2",
+            "_alternating_sums K_closed 36",
+            "_alternating_sums I_sum -1",
+        ],
     )
     def test_each_validity_bound_is_checked(self, monkeypatch, route, forced):
         # D(4, 5) = 35: one forced value below 0 or a K above D is out of range,
@@ -598,7 +607,5 @@ class TestAlternatingSumsMatchFrozenRoutes:
 
     @pytest.mark.parametrize("m,n,r", [(1, 5, 3), (6, 4, 2), (9, 5, 5), (40, 30, 12)])
     def test_terms_are_the_signed_products_in_walk_order(self, m, n, r):
-        top = min(r, m // 2)
-        assert list(dims._alternating_terms(m, n, r)) == [
-            (-1) ** s * binom(r, s) * dim_D(m - 2 * s, n) for s in range(top, -1, -1)
-        ]
+        terms = [(-1) ** s * binom(r, s) * dim_D(m - 2 * s, n) for s in range(min(r, m // 2) + 1)]
+        assert dims._alternating_sums(m, n, r) == (-sum(terms[1:]), sum(terms))
