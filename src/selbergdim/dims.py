@@ -21,14 +21,18 @@ K and I are each computed by several mutually independent routes:
   directly over the denominator 2 and builds no parameter Fraction,
 * the subtraction route recovers I as D - K.
 
-The recursion and reduction routes are evaluated bottom-up: each builds
-the whole row K(m, n, 0..n) from the base row of m's parity by one rolling
-row per step m' -> m' + 2, so a query costs O(m n) integer additions at
-constant stack depth. No route keeps a cache: ``compute_record`` builds both
-rows for its one query, and ``iter_table`` builds them once per (m, n) and
-reads every r of its loop from them; ``dim_D`` is one binomial. The two
-routes keep their own formulas and share no intermediate values, so they
-stay independent witnesses.
+The recursion and reduction routes are evaluated bottom-up, as triangles.
+K(m, n, r) reads only K(m-2j, n, 0..r-j), and every row below level m - 2r
+is the zero row K(·, n, 0) = 0. So each builder starts at level
+m - 2 min((m-1)//2, r), on the row [0] or on the base row of m's parity cut
+to width, and each step m' -> m' + 2 widens the row by one entry until it
+is K(m, n, 0..r). A query costs min((m-1)//2, r) steps of width <= r+1, at
+constant stack depth, however large m is. No route keeps a cache:
+``compute_record`` builds both rows for its one query, and ``iter_table``
+builds the full rows K(m, n, 0..n), the triangles at r = n, once per
+(m, n) and reads every r of its loop from them; ``dim_D`` is one binomial.
+The two routes keep their own formulas and share no intermediate values,
+so they stay independent witnesses.
 
 One term walk, ``_alternating_sums``, gives both alternating sums at once:
 K_closed is the negated sum of its terms for s >= 1 and I_sum adds the
@@ -117,9 +121,8 @@ def _validate(m: int, n: int, r: int) -> None:
 
     ``DimQuery`` and every route call this, so each rule and message lives
     here. The ``type(v) is int`` test rejects bool and costs no more than a
-    range test, which matters because one record runs this twice: in
-    ``DimQuery`` and in ``dim_I_hyp``, the one route it calls by its public
-    name.
+    range test. A record runs it once, in ``DimQuery``: the record path
+    calls only private builders, which trust the query.
     """
     if not type(m) is type(n) is type(r) is int:
         name, value = next((k, v) for k, v in (("m", m), ("n", n), ("r", r)) if type(v) is not int)
@@ -205,18 +208,31 @@ def dim_D(m: int, n: int) -> int:
 # resonant double point when m = 2), not re-derived here.
 
 
-def _k_base_row(m: int, n: int) -> list[int]:
-    """K(m', n, 0..n) at the bottom of m's parity chain: m' = 1 or m' = 2."""
-    return list(range(n + 1)) if m % 2 == 0 else [0] * (n + 1)
+def _k_start(m: int, r: int) -> tuple[int, list[int]]:
+    """Where the triangle for K(m, ·, 0..r) starts: its level and row there.
+
+    It takes s = min((m-1)//2, r) steps, so it starts at level m - 2s with
+    the row K(m-2s, ·, 0..r-s). If s = r that row is K(·, ·, 0) = [0];
+    otherwise m - 2s is m's base, 1 or 2, and the row is the base row
+    K(1, ·, t) = 0 or K(2, ·, t) = t cut to width r-s+1. Both base rows
+    are [0] at width 1, so one expression serves either case.
+    """
+    steps = min((m - 1) // 2, r)
+    width = r - steps + 1
+    return m - 2 * steps, list(range(width)) if m % 2 == 0 else [0] * width
 
 
-def _k_recursion_row(m: int, n: int) -> list[int]:
-    """K(m, n, 0..n) by the recursion of ``dim_K_recursion``."""
-    row = _k_base_row(m, n)
-    for step in range(4 - m % 2, m + 1, 2):
-        d = dim_D(step - 2, n)
-        # new[r] = D(m'-2, n) + new[r-1] - old[r-1], from new[0] = 0.
-        row = list(itertools.accumulate((d - old for old in row[:-1]), initial=0))
+def _k_recursion_row(m: int, n: int, r: int) -> list[int]:
+    """K(m, n, 0..r) by the recursion of ``dim_K_recursion``, as a triangle.
+
+    Each step m' -> m' + 2 reads the whole old row and writes a row one
+    entry wider, so the row reaches width r+1 at level m.
+    """
+    low, row = _k_start(m, r)
+    for level in range(low + 2, m + 1, 2):
+        d = dim_D(level - 2, n)
+        # new[t] = D(m'-2, n) + new[t-1] - old[t-1], from new[0] = 0.
+        row = list(itertools.accumulate((d - old for old in row), initial=0))
     return row
 
 
@@ -225,22 +241,24 @@ def dim_K_recursion(m: int, n: int, r: int) -> int:
 
         K(m, n, r) = D(m-2, n) + K(m, n, r-1) - K(m-2, n, r-1)
 
-    for m >= 3, on top of the shared base cases. Evaluated bottom-up as
-    the whole row over r, in O(m n) additions and constant stack depth.
+    for m >= 3, on top of the shared base cases. K(m, n, r) reads only
+    K(m-2j, n, 0..r-j), and K(·, n, 0) = 0, so it is evaluated bottom-up as
+    a triangle: min((m-1)//2, r) steps, each one row of width <= r+1, at
+    constant stack depth.
     """
     _validate(m, n, r)
-    return _k_recursion_row(m, n)[r]
+    return _k_recursion_row(m, n, r)[r]
 
 
-def _k_reduction_row(m: int, n: int) -> list[int]:
-    """K(m, n, 0..n) by the reduction of ``dim_K_reduction``."""
-    row = _k_base_row(m, n)
-    for step in range(4 - m % 2, m + 1, 2):
-        d = dim_D(step - 2, n)
-        # new[r] = r D(m'-2, n) - (old[1] + ... + old[r-1]); old[0] = 0, so
-        # the running prefix sum of old[0..r-1] is the subtrahend.
-        prefix = itertools.accumulate(row[:-1], initial=0)
-        row = [r * d - acc for r, acc in enumerate(prefix)]
+def _k_reduction_row(m: int, n: int, r: int) -> list[int]:
+    """K(m, n, 0..r) by the reduction of ``dim_K_reduction``, as a triangle."""
+    low, row = _k_start(m, r)
+    for level in range(low + 2, m + 1, 2):
+        d = dim_D(level - 2, n)
+        # new[t] = t D(m'-2, n) - (old[1] + ... + old[t-1]); old[0] = 0, so
+        # the running prefix sum of old[0..t-1] is the subtrahend.
+        prefix = itertools.accumulate(row, initial=0)
+        row = [t * d - acc for t, acc in enumerate(prefix)]
     return row
 
 
@@ -250,12 +268,12 @@ def dim_K_reduction(m: int, n: int, r: int) -> int:
         K(m, n, r) = r D(m-2, n) - K(m-2, n, 1) - ... - K(m-2, n, r-1)
 
     for m >= 3, on top of the shared base cases. For m = 3 this collapses
-    to r * D(1, n) = r (n - 1). Evaluated bottom-up as whole rows over r,
-    with the subtracted sum kept as a running prefix sum, in O(m n)
-    additions.
+    to r * D(1, n) = r (n - 1). Evaluated bottom-up as a triangle, like
+    ``dim_K_recursion``, with the subtracted sum kept as a running prefix
+    sum: min((m-1)//2, r) steps of width <= r+1.
     """
     _validate(m, n, r)
-    return _k_reduction_row(m, n)[r]
+    return _k_reduction_row(m, n, r)[r]
 
 
 def _alternating_sums(m: int, n: int, r: int) -> tuple[int, int]:
@@ -320,9 +338,14 @@ def dim_I_hyp(m: int, n: int, r: int) -> Fraction:
     than masked. Series errors propagate.
     """
     _validate(m, n, r)
+    return _i_hyp(m, n, r, dim_D(m, n))
+
+
+def _i_hyp(m: int, n: int, r: int, d: int) -> Fraction:
+    """``dim_I_hyp`` given the prefactor d = D(m, n), for an already valid query."""
     value, _ = _eval_scaled_3f2(-2 * r, -m, 1 - m, 2 - n - m, 3 - n - m, 2, 1, 1)
     # One reduced Fraction from ints, without int * Fraction's dispatch.
-    return Fraction(dim_D(m, n) * value.numerator, value.denominator)
+    return Fraction(d * value.numerator, value.denominator)
 
 
 class ExtremeImageDims(NamedTuple):
@@ -371,12 +394,12 @@ def compute_record(query: DimQuery) -> DimensionRecord:
     ``hyp_error`` with ``I_hyp = None``; all integer routes are still filled
     in. Disagreement of any kind yields ``routes_agree = False``.
     """
-    m, n = query.m, query.n
-    return _record(query, dim_D(m, n), _k_recursion_row(m, n), _k_reduction_row(m, n))
+    m, n, r = query.m, query.n, query.r
+    return _record(query, dim_D(m, n), _k_recursion_row(m, n, r), _k_reduction_row(m, n, r))
 
 
 def _record(query: DimQuery, d: int, rec_row: list[int], red_row: list[int]) -> DimensionRecord:
-    """``compute_record`` given D(m, n) and both K rows K(m, n, 0..n) of the query's (m, n)."""
+    """``compute_record`` given D(m, n) and both K rows K(m, n, 0..r') of its (m, n), r' >= r."""
     m, n, r = query.m, query.n, query.r
     k_rec = rec_row[r]
     k_red = red_row[r]
@@ -385,7 +408,7 @@ def _record(query: DimQuery, d: int, rec_row: list[int], red_row: list[int]) -> 
     i_hyp: Fraction | None
     hyp_error: str | None
     try:
-        i_hyp = dim_I_hyp(m, n, r)
+        i_hyp = _i_hyp(m, n, r, d)
         hyp_error = None
     except HyperEvalError as exc:
         i_hyp = None
@@ -422,9 +445,10 @@ def iter_table(
     first record is computed, so bad input raises DomainError before a
     caller writes anything. Records are computed as they are asked for and
     none is kept, so a caller that writes each one out runs in constant
-    memory however large the ranges are. D and both K rows are built once
-    per (m, n), when its first record is asked for, and serve all its r;
-    each record equals ``compute_record`` of its query.
+    memory however large the ranges are. D and both full K rows
+    K(m, n, 0..n) are built once per (m, n), when its first record is asked
+    for, and serve all its r; each record equals ``compute_record`` of its
+    query.
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
@@ -441,7 +465,8 @@ def iter_table(
     def records() -> Iterator[DimensionRecord]:
         for m in range(m_lo, m_hi + 1):
             for n in range(n_lo, n_hi + 1):
-                d, rec_row, red_row = dim_D(m, n), _k_recursion_row(m, n), _k_reduction_row(m, n)
+                d = dim_D(m, n)
+                rec_row, red_row = _k_recursion_row(m, n, n), _k_reduction_row(m, n, n)
                 for r in r_values(n):
                     yield _record(DimQuery(m, n, r), d, rec_row, red_row)
 

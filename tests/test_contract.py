@@ -2,6 +2,7 @@
 tables", a fixed public surface, and a README example that runs."""
 
 import ast
+import hashlib
 import importlib
 import re
 import sys
@@ -134,3 +135,38 @@ def test_readme_library_example_runs():
     assert (report.r, report.lambda_infinity) == (1, Fraction(-13, 12))
     assert isinstance(last, ast.Expr)
     assert eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace) == Fraction(8, 35)
+
+
+# sha256 of large CLI outputs, taken before the K rows were sized to the query.
+# A change of algorithm must not move a single byte of any of them. The exit
+# code is 2 where the n = 1 hyp_error records make the routes disagree.
+TABLE_SHA256 = {
+    "all": (2, "561fc34bf99888866da08ad4689c042f024eeb5ba4601379041e045d13570458"),
+    "only-n": (2, "569e24bbb2c4913536b5004730d293889f2098e60752c2711e68e4d16b79da7c"),
+    "only-n-minus-1": (0, "6a0ae92d98a777aaf451db72435457c8345cc802ad328b5837bc1fc73684105c"),
+}
+# Each point's exit code and JSON, in this order, under one sha256.
+DIMS_SHA256 = "94ba1b2ccb1ca6a680dff2770e7d813473028932d8a564ddc5858c7f6241c3d6"
+# m = 200 - 37i mod 200 visits every m in 1..200 once and n = 80 - 53i mod 80
+# every n in 1..80; r strides over 0..n.
+DIMS_POINTS = [
+    (200 - 37 * i % 200, n, n - 29 * i % (n + 1)) for i in range(200) for n in [80 - 53 * i % 80]
+]
+
+
+@pytest.mark.parametrize("r_policy", TABLE_SHA256)
+def test_table_csv_digest_is_pinned(run_cli, r_policy):
+    argv = ("table", "--m-range", "1..40", "--n-range", "1..30", "--r-policy", r_policy)
+    code, out, err = run_cli(*argv, "--format", "csv")
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == TABLE_SHA256[r_policy]
+
+
+def test_dims_json_digest_is_pinned(run_cli):
+    digest = hashlib.sha256()
+    for m, n, r in DIMS_POINTS:
+        argv = ("dims", "-m", str(m), "-n", str(n), "-r", str(r))
+        code, out, err = run_cli(*argv, "--format", "json")
+        assert err == ""
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == DIMS_SHA256

@@ -1,6 +1,8 @@
 import functools
+import itertools
 import json
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -240,9 +242,9 @@ class TestComputeRecord:
     @pytest.mark.parametrize(
         "route,forced",
         [
-            ("_k_recursion_row", lambda m, n: [-1] * (n + 1)),
-            ("_k_reduction_row", lambda m, n: [36] * (n + 1)),
-            ("dim_I_hyp", lambda m, n, r: Fraction(-1, 2)),
+            ("_k_recursion_row", lambda m, n, r: [-1] * (r + 1)),
+            ("_k_reduction_row", lambda m, n, r: [36] * (r + 1)),
+            ("_i_hyp", lambda m, n, r, d: Fraction(-1, 2)),
             ("_alternating_sums", lambda m, n, r: (36, 8)),
             ("_alternating_sums", lambda m, n, r: (27, -1)),
         ],
@@ -261,6 +263,15 @@ class TestComputeRecord:
         rec = compute_record(DimQuery(4, 5, 3))
         assert not rec.routes_agree
         assert not rec.in_validity_range
+
+    def test_record_validates_once_and_computes_D_once(self, monkeypatch):
+        calls = []
+        validate, d = dims._validate, dims.dim_D
+        monkeypatch.setattr(dims, "_validate", lambda *a: calls.append(a) or validate(*a))
+        monkeypatch.setattr(dims, "dim_D", lambda *a: calls.append(a) or d(*a))
+        rec = compute_record(DimQuery(7, 9, 4))
+        assert calls.count((7, 9, 4)) == 1 and calls.count((7, 9)) == 1
+        assert rec.routes_agree
 
     def test_r_zero_record(self):
         rec = compute_record(DimQuery(5, 7, 0))
@@ -407,6 +418,84 @@ class TestRowBuildersMatchMemoizedOracle:
         assert dim_K_reduction(m, 80, r) == _k_reduction(m, 80, r)
 
 
+# The full-row builders the triangles replaced, kept verbatim as an oracle:
+# each builds K(m, n, 0..n) at every level from the base of m's parity chain.
+
+
+def _k_base_row(m: int, n: int) -> list[int]:
+    return list(range(n + 1)) if m % 2 == 0 else [0] * (n + 1)
+
+
+def _k_recursion_full_row(m: int, n: int) -> list[int]:
+    row = _k_base_row(m, n)
+    for step in range(4 - m % 2, m + 1, 2):
+        d = dim_D(step - 2, n)
+        row = list(itertools.accumulate((d - old for old in row[:-1]), initial=0))
+    return row
+
+
+def _k_reduction_full_row(m: int, n: int) -> list[int]:
+    row = _k_base_row(m, n)
+    for step in range(4 - m % 2, m + 1, 2):
+        d = dim_D(step - 2, n)
+        prefix = itertools.accumulate(row[:-1], initial=0)
+        row = [r * d - acc for r, acc in enumerate(prefix)]
+    return row
+
+
+class TestTriangleBuilders:
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=1, max_value=80),
+        st.data(),
+    )
+    def test_triangle_is_the_full_row_cut_to_r(self, m, n, data):
+        r = data.draw(st.integers(min_value=0, max_value=n))
+        assert dims._k_recursion_row(m, n, r) == _k_recursion_full_row(m, n)[: r + 1]
+        assert dims._k_reduction_row(m, n, r) == _k_reduction_full_row(m, n)[: r + 1]
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 80), (3, 1), (199, 80), (200, 80)])
+    def test_every_r_at_the_corners(self, m, n):
+        rec_row, red_row = _k_recursion_full_row(m, n), _k_reduction_full_row(m, n)
+        for r in range(n + 1):
+            assert dims._k_recursion_row(m, n, r) == rec_row[: r + 1]
+            assert dims._k_reduction_row(m, n, r) == red_row[: r + 1]
+
+    @pytest.mark.parametrize(
+        "m,n,r",
+        [(1, 5, 5), (2, 5, 5), (3, 5, 0), (7, 9, 4), (8, 9, 2), (9, 4, 4), (200, 80, 80)],
+    )
+    def test_compute_record_gets_rows_of_width_r_plus_1(self, monkeypatch, m, n, r):
+        widths = []
+        record = dims._record
+
+        def measured(query, d, rec_row, red_row):
+            widths.append((len(rec_row), len(red_row)))
+            return record(query, d, rec_row, red_row)
+
+        monkeypatch.setattr(dims, "_record", measured)
+        assert compute_record(DimQuery(m, n, r)).routes_agree
+        assert widths == [(r + 1, r + 1)]
+
+    @pytest.mark.parametrize("builder", ["_k_recursion_row", "_k_reduction_row"])
+    @pytest.mark.parametrize(
+        "m,n,r", [(1, 5, 5), (2, 5, 5), (7, 9, 4), (8, 9, 2), (200, 80, 80), (10**13, 3, 2)]
+    )
+    def test_each_step_is_one_dim_D(self, monkeypatch, builder, m, n, r):
+        # The triangle takes min((m-1)//2, r) steps, one D(m'-2, n) each.
+        levels = []
+
+        def counting(m_, n_):
+            levels.append(m_)
+            return dim_D(m_, n_)
+
+        monkeypatch.setattr(dims, "dim_D", counting)
+        steps = min((m - 1) // 2, r)
+        assert len(getattr(dims, builder)(m, n, r)) == r + 1
+        assert levels == list(range(m - 2 * steps, m - 1, 2))
+
+
 class TestDeepInputsAndBoundedTables:
     def test_cli_deep_query_answers(self, capsys):
         assert cli.main(["dims", "-m", "3", "-n", "990", "-r", "990", "--format", "json"]) == 0
@@ -414,6 +503,33 @@ class TestDeepInputsAndBoundedTables:
         expected = 990 * 989
         assert rec["K_recursion"] == rec["K_reduction"] == rec["K_closed"] == expected
         assert rec["routes_agree"] is True
+
+    @pytest.mark.parametrize(
+        "m,n,r,K",
+        [
+            (10**13, 2, 0, 0),
+            # K = 2 D(m-2, 3) - D(m-4, 3) = 2 (m-1) - (m-3) = m + 1 = D(m, 3).
+            (10**13, 3, 2, 10**13 + 1),
+            # K = 3 D(m-2, 80) - 3 D(m-4, 80) + D(m-6, 80), with D(M, 80) = C(M+78, 78).
+            (
+                10**6,
+                80,
+                3,
+                3 * math.comb(10**6 + 76, 78)
+                - 3 * math.comb(10**6 + 74, 78)
+                + math.comb(10**6 + 72, 78),
+            ),
+        ],
+    )
+    def test_huge_m_with_small_r_answers_at_once(self, m, n, r, K):
+        # The rows climb min((m-1)//2, r) levels, not the (m-1)//2 of m's
+        # whole parity chain, so each of these takes milliseconds.
+        start = time.perf_counter()
+        rec = compute_record(DimQuery(m, n, r))
+        assert time.perf_counter() - start < 1
+        assert rec.routes_agree
+        assert rec.D == math.comb(n + m - 2, m)
+        assert (rec.K, rec.I) == (K, rec.D - K)
 
     def test_m4_full_resonance_at_n_3000(self):
         n = r = 3000
@@ -430,9 +546,9 @@ class TestDeepInputsAndBoundedTables:
             calls = builds[name] = []
             build = getattr(dims, name)
 
-            def counted(m, n):
+            def counted(m, n, r):
                 calls.append((m, n))
-                return build(m, n)
+                return build(m, n, r)
 
             return counted
 
