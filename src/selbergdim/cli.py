@@ -32,7 +32,9 @@ before its first line, so it is built whole and then written.
 
 Exit codes:
     0  success (all routes agree / assumptions hold / all checks pass)
-    1  usage, parse or I/O error
+    1  usage, parse or I/O error, or a value with more digits than the
+       interpreter's int-to-str limit (``PYTHONINTMAXSTRDIGITS=0`` lifts it);
+       a streamed table stops at that record
     2  route disagreement or a failed verification suite
     3  resonance assumptions violated (classify; report still printed)
   141  stdout was closed before all output was written (``... | head``);
@@ -160,6 +162,30 @@ def _csv_row(cells: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 # record rendering
 
+
+class _DigitLimitError(Exception):
+    """A value to render has more digits than the int-to-str limit allows."""
+
+
+def _digit_limited(render: Callable[..., str]) -> Callable[..., str]:
+    """``render``, with the digit limit's ValueError raised as _DigitLimitError.
+
+    Rendering a record or a report turns ints into text and raises no other
+    ValueError, so any it raises is that limit's.
+    """
+
+    def checked(*args: Any) -> str:
+        try:
+            return render(*args)
+        except ValueError:
+            raise _DigitLimitError(
+                "a value has more digits than the interpreter's int-to-str limit "
+                f"({sys.get_int_max_str_digits()}); PYTHONINTMAXSTRDIGITS=0 lifts it"
+            ) from None
+
+    return checked
+
+
 # A record cell by value type: an int as digits, a rational as p/q text,
 # a bool as true/false, a missing value as an empty cell.
 _CSV_CELL: dict[type, Callable[[Any], str]] = {
@@ -170,6 +196,7 @@ _CSV_CELL: dict[type, Callable[[Any], str]] = {
 }
 
 
+@_digit_limited
 def _record_cells(rec: DimensionRecord) -> list[str]:
     return [_CSV_CELL[type(value)](value) for value in _csv_values(rec)]
 
@@ -211,9 +238,11 @@ def _records_pretty_table(records: Sequence[DimensionRecord]) -> str:
 
 
 _DIMS_RENDERERS: dict[str, Callable[[DimensionRecord], str]] = {
-    "pretty": _record_pretty,
-    "json": lambda rec: _json_text(_record_json_dict(rec)),
-    "csv": lambda rec: _lines([_csv_row(CSV_COLUMNS), _csv_row(_record_cells(rec))]),
+    "pretty": _digit_limited(_record_pretty),
+    "json": _digit_limited(lambda rec: _json_text(_record_json_dict(rec))),
+    "csv": _digit_limited(
+        lambda rec: _lines([_csv_row(CSV_COLUMNS), _csv_row(_record_cells(rec))])
+    ),
 }
 
 
@@ -225,6 +254,7 @@ _JSON_ITEM_SEPARATORS = (",\n    ", ": ")
 _JSON_ITEM_ENCODER = json.JSONEncoder(separators=_JSON_ITEM_SEPARATORS)
 
 
+@_digit_limited
 def _record_json_item(rec: DimensionRecord) -> str:
     """One record as ``json.dumps(records, indent=2)`` writes it inside the list."""
     fields = _JSON_ITEM_ENCODER.encode(_record_json_dict(rec))[1:-1]
@@ -350,7 +380,11 @@ def _classify_csv(
     return _lines([_csv_row(header), _csv_row(cells)])
 
 
-_CLASSIFY_RENDERERS = {"pretty": _classify_pretty, "json": _classify_json, "csv": _classify_csv}
+_CLASSIFY_RENDERERS = {
+    "pretty": _digit_limited(_classify_pretty),
+    "json": _digit_limited(_classify_json),
+    "csv": _digit_limited(_classify_csv),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +549,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ConfigParseError) as exc:  # input outside the domain
+    # Input outside the domain, or an answer too long to print.
+    except (DomainError, ConfigParseError, _DigitLimitError) as exc:
         return _usage_error(args, str(exc))
 
 

@@ -343,9 +343,9 @@ def dim_I_hyp(m: int, n: int, r: int) -> Fraction:
 
 def _i_hyp(m: int, n: int, r: int, d: int) -> Fraction:
     """``dim_I_hyp`` given the prefactor d = D(m, n), for an already valid query."""
-    value, _ = _eval_scaled_3f2(-2 * r, -m, 1 - m, 2 - n - m, 3 - n - m, 2, 1, 1)
-    # One reduced Fraction from ints, without int * Fraction's dispatch.
-    return Fraction(d * value.numerator, value.denominator)
+    num, den, _ = _eval_scaled_3f2(-2 * r, -m, 1 - m, 2 - n - m, 3 - n - m, 2, 1, 1)
+    # The one reduced Fraction, from the kernel's unreduced pair.
+    return Fraction(d * num, den)
 
 
 class ExtremeImageDims(NamedTuple):

@@ -17,11 +17,11 @@ series agree with the finite alternating sums it is used to repackage
 The walk itself runs on plain ints. All five parameters are scaled to
 integers over their common denominator L, so each step multiplies by an
 integer ratio of numerator and denominator factors, and the partial sum is
-carried as one integer numerator over one shared integer denominator. A
-Fraction is built only once, from the final pair, so the loop performs no
-gcd. The scaling multiplies each factor by a nonzero constant, so an
-integer factor is zero exactly when the rational one is and the
-zero-numerator-first rule is unchanged. The kernel,
+carried as one integer numerator over one shared integer denominator. The
+kernel returns that pair unreduced, so the loop performs no gcd; a caller
+that needs a value builds the one Fraction from it. The scaling multiplies
+each factor by a nonzero constant, so an integer factor is zero exactly
+when the rational one is and the zero-numerator-first rule is unchanged. The kernel,
 :func:`_eval_scaled_3f2`, takes the scaled integers themselves, and
 :func:`_scale` is the one place that computes L: the lcm of the
 denominators, with every value as an int over it.
@@ -35,16 +35,20 @@ Everything downstream of the series is an identity checker:
 * The Pochhammer identity a (a+1)_k (b)_k - b (a)_k (b+1)_k =
   (a-b) (a)_k (b)_k that the contiguity relation rests on.
 
-The identity checks run on plain ints as well. Each scales its parameters
-once with :func:`_scale`, so every series is a direct kernel call and
-every Pochhammer symbol is an int rising product from
-:func:`selbergdim.exactnum.scaled_rising` over a power of L; a closed form
-or a residual is one integer combination with one Fraction built from it.
-The Pfaff-Saalschuetz check compares the series value with the closed
-form's unreduced (num, den) pair by cross-multiplication, and the
-contiguity residual combines the three series values over the product of
-their denominators. ``HypParams3F2`` and :func:`eval_terminating_3f2` are
-the public front end for callers outside the package.
+The identity checks run on plain ints as well. Each has a scaled form
+(:func:`_pfaff_scaled`, :func:`_contiguity_scaled`,
+:func:`_pochhammer_scaled`) that takes its rational inputs as ints over one
+common denominator L, so every series is a direct kernel call and every
+Pochhammer symbol is an int rising product from
+:func:`selbergdim.exactnum.scaled_rising` over a power of L. The
+Pfaff-Saalschuetz check cross-multiplies the series' pair with the closed
+form's unreduced (num, den) pair, and a residual is returned as one
+unreduced (num, den) pair, zero exactly when num is. The public checkers
+are thin wrappers that scale their inputs once with :func:`_scale` and
+build a Fraction only where they return one; the seeded suites call the
+scaled forms directly with draws that are already ints over L.
+``HypParams3F2`` and :func:`eval_terminating_3f2` are the public front end
+for callers outside the package.
 
 The residual functions return exact values whose contract is "always
 zero"; they exist so that a violation would be a loud, reproducible
@@ -122,8 +126,8 @@ class HypParams3F2:
 
 def _eval_scaled_3f2(
     p1: int, p2: int, p3: int, q1: int, q2: int, L: int, u: int, v: int
-) -> tuple[Fraction, int]:
-    """Sum 3F2(p1/L, p2/L, p3/L; q1/L, q2/L; u/v); return (value, terms summed).
+) -> tuple[int, int, int]:
+    """Sum 3F2(p1/L, p2/L, p3/L; q1/L, q2/L; u/v); return (num, den, terms summed).
 
     The series kernel, on plain ints: every parameter is an integer over the
     common denominator L > 0 and the argument is u/v with v > 0. It is
@@ -140,8 +144,9 @@ def _eval_scaled_3f2(
 
     The partial sum is kept as ``total / den`` over one shared integer
     denominator: each step multiplies ``total`` and ``den`` by the same
-    step factor and adds the new term's numerator. The only Fraction is
-    built once, from the final pair.
+    step factor and adds the new term's numerator. The final pair is
+    returned as it is: not reduced, and ``den`` nonzero but possibly
+    negative.
 
     The zero tests see exactly what a rational loop would. Since L, u and v
     never enter them, (a)_{k+1} vanishes iff (p1+kL)(p2+kL)(p3+kL) does,
@@ -169,7 +174,7 @@ def _eval_scaled_3f2(
         if step_num == 0:
             # Termination: every later numerator stays zero, including any
             # index where a denominator factor would also vanish.
-            return Fraction(total, den), k
+            return total, den, k
         step_den = q1 * q2 * k
         if step_den == 0:
             raise PoleBeforeTerminationError(k)
@@ -195,11 +200,13 @@ def _eval_terms(params: HypParams3F2) -> tuple[Fraction, int]:
     """Evaluate the series; return (value, number of terms actually summed).
 
     Scales the five parameters with :func:`_scale` and hands them to
-    :func:`_eval_scaled_3f2`, the one kernel.
+    :func:`_eval_scaled_3f2`, the one kernel, and builds the one Fraction
+    from the pair it returns.
     """
     L, p1, p2, p3, q1, q2 = _scale(*params.upper, *params.lower)
     x = params.argument
-    return _eval_scaled_3f2(p1, p2, p3, q1, q2, L, x.numerator, x.denominator)
+    num, den, terms = _eval_scaled_3f2(p1, p2, p3, q1, q2, L, x.numerator, x.denominator)
+    return Fraction(num, den), terms
 
 
 def eval_terminating_3f2(params: HypParams3F2) -> Fraction:
@@ -218,23 +225,35 @@ def eval_terminating_3f2(params: HypParams3F2) -> Fraction:
     return value
 
 
-def _pfaff_rhs_pair(a: Fraction, b: Fraction, c: Fraction, j: int) -> tuple[int, int]:
+def _pfaff_rhs_pair(L: int, A: int, B: int, C: int, j: int) -> tuple[int, int]:
     """Unreduced (num, den) of the Pfaff-Saalschuetz closed form, den != 0.
 
-    Over the common denominator L the four parameters c, c-a-b, c-a and
-    c-b are C/L, (C-A-B)/L, (C-A)/L and (C-B)/L, so each (x/L)_j is an
-    int rising product over L^j and the L^j cancel in the ratio. Both
+    With a, b, c = A/L, B/L, C/L the four parameters c, c-a-b, c-a and c-b
+    are C/L, (C-A-B)/L, (C-A)/L and (C-B)/L, so each (x/L)_j is an int
+    rising product over L^j and the L^j cancel in the ratio. Both
     denominator products are tested for zero as ints; L^j != 0, so either
-    vanishes exactly when its Pochhammer symbol does.
+    vanishes exactly when its Pochhammer symbol does. Only the error
+    message builds Fractions: a, b and c, reduced.
     """
-    L, A, B, C = _scale(a, b, c)
     den = scaled_rising(C, L, j)
     den_cab = scaled_rising(C - A - B, L, j)
     if den == 0 or den_cab == 0:
+        a, b, c = Fraction(A, L), Fraction(B, L), Fraction(C, L)
         raise ZeroDenominatorError(
             f"(c)_{j} or (c-a-b)_{j} vanishes for a={a}, b={b}, c={c}"
         )
     return scaled_rising(C - A, L, j) * scaled_rising(C - B, L, j), den * den_cab
+
+
+def _pfaff_scaled(L: int, A: int, B: int, C: int, j: int) -> bool:
+    """:func:`pfaff_saalschutz_check` for a, b, c = A/L, B/L, C/L, on ints.
+
+    The series is evaluated first, so its errors come before the closed
+    form's; the two unreduced pairs are compared by cross-multiplication.
+    """
+    num, den, _ = _eval_scaled_3f2(A, B, -j * L, C, L + A + B - C - j * L, L, 1, 1)
+    rn, rd = _pfaff_rhs_pair(L, A, B, C, j)
+    return num * rd == rn * den
 
 
 def pfaff_saalschutz_rhs(
@@ -252,8 +271,7 @@ def pfaff_saalschutz_rhs(
     Raises:
         ZeroDenominatorError: (c)_j or (c-a-b)_j vanishes.
     """
-    num, den = _pfaff_rhs_pair(as_fraction(a), as_fraction(b), as_fraction(c), j)
-    return Fraction(num, den)
+    return Fraction(*_pfaff_rhs_pair(*_scale(as_fraction(a), as_fraction(b), as_fraction(c)), j))
 
 
 def pfaff_saalschutz_check(
@@ -269,11 +287,21 @@ def pfaff_saalschutz_check(
     :func:`pfaff_saalschutz_rhs`, compared as an unreduced int pair by
     cross-multiplication. Evaluation errors on either side propagate.
     """
-    a, b, c = as_fraction(a), as_fraction(b), as_fraction(c)
-    L, A, B, C = _scale(a, b, c)
-    lhs, _ = _eval_scaled_3f2(A, B, -j * L, C, L + A + B - C - j * L, L, 1, 1)
-    rn, rd = _pfaff_rhs_pair(a, b, c, j)
-    return lhs.numerator * rd == rn * lhs.denominator
+    return _pfaff_scaled(*_scale(as_fraction(a), as_fraction(b), as_fraction(c)), j)
+
+
+def _contiguity_scaled(L: int, A: int, B: int, C: int, j: int) -> tuple[int, int]:
+    """:func:`contiguity_residual` for a, b, c = A/L, B/L, C/L, as (num, den).
+
+    The three series are direct kernel calls with pairs n_i/d_i, and the
+    combination is taken on ints over L d1 d2 d3, not reduced.
+    """
+    minus_j, lower = -j * L, A + B - C + (2 - j) * L
+    n1, d1, _ = _eval_scaled_3f2(A, B, minus_j, C, lower, L, 1, 1)
+    n2, d2, _ = _eval_scaled_3f2(A + L, B, minus_j, C, lower, L, 1, 1)
+    n3, d3, _ = _eval_scaled_3f2(A, B + L, minus_j, C, lower, L, 1, 1)
+    num = (B - A) * n1 * d2 * d3 + A * n2 * d1 * d3 - B * n3 * d1 * d2
+    return num, L * d1 * d2 * d3
 
 
 def contiguity_residual(
@@ -290,20 +318,26 @@ def contiguity_residual(
 
     All three series must be defined: an input whose shared lower row
     produces a pole before termination raises, it is not interpreted as a
-    limit. With a, b, c over one denominator L and F values n_i/d_i, the
-    three series are direct kernel calls and the combination is taken on
-    ints over L d1 d2 d3; one Fraction is built.
+    limit. The combination is taken on ints over one denominator and one
+    Fraction is built.
     """
-    L, A, B, C = _scale(as_fraction(a), as_fraction(b), as_fraction(c))
-    minus_j, lower = -j * L, A + B - C + (2 - j) * L
-    f1, _ = _eval_scaled_3f2(A, B, minus_j, C, lower, L, 1, 1)
-    f2, _ = _eval_scaled_3f2(A + L, B, minus_j, C, lower, L, 1, 1)
-    f3, _ = _eval_scaled_3f2(A, B + L, minus_j, C, lower, L, 1, 1)
-    n1, d1 = f1.numerator, f1.denominator
-    n2, d2 = f2.numerator, f2.denominator
-    n3, d3 = f3.numerator, f3.denominator
-    num = (B - A) * n1 * d2 * d3 + A * n2 * d1 * d3 - B * n3 * d1 * d2
-    return Fraction(num, L * d1 * d2 * d3)
+    return Fraction(
+        *_contiguity_scaled(*_scale(as_fraction(a), as_fraction(b), as_fraction(c)), j)
+    )
+
+
+def _pochhammer_scaled(L: int, A: int, B: int, k: int) -> tuple[int, int]:
+    """:func:`pochhammer_identity_residual` for a, b = A/L, B/L, as (num, den).
+
+    The residual times L^(2k+1) is an int built from the rising products of
+    :func:`scaled_rising`; the pair is not reduced.
+    """
+    ra1 = scaled_rising(A + L, L, k)
+    rb = scaled_rising(B, L, k)
+    ra = scaled_rising(A, L, k)
+    rb1 = scaled_rising(B + L, L, k)
+    num = A * ra1 * rb - B * ra * rb1 - (A - B) * ra * rb
+    return num, L ** (2 * k + 1)
 
 
 def pochhammer_identity_residual(
@@ -313,14 +347,7 @@ def pochhammer_identity_residual(
 ) -> Fraction:
     """a (a+1)_k (b)_k - b (a)_k (b+1)_k - (a-b) (a)_k (b)_k; always zero.
 
-    With a = A/L and b = B/L over one denominator L, the residual times
-    L^(2k+1) is an int built from the rising products of
-    :func:`scaled_rising`; one Fraction is built from it.
+    The residual is taken on ints over a power of the common denominator
+    of a and b, and one Fraction is built from it.
     """
-    L, A, B = _scale(as_fraction(a), as_fraction(b))
-    ra1 = scaled_rising(A + L, L, k)
-    rb = scaled_rising(B, L, k)
-    ra = scaled_rising(A, L, k)
-    rb1 = scaled_rising(B + L, L, k)
-    num = A * ra1 * rb - B * ra * rb1 - (A - B) * ra * rb
-    return Fraction(num, L ** (2 * k + 1))
+    return Fraction(*_pochhammer_scaled(*_scale(as_fraction(a), as_fraction(b)), k))

@@ -9,9 +9,14 @@ counterexample.
 Randomized suites draw parameters from a self-contained 64-bit linear
 congruential generator (documented in the README) rather than the host
 language's RNG, so a reported counterexample is reproducible from
-(suite, seed, cases) alone, in any reimplementation. Draws that hit a
-declared error case (a pole before termination, a vanishing closed-form
-denominator) are skipped and counted; ``cases`` counts actual checks.
+(suite, seed, cases) alone, in any reimplementation. A draw's rationals are
+taken as scaled ints, (L, p1 L/q1, ...) with L the lcm of the denominators
+as drawn, in the same order as one ``rational()`` call each, and go
+straight to the identity checks' int forms: a passing check builds no
+Fraction, and a counterexample prints each input as the reduced p/q. Draws
+that hit a declared error case (a pole before termination, a vanishing
+closed-form denominator) are skipped and counted; ``cases`` counts actual
+checks.
 
 Exhaustive suites ignore seed and cases:
 
@@ -27,6 +32,7 @@ Exhaustive suites ignore seed and cases:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
@@ -57,11 +63,23 @@ class Lcg:
         self.state = (_LCG_MULT * self.state + _LCG_INC) & _LCG_MASK
         return lo + (self.state >> 33) % (hi - lo + 1)
 
+    def _draw(self, rng_num: int, max_den: int) -> tuple[int, int]:
+        """Numerator in [-rng_num, rng_num], then denominator in [1, max_den]."""
+        return self.randint(-rng_num, rng_num), self.randint(1, max_den)
+
     def rational(self, rng_num: int = 8, max_den: int = 4) -> Fraction:
         """Draw numerator in [-rng_num, rng_num], then denominator in [1, max_den]."""
-        num = self.randint(-rng_num, rng_num)
-        den = self.randint(1, max_den)
-        return Fraction(num, den)
+        return Fraction(*self._draw(rng_num, max_den))
+
+    def scaled(self, k: int) -> tuple[int, ...]:
+        """k ``rational()`` draws as (L, p1 L/q1, ..., pk L/qk), all plain ints.
+
+        L is the lcm of the denominators as drawn, so it may carry a factor
+        the reduced rationals do not need (2/2 gives L = 2).
+        """
+        draws = [self._draw(8, 4) for _ in range(k)]
+        L = math.lcm(*[q for _, q in draws])
+        return (L, *[p * (L // q) for p, q in draws])
 
 
 @dataclass(frozen=True)
@@ -78,23 +96,32 @@ class SuiteResult:
 
 
 # A check takes one input and returns None when it holds, else the text
-# (possibly empty) that follows the inputs in a counterexample.
+# (possibly empty) that follows the inputs in a counterexample. A seeded
+# check takes its draw as it comes from Lcg.scaled, (L, P1, ..., Pk, j),
+# and calls the identity's int form.
 
 
-def _pfaff(a: Fraction, b: Fraction, c: Fraction, j: int) -> str | None:
-    return None if hyper.pfaff_saalschutz_check(a, b, c, j) else ""
+def _pfaff(L: int, A: int, B: int, C: int, j: int) -> str | None:
+    return None if hyper._pfaff_scaled(L, A, B, C, j) else ""
 
 
-def _residual(residual: Fraction) -> str | None:
-    return None if residual == 0 else f" residual={format_rational(residual)}"
+def _residual(pair: tuple[int, int]) -> str | None:
+    num, den = pair
+    return None if num == 0 else f" residual={format_rational(Fraction(num, den))}"
 
 
-def _contiguity(a: Fraction, b: Fraction, c: Fraction, j: int) -> str | None:
-    return _residual(hyper.contiguity_residual(a, b, c, j))
+def _contiguity(L: int, A: int, B: int, C: int, j: int) -> str | None:
+    return _residual(hyper._contiguity_scaled(L, A, B, C, j))
 
 
-def _pochhammer(a: Fraction, b: Fraction, k: int) -> str | None:
-    return _residual(hyper.pochhammer_identity_residual(a, b, k))
+def _pochhammer(L: int, A: int, B: int, k: int) -> str | None:
+    return _residual(hyper._pochhammer_scaled(L, A, B, k))
+
+
+def _unscaled(draw: tuple[int, ...]) -> tuple[Fraction | int, ...]:
+    """A seeded draw (L, P1, ..., Pk, j) as its inputs: each P/L reduced, then j."""
+    L, *scaled, last = draw
+    return (*(Fraction(p, L) for p in scaled), last)
 
 
 def _hockey(r: int, s: int) -> str | None:
@@ -132,21 +159,21 @@ class _Suite(NamedTuple):
     names: str  # the inputs' names, as a counterexample prints them
     check: Callable[..., str | None]
     cases: int | None  # default number of checks; None for an exhaustive suite
-    inputs: Callable[..., Any]  # seeded: draw(rng) gives one input; else grid() gives all
+    inputs: Callable[..., Any]  # seeded: draw(rng) gives one scaled draw; else grid() gives all
 
 
 _SUITES: dict[str, _Suite] = {
     "pfaff": _Suite(
         "a b c j", _pfaff, 500,
-        lambda rng: (rng.rational(), rng.rational(), rng.rational(), rng.randint(1, 8)),
+        lambda rng: (*rng.scaled(3), rng.randint(1, 8)),
     ),
     "contiguity": _Suite(
         "a b c j", _contiguity, 200,
-        lambda rng: (rng.rational(), rng.rational(), rng.rational(), rng.randint(0, 10)),
+        lambda rng: (*rng.scaled(3), rng.randint(0, 10)),
     ),
     "pochhammer": _Suite(
         "a b k", _pochhammer, 200,
-        lambda rng: (rng.rational(), rng.rational(), rng.randint(0, 10)),
+        lambda rng: (*rng.scaled(2), rng.randint(0, 10)),
     ),
     "hockey": _Suite(
         "r s", _hockey, None,
@@ -194,7 +221,8 @@ def _run(name: str, seed: int, cases: int | None) -> SuiteResult:
         else:
             failed += 1
             if counterexample is None:
-                named = zip(suite.names.split(), args)
+                shown = args if suite.cases is None else _unscaled(args)
+                named = zip(suite.names.split(), shown)
                 counterexample = " ".join(f"{k}={format_rational(v)}" for k, v in named) + detail
         if passed + failed == cases:
             break

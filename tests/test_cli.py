@@ -1,14 +1,21 @@
 import csv
 import io
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, GOLDEN_CASES, compare_golden
+import selbergdim
 from selbergdim import cli, resonance
+from selbergdim.dims import DimQuery, compute_record
 from selbergdim.resonance import config_from_json
 
 
@@ -97,6 +104,56 @@ class TestExitCodes:
         code, out, _ = run_cli("verify", "pochhammer", "--cases", "5")
         assert code == 0
         assert "all checks passed" in out
+
+
+# D = C(19998, 10000) has 6,018 digits, over the default int-to-str limit.
+BIG_DIMS = ("dims", "-m", "10000", "-n", "10000", "-r", "2")
+DIGIT_LIMIT_HINT = "PYTHONINTMAXSTRDIGITS=0 lifts it"
+
+
+class TestDigitLimit:
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_dims_over_the_limit_is_one_error_line(self, run_cli, fmt):
+        code, out, err = run_cli(*BIG_DIMS, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "more digits than the interpreter's int-to-str limit" in err
+        assert DIGIT_LIMIT_HINT in err
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_table_stops_at_the_record_over_the_limit(self, run_cli, monkeypatch, fmt):
+        small = compute_record(DimQuery(2, 4, 1))
+        big = compute_record(DimQuery(10000, 10000, 2))
+        monkeypatch.setattr(cli, "iter_table", lambda *args: iter([small, big, small]))
+        code, out, err = run_cli("table", "--m-range", "2..2", "--n-range", "4..4",
+                                 "--format", fmt)
+        assert code == 1
+        assert err.count("\n") == 1 and DIGIT_LIMIT_HINT in err
+        # csv and json stream: the record before the long one is already out.
+        assert out == {
+            "csv": "m,n,r,D,K_recursion,K_reduction,K_closed,I_sum,I_hyp,I_subtract,"
+                   "routes_agree,in_validity_range\n2,4,1,6,1,1,1,5,5,5,true,true\n",
+            "json": "[\n" + cli._record_json_item(small),
+            "pretty": "",
+        }[fmt]
+
+    def test_lifted_limit_prints_the_exact_record(self):
+        src = Path(selbergdim.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "selbergdim", *BIG_DIMS, "--format", "json"],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            doc = json.loads(proc.stdout)
+            expected = cli._record_json_dict(compute_record(DimQuery(10000, 10000, 2)))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert doc == expected
+        assert doc["D"] == math.comb(19998, 10000)
 
 
 class TestDeterminism:

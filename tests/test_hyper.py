@@ -229,13 +229,14 @@ class TestScaledKernel:
         scaled = [a.numerator * (L // a.denominator) for a in (*p.upper, *p.lower)]
 
         def direct(_):
-            return _eval_scaled_3f2(*scaled, L, x.numerator, x.denominator)
+            num, den, terms = _eval_scaled_3f2(*scaled, L, x.numerator, x.denominator)
+            return F(num, den), terms
 
         assert outcome(direct, p) == outcome(_eval_terms, p) == outcome(frozen_fraction_terms, p)
 
     def test_non_terminating_scaled_parameters(self):
         # -3/2 and -4/2 = -2 over L = 2: only the second is a non-positive integer.
-        assert _eval_scaled_3f2(-3, -4, 1, 5, 7, 2, 1, 1)[1] == 3
+        assert _eval_scaled_3f2(-3, -4, 1, 5, 7, 2, 1, 1)[2] == 3
         with pytest.raises(NonTerminatingError):
             _eval_scaled_3f2(-3, 4, 1, 5, 7, 2, 1, 1)
 
@@ -491,6 +492,78 @@ class TestIdentityKernelMatchesFractionLoops:
         assert type(pochhammer_identity_residual(7, 7, 3)) is Fraction
 
 
+def over_multiple(c, *values):
+    """(cL, v1 cL, ...) with L the lcm of the reduced denominators: a common
+    multiple with a spare factor c, as an unreduced draw such as 2/2 gives."""
+    values = [F(v) for v in values]
+    L = c * math.lcm(*(v.denominator for v in values))
+    return (L, *(v.numerator * (L // v.denominator) for v in values))
+
+
+def checker_outcome(fn, *args):
+    """A bool, a residual pair as its Fraction, or the exception class, message
+    and pole index."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is part of the outcome
+        return ("raised", type(exc), str(exc), getattr(exc, "k", None))
+    return F(*value) if type(value) is tuple else value
+
+
+spares = st.integers(min_value=1, max_value=5)
+any_orders = st.integers(min_value=-2, max_value=12)
+
+
+class TestScaledCheckersMatchPublic:
+    """Each int checker over any common multiple c'L gives what its public
+    Fraction counterpart gives."""
+
+    @settings(max_examples=300)
+    @given(identity_params, identity_params, identity_params, any_orders, spares)
+    def test_pfaff(self, a, b, c, j, spare):
+        scaled = over_multiple(spare, a, b, c)
+        assert checker_outcome(hyper._pfaff_scaled, *scaled, j) == checker_outcome(
+            pfaff_saalschutz_check, a, b, c, j
+        )
+        assert checker_outcome(hyper._pfaff_rhs_pair, *scaled, j) == checker_outcome(
+            pfaff_saalschutz_rhs, a, b, c, j
+        )
+
+    @settings(max_examples=200)
+    @given(identity_params, identity_params, identity_params, any_orders, spares)
+    def test_contiguity(self, a, b, c, j, spare):
+        assert checker_outcome(
+            hyper._contiguity_scaled, *over_multiple(spare, a, b, c), j
+        ) == checker_outcome(contiguity_residual, a, b, c, j)
+
+    @settings(max_examples=300)
+    @given(identity_params, identity_params, any_orders, spares)
+    def test_pochhammer(self, a, b, k, spare):
+        assert checker_outcome(
+            hyper._pochhammer_scaled, *over_multiple(spare, a, b), k
+        ) == checker_outcome(pochhammer_identity_residual, a, b, k)
+
+    @pytest.mark.parametrize("a, b, c, j", ZERO_FACTOR_CASES)
+    @pytest.mark.parametrize("spare", [1, 2, 6])
+    def test_zero_factor_and_negative_order_inputs(self, a, b, c, j, spare):
+        scaled = over_multiple(spare, a, b, c)
+        pairs = [
+            (hyper._pfaff_rhs_pair, pfaff_saalschutz_rhs),
+            (hyper._pfaff_scaled, pfaff_saalschutz_check),
+            (hyper._contiguity_scaled, contiguity_residual),
+        ]
+        for new, public in pairs:
+            assert checker_outcome(new, *scaled, j) == checker_outcome(public, a, b, c, j), new
+        assert checker_outcome(
+            hyper._pochhammer_scaled, *over_multiple(spare, a, b), j
+        ) == checker_outcome(pochhammer_identity_residual, a, b, j)
+
+    def test_zero_denominator_message_prints_reduced_inputs(self):
+        # a, b, c = 2/4, 4/4, 0/4 over a spare factor 4: (c)_1 = 0.
+        with pytest.raises(ZeroDenominatorError, match=r"for a=1/2, b=1, c=0$"):
+            hyper._pfaff_rhs_pair(4, 2, 4, 0, 1)
+
+
 class TestPfaffCheckIsLive:
     """A wrong closed form must make the check, and the pfaff suite, fail."""
 
@@ -498,8 +571,8 @@ class TestPfaffCheckIsLive:
     def off_by_one_rhs(self, monkeypatch):
         pair = hyper._pfaff_rhs_pair
 
-        def shifted(a, b, c, j):
-            rn, rd = pair(a, b, c, j)
+        def shifted(L, A, B, C, j):
+            rn, rd = pair(L, A, B, C, j)
             return rn + rd, rd
 
         monkeypatch.setattr(hyper, "_pfaff_rhs_pair", shifted)

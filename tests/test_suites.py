@@ -9,43 +9,48 @@ with them the LCG draw order, are pinned too.
 import csv
 import dataclasses
 import io
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from selbergdim import dims, hyper, suites
-from selbergdim.suites import DEFAULT_CASES, SUITE_NAMES, SuiteResult, run_suites
+from selbergdim.suites import DEFAULT_CASES, SUITE_NAMES, Lcg, SuiteResult, run_suites
 
 
 def test_pfaff_counterexample(monkeypatch):
-    check = hyper.pfaff_saalschutz_check
+    check = hyper._pfaff_scaled
 
-    def wrong_at_j3(a, b, c, j):
-        return check(a, b, c, j) and j != 3
+    def wrong_at_j3(L, A, B, C, j):
+        return check(L, A, B, C, j) and j != 3
 
-    monkeypatch.setattr(hyper, "pfaff_saalschutz_check", wrong_at_j3)
+    monkeypatch.setattr(hyper, "_pfaff_scaled", wrong_at_j3)
     assert run_suites("pfaff", 7, 40) == [SuiteResult("pfaff", 32, 8, 12, "a=-2 b=-1 c=6 j=3")]
 
 
 def test_contiguity_counterexample(monkeypatch):
-    residual = hyper.contiguity_residual
+    residual = hyper._contiguity_scaled
 
-    def shifted(a, b, c, j):
-        return residual(a, b, c, j) + (Fraction(1, 7) if j == 4 else 0)
+    def shifted(L, A, B, C, j):
+        num, den = residual(L, A, B, C, j)
+        return (7 * num + den, 7 * den) if j == 4 else (num, den)
 
-    monkeypatch.setattr(hyper, "contiguity_residual", shifted)
+    monkeypatch.setattr(hyper, "_contiguity_scaled", shifted)
     assert run_suites("contiguity", 7, 40) == [
         SuiteResult("contiguity", 37, 3, 9, "a=0 b=4 c=-8 j=4 residual=1/7")
     ]
 
 
 def test_pochhammer_counterexample(monkeypatch):
-    residual = hyper.pochhammer_identity_residual
+    residual = hyper._pochhammer_scaled
 
-    def shifted(a, b, k):
-        return residual(a, b, k) - (1 if k == 9 else 0)
+    def shifted(L, A, B, k):
+        num, den = residual(L, A, B, k)
+        return (num - den, den) if k == 9 else (num, den)
 
-    monkeypatch.setattr(hyper, "pochhammer_identity_residual", shifted)
+    monkeypatch.setattr(hyper, "_pochhammer_scaled", shifted)
     assert run_suites("pochhammer", 7, 40) == [
         SuiteResult("pochhammer", 36, 4, 0, "a=-4 b=-3 k=9 residual=-1")
     ]
@@ -120,3 +125,35 @@ def test_cases_below_one_rejected(cases):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite 'everything'"):
         run_suites("everything")
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), k=st.integers(min_value=0, max_value=4))
+def test_scaled_draw_is_k_rational_draws(seed, k):
+    scaled, rational, raw = Lcg(seed), Lcg(seed), Lcg(seed)
+    draw = scaled.scaled(k)
+    values = [rational.rational() for _ in range(k)]
+    # Numerator, then denominator, for each rational; L is the lcm of the
+    # denominators as drawn, reduced or not.
+    pairs = [(raw.randint(-8, 8), raw.randint(1, 4)) for _ in range(k)]
+    L = math.lcm(*(q for _, q in pairs))
+    assert draw == (L, *(p * (L // q) for p, q in pairs))
+    assert [Fraction(p, L) for p in draw[1:]] == values
+    assert scaled.state == rational.state == raw.state
+
+
+def test_passing_seeded_checks_build_no_fraction(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(hyper, "Fraction", counted)
+    monkeypatch.setattr(suites, "Fraction", counted)
+    # Their skips are poles in a series, which build nothing either.
+    assert all(res.ok for res in run_suites("contiguity", 3) + run_suites("pochhammer", 3))
+    assert built == []
+    # A vanishing closed-form denominator builds a, b and c for its message.
+    (pfaff,) = run_suites("pfaff", 3)
+    assert pfaff.ok and pfaff.skipped > 0
+    assert 0 < len(built) <= 3 * pfaff.skipped
