@@ -4,6 +4,7 @@ tables", a fixed public surface, and a README example that runs."""
 import ast
 import hashlib
 import importlib
+import json
 import re
 import sys
 import types
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import selbergdim
+from selbergdim import cli
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "selbergdim").glob("*.py"))
@@ -195,3 +197,60 @@ def test_verify_json_digest_is_pinned(run_cli, args):
     code, out, err = run_cli("verify", *args.split(), "--format", "json")
     assert err == ""
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, VERIFY_SHA256[args])
+
+
+def _classify_configs():
+    """60 fixed configurations: 20 valid, 40 violating.
+
+    Plain arithmetic, no randomness. Every third configuration mixes in
+    resonant lambdas ``(t - g)/2`` and integral ones; every tenth has an
+    integral g, and g = 0 occurs.
+    """
+    for i in range(60):
+        m = 1 + i % 7
+        den = (11, 13, 17, 19, 23, 4, 6, 9)[i % 8]
+        g = Fraction(i * 13 % 17 - 8, 1 if i % 10 == 9 else den)
+        lambdas = []
+        for j in range(1 + i * 5 % 6):
+            kind = (i + j) % 11 if i % 3 == 0 else None
+            if kind == 3:
+                lambdas.append((j - i % 3 - g) / 2)
+            elif kind == 7:
+                lambdas.append(Fraction(j - 2))
+            else:
+                lambdas.append(Fraction((i * 31 + j * 17) % 41 - 20, den))
+        yield selbergdim.ExponentConfig(m=m, g=g, lambdas=tuple(lambdas))
+
+
+# sha256 of each configuration's exit code and `classify` output, in the
+# order above, taken while classify still tested Fraction values. The
+# exit codes are 0 for the 20 valid configurations and 3 for the others.
+CLASSIFY_SHA256 = {
+    "json": "f347f06052381eb914fb04582e92023cab12bc44bee738f0dcde715aee82c349",
+    "csv": "d7e8bca1d34746cea0a5d381c018224d4a269b583b9c3969e509b4b9bd9da366",
+    "pretty": "d0815312cd1b4bc46154c3563dfe94be9d553d8f6508c07e8b8e0c6f272c4b26",
+}
+
+
+@pytest.mark.parametrize("fmt", CLASSIFY_SHA256)
+def test_classify_digest_is_pinned(run_cli, tmp_path, fmt):
+    digest = hashlib.sha256()
+    codes = []
+    for i, cfg in enumerate(_classify_configs()):
+        path = tmp_path / f"config-{i}.json"
+        path.write_text(json.dumps(selbergdim.config_to_json_dict(cfg)), encoding="utf-8")
+        code, out, err = run_cli("classify", str(path), "--format", fmt)
+        assert err == ""
+        codes.append(code)
+        digest.update(f"{code}\n{out}".encode())
+    assert (codes.count(0), codes.count(3)) == (20, 40)
+    assert digest.hexdigest() == CLASSIFY_SHA256[fmt]
+
+
+def test_dims_json_is_json_dumps_of_the_record(run_cli):
+    # (2, 1, 1) is the small point whose hyp_error is a string, not null.
+    rec = selbergdim.compute_record(selbergdim.DimQuery(2, 1, 1))
+    assert isinstance(rec.hyp_error, str)
+    code, out, err = run_cli("dims", "-m", "2", "-n", "1", "-r", "1", "--format", "json")
+    assert (code, err) == (2, "")
+    assert out == json.dumps(cli._record_json_dict(rec), indent=2) + "\n"
