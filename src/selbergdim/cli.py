@@ -30,6 +30,13 @@ byte-identical to ``json.dumps(records, indent=2)``. The exit code is
 decided after the last record. The pretty table needs every row's width
 before its first line, so it is built whole and then written.
 
+Every value of a dimension record is a scalar, so one flat-object writer
+(``_flat_json``) renders a record's JSON through json's C encoder, both for
+``dims --format json`` and for each item of ``table --format json``; its
+bytes are those of ``json.dumps(indent=2)``. The ``classify`` and
+``verify`` JSON documents nest lists and objects and go through
+``json.dumps(indent=2)`` itself.
+
 Exit codes:
     0  success (all routes agree / assumptions hold / all checks pass)
     1  usage, parse or I/O error, or a value with more digits than the
@@ -237,28 +244,43 @@ def _records_pretty_table(records: Sequence[DimensionRecord]) -> str:
     )
 
 
-_DIMS_RENDERERS: dict[str, Callable[[DimensionRecord], str]] = {
-    "pretty": _digit_limited(_record_pretty),
-    "json": _digit_limited(lambda rec: _json_text(_record_json_dict(rec))),
-    "csv": _digit_limited(
-        lambda rec: _lines([_csv_row(CSV_COLUMNS), _csv_row(_record_cells(rec))])
-    ),
-}
+def _flat_json_parts(depth: int) -> tuple[Callable[[Any], str], str, str]:
+    # Every value of a JSON record is a scalar, so its ``indent=2`` form at
+    # nesting depth d is the one-line form with each item separator widened
+    # to a line break and the indent of depth d + 1. json's C encoder writes
+    # that, where ``indent`` would force the pure-Python one.
+    pad = "  " * depth
+    encoder = json.JSONEncoder(separators=(",\n" + pad + "  ", ": "))
+    return encoder.encode, pad + "{\n" + pad + "  ", "\n" + pad + "}"
 
 
-# Every value of a JSON record is a scalar, so its ``indent=2`` form inside a
-# list is the one-line form with each item separator widened to a line break
-# and the indent; json.dumps writes that in its C encoder.
-_JSON_ITEM_SEPARATORS = (",\n    ", ": ")
-# One encoder for every record: json.dumps would build a new one per call.
-_JSON_ITEM_ENCODER = json.JSONEncoder(separators=_JSON_ITEM_SEPARATORS)
+# Built once per depth: json.dumps would build a new encoder per call.
+_FLAT_JSON_PARTS = (_flat_json_parts(0), _flat_json_parts(1))
+
+
+def _flat_json(doc: dict[str, Any], depth: int) -> str:
+    """A nonempty dict of scalars as ``json.dumps(indent=2)`` writes it at ``depth`` (0 or 1).
+
+    Depth 0 is a document of its own, depth 1 an item of a top-level list;
+    the braces are indented to that depth, and no line break follows.
+    """
+    encode, opening, closing = _FLAT_JSON_PARTS[depth]
+    return opening + encode(doc)[1:-1] + closing
 
 
 @_digit_limited
 def _record_json_item(rec: DimensionRecord) -> str:
     """One record as ``json.dumps(records, indent=2)`` writes it inside the list."""
-    fields = _JSON_ITEM_ENCODER.encode(_record_json_dict(rec))[1:-1]
-    return "  {\n    " + fields + "\n  }"
+    return _flat_json(_record_json_dict(rec), 1)
+
+
+_DIMS_RENDERERS: dict[str, Callable[[DimensionRecord], str]] = {
+    "pretty": _digit_limited(_record_pretty),
+    "json": _digit_limited(lambda rec: _flat_json(_record_json_dict(rec), 0) + "\n"),
+    "csv": _digit_limited(
+        lambda rec: _lines([_csv_row(CSV_COLUMNS), _csv_row(_record_cells(rec))])
+    ),
+}
 
 
 # Table writers: each writes the records it is given through ``write`` and

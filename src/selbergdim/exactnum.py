@@ -6,7 +6,9 @@ equality is structural. No floating point exists anywhere downstream.
 
 On top of that this module provides the rising factorial (with its
 plain-int kernel ``scaled_rising``, which the identity checks in
-:mod:`selbergdim.hyper` use directly), binomial
+:mod:`selbergdim.hyper` use directly), ``_scale``, the one place that puts
+rationals over a common denominator L as plain ints (the 3F2 kernel and the
+resonance tests in :mod:`selbergdim.resonance` work on those ints), binomial
 coefficients with the vanishing convention for out-of-range arguments, a
 direct-summation checker for the hockey-stick identity, and the strict
 ``p/q`` text form used for rationals in all CLI and JSON output.
@@ -78,6 +80,12 @@ def as_fraction(value) -> Fraction:
     # Fraction(f) builds a new object through the numbers ABCs even when f
     # already is a Fraction; skip that for the common case.
     return value if type(value) is Fraction else Fraction(value)
+
+
+def _scale(*values: Fraction | int) -> tuple[int, ...]:
+    """(L, v1 L, v2 L, ...): L > 0 the lcm of the denominators, all plain ints."""
+    L = math.lcm(*(v.denominator for v in values))
+    return (L, *(v.numerator * (L // v.denominator) for v in values))
 
 
 def scaled_rising(p: int, q: int, k: int) -> int:

@@ -22,9 +22,10 @@ kernel returns that pair unreduced, so the loop performs no gcd; a caller
 that needs a value builds the one Fraction from it. The scaling multiplies
 each factor by a nonzero constant, so an integer factor is zero exactly
 when the rational one is and the zero-numerator-first rule is unchanged. The kernel,
-:func:`_eval_scaled_3f2`, takes the scaled integers themselves, and
-:func:`_scale` is the one place that computes L: the lcm of the
-denominators, with every value as an int over it.
+:func:`_eval_scaled_3f2`, takes the scaled integers themselves; L comes
+from :func:`selbergdim.exactnum._scale`, the one place that computes a
+common denominator: the lcm of the denominators, with every value as an
+int over it.
 
 Everything downstream of the series is an identity checker:
 
@@ -57,11 +58,10 @@ counterexample rather than a silent assumption.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import as_fraction, scaled_rising
+from .exactnum import _scale, as_fraction, scaled_rising
 
 __all__ = [
     "HypParams3F2",
@@ -188,12 +188,6 @@ def _eval_scaled_3f2(
         q1 += L
         q2 += L
         k += 1
-
-
-def _scale(*values: Fraction | int) -> tuple[int, ...]:
-    """(L, v1 L, v2 L, ...): L > 0 the lcm of the denominators, all plain ints."""
-    L = math.lcm(*(v.denominator for v in values))
-    return (L, *(v.numerator * (L // v.denominator) for v in values))
 
 
 def _eval_terms(params: HypParams3F2) -> tuple[Fraction, int]:

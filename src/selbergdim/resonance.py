@@ -21,8 +21,10 @@ test exhaustively (useful when tuning exponents), and never raises.
 ``dims_for_config`` refuses to apply the dimension formulas when any
 assumption fails, because nothing is claimed about that regime.
 
-All membership tests are exact rational integrality tests; there is no
-tolerance anywhere.
+All membership tests are exact. g and the lambdas are put over their
+common denominator L as plain ints (:func:`selbergdim.exactnum._scale`),
+so each test asks whether an int is divisible by L; there is no tolerance
+anywhere.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 from typing import Any
 
 from .dims import DimensionRecord, DimQuery, compute_record
-from .exactnum import format_rational, is_integer, parse_rational
+from .exactnum import _scale, as_fraction, format_rational, parse_rational
 
 __all__ = [
     "ExponentConfig",
@@ -67,8 +69,8 @@ class ExponentConfig:
     def __post_init__(self) -> None:
         if type(self.m) is not int or self.m < 1:
             raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
-        object.__setattr__(self, "g", Fraction(self.g))
-        object.__setattr__(self, "lambdas", tuple(Fraction(lam) for lam in self.lambdas))
+        object.__setattr__(self, "g", as_fraction(self.g))
+        object.__setattr__(self, "lambdas", tuple(as_fraction(lam) for lam in self.lambdas))
         if len(self.lambdas) < 1:
             raise ValueError("at least one lambda exponent is required")
 
@@ -140,35 +142,38 @@ def classify(cfg: ExponentConfig) -> ResonanceReport:
     out). Violations are collected exhaustively over all (condition, j, k)
     in deterministic order: point tests first (k ascending, then j), then
     infinity, then diagonal.
+
+    Every test is exact integer divisibility: g and the lambdas are scaled
+    to ints G and lam_j over their common denominator L, and a combination
+    such as 2 lam_j + G is integral exactly when L divides it. A Fraction
+    is built only for ``lambda_infinity`` and for each violation's value,
+    which is the integer quotient.
     """
     m = cfg.m
-    g = cfg.g
-    lam_inf = cfg.lambda_infinity
+    L, G, *lams = _scale(cfg.g, *cfg.lambdas)
+    lam_inf = -sum(lams) - (m - 1) * G
 
-    resonant = tuple(
-        j for j, lam in enumerate(cfg.lambdas, start=1) if is_integer(2 * lam + g)
-    )
+    resonant = tuple(j for j, lam in enumerate(lams, start=1) if (2 * lam + G) % L == 0)
 
     violations: list[Violation] = []
-    point_ks = [1] + list(range(3, m + 1))
-    for k in point_ks:
-        shift = _choose2(k) * g
-        for j, lam in enumerate(cfg.lambdas, start=1):
+    for k in (1, *range(3, m + 1)):
+        shift = _choose2(k) * G
+        for j, lam in enumerate(lams, start=1):
             value = k * lam + shift
-            if is_integer(value):
-                violations.append(Violation(condition=POINT, j=j, k=k, value=value))
+            if value % L == 0:
+                violations.append(Violation(condition=POINT, j=j, k=k, value=Fraction(value // L)))
     for k in range(1, m + 1):
-        value = k * lam_inf + _choose2(k) * g
-        if is_integer(value):
-            violations.append(Violation(condition=INFINITY, k=k, value=value))
+        value = k * lam_inf + _choose2(k) * G
+        if value % L == 0:
+            violations.append(Violation(condition=INFINITY, k=k, value=Fraction(value // L)))
     for k in range(2, m + 1):
-        value = _choose2(k) * g
-        if is_integer(value):
-            violations.append(Violation(condition=DIAGONAL, k=k, value=value))
+        value = _choose2(k) * G
+        if value % L == 0:
+            violations.append(Violation(condition=DIAGONAL, k=k, value=Fraction(value // L)))
 
     return ResonanceReport(
         resonant_indices=resonant,
-        lambda_infinity=lam_inf,
+        lambda_infinity=Fraction(lam_inf, L),
         violations=tuple(violations),
     )
 

@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import selbergdim
 from selbergdim import cli
@@ -254,3 +256,12 @@ def test_dims_json_is_json_dumps_of_the_record(run_cli):
     code, out, err = run_cli("dims", "-m", "2", "-n", "1", "-r", "1", "--format", "json")
     assert (code, err) == (2, "")
     assert out == json.dumps(cli._record_json_dict(rec), indent=2) + "\n"
+
+
+_SCALARS = st.one_of(st.integers(), st.text(), st.booleans(), st.none())
+
+
+@given(st.dictionaries(st.text(), _SCALARS, min_size=1, max_size=16))
+def test_flat_json_is_json_dumps_indent_2(doc):
+    assert cli._flat_json(doc, 0) == json.dumps(doc, indent=2)
+    assert "[\n" + cli._flat_json(doc, 1) + "\n]" == json.dumps([doc], indent=2)

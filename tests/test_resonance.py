@@ -2,13 +2,14 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selbergdim.resonance import (
     AssumptionViolatedError,
     ConfigParseError,
     ExponentConfig,
+    ResonanceReport,
     Violation,
     classify,
     config_from_json,
@@ -123,6 +124,76 @@ class TestClassifyProperties:
         assert 0 <= report.r <= config.n
         assert report.lambda_infinity == -sum(config.lambdas) - (config.m - 1) * config.g
         assert report.assumption_valid == (len(report.violations) == 0)
+
+
+def _fraction_classify(config):
+    """classify as it was when every test built Fractions: the oracle for the int form."""
+
+    def is_integer(q):
+        return Fraction(q).denominator == 1
+
+    def choose2(k):
+        return k * (k - 1) // 2
+
+    m = config.m
+    g = config.g
+    lam_inf = -sum(config.lambdas, Fraction(0)) - (m - 1) * g
+
+    resonant = tuple(
+        j for j, lam in enumerate(config.lambdas, start=1) if is_integer(2 * lam + g)
+    )
+
+    violations = []
+    point_ks = [1] + list(range(3, m + 1))
+    for k in point_ks:
+        shift = choose2(k) * g
+        for j, lam in enumerate(config.lambdas, start=1):
+            value = k * lam + shift
+            if is_integer(value):
+                violations.append(Violation(condition="point", j=j, k=k, value=value))
+    for k in range(1, m + 1):
+        value = k * lam_inf + choose2(k) * g
+        if is_integer(value):
+            violations.append(Violation(condition="infinity", k=k, value=value))
+    for k in range(2, m + 1):
+        value = choose2(k) * g
+        if is_integer(value):
+            violations.append(Violation(condition="diagonal", k=k, value=value))
+
+    return ResonanceReport(
+        resonant_indices=resonant,
+        lambda_infinity=lam_inf,
+        violations=tuple(violations),
+    )
+
+
+_RATIONALS = st.builds(F, st.integers(-60, 60), st.integers(1, 60))
+
+
+@st.composite
+def oracle_configs(draw):
+    # g = 0 and integral g trip the diagonal tests; integral lambdas trip the
+    # point tests at k = 1; (t - g)/2 is resonant by construction.
+    g = draw(st.one_of(_RATIONALS, st.just(F(0)), st.integers(-6, 6).map(F)))
+    lambdas = st.one_of(
+        _RATIONALS,
+        st.integers(-60, 60).map(F),
+        st.integers(-12, 12).map(lambda t: (t - g) / 2),
+    )
+    return ExponentConfig(
+        m=draw(st.integers(1, 14)),
+        g=g,
+        lambdas=tuple(draw(st.lists(lambdas, min_size=1, max_size=8))),
+    )
+
+
+@settings(max_examples=500)
+@given(oracle_configs())
+def test_classify_matches_the_fraction_oracle(config):
+    report = classify(config)
+    assert report == _fraction_classify(config)
+    assert type(report.lambda_infinity) is F
+    assert all(type(v.value) is F for v in report.violations)
 
 
 class TestDimsForConfig:
