@@ -149,6 +149,14 @@ TABLE_SHA256 = {
     "only-n": (2, "569e24bbb2c4913536b5004730d293889f2098e60752c2711e68e4d16b79da7c"),
     "only-n-minus-1": (0, "6a0ae92d98a777aaf451db72435457c8345cc802ad328b5837bc1fc73684105c"),
 }
+# The same grids as JSON, taken while each item still went through a dict
+# and json's encoder. The n = 1 records of "all" and "only-n" carry
+# hyp_error strings.
+TABLE_JSON_SHA256 = {
+    "all": (2, "4424afb4c7fdca6752abf2f0c60f0f1c82df4a1ceefcb3023c28c4b685240f26"),
+    "only-n": (2, "b1a98d1c00b50fe52cf008a3544d0d980ae83e20bf1a1c840720c9d232b3b504"),
+    "only-n-minus-1": (0, "e8765b87f9614c7bd80f87ed27926aef93e1c347bc85777e4ea54b314f1d4c94"),
+}
 # Each point's exit code and JSON, in this order, under one sha256.
 DIMS_SHA256 = "94ba1b2ccb1ca6a680dff2770e7d813473028932d8a564ddc5858c7f6241c3d6"
 # m = 200 - 37i mod 200 visits every m in 1..200 once and n = 80 - 53i mod 80
@@ -164,6 +172,16 @@ def test_table_csv_digest_is_pinned(run_cli, r_policy):
     code, out, err = run_cli(*argv, "--format", "csv")
     assert err == ""
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == TABLE_SHA256[r_policy]
+
+
+@pytest.mark.parametrize("r_policy", TABLE_JSON_SHA256)
+def test_table_json_digest_is_pinned(run_cli, r_policy):
+    argv = ("table", "--m-range", "1..40", "--n-range", "1..30", "--r-policy", r_policy)
+    code, out, err = run_cli(*argv, "--format", "json")
+    assert err == ""
+    # Only the n = 1 hyp_error records make the routes disagree here.
+    assert ('"hyp_error": "' in out) == (code == 2)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == TABLE_JSON_SHA256[r_policy]
 
 
 def test_dims_json_digest_is_pinned(run_cli):
