@@ -30,11 +30,14 @@ byte-identical to ``json.dumps(records, indent=2)``. The exit code is
 decided after the last record. The pretty table needs every row's width
 before its first line, so it is built whole and then written.
 
-Every value of a dimension record is a scalar, so one flat-object writer
-(``_flat_json``) renders a record's JSON through json's C encoder, both for
-``dims --format json`` and for each item of ``table --format json``; its
-bytes are those of ``json.dumps(indent=2)``. The ``classify`` and
-``verify`` JSON documents nest lists and objects and go through
+Every value of a dimension record is a scalar and its keys are fixed, so
+a record's ``json.dumps(indent=2)`` form is one %-template per nesting
+depth, built once from ``RECORD_COLUMNS``: depth 0 for ``dims --format
+json``, depth 1 for each item of ``table --format json``. Each value is
+written by its type: an int as its digits, a rational as quoted ``p/q``
+text, a bool as ``true``/``false``, None as ``null``, and the one string,
+``hyp_error``, through ``json.dumps``. No dict is built. The ``classify``
+and ``verify`` JSON documents nest lists and objects and go through
 ``json.dumps(indent=2)`` itself.
 
 Exit codes:
@@ -244,39 +247,45 @@ def _records_pretty_table(records: Sequence[DimensionRecord]) -> str:
     )
 
 
-def _flat_json_parts(depth: int) -> tuple[Callable[[Any], str], str, str]:
-    # Every value of a JSON record is a scalar, so its ``indent=2`` form at
-    # nesting depth d is the one-line form with each item separator widened
-    # to a line break and the indent of depth d + 1. json's C encoder writes
-    # that, where ``indent`` would force the pure-Python one.
-    pad = "  " * depth
-    encoder = json.JSONEncoder(separators=(",\n" + pad + "  ", ": "))
-    return encoder.encode, pad + "{\n" + pad + "  ", "\n" + pad + "}"
+# A record value as JSON text by value type: a rational as quoted p/q text,
+# a bool as true/false, a missing value as null, and the one string,
+# hyp_error, as json.dumps escapes it. An int needs no entry: %s writes it
+# as str does, digit limit included.
+_JSON_VALUE: dict[type, Callable[[Any], str]] = {
+    Fraction: lambda value: '"' + format_rational(value) + '"',
+    bool: _bool_str,
+    type(None): lambda _: "null",
+    str: json.dumps,
+}
 
 
-# Built once per depth: json.dumps would build a new encoder per call.
-_FLAT_JSON_PARTS = (_flat_json_parts(0), _flat_json_parts(1))
+# json.dumps(indent=2) of a record as a %-template, built once per depth: 0
+# for a document of its own, 1 for an item of a top-level list. The braces
+# sit at the indent of the depth, one "key": value line per column one level
+# deeper, and no line break follows the closing brace.
+_RECORD_JSON_TEMPLATES = tuple(
+    f"{pad}{{\n" + ",\n".join(f'{pad}  "{c}": %s' for c in RECORD_COLUMNS) + f"\n{pad}}}"
+    for pad in ("", "  ")
+)
 
 
-def _flat_json(doc: dict[str, Any], depth: int) -> str:
-    """A nonempty dict of scalars as ``json.dumps(indent=2)`` writes it at ``depth`` (0 or 1).
-
-    Depth 0 is a document of its own, depth 1 an item of a top-level list;
-    the braces are indented to that depth, and no line break follows.
-    """
-    encode, opening, closing = _FLAT_JSON_PARTS[depth]
-    return opening + encode(doc)[1:-1] + closing
+def _record_json(rec: DimensionRecord, depth: int) -> str:
+    """A record as ``json.dumps(_record_json_dict(rec), indent=2)`` writes it at ``depth``."""
+    return _RECORD_JSON_TEMPLATES[depth] % tuple([
+        value if type(value) is int else _JSON_VALUE[type(value)](value)
+        for value in _record_values(rec)
+    ])
 
 
 @_digit_limited
 def _record_json_item(rec: DimensionRecord) -> str:
     """One record as ``json.dumps(records, indent=2)`` writes it inside the list."""
-    return _flat_json(_record_json_dict(rec), 1)
+    return _record_json(rec, 1)
 
 
 _DIMS_RENDERERS: dict[str, Callable[[DimensionRecord], str]] = {
     "pretty": _digit_limited(_record_pretty),
-    "json": _digit_limited(lambda rec: _flat_json(_record_json_dict(rec), 0) + "\n"),
+    "json": _digit_limited(lambda rec: _record_json(rec, 0) + "\n"),
     "csv": _digit_limited(
         lambda rec: _lines([_csv_row(CSV_COLUMNS), _csv_row(_record_cells(rec))])
     ),

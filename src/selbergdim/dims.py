@@ -338,14 +338,13 @@ def dim_I_hyp(m: int, n: int, r: int) -> Fraction:
     than masked. Series errors propagate.
     """
     _validate(m, n, r)
-    return _i_hyp(m, n, r, dim_D(m, n))
+    num, den = _i_hyp_pair(m, n, r)
+    return Fraction(dim_D(m, n) * num, den)
 
 
-def _i_hyp(m: int, n: int, r: int, d: int) -> Fraction:
-    """``dim_I_hyp`` given the prefactor d = D(m, n), for an already valid query."""
-    num, den, _ = _eval_scaled_3f2(-2 * r, -m, 1 - m, 2 - n - m, 3 - n - m, 2, 1, 1)
-    # The one reduced Fraction, from the kernel's unreduced pair.
-    return Fraction(d * num, den)
+def _i_hyp_pair(m: int, n: int, r: int) -> tuple[int, int]:
+    """The 3F2 of ``dim_I_hyp`` as the kernel's unreduced (num, den), den != 0 of either sign."""
+    return _eval_scaled_3f2(-2 * r, -m, 1 - m, 2 - n - m, 3 - n - m, 2, 1, 1)[:2]
 
 
 class ExtremeImageDims(NamedTuple):
@@ -392,14 +391,25 @@ def compute_record(query: DimQuery) -> DimensionRecord:
     A hypergeometric-route evaluation error (possible only at n = 1, where
     a lower series parameter can vanish too early) is recorded in
     ``hyp_error`` with ``I_hyp = None``; all integer routes are still filled
-    in. Disagreement of any kind yields ``routes_agree = False``.
+    in. Disagreement of any kind yields ``routes_agree = False``. The checks
+    run on ints, as ``_record`` describes; ``I_hyp`` is still the exact
+    ``Fraction`` that ``dim_I_hyp`` returns.
     """
     m, n, r = query.m, query.n, query.r
     return _record(query, dim_D(m, n), _k_recursion_row(m, n, r), _k_reduction_row(m, n, r))
 
 
 def _record(query: DimQuery, d: int, rec_row: list[int], red_row: list[int]) -> DimensionRecord:
-    """``compute_record`` given D(m, n) and both K rows K(m, n, 0..r') of its (m, n), r' >= r."""
+    """``compute_record`` given D(m, n) and both K rows K(m, n, 0..r') of its (m, n), r' >= r.
+
+    I_hyp = d num / den, from the kernel's pair, is checked on ints. With
+    q, rem = divmod(d num, den) it is integral iff rem == 0, and then it is
+    q, so the routes agree iff rem == 0 and q == I_sum == I_subtract.
+    Python's q is the floor of the exact quotient for either sign of den,
+    and floor(x) >= 0 iff x >= 0, so q >= 0 is the bound I_hyp >= 0. The
+    field is the same value as a Fraction: Fraction(q), the int path with
+    no gcd, when it is integral, else Fraction(d num, den).
+    """
     m, n, r = query.m, query.n, query.r
     k_rec = rec_row[r]
     k_red = red_row[r]
@@ -408,29 +418,21 @@ def _record(query: DimQuery, d: int, rec_row: list[int], red_row: list[int]) -> 
     i_hyp: Fraction | None
     hyp_error: str | None
     try:
-        i_hyp = _i_hyp(m, n, r, d)
-        hyp_error = None
+        num, den = _i_hyp_pair(m, n, r)
     except HyperEvalError as exc:
-        i_hyp = None
-        hyp_error = str(exc)
+        # No I_hyp: rem = 1 makes it agree with no route, and q = I_sum adds
+        # no bound that I_sum does not already meet.
+        i_hyp, hyp_error, q, rem = None, str(exc), i_sum, 1
+    else:
+        hyp_error = None
+        q, rem = divmod(d * num, den)
+        i_hyp = Fraction(d * num, den) if rem else Fraction(q)
 
-    # An I_hyp of None equals no int, so a series error is a disagreement.
-    routes_agree = k_rec == k_red == k_clo and i_hyp == i_sum == i_sub
+    routes_agree = k_rec == k_red == k_clo and rem == 0 and q == i_sum == i_sub
     ks = (k_rec, k_red, k_clo)
-    is_ = (i_sum, i_sub) if i_hyp is None else (i_sum, i_sub, i_hyp)
-    in_validity = d >= 0 and min(ks) >= 0 and max(ks) <= d and min(is_) >= 0
+    in_validity = d >= 0 and min(ks) >= 0 and max(ks) <= d and min(i_sum, i_sub, q) >= 0
     return DimensionRecord(
-        query=query,
-        D=d,
-        K_recursion=k_rec,
-        K_reduction=k_red,
-        K_closed=k_clo,
-        I_sum=i_sum,
-        I_hyp=i_hyp,
-        I_subtract=i_sub,
-        hyp_error=hyp_error,
-        routes_agree=routes_agree,
-        in_validity_range=in_validity,
+        query, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, routes_agree, in_validity
     )
 
 

@@ -276,10 +276,42 @@ def test_dims_json_is_json_dumps_of_the_record(run_cli):
     assert out == json.dumps(cli._record_json_dict(rec), indent=2) + "\n"
 
 
-_SCALARS = st.one_of(st.integers(), st.text(), st.booleans(), st.none())
+def _unchecked_query(m: int, n: int, r: int) -> selbergdim.DimQuery:
+    # A DimQuery with any ints: the writer must not rely on the domain.
+    query = object.__new__(selbergdim.DimQuery)
+    for name, value in (("m", m), ("n", n), ("r", r)):
+        object.__setattr__(query, name, value)
+    return query
 
 
-@given(st.dictionaries(st.text(), _SCALARS, min_size=1, max_size=16))
-def test_flat_json_is_json_dumps_indent_2(doc):
-    assert cli._flat_json(doc, 0) == json.dumps(doc, indent=2)
-    assert "[\n" + cli._flat_json(doc, 1) + "\n]" == json.dumps([doc], indent=2)
+# Ints of either sign up to the default int-to-str limit of 4,300 digits.
+_INTS = st.one_of(st.integers(), st.integers(-(10**4300 - 1), 10**4300 - 1))
+_FRACTIONS = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, _INTS),
+    st.builds(Fraction, _INTS, _INTS.filter(bool)),
+)
+# Any text, lone surrogates and control characters included.
+_TEXT = st.text(st.characters(exclude_categories=()))
+_RECORDS = st.builds(
+    selbergdim.DimensionRecord,
+    query=st.builds(_unchecked_query, _INTS, _INTS, _INTS),
+    D=_INTS,
+    K_recursion=_INTS,
+    K_reduction=_INTS,
+    K_closed=_INTS,
+    I_sum=_INTS,
+    I_hyp=st.one_of(st.none(), _FRACTIONS),
+    I_subtract=_INTS,
+    hyp_error=st.one_of(st.none(), _TEXT, st.sampled_from(['"', "\\", "\x00\n\t", "é", "\ud800"])),
+    routes_agree=st.booleans(),  # K and I are None when false
+    in_validity_range=st.booleans(),
+)
+
+
+@given(_RECORDS)
+def test_record_json_is_json_dumps_indent_2(rec):
+    doc = cli._record_json_dict(rec)
+    assert cli._record_json(rec, 0) == json.dumps(doc, indent=2)
+    assert "[\n" + cli._record_json(rec, 1) + "\n]" == json.dumps([doc], indent=2)
+    assert cli._DIMS_RENDERERS["json"](rec) == json.dumps(doc, indent=2) + "\n"

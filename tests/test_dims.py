@@ -244,7 +244,9 @@ class TestComputeRecord:
         [
             ("_k_recursion_row", lambda m, n, r: [-1] * (r + 1)),
             ("_k_reduction_row", lambda m, n, r: [36] * (r + 1)),
-            ("_i_hyp", lambda m, n, r, d: Fraction(-1, 2)),
+            # d num / den = 35 (-1) / 70 = -1/2, and 35 (1) / (-70) = -1/2.
+            ("_i_hyp_pair", lambda m, n, r: (-1, 70)),
+            ("_i_hyp_pair", lambda m, n, r: (1, -70)),
             ("_alternating_sums", lambda m, n, r: (36, 8)),
             ("_alternating_sums", lambda m, n, r: (27, -1)),
         ],
@@ -252,6 +254,7 @@ class TestComputeRecord:
             "dim_K_recursion -1",
             "dim_K_reduction 36",
             "dim_I_hyp -1/2",
+            "dim_I_hyp -1/2 over a negative den",
             "_alternating_sums K_closed 36",
             "_alternating_sums I_sum -1",
         ],
@@ -263,6 +266,15 @@ class TestComputeRecord:
         rec = compute_record(DimQuery(4, 5, 3))
         assert not rec.routes_agree
         assert not rec.in_validity_range
+
+    @pytest.mark.parametrize("pair", [(1, 70), (-1, -70), (17, 70)], ids=["1/2", "-1/-2", "17/2"])
+    def test_positive_non_integral_I_hyp_disagrees_but_is_in_range(self, monkeypatch, pair):
+        # D(4, 5) = 35: I_hyp = 35 num / den is 1/2 or 17/2, never the int 8.
+        monkeypatch.setattr(dims, "_i_hyp_pair", lambda m, n, r: pair)
+        rec = compute_record(DimQuery(4, 5, 3))
+        assert rec.I_hyp == Fraction(35 * pair[0], pair[1]) and type(rec.I_hyp) is Fraction
+        assert not rec.routes_agree
+        assert rec.in_validity_range
 
     def test_record_validates_once_and_computes_D_once(self, monkeypatch):
         calls = []
@@ -725,3 +737,102 @@ class TestAlternatingSumsMatchFrozenRoutes:
     def test_terms_are_the_signed_products_in_walk_order(self, m, n, r):
         terms = [(-1) ** s * binom(r, s) * dim_D(m - 2 * s, n) for s in range(min(r, m // 2) + 1)]
         assert dims._alternating_sums(m, n, r) == (-sum(terms[1:]), sum(terms))
+
+
+# ``dims._record`` as it was while it checked I_hyp as a Fraction, kept as an
+# oracle for the int checks. Only the kernel call goes through the pair helper,
+# so a patched pair reaches both.
+
+
+def frozen_record(
+    query: DimQuery, d: int, rec_row: list[int], red_row: list[int]
+) -> DimensionRecord:
+    m, n, r = query.m, query.n, query.r
+    k_rec = rec_row[r]
+    k_red = red_row[r]
+    k_clo, i_sum = dims._alternating_sums(m, n, r)
+    i_sub = d - k_clo
+    try:
+        num, den = dims._i_hyp_pair(m, n, r)
+        i_hyp = Fraction(d * num, den)
+        hyp_error = None
+    except HyperEvalError as exc:
+        i_hyp = None
+        hyp_error = str(exc)
+
+    routes_agree = k_rec == k_red == k_clo and i_hyp == i_sum == i_sub
+    ks = (k_rec, k_red, k_clo)
+    is_ = (i_sum, i_sub) if i_hyp is None else (i_sum, i_sub, i_hyp)
+    in_validity = d >= 0 and min(ks) >= 0 and max(ks) <= d and min(is_) >= 0
+    return DimensionRecord(
+        query=query,
+        D=d,
+        K_recursion=k_rec,
+        K_reduction=k_red,
+        K_closed=k_clo,
+        I_sum=i_sum,
+        I_hyp=i_hyp,
+        I_subtract=i_sub,
+        hyp_error=hyp_error,
+        routes_agree=routes_agree,
+        in_validity_range=in_validity,
+    )
+
+
+def assert_same_record(got: DimensionRecord, want: DimensionRecord) -> None:
+    # Fraction equals an equal int, so == alone would let an int I_hyp through.
+    assert got == want
+    assert type(got.I_hyp) is type(want.I_hyp)
+
+
+_NONZERO = st.integers().filter(bool)
+
+
+class TestRecordMatchesFractionOracle:
+    @staticmethod
+    def rows(query: DimQuery) -> tuple[int, list[int], list[int]]:
+        m, n, r = query.m, query.n, query.r
+        return dim_D(m, n), dims._k_recursion_row(m, n, r), dims._k_reduction_row(m, n, r)
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 60), st.integers(1, 40), st.data())
+    # n = 1 holds the series errors; (2, 1, 1) is the first.
+    @example(m=2, n=1, data=None)
+    @example(m=40, n=1, data=None)
+    def test_real_queries(self, m, n, data):
+        r = n if data is None else data.draw(st.integers(0, n))
+        query = DimQuery(m, n, r)
+        want = frozen_record(query, *self.rows(query))
+        assert_same_record(dims._record(query, *self.rows(query)), want)
+        assert_same_record(compute_record(query), want)
+
+    @settings(max_examples=500)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 10),
+        st.data(),
+        st.one_of(st.none(), st.integers()),
+        st.integers(-3, 3),
+        _NONZERO,
+    )
+    @example(m=4, n=5, data=None, d=None, delta=1, k=2)  # I_hyp = 8 + 1/2
+    @example(m=4, n=5, data=None, d=None, delta=-1, k=-2)  # 8 + 1/2 over den < 0
+    @example(m=4, n=5, data=None, d=None, delta=0, k=-7)  # 8 over den < 0
+    @example(m=10, n=5, data=None, d=None, delta=1, k=2)  # I = 0, I_hyp = 1/2
+    @example(m=10, n=5, data=None, d=None, delta=-1, k=2)  # I_hyp = -1/2
+    def test_any_pair_and_any_d(self, m, n, data, d, delta, k):
+        # The pair is either drawn freely or set so that I_hyp = I_sum + delta/k,
+        # close to the true value on either side; d is the true D(m, n) or any int.
+        r = n if data is None else data.draw(st.integers(0, n))
+        query = DimQuery(m, n, r)
+        true_d, rec_row, red_row = self.rows(query)
+        d = true_d if d is None else d
+        i_sum = dims._alternating_sums(m, n, r)[1]
+        if d and (data is None or data.draw(st.booleans())):
+            pair = (i_sum * k + delta, d * k)
+        else:
+            pair = (data.draw(st.integers()), data.draw(_NONZERO))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dims, "_i_hyp_pair", lambda m, n, r: pair)
+            want = frozen_record(query, d, rec_row, red_row)
+            assert_same_record(dims._record(query, d, rec_row, red_row), want)
