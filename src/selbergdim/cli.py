@@ -22,23 +22,32 @@ table from ``--format`` (one of ``FORMATS``) to a renderer. Every CSV line
 goes through one RFC 4180 minimal-quoting rule, so a cell with a comma, a
 quote or a line break is quoted and rows keep their header's width.
 
-``table --format csv`` and ``--format json`` stream: each record is
-written, to stdout or to the ``--out`` file opened before the first one,
-as soon as it is computed, and none is kept, so memory stays constant
-however large the ranges. The JSON is written record by record yet is
-byte-identical to ``json.dumps(records, indent=2)``. The exit code is
-decided after the last record. The pretty table needs every row's width
-before its first line, so it is built whole and then written.
+Every record renderer takes a row: the flat tuple of values that
+``dims._row`` computes, m, n, r and then the fields of a
+``DimensionRecord`` after its query. ``table`` takes its rows straight
+from ``dims._iter_rows`` and builds no ``DimQuery``, no
+``DimensionRecord`` and no dict; ``dims`` and ``classify`` read the row of
+the record they compute through one attrgetter. CSV cells come from one
+itemgetter over the row. A record's ``json.dumps(indent=2)`` form is one
+%-template per nesting depth, built once from ``RECORD_COLUMNS``: depth 0
+for ``dims --format json``, depth 1 for each item of ``table --format
+json``, whose values are the row's put in ``RECORD_COLUMNS`` order, with K
+and I set from ``routes_agree``. An int is written as its digits, a
+rational as quoted ``p/q`` text, a bool as ``true``/``false``, None as
+``null``, and the one string, ``hyp_error``, through ``json.dumps``. The
+``classify`` JSON report is written in order too: ``json.dumps`` writes
+its head fields, each violation fills one depth-2 template with
+``json.dumps`` only for its condition, and ``dimensions`` fills the
+record template. ``verify`` JSON goes through ``json.dumps(indent=2)``
+itself.
 
-Every value of a dimension record is a scalar and its keys are fixed, so
-a record's ``json.dumps(indent=2)`` form is one %-template per nesting
-depth, built once from ``RECORD_COLUMNS``: depth 0 for ``dims --format
-json``, depth 1 for each item of ``table --format json``. Each value is
-written by its type: an int as its digits, a rational as quoted ``p/q``
-text, a bool as ``true``/``false``, None as ``null``, and the one string,
-``hyp_error``, through ``json.dumps``. No dict is built. The ``classify``
-and ``verify`` JSON documents nest lists and objects and go through
-``json.dumps(indent=2)`` itself.
+``table --format csv`` and ``--format json`` stream: each row is written,
+to stdout or to the ``--out`` file opened before the first one, as soon
+as it is computed, and none is kept, so memory stays constant however
+large the ranges. The JSON is written row by row yet is byte-identical to
+``json.dumps(records, indent=2)``. The exit code is decided after the
+last row. The pretty table needs every row's width before its first line,
+so it is built whole and then written.
 
 Exit codes:
     0  success (all routes agree / assumptions hold / all checks pass)
@@ -68,8 +77,9 @@ from .dims import (
     DimensionRecord,
     DimQuery,
     DomainError,
+    _iter_rows,
+    _Row,
     compute_record,
-    iter_table,
 )
 from .exactnum import format_rational
 from .resonance import (
@@ -104,12 +114,14 @@ RECORD_COLUMNS = (
 CSV_COLUMNS = tuple(c for c in RECORD_COLUMNS if c not in ("K", "I", "hyp_error"))
 
 
-def _record_getter(columns: Sequence[str]) -> Callable[[DimensionRecord], tuple[Any, ...]]:
-    return operator.attrgetter(*(f"query.{c}" if c in ("m", "n", "r") else c for c in columns))
-
-
-_record_values = _record_getter(RECORD_COLUMNS)
-_csv_values = _record_getter(CSV_COLUMNS)
+# Every record renderer takes a row, dims' flat form of a record: m, n, r,
+# then the record's fields after its query, in their order. A record's row
+# is one attrgetter away; _record_values reads its JSON values instead.
+_ROW_COLUMNS = ("m", "n", "r") + tuple(f.name for f in dataclasses.fields(DimensionRecord)[1:])
+_row_of = operator.attrgetter("query.m", "query.n", "query.r", *_ROW_COLUMNS[3:])
+_record_values = operator.attrgetter("query.m", "query.n", "query.r", *RECORD_COLUMNS[3:])
+_csv_values = operator.itemgetter(*map(_ROW_COLUMNS.index, CSV_COLUMNS))
+_AGREE = _ROW_COLUMNS.index("routes_agree")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,10 +153,6 @@ def _lines(lines: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(doc: Any) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
 _CSV_QUOTED = re.compile(r'[",\r\n]')
 
 
@@ -174,89 +182,74 @@ def _csv_row(cells: Sequence[str]) -> str:
 
 
 class _DigitLimitError(Exception):
-    """A value to render has more digits than the int-to-str limit allows."""
+    """A value to render has more digits than the int-to-str limit allows.
+
+    Rendering a record or a report turns ints into text and raises no other
+    ValueError, so a renderer turns any it raises into this.
+    """
+
+    def __str__(self) -> str:
+        return ("a value has more digits than the interpreter's int-to-str limit "
+                f"({sys.get_int_max_str_digits()}); PYTHONINTMAXSTRDIGITS=0 lifts it")
 
 
 def _digit_limited(render: Callable[..., str]) -> Callable[..., str]:
-    """``render``, with the digit limit's ValueError raised as _DigitLimitError.
-
-    Rendering a record or a report turns ints into text and raises no other
-    ValueError, so any it raises is that limit's.
-    """
+    """``render``, with the digit limit's ValueError raised as _DigitLimitError."""
 
     def checked(*args: Any) -> str:
         try:
             return render(*args)
         except ValueError:
-            raise _DigitLimitError(
-                "a value has more digits than the interpreter's int-to-str limit "
-                f"({sys.get_int_max_str_digits()}); PYTHONINTMAXSTRDIGITS=0 lifts it"
-            ) from None
+            raise _DigitLimitError from None
 
     return checked
 
 
-# A record cell by value type: an int as digits, a rational as p/q text,
-# a bool as true/false, a missing value as an empty cell.
-_CSV_CELL: dict[type, Callable[[Any], str]] = {
-    int: str,
-    Fraction: format_rational,
-    bool: _bool_str,
-    type(None): lambda _: "",
-}
-
-
-@_digit_limited
-def _record_cells(rec: DimensionRecord) -> list[str]:
-    return [_CSV_CELL[type(value)](value) for value in _csv_values(rec)]
+def _record_cells(row: _Row) -> list[str]:
+    # An int as digits, a bool as true/false, a missing I_hyp as an empty
+    # cell and a rational as p/q text.
+    return [
+        str(v) if type(v) is int else _bool_str(v) if type(v) is bool
+        else "" if v is None else format_rational(v)
+        for v in _csv_values(row)
+    ]
 
 
 def _record_json_dict(rec: DimensionRecord) -> dict[str, Any]:
-    # Rationals become p/q text; ints, bools, strings and None stay as they are.
+    # The reference the JSON templates are tested against, read from the
+    # record itself. Rationals become p/q text; ints, bools, strings and
+    # None stay as they are.
     return {
         column: format_rational(value) if type(value) is Fraction else value
         for column, value in zip(RECORD_COLUMNS, _record_values(rec))
     }
 
 
-def _record_pretty(rec: DimensionRecord) -> str:
-    q = rec.query
-    k = str(rec.K) if rec.K is not None else "?"
-    i = str(rec.I) if rec.I is not None else "?"
-    hyp = format_rational(rec.I_hyp) if rec.I_hyp is not None else "undefined"
+def _record_pretty(row: _Row) -> str:
+    m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, agree, valid = row
+    hyp = format_rational(i_hyp) if i_hyp is not None else "undefined"
     lines = [
-        f"m={q.m} n={q.n} r={q.r}",
-        f"  D = {rec.D}",
-        f"  K = {k}  (recursion={rec.K_recursion}, reduction={rec.K_reduction}, "
-        f"closed={rec.K_closed})",
-        f"  I = {i}  (sum={rec.I_sum}, hyp={hyp}, subtract={rec.I_subtract})",
-        f"  routes_agree = {_bool_str(rec.routes_agree)}",
-        f"  in_validity_range = {_bool_str(rec.in_validity_range)}",
+        f"m={m} n={n} r={r}",
+        f"  D = {d}",
+        f"  K = {k_clo if agree else '?'}  (recursion={k_rec}, reduction={k_red}, "
+        f"closed={k_clo})",
+        f"  I = {i_sum if agree else '?'}  (sum={i_sum}, hyp={hyp}, subtract={i_sub})",
+        f"  routes_agree = {_bool_str(agree)}",
+        f"  in_validity_range = {_bool_str(valid)}",
     ]
-    if rec.hyp_error is not None:
-        lines.append(f"  hyp_error = {rec.hyp_error}")
+    if hyp_error is not None:
+        lines.append(f"  hyp_error = {hyp_error}")
     return _lines(lines)
 
 
-def _records_pretty_table(records: Sequence[DimensionRecord]) -> str:
-    rows = [list(CSV_COLUMNS)] + [_record_cells(rec) for rec in records]
-    widths = [max(len(row[col]) for row in rows) for col in range(len(CSV_COLUMNS))]
+@_digit_limited
+def _records_pretty_table(rows: Sequence[_Row]) -> str:
+    lines = [list(CSV_COLUMNS)] + [_record_cells(row) for row in rows]
+    widths = [max(len(line[col]) for line in lines) for col in range(len(CSV_COLUMNS))]
     return _lines(
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
+        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
+        for line in lines
     )
-
-
-# A record value as JSON text by value type: a rational as quoted p/q text,
-# a bool as true/false, a missing value as null, and the one string,
-# hyp_error, as json.dumps escapes it. An int needs no entry: %s writes it
-# as str does, digit limit included.
-_JSON_VALUE: dict[type, Callable[[Any], str]] = {
-    Fraction: lambda value: '"' + format_rational(value) + '"',
-    bool: _bool_str,
-    type(None): lambda _: "null",
-    str: json.dumps,
-}
 
 
 # json.dumps(indent=2) of a record as a %-template, built once per depth: 0
@@ -269,59 +262,73 @@ _RECORD_JSON_TEMPLATES = tuple(
 )
 
 
-def _record_json(rec: DimensionRecord, depth: int) -> str:
-    """A record as ``json.dumps(_record_json_dict(rec), indent=2)`` writes it at ``depth``."""
-    return _RECORD_JSON_TEMPLATES[depth] % tuple([
-        value if type(value) is int else _JSON_VALUE[type(value)](value)
-        for value in _record_values(rec)
-    ])
+def _record_json(row: _Row, depth: int) -> str:
+    """A row as ``json.dumps(_record_json_dict(rec), indent=2)`` writes its record at ``depth``.
+
+    The row's values go into the template in ``RECORD_COLUMNS`` order, with
+    K and I taken from K_closed and I_sum when the routes agree. An int is
+    passed as it is, and %s writes it as str does, digit limit included; a
+    rational is quoted p/q text and the one string, hyp_error, is escaped
+    by ``json.dumps``.
+    """
+    m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, agree, valid = row
+    return _RECORD_JSON_TEMPLATES[depth] % (
+        m, n, r, d, k_rec, k_red, k_clo, i_sum,
+        "null" if i_hyp is None else '"' + format_rational(i_hyp) + '"', i_sub,
+        k_clo if agree else "null", i_sum if agree else "null",
+        _bool_str(agree), _bool_str(valid),
+        "null" if hyp_error is None else json.dumps(hyp_error),
+    )
 
 
-@_digit_limited
-def _record_json_item(rec: DimensionRecord) -> str:
-    """One record as ``json.dumps(records, indent=2)`` writes it inside the list."""
-    return _record_json(rec, 1)
-
-
-_DIMS_RENDERERS: dict[str, Callable[[DimensionRecord], str]] = {
+_DIMS_RENDERERS: dict[str, Callable[[_Row], str]] = {
     "pretty": _digit_limited(_record_pretty),
-    "json": _digit_limited(lambda rec: _record_json(rec, 0) + "\n"),
+    "json": _digit_limited(lambda row: _record_json(row, 0) + "\n"),
     "csv": _digit_limited(
-        lambda rec: _lines([_csv_row(CSV_COLUMNS), _csv_row(_record_cells(rec))])
+        lambda row: _lines([_csv_row(CSV_COLUMNS), _csv_row(_record_cells(row))])
     ),
 }
 
 
-# Table writers: each writes the records it is given through ``write`` and
-# returns whether every record's routes agree. csv and json write each
-# record as soon as it is computed and keep none of them; the pretty table
-# needs every row's width before its first line, so it collects them first.
+# Table writers: each writes the rows it is given through ``write`` and
+# returns whether every row's routes agree. csv and json write each row as
+# soon as it is computed and keep none of them, and a row past the digit
+# limit ends the stream there; the pretty table needs every row's width
+# before its first line, so it collects them first.
 
-def _write_csv(records: Iterable[DimensionRecord], write: Callable[[str], Any]) -> bool:
+def _write_csv(rows: Iterable[_Row], write: Callable[[str], Any]) -> bool:
     write(_csv_row(CSV_COLUMNS) + "\n")
     agree = True
-    for rec in records:
-        write(_csv_row(_record_cells(rec)) + "\n")
-        agree = agree and rec.routes_agree
+    for row in rows:
+        try:
+            line = _csv_row(_record_cells(row))
+        except ValueError:
+            raise _DigitLimitError from None
+        write(line + "\n")
+        agree = agree and row[_AGREE]
     return agree
 
 
-def _write_json(records: Iterable[DimensionRecord], write: Callable[[str], Any]) -> bool:
+def _write_json(rows: Iterable[_Row], write: Callable[[str], Any]) -> bool:
     # The bytes of json.dumps(list_of_records, indent=2) + "\n", one record at a time.
     agree = True
     opening = "[\n"
-    for rec in records:
-        write(opening + _record_json_item(rec))
+    for row in rows:
+        try:
+            item = _record_json(row, 1)
+        except ValueError:
+            raise _DigitLimitError from None
+        write(opening + item)
         opening = ",\n"
-        agree = agree and rec.routes_agree
+        agree = agree and row[_AGREE]
     write("[]\n" if opening == "[\n" else "\n]\n")
     return agree
 
 
-def _write_pretty(records: Iterable[DimensionRecord], write: Callable[[str], Any]) -> bool:
-    rows = list(records)
+def _write_pretty(rows: Iterable[_Row], write: Callable[[str], Any]) -> bool:
+    rows = list(rows)
     write(_records_pretty_table(rows))
-    return all(rec.routes_agree for rec in rows)
+    return all(row[_AGREE] for row in rows)
 
 
 _TABLE_WRITERS: dict[str, Callable[..., bool]] = {
@@ -334,37 +341,40 @@ _TABLE_WRITERS: dict[str, Callable[..., bool]] = {
 # ---------------------------------------------------------------------------
 # classify rendering
 
-def _violation_json(v: Any) -> dict[str, Any]:
-    return {
-        "condition": v.condition,
-        "j": v.j,
-        "k": v.k,
-        "value": format_rational(v.value),
-    }
-
-
 def _violation_compact(v: Any) -> str:
     j_part = f"j={v.j}:" if v.j is not None else ""
     return f"{v.condition}:{j_part}k={v.k}:value={format_rational(v.value)}"
 
 
-def _classify_json(
-    cfg: Any, report: ResonanceReport, record: DimensionRecord | None
-) -> str:
-    return _json_text({
+# A violation as json.dumps(indent=2) writes it in the report's list, at
+# depth 2, and the report after its field r, the head written by json.dumps.
+_VIOLATION_JSON = (
+    '    {\n      "condition": %s,\n      "j": %s,\n      "k": %s,\n      "value": "%s"\n    }'
+)
+_CLASSIFY_JSON = '%s,\n  "violations": %s,\n  "assumption_valid": %s,\n  "dimensions": %s\n}\n'
+
+
+def _classify_json(cfg: Any, report: ResonanceReport, row: _Row | None) -> str:
+    head = json.dumps({
         "config": config_to_json_dict(cfg),
         "lambda_infinity": format_rational(report.lambda_infinity),
         "resonant_indices": list(report.resonant_indices),
         "r": report.r,
-        "violations": [_violation_json(v) for v in report.violations],
-        "assumption_valid": report.assumption_valid,
-        "dimensions": _record_json_dict(record) if record is not None else None,
-    })
+    }, indent=2)[:-2]
+    violations = ",\n".join([
+        _VIOLATION_JSON
+        % (json.dumps(v.condition), "null" if v.j is None else v.j, v.k, format_rational(v.value))
+        for v in report.violations
+    ])
+    return _CLASSIFY_JSON % (
+        head,
+        f"[\n{violations}\n  ]" if violations else "[]",
+        _bool_str(report.assumption_valid),
+        "null" if row is None else _record_json(row, 1).lstrip(),
+    )
 
 
-def _classify_pretty(
-    cfg: Any, report: ResonanceReport, record: DimensionRecord | None
-) -> str:
+def _classify_pretty(cfg: Any, report: ResonanceReport, row: _Row | None) -> str:
     lambdas = ", ".join(format_rational(lam) for lam in cfg.lambdas)
     lines = [
         f"config: m={cfg.m} g={format_rational(cfg.g)} lambdas=[{lambdas}]",
@@ -381,8 +391,8 @@ def _classify_pretty(
         lines.append("violations: none")
     lines.append(f"assumption_valid = {_bool_str(report.assumption_valid)}")
     out = _lines(lines)
-    if record is not None:
-        out += "\n" + _record_pretty(record)
+    if row is not None:
+        out += "\n" + _record_pretty(row)
     return out
 
 
@@ -392,9 +402,7 @@ _CLASSIFY_COLUMNS = ("m", "n", "r", "lambda_infinity", "assumption_valid", "viol
 _CLASSIFY_RECORD_FROM = CSV_COLUMNS.index("D")
 
 
-def _classify_csv(
-    cfg: Any, report: ResonanceReport, record: DimensionRecord | None
-) -> str:
+def _classify_csv(cfg: Any, report: ResonanceReport, row: _Row | None) -> str:
     cells = [
         str(cfg.m),
         str(cfg.n),
@@ -403,8 +411,8 @@ def _classify_csv(
         _bool_str(report.assumption_valid),
         ";".join(_violation_compact(v) for v in report.violations),
     ]
-    if record is not None:
-        cells.extend(_record_cells(record)[_CLASSIFY_RECORD_FROM:])
+    if row is not None:
+        cells.extend(_record_cells(row)[_CLASSIFY_RECORD_FROM:])
     else:
         cells.extend([""] * (len(CSV_COLUMNS) - _CLASSIFY_RECORD_FROM))
     header = _CLASSIFY_COLUMNS + CSV_COLUMNS[_CLASSIFY_RECORD_FROM:]
@@ -438,12 +446,12 @@ def _verify_pretty(results: Sequence[SuiteResult], args: argparse.Namespace) -> 
 
 
 def _verify_json(results: Sequence[SuiteResult], args: argparse.Namespace) -> str:
-    return _json_text({
+    return json.dumps({
         "seed": args.seed,
         "cases": args.cases,
         "results": [dataclasses.asdict(res) for res in results],
         "all_passed": all(res.ok for res in results),
-    })
+    }, indent=2) + "\n"
 
 
 def _verify_csv(results: Sequence[SuiteResult], args: argparse.Namespace) -> str:
@@ -466,23 +474,23 @@ def _usage_error(args: argparse.Namespace, message: str) -> int:
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:
-    record = compute_record(DimQuery(m=args.m, n=args.n, r=args.r))
-    sys.stdout.write(_DIMS_RENDERERS[args.format](record))
-    return EXIT_OK if record.routes_agree else EXIT_DISAGREEMENT
+    row = _row_of(compute_record(DimQuery(m=args.m, n=args.n, r=args.r)))
+    sys.stdout.write(_DIMS_RENDERERS[args.format](row))
+    return EXIT_OK if row[_AGREE] else EXIT_DISAGREEMENT
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    # iter_table checks the bounds before anything is opened or written.
-    records = iter_table(args.m_range, args.n_range, args.r_policy.replace("-", "_"))
+    # _iter_rows checks the bounds before anything is opened or written.
+    rows = _iter_rows(args.m_range, args.n_range, args.r_policy.replace("-", "_"))
     write_table = _TABLE_WRITERS[args.format]
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                agree = write_table(records, handle.write)
+                agree = write_table(rows, handle.write)
         except OSError as exc:
             return _usage_error(args, f"cannot write {args.out}: {exc}")
     else:
-        agree = write_table(records, sys.stdout.write)
+        agree = write_table(rows, sys.stdout.write)
     return EXIT_OK if agree else EXIT_DISAGREEMENT
 
 
@@ -497,7 +505,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         report, record = dims_for_config(cfg)
     except AssumptionViolatedError as exc:
         report, record = exc.report, None
-    sys.stdout.write(_CLASSIFY_RENDERERS[args.format](cfg, report, record))
+    row = None if record is None else _row_of(record)
+    sys.stdout.write(_CLASSIFY_RENDERERS[args.format](cfg, report, row))
     return EXIT_OK if report.assumption_valid else EXIT_ASSUMPTION
 
 

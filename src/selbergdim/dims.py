@@ -28,9 +28,9 @@ m - 2 min((m-1)//2, r), on the row [0] or on the base row of m's parity cut
 to width, and each step m' -> m' + 2 widens the row by one entry until it
 is K(m, n, 0..r). A query costs min((m-1)//2, r) steps of width <= r+1, at
 constant stack depth, however large m is. No route keeps a cache:
-``compute_record`` builds both rows for its one query, and ``iter_table``
-builds the full rows K(m, n, 0..n), the triangles at r = n, once per
-(m, n) and reads every r of its loop from them; ``dim_D`` is one binomial.
+``compute_record`` builds both rows for its one query, and a table builds
+the full rows K(m, n, 0..n), the triangles at r = n, once per (m, n) and
+reads every r of its loop from them; ``dim_D`` is one binomial.
 The two routes keep their own formulas and share no intermediate values,
 so they stay independent witnesses.
 
@@ -52,9 +52,15 @@ themselves and share nothing with the walk, so they stay independent
 witnesses; the walk's last term, D(m, n), is checked against ``dim_D``
 through I_sum == D - K_closed.
 
-``iter_table`` yields a table's records lazily, one at a time, so a caller
-that writes each one out runs in constant memory; ``table`` is that
-iterator collected into a list.
+A record is computed once, by ``_row``, as a flat tuple of values: m, n,
+r, then the fields of ``DimensionRecord`` after its query, in their order.
+``_iter_rows`` yields a table's rows lazily, one at a time, so a caller
+that writes each one out runs in constant memory; the CLI's table writers
+take these rows and build no object per record. The record objects are
+built only for a caller of the public API: ``compute_record`` builds one
+from its query and its row, ``iter_table`` builds a ``DimQuery``, which
+validates again, and a ``DimensionRecord`` from each row of
+``_iter_rows``, and ``table`` is that iterator collected into a list.
 
 The domain is m >= 1, n >= 1 and 0 <= r <= n, each an exact int. One
 function holds its rules and messages; ``DimQuery`` and every public route
@@ -121,8 +127,9 @@ def _validate(m: int, n: int, r: int) -> None:
 
     ``DimQuery`` and every route call this, so each rule and message lives
     here. The ``type(v) is int`` test rejects bool and costs no more than a
-    range test. A record runs it once, in ``DimQuery``: the record path
-    calls only private builders, which trust the query.
+    range test. A record runs it once, in ``DimQuery``, and a row of
+    ``_iter_rows`` not at all, as the table's bounds were checked: the
+    record path calls only private builders, which trust their arguments.
     """
     if not type(m) is type(n) is type(r) is int:
         name, value = next((k, v) for k, v in (("m", m), ("n", n), ("r", r)) if type(v) is not int)
@@ -391,16 +398,24 @@ def compute_record(query: DimQuery) -> DimensionRecord:
     A hypergeometric-route evaluation error (possible only at n = 1, where
     a lower series parameter can vanish too early) is recorded in
     ``hyp_error`` with ``I_hyp = None``; all integer routes are still filled
-    in. Disagreement of any kind yields ``routes_agree = False``. The checks
-    run on ints, as ``_record`` describes; ``I_hyp`` is still the exact
-    ``Fraction`` that ``dim_I_hyp`` returns.
+    in. Disagreement of any kind yields ``routes_agree = False``. The values
+    are ``_row``'s, checked on ints as it describes; ``I_hyp`` is still the
+    exact ``Fraction`` that ``dim_I_hyp`` returns. This and ``iter_table``
+    build the record objects, for callers of the API; the CLI's ``dims`` and
+    ``classify`` read this record's row, and its ``table`` builds no record.
     """
     m, n, r = query.m, query.n, query.r
-    return _record(query, dim_D(m, n), _k_recursion_row(m, n, r), _k_reduction_row(m, n, r))
+    row = _row(m, n, r, dim_D(m, n), _k_recursion_row(m, n, r), _k_reduction_row(m, n, r))
+    return DimensionRecord(query, *row[3:])
 
 
-def _record(query: DimQuery, d: int, rec_row: list[int], red_row: list[int]) -> DimensionRecord:
-    """``compute_record`` given D(m, n) and both K rows K(m, n, 0..r') of its (m, n), r' >= r.
+# A record as a flat tuple: m, n, r, then the fields of DimensionRecord after
+# its query, in their order.
+_Row = tuple[int, int, int, int, int, int, int, int, Fraction | None, int, str | None, bool, bool]
+
+
+def _row(m: int, n: int, r: int, d: int, rec_row: list[int], red_row: list[int]) -> _Row:
+    """The record of (m, n, r) as a ``_Row``, given D and both K rows K(m, n, 0..r'), r' >= r.
 
     I_hyp = d num / den, from the kernel's pair, is checked on ints. With
     q, rem = divmod(d num, den) it is integral iff rem == 0, and then it is
@@ -410,7 +425,6 @@ def _record(query: DimQuery, d: int, rec_row: list[int], red_row: list[int]) -> 
     field is the same value as a Fraction: Fraction(q), the int path with
     no gcd, when it is integral, else Fraction(d num, den).
     """
-    m, n, r = query.m, query.n, query.r
     k_rec = rec_row[r]
     k_red = red_row[r]
     k_clo, i_sum = _alternating_sums(m, n, r)
@@ -428,29 +442,25 @@ def _record(query: DimQuery, d: int, rec_row: list[int], red_row: list[int]) -> 
         q, rem = divmod(d * num, den)
         i_hyp = Fraction(d * num, den) if rem else Fraction(q)
 
-    routes_agree = k_rec == k_red == k_clo and rem == 0 and q == i_sum == i_sub
+    agree = k_rec == k_red == k_clo and rem == 0 and q == i_sum == i_sub
     ks = (k_rec, k_red, k_clo)
-    in_validity = d >= 0 and min(ks) >= 0 and max(ks) <= d and min(i_sum, i_sub, q) >= 0
-    return DimensionRecord(
-        query, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, routes_agree, in_validity
-    )
+    valid = d >= 0 and min(ks) >= 0 and max(ks) <= d and min(i_sum, i_sub, q) >= 0
+    return m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, agree, valid
 
 
-def iter_table(
-    m_range: tuple[int, int],
-    n_range: tuple[int, int],
-    r_policy: RPolicy = "all",
-) -> Iterator[DimensionRecord]:
-    """Lazily yield the records of ``table``, one at a time, in (m, n, r) order.
+def _iter_rows(
+    m_range: tuple[int, int], n_range: tuple[int, int], r_policy: RPolicy = "all"
+) -> Iterator[_Row]:
+    """Lazily yield the rows of ``table``, one at a time, in (m, n, r) order.
 
     The bounds and the policy are checked when this is called, before the
-    first record is computed, so bad input raises DomainError before a
-    caller writes anything. Records are computed as they are asked for and
-    none is kept, so a caller that writes each one out runs in constant
-    memory however large the ranges are. D and both full K rows
-    K(m, n, 0..n) are built once per (m, n), when its first record is asked
-    for, and serve all its r; each record equals ``compute_record`` of its
-    query.
+    first row is computed, so bad input raises DomainError before a caller
+    writes anything. Rows are computed as they are asked for and none is
+    kept, so a caller that writes each one out runs in constant memory
+    however large the ranges are. D and both full K rows K(m, n, 0..n) are
+    built once per (m, n), when its first row is asked for, and serve all
+    its r. Each point is in the domain the bounds checked, so no row builds
+    or validates a ``DimQuery``; the CLI's table writers take these rows.
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
@@ -464,15 +474,31 @@ def iter_table(
         raise DomainError(f"unknown r policy {r_policy!r}; expected one of {R_POLICIES}")
     r_values = _R_VALUES[r_policy]
 
-    def records() -> Iterator[DimensionRecord]:
+    def rows() -> Iterator[_Row]:
         for m in range(m_lo, m_hi + 1):
             for n in range(n_lo, n_hi + 1):
                 d = dim_D(m, n)
                 rec_row, red_row = _k_recursion_row(m, n, n), _k_reduction_row(m, n, n)
                 for r in r_values(n):
-                    yield _record(DimQuery(m, n, r), d, rec_row, red_row)
+                    yield _row(m, n, r, d, rec_row, red_row)
 
-    return records()
+    return rows()
+
+
+def iter_table(
+    m_range: tuple[int, int], n_range: tuple[int, int], r_policy: RPolicy = "all"
+) -> Iterator[DimensionRecord]:
+    """Lazily yield the records of ``table``, one at a time, in (m, n, r) order.
+
+    Each record is built from a row of ``_iter_rows``, with its own
+    ``DimQuery``, which validates its point again. So the bounds and the
+    policy are checked when this is called, records are computed as they
+    are asked for and none is kept, and D and both K rows are built once
+    per (m, n). Each record equals ``compute_record`` of its query. The
+    CLI's table writers take the rows themselves and build no record.
+    """
+    rows = _iter_rows(m_range, n_range, r_policy)
+    return (DimensionRecord(DimQuery(*row[:3]), *row[3:]) for row in rows)
 
 
 def table(

@@ -122,9 +122,9 @@ class TestDigitLimit:
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_table_stops_at_the_record_over_the_limit(self, run_cli, monkeypatch, fmt):
-        small = compute_record(DimQuery(2, 4, 1))
-        big = compute_record(DimQuery(10000, 10000, 2))
-        monkeypatch.setattr(cli, "iter_table", lambda *args: iter([small, big, small]))
+        small = cli._row_of(compute_record(DimQuery(2, 4, 1)))
+        big = cli._row_of(compute_record(DimQuery(10000, 10000, 2)))
+        monkeypatch.setattr(cli, "_iter_rows", lambda *args: iter([small, big, small]))
         code, out, err = run_cli("table", "--m-range", "2..2", "--n-range", "4..4",
                                  "--format", fmt)
         assert code == 1
@@ -133,7 +133,7 @@ class TestDigitLimit:
         assert out == {
             "csv": "m,n,r,D,K_recursion,K_reduction,K_closed,I_sum,I_hyp,I_subtract,"
                    "routes_agree,in_validity_range\n2,4,1,6,1,1,1,5,5,5,true,true\n",
-            "json": "[\n" + cli._record_json_item(small),
+            "json": "[\n" + cli._record_json(small, 1),
             "pretty": "",
         }[fmt]
 

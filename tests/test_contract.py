@@ -311,7 +311,9 @@ _RECORDS = st.builds(
 
 @given(_RECORDS)
 def test_record_json_is_json_dumps_indent_2(rec):
-    doc = cli._record_json_dict(rec)
-    assert cli._record_json(rec, 0) == json.dumps(doc, indent=2)
-    assert "[\n" + cli._record_json(rec, 1) + "\n]" == json.dumps([doc], indent=2)
-    assert cli._DIMS_RENDERERS["json"](rec) == json.dumps(doc, indent=2) + "\n"
+    # The writers take the record's row; the reference reads the record itself,
+    # K and I through its properties.
+    doc, row = cli._record_json_dict(rec), cli._row_of(rec)
+    assert cli._record_json(row, 0) == json.dumps(doc, indent=2)
+    assert "[\n" + cli._record_json(row, 1) + "\n]" == json.dumps([doc], indent=2)
+    assert cli._DIMS_RENDERERS["json"](row) == json.dumps(doc, indent=2) + "\n"

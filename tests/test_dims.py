@@ -480,13 +480,13 @@ class TestTriangleBuilders:
     )
     def test_compute_record_gets_rows_of_width_r_plus_1(self, monkeypatch, m, n, r):
         widths = []
-        record = dims._record
+        row = dims._row
 
-        def measured(query, d, rec_row, red_row):
+        def measured(m, n, r, d, rec_row, red_row):
             widths.append((len(rec_row), len(red_row)))
-            return record(query, d, rec_row, red_row)
+            return row(m, n, r, d, rec_row, red_row)
 
-        monkeypatch.setattr(dims, "_record", measured)
+        monkeypatch.setattr(dims, "_row", measured)
         assert compute_record(DimQuery(m, n, r)).routes_agree
         assert widths == [(r + 1, r + 1)]
 
@@ -586,6 +586,33 @@ class TestDeepInputsAndBoundedTables:
         assert any(rec.hyp_error is not None for rec in records) == (r_policy != "only_n_minus_1")
         for rec in records:
             assert rec == compute_record(rec.query)
+
+
+def _span(hi: int, width: int) -> st.SearchStrategy[tuple[int, int]]:
+    """An inclusive range lo..hi' in 1..hi, at most ``width`` + 1 long."""
+    return st.integers(1, hi).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo, min(lo + width, hi)))
+    )
+
+
+class TestRowsMatchRecords:
+    """``_iter_rows``, which the CLI's table writers take, against the public records."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_span(40, 3), _span(30, 5), st.sampled_from(dims.R_POLICIES))
+    # n = 1 holds the hyp_error records.
+    @example(m_range=(1, 4), n_range=(1, 6), r_policy="all")
+    @example(m_range=(37, 40), n_range=(1, 1), r_policy="only_n")
+    @example(m_range=(37, 40), n_range=(25, 30), r_policy="only_n_minus_1")
+    def test_rows_are_the_records_of_iter_table(self, m_range, n_range, r_policy):
+        rows = list(dims._iter_rows(m_range, n_range, r_policy))
+        records = list(iter_table(m_range, n_range, r_policy))
+        assert rows == [cli._row_of(rec) for rec in records]
+        for row, rec in zip(rows, records):
+            # Fraction equals an equal int, so == alone would let an int I_hyp through.
+            i_hyp = row[cli._ROW_COLUMNS.index("I_hyp")]
+            assert type(i_hyp) is type(rec.I_hyp) in (Fraction, type(None))
+            assert_same_record(rec, compute_record(rec.query))
 
 
 # The hypergeometric route as it was before dim_I_hyp called the int kernel
@@ -739,9 +766,9 @@ class TestAlternatingSumsMatchFrozenRoutes:
         assert dims._alternating_sums(m, n, r) == (-sum(terms[1:]), sum(terms))
 
 
-# ``dims._record`` as it was while it checked I_hyp as a Fraction, kept as an
-# oracle for the int checks. Only the kernel call goes through the pair helper,
-# so a patched pair reaches both.
+# A record of ``dims._row`` as it was built while I_hyp was checked as a
+# Fraction, kept as an oracle for the int checks. Only the kernel call goes
+# through the pair helper, so a patched pair reaches both.
 
 
 def frozen_record(
@@ -779,6 +806,15 @@ def frozen_record(
     )
 
 
+def row_record(
+    query: DimQuery, d: int, rec_row: list[int], red_row: list[int]
+) -> DimensionRecord:
+    """The record ``dims._row`` gives for the query, built as ``compute_record`` builds it."""
+    row = dims._row(query.m, query.n, query.r, d, rec_row, red_row)
+    assert row[:3] == (query.m, query.n, query.r)
+    return DimensionRecord(query, *row[3:])
+
+
 def assert_same_record(got: DimensionRecord, want: DimensionRecord) -> None:
     # Fraction equals an equal int, so == alone would let an int I_hyp through.
     assert got == want
@@ -803,7 +839,7 @@ class TestRecordMatchesFractionOracle:
         r = n if data is None else data.draw(st.integers(0, n))
         query = DimQuery(m, n, r)
         want = frozen_record(query, *self.rows(query))
-        assert_same_record(dims._record(query, *self.rows(query)), want)
+        assert_same_record(row_record(query, *self.rows(query)), want)
         assert_same_record(compute_record(query), want)
 
     @settings(max_examples=500)
@@ -835,4 +871,4 @@ class TestRecordMatchesFractionOracle:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dims, "_i_hyp_pair", lambda m, n, r: pair)
             want = frozen_record(query, d, rec_row, red_row)
-            assert_same_record(dims._record(query, d, rec_row, red_row), want)
+            assert_same_record(row_record(query, d, rec_row, red_row), want)

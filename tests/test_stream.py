@@ -1,8 +1,9 @@
 """``table`` as a stream: csv and json records are written as they are computed.
 
-The records come from ``dims.iter_table``, which looks ``_record`` up in
-``dims`` for every record, so patching it there counts or alters each record
-on its way to the writer.
+The CLI's table writers take the rows of ``dims._iter_rows``, which looks
+``_row`` up in ``dims`` for every row, and ``iter_table`` builds its records
+from those rows, so patching ``_row`` there counts or alters each record on
+its way to the writer or the caller.
 """
 
 import dataclasses
@@ -26,13 +27,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def computed(monkeypatch):
     """The (m, n, r) of every record computed, in order, while the test runs."""
     calls = []
-    record = dims._record
+    row = dims._row
 
-    def counting(query, *rows):
-        calls.append((query.m, query.n, query.r))
-        return record(query, *rows)
+    def counting(m, n, r, *k_rows):
+        calls.append((m, n, r))
+        return row(m, n, r, *k_rows)
 
-    monkeypatch.setattr(dims, "_record", counting)
+    monkeypatch.setattr(dims, "_row", counting)
     return calls
 
 
@@ -92,15 +93,17 @@ class TestStreaming:
         argv = ("table", "--m-range", "1..6", "--n-range", "2..3", "--format", fmt)
         code, clean, _ = run_cli(*argv)
         assert code == 0
-        record = dims._record
+        row = dims._row
+        k_reduction, routes_agree = cli._ROW_COLUMNS.index("K_reduction"), cli._AGREE
 
-        def off_at_3_2_1(query, *rows):
-            rec = record(query, *rows)
-            if (query.m, query.n, query.r) == (3, 2, 1):
-                return dataclasses.replace(rec, K_reduction=rec.K_reduction + 1, routes_agree=False)
-            return rec
+        def off_at_3_2_1(m, n, r, *k_rows):
+            values = list(row(m, n, r, *k_rows))
+            if (m, n, r) == (3, 2, 1):
+                values[k_reduction] += 1
+                values[routes_agree] = False
+            return tuple(values)
 
-        monkeypatch.setattr(dims, "_record", off_at_3_2_1)
+        monkeypatch.setattr(dims, "_row", off_at_3_2_1)
         code, out, err = run_cli(*argv)
         assert (code, err) == (2, "")
         out_path = tmp_path / f"table.{fmt}"
@@ -114,6 +117,22 @@ class TestStreaming:
             got, want = json.loads(out), json.loads(clean)
         assert len(got) == len(want) == 42
         assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == [15]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
+def test_table_builds_no_query_or_record(monkeypatch, run_cli, fmt):
+    # n = 1 holds the hyp_error records, so the routes disagree and the exit is 2.
+    argv = ("table", "--m-range", "1..6", "--n-range", "1..3", "--format", fmt)
+    expected = run_cli(*argv)
+    assert expected[0] == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table path built a query or a record")
+
+    for module in (dims, cli):
+        for name in ("DimQuery", "DimensionRecord"):
+            monkeypatch.setattr(module, name, refuse)
+    assert run_cli(*argv) == expected
 
 
 class TestJsonWriter:
@@ -130,7 +149,7 @@ class TestJsonWriter:
             dims.compute_record(dims.DimQuery(2, 1, 1)), hyp_error='pole "k=1"\\\n\té '
         )
         buf = io.StringIO()
-        assert cli._write_json([rec, rec], buf.write) is False
+        assert cli._write_json([cli._row_of(rec)] * 2, buf.write) is False
         assert buf.getvalue() == json.dumps([cli._record_json_dict(rec)] * 2, indent=2) + "\n"
 
     def test_empty_stream_is_an_empty_list(self):
