@@ -19,16 +19,22 @@ record part of ``classify --format csv`` take the same list without the
 JSON-only ``K``, ``I`` and ``hyp_error``. The verify outputs take their
 columns from ``SuiteResult``'s fields. Every subcommand renders through a
 table from ``--format`` (one of ``FORMATS``) to a renderer. Every CSV line
-goes through one RFC 4180 minimal-quoting rule, so a cell with a comma, a
-quote or a line break is quoted and rows keep their header's width.
+but a record's goes through one RFC 4180 minimal-quoting rule, so a cell
+with a comma, a quote or a line break is quoted and rows keep their
+header's width.
 
 Every record renderer takes a row: the flat tuple of values that
-``dims._row`` computes, m, n, r and then the fields of a
-``DimensionRecord`` after its query. ``table`` takes its rows straight
-from ``dims._iter_rows`` and builds no ``DimQuery``, no
-``DimensionRecord`` and no dict; ``dims`` and ``classify`` read the row of
-the record they compute through one attrgetter. CSV cells come from one
-itemgetter over the row. A record's ``json.dumps(indent=2)`` form is one
+``dims._block_rows`` computes, m, n, r and then the fields of a
+``DimensionRecord`` after its query, where I_hyp may be an int or a
+``Fraction`` of the same value. ``table`` takes its rows straight from
+``dims._iter_rows`` and builds no ``DimQuery``, no ``DimensionRecord`` and
+no dict; ``dims`` and ``classify`` read the row of the record they compute
+through one attrgetter. A record's CSV line is one %-template of its
+``CSV_COLUMNS`` cells and bypasses the quoting rule: its cells are ints,
+``p/q`` text, ``true``/``false`` or empty, so none can hold a comma, a
+quote, CR or LF. The pretty table and the record cells of ``classify
+--format csv`` split that line at its commas, so every record cell has one
+format. A record's ``json.dumps(indent=2)`` form is one
 %-template per nesting depth, built once from ``RECORD_COLUMNS``: depth 0
 for ``dims --format json``, depth 1 for each item of ``table --format
 json``, whose values are the row's put in ``RECORD_COLUMNS`` order, with K
@@ -69,7 +75,6 @@ import operator
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from .dims import (
@@ -116,11 +121,9 @@ CSV_COLUMNS = tuple(c for c in RECORD_COLUMNS if c not in ("K", "I", "hyp_error"
 
 # Every record renderer takes a row, dims' flat form of a record: m, n, r,
 # then the record's fields after its query, in their order. A record's row
-# is one attrgetter away; _record_values reads its JSON values instead.
+# is one attrgetter away.
 _ROW_COLUMNS = ("m", "n", "r") + tuple(f.name for f in dataclasses.fields(DimensionRecord)[1:])
 _row_of = operator.attrgetter("query.m", "query.n", "query.r", *_ROW_COLUMNS[3:])
-_record_values = operator.attrgetter("query.m", "query.n", "query.r", *RECORD_COLUMNS[3:])
-_csv_values = operator.itemgetter(*map(_ROW_COLUMNS.index, CSV_COLUMNS))
 _AGREE = _ROW_COLUMNS.index("routes_agree")
 
 
@@ -205,24 +208,30 @@ def _digit_limited(render: Callable[..., str]) -> Callable[..., str]:
     return checked
 
 
+# A record's CSV line, without its line end: one %s per CSV column.
+_RECORD_CSV = ",".join(["%s"] * len(CSV_COLUMNS))
+
+
+def _record_csv(row: _Row) -> str:
+    """A row's CSV line, as ``_csv_row`` writes its cells, without its line end.
+
+    An int is passed as it is, and %s writes it as str does, digit limit
+    included; I_hyp is its digits, p/q text or, when missing, empty, and a
+    flag is true/false. No such cell holds a comma, a quote, CR or LF, so
+    the line needs no quoting.
+    """
+    m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, _, agree, valid = row
+    return _RECORD_CSV % (
+        m, n, r, d, k_rec, k_red, k_clo, i_sum,
+        "" if i_hyp is None else format_rational(i_hyp), i_sub,
+        _bool_str(agree), _bool_str(valid),
+    )
+
+
 def _record_cells(row: _Row) -> list[str]:
-    # An int as digits, a bool as true/false, a missing I_hyp as an empty
-    # cell and a rational as p/q text.
-    return [
-        str(v) if type(v) is int else _bool_str(v) if type(v) is bool
-        else "" if v is None else format_rational(v)
-        for v in _csv_values(row)
-    ]
-
-
-def _record_json_dict(rec: DimensionRecord) -> dict[str, Any]:
-    # The reference the JSON templates are tested against, read from the
-    # record itself. Rationals become p/q text; ints, bools, strings and
-    # None stay as they are.
-    return {
-        column: format_rational(value) if type(value) is Fraction else value
-        for column, value in zip(RECORD_COLUMNS, _record_values(rec))
-    }
+    # For the pretty table and classify's CSV: the line split at its commas,
+    # which no cell holds, so every record cell has one format.
+    return _record_csv(row).split(",")
 
 
 def _record_pretty(row: _Row) -> str:
@@ -263,13 +272,14 @@ _RECORD_JSON_TEMPLATES = tuple(
 
 
 def _record_json(row: _Row, depth: int) -> str:
-    """A row as ``json.dumps(_record_json_dict(rec), indent=2)`` writes its record at ``depth``.
+    """A row as ``json.dumps(indent=2)`` writes its record's dict at ``depth``.
 
-    The row's values go into the template in ``RECORD_COLUMNS`` order, with
-    K and I taken from K_closed and I_sum when the routes agree. An int is
-    passed as it is, and %s writes it as str does, digit limit included; a
-    rational is quoted p/q text and the one string, hyp_error, is escaped
-    by ``json.dumps``.
+    The dict maps each of ``RECORD_COLUMNS`` to the record's value, a
+    rational as p/q text. The row's values go into the template in that
+    order, with K and I taken from K_closed and I_sum when the routes
+    agree. An int is passed as it is, and %s writes it as str does, digit
+    limit included; a rational, or an int I_hyp, is quoted p/q text and
+    the one string, hyp_error, is escaped by ``json.dumps``.
     """
     m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, agree, valid = row
     return _RECORD_JSON_TEMPLATES[depth] % (
@@ -284,9 +294,7 @@ def _record_json(row: _Row, depth: int) -> str:
 _DIMS_RENDERERS: dict[str, Callable[[_Row], str]] = {
     "pretty": _digit_limited(_record_pretty),
     "json": _digit_limited(lambda row: _record_json(row, 0) + "\n"),
-    "csv": _digit_limited(
-        lambda row: _lines([_csv_row(CSV_COLUMNS), _csv_row(_record_cells(row))])
-    ),
+    "csv": _digit_limited(lambda row: _lines([_csv_row(CSV_COLUMNS), _record_csv(row)])),
 }
 
 
@@ -301,7 +309,7 @@ def _write_csv(rows: Iterable[_Row], write: Callable[[str], Any]) -> bool:
     agree = True
     for row in rows:
         try:
-            line = _csv_row(_record_cells(row))
+            line = _record_csv(row)
         except ValueError:
             raise _DigitLimitError from None
         write(line + "\n")

@@ -29,38 +29,43 @@ to width, and each step m' -> m' + 2 widens the row by one entry until it
 is K(m, n, 0..r). A query costs min((m-1)//2, r) steps of width <= r+1, at
 constant stack depth, however large m is. No route keeps a cache:
 ``compute_record`` builds both rows for its one query, and a table builds
-the full rows K(m, n, 0..n), the triangles at r = n, once per (m, n) and
-reads every r of its loop from them; ``dim_D`` is one binomial.
+the rows K(m, n, 0..R), the triangles at its largest r of the (m, n),
+R, once per (m, n) and reads every r of its loop from them; ``dim_D`` is
+one binomial.
 The two routes keep their own formulas and share no intermediate values,
 so they stay independent witnesses.
 
-One term walk, ``_alternating_sums``, gives both alternating sums at once:
-K_closed is the negated sum of its terms for s >= 1 and I_sum adds the
-s = 0 term, the walk's own D(m, n). It computes one ``dim_D`` and one
-``binom`` at the deepest term s = min(r, m // 2), M = m - 2s, and takes
-each next term from the last:
+Both alternating sums read one signed column, ``_d_column``:
+(-1)^s D(m-2s, n) for s = 0..S. It is built by one upward walk that
+computes one ``dim_D`` at the deepest term, M = m - 2S, and takes each
+next term from the last:
 
     D(M+2, n) = D(M, n) (n+M-1)(n+M) / ((M+1)(M+2))
-    C(r, s-1) = C(r, s) s / (r-s+1)
 
-Both divisions are exact: each dividend is the next value times the
-divisor, D(M, n) (n+M-1)(n+M) = D(M+2, n) (M+1)(M+2) and
-C(r, s) s = C(r, s-1) (r-s+1), so the walk stays on ints.
-It walks upward, from small M to m, because the downward step would divide
-by (n+M-1)(n+M), which is 0 at n = 1, M = 0. The row routes call ``dim_D``
-themselves and share nothing with the walk, so they stay independent
-witnesses; the walk's last term, D(m, n), is checked against ``dim_D``
-through I_sum == D - K_closed.
+The division is exact, D(M, n) (n+M-1)(n+M) = D(M+2, n) (M+1)(M+2), so
+the walk stays on ints. It walks upward, from small M to m, because the
+downward step would divide by (n+M-1)(n+M), which is 0 at n = 1, M = 0.
+A column of depth min(R, m // 2) serves every r <= R; at r,
+``_column_sums`` takes I_sum = sum of C(r, s) col[s] over s <= r, a
+single sum in C, and K_closed = col[0] - I_sum, the negated sum over
+s >= 1 (C(r, s) = 0 for s > r truncates both). The row routes call
+``dim_D`` themselves and share nothing with the column, so they stay
+independent witnesses; the column's first term, D(m, n) as the walk
+reached it, is checked against ``dim_D`` through I_sum == D - K_closed.
 
-A record is computed once, by ``_row``, as a flat tuple of values: m, n,
-r, then the fields of ``DimensionRecord`` after its query, in their order.
-``_iter_rows`` yields a table's rows lazily, one at a time, so a caller
-that writes each one out runs in constant memory; the CLI's table writers
-take these rows and build no object per record. The record objects are
-built only for a caller of the public API: ``compute_record`` builds one
-from its query and its row, ``iter_table`` builds a ``DimQuery``, which
-validates again, and a ``DimensionRecord`` from each row of
-``_iter_rows``, and ``table`` is that iterator collected into a list.
+The records of one (m, n) are computed together, by ``_block_rows``, each
+as a flat tuple of values: m, n, r, then the fields of ``DimensionRecord``
+after its query, in their order, but with an integral I_hyp kept as the
+int. D, both K rows and the column are built once per block, sized to its
+largest r, and each r then costs one column sum, one 3F2 series and the
+checks. ``_iter_rows`` yields a table's rows lazily, one at a time, so a
+caller that writes each one out runs in constant memory; the CLI's table
+writers take these rows and build no object per record. The record
+objects are built only for a caller of the public API: ``compute_record``
+builds one from its query and the one row of its block, ``iter_table``
+builds a ``DimQuery``, which validates again, and a ``DimensionRecord``
+from each row of ``_iter_rows``, and ``table`` is that iterator collected
+into a list. Both put an int I_hyp back into a ``Fraction``.
 
 The domain is m >= 1, n >= 1 and 0 <= r <= n, each an exact int. One
 function holds its rules and messages; ``DimQuery`` and every public route
@@ -86,6 +91,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .exactnum import binom
@@ -283,54 +289,61 @@ def dim_K_reduction(m: int, n: int, r: int) -> int:
     return _k_reduction_row(m, n, r)[r]
 
 
-def _alternating_sums(m: int, n: int, r: int) -> tuple[int, int]:
-    """(K_closed, I_sum) from one walk over the terms (-1)^s C(r, s) D(m-2s, n).
+def _d_column(m: int, n: int, depth: int) -> list[int]:
+    """The signed column (-1)^s D(m-2s, n) for s = 0..depth, with depth <= m // 2.
 
-    The upward walk of the module docstring: one ``dim_D`` and one ``binom``
-    at M = m - 2s for s = min(r, m // 2), then one exact step per term down
-    to s = 0, whose term is the walk's own D(m, n). K_closed is minus the
-    sum over s >= 1 and I_sum is the sum over s >= 0.
+    The upward walk of the module docstring: one ``dim_D`` at M = m - 2 depth,
+    then one exact step per term up to s = 0, whose term is the walk's own
+    D(m, n). The sign flips at each step, and a floor division of an exact
+    quotient is exact for either sign.
     """
-    s = min(r, m // 2)
-    M = m - 2 * s
-    d = dim_D(M, n)
-    c = -binom(r, s) if s % 2 else binom(r, s)  # (-1)^s C(r, s)
-    total = 0
-    while s:
-        total += c * d
-        d = d * (n + M - 1) * (n + M) // ((M + 1) * (M + 2))
-        c = -c * s // (r - s + 1)
+    M = m - 2 * depth
+    d = -dim_D(M, n) if depth % 2 else dim_D(M, n)
+    col = [d]
+    while M < m:
+        d = -d * (n + M - 1) * (n + M) // ((M + 1) * (M + 2))
         M += 2
-        s -= 1
-    return -total, total + d  # at s = 0, c = 1 and d = D(m, n)
+        col.append(d)
+    col.reverse()
+    return col
+
+
+def _column_sums(col: list[int], r: int) -> tuple[int, int]:
+    """(K_closed, I_sum) at r from the ``_d_column`` of (m, n), of depth >= min(r, m // 2).
+
+    I_sum is the sum of C(r, s) col[s] over s <= r, as far as the column
+    goes, and K_closed = col[0] - I_sum is minus its terms for s >= 1.
+    """
+    total = sum(map(mul, map(math.comb, itertools.repeat(r), range(r + 1)), col))
+    return col[0] - total, total
 
 
 def dim_K_closed(m: int, n: int, r: int) -> int:
     """Kernel dimension as the alternating sum over s >= 1 of (-1)^(s-1) C(r, s) D(m-2s, n).
 
     C(r, s) = 0 for s > r and the D conventions truncate the sum at
-    s = min(r, floor(m/2)). The terms come from ``_alternating_sums``, an
-    upward walk on ints that starts from one ``dim_D`` and one ``binom`` at
+    s = min(r, floor(m/2)). The terms (-1)^s D(m-2s, n) come from
+    ``_d_column``, an upward walk on ints that starts from one ``dim_D`` at
     the deepest term and takes each next term from the last by an exact
     division, never by zero; this is the negated sum of all of them but the
-    last, the s = 0 term D(m, n).
+    s = 0 term D(m, n), each times C(r, s).
     """
     _validate(m, n, r)
-    return _alternating_sums(m, n, r)[0]
+    return _column_sums(_d_column(m, n, min(r, m // 2)), r)[0]
 
 
 def dim_I_sum(m: int, n: int, r: int) -> int:
     """Image dimension as the alternating sum over s >= 0 of (-1)^s C(r, s) D(m-2s, n).
 
     C(r, s) = 0 for s > r and the D conventions truncate the sum at
-    s = min(r, floor(m/2)). This is the sum of every term of the upward
-    walk ``_alternating_sums`` (one ``dim_D`` and one ``binom`` at the
-    deepest term, then exact int steps). Its last term is D(m, n) as the
-    walk reached it, so ``compute_record``'s test I_sum == D - K_closed
-    also checks that value against ``dim_D``.
+    s = min(r, floor(m/2)). This is the sum over every term of the column
+    ``_d_column`` (one ``dim_D`` at the deepest term, then exact int steps),
+    each times C(r, s). Its first term is D(m, n) as the walk reached it,
+    so a record's test I_sum == D - K_closed also checks that value against
+    ``dim_D``.
     """
     _validate(m, n, r)
-    return _alternating_sums(m, n, r)[1]
+    return _column_sums(_d_column(m, n, min(r, m // 2)), r)[1]
 
 
 def dim_I_hyp(m: int, n: int, r: int) -> Fraction:
@@ -399,53 +412,74 @@ def compute_record(query: DimQuery) -> DimensionRecord:
     a lower series parameter can vanish too early) is recorded in
     ``hyp_error`` with ``I_hyp = None``; all integer routes are still filled
     in. Disagreement of any kind yields ``routes_agree = False``. The values
-    are ``_row``'s, checked on ints as it describes; ``I_hyp`` is still the
-    exact ``Fraction`` that ``dim_I_hyp`` returns. This and ``iter_table``
-    build the record objects, for callers of the API; the CLI's ``dims`` and
-    ``classify`` read this record's row, and its ``table`` builds no record.
+    are those of the one row of the block ``_block_rows(m, n, (r,))``, so D,
+    the K rows and the column are sized to this r, and are checked on ints
+    as it describes; ``I_hyp`` is still the exact ``Fraction`` that
+    ``dim_I_hyp`` returns, the row's int put back into one. This and
+    ``iter_table`` build the record objects, for callers of the API; the
+    CLI's ``dims`` and ``classify`` read this record's row, and its
+    ``table`` builds no record.
     """
-    m, n, r = query.m, query.n, query.r
-    row = _row(m, n, r, dim_D(m, n), _k_recursion_row(m, n, r), _k_reduction_row(m, n, r))
-    return DimensionRecord(query, *row[3:])
+    return _record(query, next(_block_rows(query.m, query.n, (query.r,))))
 
 
 # A record as a flat tuple: m, n, r, then the fields of DimensionRecord after
-# its query, in their order.
-_Row = tuple[int, int, int, int, int, int, int, int, Fraction | None, int, str | None, bool, bool]
+# its query, in their order, with an integral I_hyp kept as the int.
+_Row = tuple[
+    int, int, int, int, int, int, int, int, int | Fraction | None, int, str | None, bool, bool
+]
 
 
-def _row(m: int, n: int, r: int, d: int, rec_row: list[int], red_row: list[int]) -> _Row:
-    """The record of (m, n, r) as a ``_Row``, given D and both K rows K(m, n, 0..r'), r' >= r.
+def _record(query: DimQuery, row: _Row) -> DimensionRecord:
+    """The record of ``query`` from its row, with an int I_hyp put back into a Fraction."""
+    i_hyp = row[8]
+    return DimensionRecord(
+        query, *row[3:8], Fraction(i_hyp) if type(i_hyp) is int else i_hyp, *row[9:]
+    )
+
+
+def _block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[_Row]:
+    """The rows of (m, n, r) for each r of ``rs``, which ascend, as ``_Row`` tuples.
+
+    D, both K rows K(m, n, 0..R) and the column of depth min(R, m // 2) are
+    built once, for the largest r, R = rs[-1], when the first row is asked
+    for. Then each r reads its K values from the rows, its K_closed and
+    I_sum from one ``_column_sums``, and its I_hyp from one 3F2 series.
 
     I_hyp = d num / den, from the kernel's pair, is checked on ints. With
     q, rem = divmod(d num, den) it is integral iff rem == 0, and then it is
     q, so the routes agree iff rem == 0 and q == I_sum == I_subtract.
     Python's q is the floor of the exact quotient for either sign of den,
     and floor(x) >= 0 iff x >= 0, so q >= 0 is the bound I_hyp >= 0. The
-    field is the same value as a Fraction: Fraction(q), the int path with
-    no gcd, when it is integral, else Fraction(d num, den).
+    row keeps an integral I_hyp as the int q, with no Fraction built, and
+    any other as Fraction(d num, den).
     """
-    k_rec = rec_row[r]
-    k_red = red_row[r]
-    k_clo, i_sum = _alternating_sums(m, n, r)
-    i_sub = d - k_clo
-    i_hyp: Fraction | None
-    hyp_error: str | None
-    try:
-        num, den = _i_hyp_pair(m, n, r)
-    except HyperEvalError as exc:
-        # No I_hyp: rem = 1 makes it agree with no route, and q = I_sum adds
-        # no bound that I_sum does not already meet.
-        i_hyp, hyp_error, q, rem = None, str(exc), i_sum, 1
-    else:
-        hyp_error = None
-        q, rem = divmod(d * num, den)
-        i_hyp = Fraction(d * num, den) if rem else Fraction(q)
-
-    agree = k_rec == k_red == k_clo and rem == 0 and q == i_sum == i_sub
-    ks = (k_rec, k_red, k_clo)
-    valid = d >= 0 and min(ks) >= 0 and max(ks) <= d and min(i_sum, i_sub, q) >= 0
-    return m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, agree, valid
+    top = rs[-1]
+    d = dim_D(m, n)
+    rec_row, red_row = _k_recursion_row(m, n, top), _k_reduction_row(m, n, top)
+    col = _d_column(m, n, min(top, m // 2))
+    for r in rs:
+        k_rec = rec_row[r]
+        k_red = red_row[r]
+        k_clo, i_sum = _column_sums(col, r)
+        i_sub = d - k_clo
+        try:
+            num, den = _i_hyp_pair(m, n, r)
+        except HyperEvalError as exc:
+            # No I_hyp: rem = 1 makes it agree with no route, and q = I_sum
+            # adds no bound that I_sum does not already meet.
+            i_hyp, hyp_error, q, rem = None, str(exc), i_sum, 1
+        else:
+            hyp_error = None
+            q, rem = divmod(d * num, den)
+            i_hyp = Fraction(d * num, den) if rem else q
+        agree = k_rec == k_red == k_clo and rem == 0 and q == i_sum == i_sub
+        # Each K in 0..D (so D >= 0) and each I >= 0.
+        valid = (
+            0 <= k_rec <= d and 0 <= k_red <= d and 0 <= k_clo <= d
+            and i_sum >= 0 and i_sub >= 0 and q >= 0
+        )
+        yield m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, agree, valid
 
 
 def _iter_rows(
@@ -457,10 +491,12 @@ def _iter_rows(
     first row is computed, so bad input raises DomainError before a caller
     writes anything. Rows are computed as they are asked for and none is
     kept, so a caller that writes each one out runs in constant memory
-    however large the ranges are. D and both full K rows K(m, n, 0..n) are
-    built once per (m, n), when its first row is asked for, and serve all
-    its r. Each point is in the domain the bounds checked, so no row builds
-    or validates a ``DimQuery``; the CLI's table writers take these rows.
+    however large the ranges are. Each (m, n) is one ``_block_rows`` over
+    the policy's r values, so D, both K rows and the D column are built
+    once per (m, n), for its largest r, when its first row is asked for,
+    and serve all its r. Each point is in the domain the bounds checked, so
+    no row builds or validates a ``DimQuery``; the CLI's table writers take
+    these rows, whose integral I_hyp is an int.
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
@@ -477,10 +513,7 @@ def _iter_rows(
     def rows() -> Iterator[_Row]:
         for m in range(m_lo, m_hi + 1):
             for n in range(n_lo, n_hi + 1):
-                d = dim_D(m, n)
-                rec_row, red_row = _k_recursion_row(m, n, n), _k_reduction_row(m, n, n)
-                for r in r_values(n):
-                    yield _row(m, n, r, d, rec_row, red_row)
+                yield from _block_rows(m, n, r_values(n))
 
     return rows()
 
@@ -491,14 +524,15 @@ def iter_table(
     """Lazily yield the records of ``table``, one at a time, in (m, n, r) order.
 
     Each record is built from a row of ``_iter_rows``, with its own
-    ``DimQuery``, which validates its point again. So the bounds and the
-    policy are checked when this is called, records are computed as they
-    are asked for and none is kept, and D and both K rows are built once
-    per (m, n). Each record equals ``compute_record`` of its query. The
-    CLI's table writers take the rows themselves and build no record.
+    ``DimQuery``, which validates its point again, and an int I_hyp put
+    back into a ``Fraction``. So the bounds and the policy are checked when
+    this is called, records are computed as they are asked for and none is
+    kept, and D, both K rows and the D column are built once per (m, n).
+    Each record equals ``compute_record`` of its query. The CLI's table
+    writers take the rows themselves and build no record.
     """
     rows = _iter_rows(m_range, n_range, r_policy)
-    return (DimensionRecord(DimQuery(*row[:3]), *row[3:]) for row in rows)
+    return (_record(DimQuery(*row[:3]), row) for row in rows)
 
 
 def table(

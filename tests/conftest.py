@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import operator
 import os
+from fractions import Fraction
 from pathlib import Path
+from typing import Any
 
 import pytest
 
 from selbergdim import cli
+from selbergdim.exactnum import format_rational
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DATA_DIR = Path(__file__).parent / "data"
@@ -82,3 +86,18 @@ def compare_golden(name: str, actual: str) -> None:
         path.write_text(actual, encoding="utf-8")
     expected = path.read_text(encoding="utf-8")
     assert actual == expected, f"output differs from committed fixture {name}"
+
+
+# A record's JSON values, in RECORD_COLUMNS order, K and I through its properties.
+_record_values = operator.attrgetter("query.m", "query.n", "query.r", *cli.RECORD_COLUMNS[3:])
+
+
+def record_json_dict(rec) -> dict[str, Any]:
+    """The reference the JSON templates are tested against, read from the record itself.
+
+    Rationals become p/q text; ints, bools, strings and None stay as they are.
+    """
+    return {
+        column: format_rational(value) if type(value) is Fraction else value
+        for column, value in zip(cli.RECORD_COLUMNS, _record_values(rec))
+    }

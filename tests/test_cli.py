@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, GOLDEN_CASES, compare_golden
+from conftest import DATA_DIR, GOLDEN_CASES, compare_golden, record_json_dict
 import selbergdim
 from selbergdim import cli, resonance
 from selbergdim.dims import DimQuery, compute_record
@@ -149,7 +149,7 @@ class TestDigitLimit:
         sys.set_int_max_str_digits(0)
         try:
             doc = json.loads(proc.stdout)
-            expected = cli._record_json_dict(compute_record(DimQuery(10000, 10000, 2)))
+            expected = record_json_dict(compute_record(DimQuery(10000, 10000, 2)))
         finally:
             sys.set_int_max_str_digits(limit)
         assert doc == expected

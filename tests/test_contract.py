@@ -5,6 +5,7 @@ import ast
 import hashlib
 import importlib
 import json
+import operator
 import re
 import sys
 import types
@@ -15,8 +16,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import record_json_dict
 import selbergdim
 from selbergdim import cli
+from selbergdim.exactnum import format_rational
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "selbergdim").glob("*.py"))
@@ -280,7 +283,7 @@ def test_dims_json_is_json_dumps_of_the_record(run_cli):
     assert isinstance(rec.hyp_error, str)
     code, out, err = run_cli("dims", "-m", "2", "-n", "1", "-r", "1", "--format", "json")
     assert (code, err) == (2, "")
-    assert out == json.dumps(cli._record_json_dict(rec), indent=2) + "\n"
+    assert out == json.dumps(record_json_dict(rec), indent=2) + "\n"
 
 
 def _unchecked_query(m: int, n: int, r: int) -> selbergdim.DimQuery:
@@ -320,7 +323,69 @@ _RECORDS = st.builds(
 def test_record_json_is_json_dumps_indent_2(rec):
     # The writers take the record's row; the reference reads the record itself,
     # K and I through its properties.
-    doc, row = cli._record_json_dict(rec), cli._row_of(rec)
+    doc, row = record_json_dict(rec), cli._row_of(rec)
     assert cli._record_json(row, 0) == json.dumps(doc, indent=2)
     assert "[\n" + cli._record_json(row, 1) + "\n]" == json.dumps([doc], indent=2)
     assert cli._DIMS_RENDERERS["json"](row) == json.dumps(doc, indent=2) + "\n"
+    # A block row keeps an integral I_hyp as the int, which writes the same.
+    if rec.I_hyp is not None and rec.I_hyp.denominator == 1:
+        int_row = row[:8] + (rec.I_hyp.numerator,) + row[9:]
+        assert cli._record_json(int_row, 1) == cli._record_json(row, 1)
+
+
+# A record's CSV cells as they were made before its line became one
+# template, kept verbatim as an oracle: the line was _csv_row of these.
+_FROZEN_CSV_VALUES = operator.itemgetter(*map(cli._ROW_COLUMNS.index, cli.CSV_COLUMNS))
+
+
+def frozen_record_cells(row) -> list[str]:
+    # An int as digits, a bool as true/false, a missing I_hyp as an empty
+    # cell and a rational as p/q text.
+    return [
+        str(v) if type(v) is int else cli._bool_str(v) if type(v) is bool
+        else "" if v is None else format_rational(v)
+        for v in _FROZEN_CSV_VALUES(row)
+    ]
+
+
+# Ints of either sign with more digits than the default limit allows.
+_PAST_LIMIT = st.builds(operator.mul, st.sampled_from([1, -1]), st.integers(10**4300, 10**4400))
+_I_HYP = cli._ROW_COLUMNS.index("I_hyp")
+_ROWS = st.tuples(
+    *[_INTS] * 8,
+    st.one_of(st.none(), _INTS, _FRACTIONS),  # I_hyp: an int from a block, a Fraction from a record
+    _INTS,
+    st.one_of(st.none(), _TEXT),
+    st.booleans(),
+    st.booleans(),
+)
+# One field past the limit: an int field, m to I_subtract, or I_hyp as an
+# int, as an integral Fraction or as a Fraction with a long denominator.
+_PAST_LIMIT_FIELD = st.one_of(
+    st.tuples(st.sampled_from([i for i in range(10) if i != _I_HYP]), _PAST_LIMIT),
+    st.tuples(
+        st.just(_I_HYP),
+        st.one_of(
+            _PAST_LIMIT,
+            st.builds(Fraction, _PAST_LIMIT),
+            st.builds(Fraction, st.sampled_from([1, -1]), _PAST_LIMIT),
+        ),
+    ),
+)
+
+
+@given(_ROWS, st.one_of(st.none(), _PAST_LIMIT_FIELD))
+def test_record_csv_is_csv_row_of_the_cells(row, past_limit):
+    if past_limit is not None:
+        # Both sides raise the limit's ValueError.
+        index, value = past_limit
+        row = row[:index] + (value,) + row[index + 1:]
+        with pytest.raises(ValueError):
+            cli._csv_row(frozen_record_cells(row))
+        with pytest.raises(ValueError):
+            cli._record_csv(row)
+        return
+    want = cli._csv_row(frozen_record_cells(row))
+    assert cli._record_csv(row) == want
+    assert cli._record_cells(row) == frozen_record_cells(row)
+    assert cli._DIMS_RENDERERS["csv"](row) == cli._csv_row(cli.CSV_COLUMNS) + "\n" + want + "\n"

@@ -98,8 +98,9 @@ class TestKernelRoutes:
 
     def test_alternating_sums_stop_at_r(self, monkeypatch):
         # C(r, s) = 0 for s > r, so at r = 3 each sum walks s = 3 down to 0
-        # only, not m // 2 = 300 terms. The walk starts from one C(r, s) and
-        # one C inside dim_D, and takes every later term from the last one.
+        # only, not m // 2 = 300 terms. The walk starts from the one C inside
+        # dim_D at the deepest term, D(594, 3) = C(595, 594), and takes every
+        # later term from the last one; the C(r, s) are math.comb's.
         calls = []
 
         def counting(r, s):
@@ -109,10 +110,10 @@ class TestKernelRoutes:
         monkeypatch.setattr(dims, "binom", counting)
         # 3 D(598, 3) - 3 D(596, 3) + D(594, 3) = 3*599 - 3*597 + 595.
         assert dim_K_closed(600, 3, 3) == 601
-        assert len(calls) == 2
+        assert calls == [(595, 594)]
         calls.clear()
         assert dim_I_sum(600, 3, 3) == 0
-        assert len(calls) == 2
+        assert calls == [(595, 594)]
 
     def test_domain_errors(self):
         for fn in (dim_K_recursion, dim_K_reduction, dim_K_closed, dim_I_sum, dim_I_hyp):
@@ -247,16 +248,16 @@ class TestComputeRecord:
             # d num / den = 35 (-1) / 70 = -1/2, and 35 (1) / (-70) = -1/2.
             ("_i_hyp_pair", lambda m, n, r: (-1, 70)),
             ("_i_hyp_pair", lambda m, n, r: (1, -70)),
-            ("_alternating_sums", lambda m, n, r: (36, 8)),
-            ("_alternating_sums", lambda m, n, r: (27, -1)),
+            ("_column_sums", lambda col, r: (36, 8)),
+            ("_column_sums", lambda col, r: (27, -1)),
         ],
         ids=[
             "dim_K_recursion -1",
             "dim_K_reduction 36",
             "dim_I_hyp -1/2",
             "dim_I_hyp -1/2 over a negative den",
-            "_alternating_sums K_closed 36",
-            "_alternating_sums I_sum -1",
+            "_column_sums K_closed 36",
+            "_column_sums I_sum -1",
         ],
     )
     def test_each_validity_bound_is_checked(self, monkeypatch, route, forced):
@@ -479,15 +480,22 @@ class TestTriangleBuilders:
         [(1, 5, 5), (2, 5, 5), (3, 5, 0), (7, 9, 4), (8, 9, 2), (9, 4, 4), (200, 80, 80)],
     )
     def test_compute_record_gets_rows_of_width_r_plus_1(self, monkeypatch, m, n, r):
-        widths = []
-        row = dims._row
+        built = {}
 
-        def measured(m, n, r, d, rec_row, red_row):
-            widths.append((len(rec_row), len(red_row)))
-            return row(m, n, r, d, rec_row, red_row)
+        def measured(name):
+            build = getattr(dims, name)
 
-        monkeypatch.setattr(dims, "_row", measured)
+            def measure(*args):
+                row = build(*args)
+                built.setdefault(name, []).append(len(row))
+                return row
+
+            return measure
+
+        for name in ("_k_recursion_row", "_k_reduction_row"):
+            monkeypatch.setattr(dims, name, measured(name))
         assert compute_record(DimQuery(m, n, r)).routes_agree
+        widths = list(zip(built["_k_recursion_row"], built["_k_reduction_row"]))
         assert widths == [(r + 1, r + 1)]
 
     @pytest.mark.parametrize("builder", ["_k_recursion_row", "_k_reduction_row"])
@@ -607,11 +615,11 @@ class TestRowsMatchRecords:
     def test_rows_are_the_records_of_iter_table(self, m_range, n_range, r_policy):
         rows = list(dims._iter_rows(m_range, n_range, r_policy))
         records = list(iter_table(m_range, n_range, r_policy))
-        assert rows == [cli._row_of(rec) for rec in records]
+        assert len(rows) == len(records)
         for row, rec in zip(rows, records):
-            # Fraction equals an equal int, so == alone would let an int I_hyp through.
-            i_hyp = row[cli._ROW_COLUMNS.index("I_hyp")]
-            assert type(i_hyp) is type(rec.I_hyp) in (Fraction, type(None))
+            # The row's I_hyp is an int when integral; the record's is a Fraction.
+            assert_row_is_record(row, rec)
+            assert type(rec.I_hyp) in (Fraction, type(None))
             assert_same_record(rec, compute_record(rec.query))
 
 
@@ -763,11 +771,31 @@ class TestAlternatingSumsMatchFrozenRoutes:
     @pytest.mark.parametrize("m,n,r", [(1, 5, 3), (6, 4, 2), (9, 5, 5), (40, 30, 12)])
     def test_terms_are_the_signed_products_in_walk_order(self, m, n, r):
         terms = [(-1) ** s * binom(r, s) * dim_D(m - 2 * s, n) for s in range(min(r, m // 2) + 1)]
-        assert dims._alternating_sums(m, n, r) == (-sum(terms[1:]), sum(terms))
+        column = dims._d_column(m, n, min(r, m // 2))
+        assert dims._column_sums(column, r) == (-sum(terms[1:]), sum(terms))
 
 
-# A record of ``dims._row`` as it was built while I_hyp was checked as a
-# Fraction, kept as an oracle for the int checks. Only the kernel call goes
+# The per-query term walk that the D column and its per-r sum replaced, kept
+# verbatim as an oracle.
+
+
+def frozen_alternating_sums(m: int, n: int, r: int) -> tuple[int, int]:
+    s = min(r, m // 2)
+    M = m - 2 * s
+    d = dim_D(M, n)
+    c = -binom(r, s) if s % 2 else binom(r, s)  # (-1)^s C(r, s)
+    total = 0
+    while s:
+        total += c * d
+        d = d * (n + M - 1) * (n + M) // ((M + 1) * (M + 2))
+        c = -c * s // (r - s + 1)
+        M += 2
+        s -= 1
+    return -total, total + d  # at s = 0, c = 1 and d = D(m, n)
+
+
+# A record as it was built while I_hyp was checked as a Fraction, kept as an
+# oracle for the int checks, on the frozen walk. Only the kernel call goes
 # through the pair helper, so a patched pair reaches both.
 
 
@@ -777,7 +805,7 @@ def frozen_record(
     m, n, r = query.m, query.n, query.r
     k_rec = rec_row[r]
     k_red = red_row[r]
-    k_clo, i_sum = dims._alternating_sums(m, n, r)
+    k_clo, i_sum = frozen_alternating_sums(m, n, r)
     i_sub = d - k_clo
     try:
         num, den = dims._i_hyp_pair(m, n, r)
@@ -806,19 +834,45 @@ def frozen_record(
     )
 
 
-def row_record(
-    query: DimQuery, d: int, rec_row: list[int], red_row: list[int]
-) -> DimensionRecord:
-    """The record ``dims._row`` gives for the query, built as ``compute_record`` builds it."""
-    row = dims._row(query.m, query.n, query.r, d, rec_row, red_row)
-    assert row[:3] == (query.m, query.n, query.r)
-    return DimensionRecord(query, *row[3:])
+def block_row(query: DimQuery, d: int) -> tuple:
+    """The one row of the query's block, ``compute_record``'s row, with D taken as ``d``.
+
+    Only the block's own D(m, n) is replaced: the D column is the true one,
+    even where its deepest term is D(m, n) itself.
+    """
+    m, n, r = query.m, query.n, query.r
+    column = dims._d_column(m, n, min(r, m // 2))
+    true_dim_D = dims.dim_D
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dims, "dim_D", lambda m_, n_: d if (m_, n_) == (m, n) else true_dim_D(m_, n_))
+        patch.setattr(dims, "_d_column", lambda *args: column)
+        return next(dims._block_rows(m, n, (r,)))
 
 
 def assert_same_record(got: DimensionRecord, want: DimensionRecord) -> None:
     # Fraction equals an equal int, so == alone would let an int I_hyp through.
     assert got == want
     assert type(got.I_hyp) is type(want.I_hyp)
+
+
+_I_HYP = cli._ROW_COLUMNS.index("I_hyp")
+
+
+def assert_row_is_record(row: tuple, want: DimensionRecord) -> None:
+    """A block row against a record, field by field, each of the same type.
+
+    The row keeps an integral I_hyp as the int itself, and any other as the
+    record does.
+    """
+    values = cli._row_of(want)
+    assert len(row) == len(values)
+    for name, got, value in zip(cli._ROW_COLUMNS, row, values):
+        assert got == value, name
+        if name != "I_hyp":
+            assert type(got) is type(value), name
+    i_hyp = want.I_hyp
+    integral = i_hyp is not None and i_hyp.denominator == 1
+    assert type(row[_I_HYP]) is (int if integral else type(i_hyp))
 
 
 _NONZERO = st.integers().filter(bool)
@@ -831,16 +885,42 @@ class TestRecordMatchesFractionOracle:
         return dim_D(m, n), dims._k_recursion_row(m, n, r), dims._k_reduction_row(m, n, r)
 
     @settings(max_examples=300)
-    @given(st.integers(1, 60), st.integers(1, 40), st.data())
-    # n = 1 holds the series errors; (2, 1, 1) is the first.
+    @given(
+        st.one_of(st.integers(1, 60), st.integers(10**12, 10**13)), st.integers(1, 40), st.data()
+    )
+    # n = 1 holds the series errors; (2, 1, 1) is the first. A huge m with a
+    # small r walks r terms.
     @example(m=2, n=1, data=None)
     @example(m=40, n=1, data=None)
+    @example(m=10**13, n=3, data=None)
+    @example(m=10**13 + 1, n=40, data=None)
     def test_real_queries(self, m, n, data):
         r = n if data is None else data.draw(st.integers(0, n))
         query = DimQuery(m, n, r)
         want = frozen_record(query, *self.rows(query))
-        assert_same_record(row_record(query, *self.rows(query)), want)
+        assert_row_is_record(next(dims._block_rows(m, n, (r,))), want)
         assert_same_record(compute_record(query), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_span(60, 3), _span(40, 5), st.sampled_from(dims.R_POLICIES))
+    # n = 1 holds the series errors; a block of every r sizes its column to
+    # r = n, past the first r, 0.
+    @example(m_range=(1, 4), n_range=(1, 6), r_policy="all")
+    @example(m_range=(57, 60), n_range=(1, 1), r_policy="only_n")
+    @example(m_range=(57, 60), n_range=(35, 40), r_policy="all")
+    @example(m_range=(57, 60), n_range=(35, 40), r_policy="only_n_minus_1")
+    def test_table_rows(self, m_range, n_range, r_policy):
+        rows = list(dims._iter_rows(m_range, n_range, r_policy))
+        points = [
+            (m, n, r)
+            for m in range(m_range[0], m_range[1] + 1)
+            for n in range(n_range[0], n_range[1] + 1)
+            for r in dims._R_VALUES[r_policy](n)
+        ]
+        assert [row[:3] for row in rows] == points
+        for row in rows:
+            query = DimQuery(*row[:3])
+            assert_row_is_record(row, frozen_record(query, *self.rows(query)))
 
     @settings(max_examples=500)
     @given(
@@ -863,7 +943,7 @@ class TestRecordMatchesFractionOracle:
         query = DimQuery(m, n, r)
         true_d, rec_row, red_row = self.rows(query)
         d = true_d if d is None else d
-        i_sum = dims._alternating_sums(m, n, r)[1]
+        i_sum = frozen_alternating_sums(m, n, r)[1]
         if d and (data is None or data.draw(st.booleans())):
             pair = (i_sum * k + delta, d * k)
         else:
@@ -871,4 +951,4 @@ class TestRecordMatchesFractionOracle:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dims, "_i_hyp_pair", lambda m, n, r: pair)
             want = frozen_record(query, d, rec_row, red_row)
-            assert_same_record(row_record(query, d, rec_row, red_row), want)
+            assert_row_is_record(block_row(query, d), want)

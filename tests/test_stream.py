@@ -1,9 +1,9 @@
 """``table`` as a stream: csv and json records are written as they are computed.
 
 The CLI's table writers take the rows of ``dims._iter_rows``, which looks
-``_row`` up in ``dims`` for every row, and ``iter_table`` builds its records
-from those rows, so patching ``_row`` there counts or alters each record on
-its way to the writer or the caller.
+``_block_rows`` up in ``dims`` for every (m, n), and ``iter_table`` builds
+its records from those rows, so wrapping ``_block_rows`` there counts or
+alters each record on its way to the writer or the caller.
 """
 
 import dataclasses
@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import record_json_dict
 from selbergdim import cli, dims
 from selbergdim.dims import iter_table, table
 
@@ -27,13 +28,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def computed(monkeypatch):
     """The (m, n, r) of every record computed, in order, while the test runs."""
     calls = []
-    row = dims._row
+    block_rows = dims._block_rows
 
-    def counting(m, n, r, *k_rows):
-        calls.append((m, n, r))
-        return row(m, n, r, *k_rows)
+    def counting(m, n, rs):
+        for row in block_rows(m, n, rs):
+            calls.append(row[:3])
+            yield row
 
-    monkeypatch.setattr(dims, "_row", counting)
+    monkeypatch.setattr(dims, "_block_rows", counting)
     return calls
 
 
@@ -93,17 +95,18 @@ class TestStreaming:
         argv = ("table", "--m-range", "1..6", "--n-range", "2..3", "--format", fmt)
         code, clean, _ = run_cli(*argv)
         assert code == 0
-        row = dims._row
+        block_rows = dims._block_rows
         k_reduction, routes_agree = cli._ROW_COLUMNS.index("K_reduction"), cli._AGREE
 
-        def off_at_3_2_1(m, n, r, *k_rows):
-            values = list(row(m, n, r, *k_rows))
-            if (m, n, r) == (3, 2, 1):
-                values[k_reduction] += 1
-                values[routes_agree] = False
-            return tuple(values)
+        def off_at_3_2_1(m, n, rs):
+            for row in block_rows(m, n, rs):
+                values = list(row)
+                if row[:3] == (3, 2, 1):
+                    values[k_reduction] += 1
+                    values[routes_agree] = False
+                yield tuple(values)
 
-        monkeypatch.setattr(dims, "_row", off_at_3_2_1)
+        monkeypatch.setattr(dims, "_block_rows", off_at_3_2_1)
         code, out, err = run_cli(*argv)
         assert (code, err) == (2, "")
         out_path = tmp_path / f"table.{fmt}"
@@ -142,7 +145,7 @@ class TestJsonWriter:
         argv = ("table", "--m-range", "1..8", "--n-range", "1..4", "--format", "json")
         code, out, _ = run_cli(*argv)
         assert code == 2
-        assert out == json.dumps([cli._record_json_dict(rec) for rec in records], indent=2) + "\n"
+        assert out == json.dumps([record_json_dict(rec) for rec in records], indent=2) + "\n"
 
     def test_strings_escaped_as_json_dumps_escapes_them(self):
         rec = dataclasses.replace(
@@ -150,7 +153,7 @@ class TestJsonWriter:
         )
         buf = io.StringIO()
         assert cli._write_json([cli._row_of(rec)] * 2, buf.write) is False
-        assert buf.getvalue() == json.dumps([cli._record_json_dict(rec)] * 2, indent=2) + "\n"
+        assert buf.getvalue() == json.dumps([record_json_dict(rec)] * 2, indent=2) + "\n"
 
     def test_empty_stream_is_an_empty_list(self):
         buf = io.StringIO()
