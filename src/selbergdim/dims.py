@@ -45,10 +45,10 @@ next term from the last:
 The division is exact, D(M, n) (n+M-1)(n+M) = D(M+2, n) (M+1)(M+2), so
 the walk stays on ints. It walks upward, from small M to m, because the
 downward step would divide by (n+M-1)(n+M), which is 0 at n = 1, M = 0.
-A column of depth min(R, m // 2) serves every r <= R; at r,
-``_column_sums`` takes I_sum = sum of C(r, s) col[s] over s <= r, a
-single sum in C, and K_closed = col[0] - I_sum, the negated sum over
-s >= 1 (C(r, s) = 0 for s > r truncates both). The row routes call
+The column that serves every r up to R has depth S = min(R, m // 2); at
+each such r, ``_column_sums`` takes I_sum = sum of C(r, s) col[s] over
+s <= r, a single sum in C, and K_closed = col[0] - I_sum, the negated
+sum over s >= 1 (C(r, s) = 0 for s > r truncates both). The row routes call
 ``dim_D`` themselves and share nothing with the column, so they stay
 independent witnesses; the column's first term, D(m, n) as the walk
 reached it, is checked against ``dim_D`` through I_sum == D - K_closed.
