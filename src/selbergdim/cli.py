@@ -27,8 +27,10 @@ Every record renderer takes a row: the flat tuple of values that
 ``dims._block_rows`` computes, m, n, r and then the fields of a
 ``DimensionRecord`` after its query, where I_hyp may be an int or a
 ``Fraction`` of the same value. ``table`` takes its rows straight from
-``dims._iter_rows`` and builds no ``DimQuery``, no ``DimensionRecord`` and
-no dict; ``dims`` and ``classify`` read the row of the record they compute
+``dims._iter_rows``, and ``dims`` checks its point with ``dims._validate``
+and renders the one row of ``_block_rows(m, n, (r,))``; neither builds a
+``DimQuery``, a ``DimensionRecord`` or a dict. Only ``classify`` goes
+through a record, the one ``dims_for_config`` returns, and reads its row
 through one attrgetter. A record's CSV line is one %-template of its
 ``CSV_COLUMNS`` cells and bypasses the quoting rule: its cells are ints,
 ``p/q`` text, ``true``/``false`` or empty, so none can hold a comma, a
@@ -55,11 +57,18 @@ large the ranges. The JSON is written row by row yet is byte-identical to
 last row. The pretty table needs every row's width before its first line,
 so it is built whole and then written.
 
+Arguments are parsed once: when the first one names a subcommand, that
+subcommand's parser takes the rest, as the top-level parser would hand it
+over, and what it leaves is reported as the top-level parser reports it.
+Any other argument list goes through the top-level parser.
+
 Exit codes:
     0  success (all routes agree / assumptions hold / all checks pass)
-    1  usage, parse or I/O error, or a value with more digits than the
-       interpreter's int-to-str limit (``PYTHONINTMAXSTRDIGITS=0`` lifts it);
-       a streamed table stops at that record
+    1  usage, parse or I/O error, a value with more digits than the
+       interpreter's int-to-str limit (``PYTHONINTMAXSTRDIGITS=0`` lifts it),
+       or rows too large for the memory the process may take (one
+       ``out of memory`` line, no traceback); a streamed table stops at
+       that record
     2  route disagreement or a failed verification suite
     3  resonance assumptions violated (classify; report still printed)
   141  stdout was closed before all output was written (``... | head``);
@@ -77,15 +86,7 @@ import re
 import sys
 from typing import Any, Callable, Iterable, Sequence
 
-from .dims import (
-    R_POLICIES,
-    DimensionRecord,
-    DimQuery,
-    DomainError,
-    _iter_rows,
-    _Row,
-    compute_record,
-)
+from .dims import R_POLICIES, DimensionRecord, DomainError, _block_rows, _iter_rows, _Row, _validate
 from .exactnum import format_rational
 from .resonance import (
     AssumptionViolatedError,
@@ -482,7 +483,8 @@ def _usage_error(args: argparse.Namespace, message: str) -> int:
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:
-    row = _row_of(compute_record(DimQuery(m=args.m, n=args.n, r=args.r)))
+    _validate(args.m, args.n, args.r)
+    row = next(_block_rows(args.m, args.n, (args.r,)))
     sys.stdout.write(_DIMS_RENDERERS[args.format](row))
     return EXIT_OK if row[_AGREE] else EXIT_DISAGREEMENT
 
@@ -526,7 +528,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(res.ok for res in results) else EXIT_DISAGREEMENT
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, and the parser of each subcommand by its name."""
     parser = _Parser(
         prog="selbergdim",
         description=(
@@ -584,22 +587,44 @@ def _build_parser() -> _Parser:
             "--format", choices=FORMATS, default="csv" if name == "table" else "pretty",
             help="output format",
         )
-    return parser
+    return parser, sub.choices
 
 
 # Built once at import: construction costs more than parsing, and parsing
-# leaves the parser unchanged, so every call to ``main`` can share it.
-_PARSER = _build_parser()
+# leaves the parsers unchanged, so every call to ``main`` can share them.
+_PARSER, _SUBPARSERS = _build_parser()
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, with one level of parsing where it can.
+
+    When ``argv[0]`` names a subcommand, the top-level parser would only
+    hand the rest to that subcommand's parser and report what it leaves
+    over; this does the same without the outer pass, which costs about as
+    much as the inner one. Anything else, an empty argv, ``-h`` or an
+    unknown command, goes through ``_PARSER`` itself.
+    """
+    command = _SUBPARSERS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     # Input outside the domain, or an answer too long to print.
     except (DomainError, ConfigParseError, _DigitLimitError) as exc:
         return _usage_error(args, str(exc))
+    # Rows too large for the memory the process may take (a K row has r + 1 entries).
+    except MemoryError:
+        return _usage_error(args, "out of memory: the rows of this request do not fit")
 
 
 def run() -> None:

@@ -133,9 +133,10 @@ def _validate(m: int, n: int, r: int) -> None:
 
     ``DimQuery`` and every route call this, so each rule and message lives
     here. The ``type(v) is int`` test rejects bool and costs no more than a
-    range test. A record runs it once, in ``DimQuery``, and a row of
-    ``_iter_rows`` not at all, as the table's bounds were checked: the
-    record path calls only private builders, which trust their arguments.
+    range test. A record runs it once, in ``DimQuery``, the CLI's ``dims``
+    once before its one row, and a row of ``_iter_rows`` not at all, as the
+    table's bounds were checked: the row path calls only private builders,
+    which trust their arguments.
     """
     if not type(m) is type(n) is type(r) is int:
         name, value = next((k, v) for k, v in (("m", m), ("n", n), ("r", r)) if type(v) is not int)
@@ -416,9 +417,10 @@ def compute_record(query: DimQuery) -> DimensionRecord:
     the K rows and the column are sized to this r, and are checked on ints
     as it describes; ``I_hyp`` is still the exact ``Fraction`` that
     ``dim_I_hyp`` returns, the row's int put back into one. This and
-    ``iter_table`` build the record objects, for callers of the API; the
-    CLI's ``dims`` and ``classify`` read this record's row, and its
-    ``table`` builds no record.
+    ``iter_table`` build the record objects, for callers of the API; of
+    the CLI's commands only ``classify`` reads this record's row, while
+    ``dims`` renders the row of ``_block_rows`` itself and ``table`` builds
+    no record.
     """
     return _record(query, next(_block_rows(query.m, query.n, (query.r,))))
 

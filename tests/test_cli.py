@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, GOLDEN_CASES, compare_golden, record_json_dict
 import selbergdim
-from selbergdim import cli, resonance
+from selbergdim import cli, dims, resonance
 from selbergdim.dims import DimQuery, compute_record
 from selbergdim.resonance import config_from_json
 
@@ -100,6 +101,35 @@ class TestExitCodes:
             assert (code, out) == (1, "")
             assert "--cases" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("-m", "0", "-n", "3", "-r", "1"), "m must be >= 1, got 0"),
+        (("-m", "2", "-n", "0", "-r", "0"), "n must be >= 1, got 0"),
+        (("-m", "2", "-n", "3", "-r", "-1"), "r must satisfy 0 <= r <= n=3, got -1"),
+        (("-m", "2", "-n", "3", "-r", "4"), "r must satisfy 0 <= r <= n=3, got 4"),
+    ])
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_dims_domain_error_is_one_line(self, run_cli, argv, message, fmt):
+        assert run_cli("dims", *argv, "--format", fmt) == (
+            1, "", f"selbergdim dims: error: {message}\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ("dims", "-m", "3", "-n", "1000", "-r", "1000"),
+        ("table", "--m-range", "3..3", "--n-range", "1000..1000", "--r-policy", "only-n"),
+        ("classify", str(DATA_DIR / "config_resonant.json")),
+    ], ids=lambda argv: argv[0])
+    def test_out_of_memory_is_one_line(self, run_cli, monkeypatch, argv):
+        # A K row too large for the process's memory limit ends the same way.
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(dims, "_k_recursion_row", no_memory)
+        code, out, err = run_cli(*argv, "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"selbergdim {argv[0]}: error: out of memory: the rows of this request do not fit\n"
+        )
+
     def test_verify_passing_suite_exits_zero(self, run_cli):
         code, out, _ = run_cli("verify", "pochhammer", "--cases", "5")
         assert code == 0
@@ -170,12 +200,14 @@ class TestDeterminism:
         assert first == second
 
     def test_parser_shared_across_calls(self, run_cli, monkeypatch):
-        # main parses with the parser built at import; a usage error in one
-        # call leaves nothing behind for the next.
-        def no_rebuild():
+        # main parses with the parsers built at import, the top-level one and
+        # each subcommand's; a usage error in one call leaves nothing behind
+        # for the next.
+        def no_rebuild(*args, **kwargs):
             raise AssertionError("main must not build a new parser")
 
         monkeypatch.setattr(cli, "_build_parser", no_rebuild)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_rebuild)
         first = run_cli("dims", "-m", "4", "-n", "5", "-r", "3", "--format", "csv")
         assert run_cli("dims", "-m", "4", "-n", "5")[0] == 1
         assert run_cli("verify", "pfaff", "--cases", "0")[0] == 1
@@ -186,6 +218,77 @@ class TestDeterminism:
         _, out_a, _ = run_cli("verify", "pfaff", "--seed", "1", "--cases", "40", "--format", "json")
         _, out_b, _ = run_cli("verify", "pfaff", "--seed", "2", "--cases", "40", "--format", "json")
         assert json.loads(out_a)["results"][0]["skipped"] != json.loads(out_b)["results"][0]["skipped"]
+
+
+# Argument lists on which the one-level parse of ``cli._parse_args`` must
+# behave exactly as the two-level ``cli._PARSER.parse_args``: valid requests,
+# option spellings, help, each kind of usage error, and the fallbacks.
+PARSE_CORPUS = [
+    ("dims", "-m", "4", "-n", "5", "-r", "3"),
+    ("table", "--m-range", "2..4", "--n-range", "4..6", "--r-policy", "only-n"),
+    ("classify", "config.json"),
+    ("verify", "pfaff", "--seed", "7", "--cases", "5"),
+    ("dims", "-m3", "-n", "5", "-r", "3"),
+    ("dims", "-m", "4", "-n", "5", "-r", "3", "--format=csv"),
+    ("dims", "-m", "4", "-n", "5", "-r", "3", "--form", "json"),
+    ("table", "--m-range=1..2", "--n-range", "3", "--out", "t.csv", "--format", "json"),
+    ("-h",),
+    ("-h", "dims"),
+    ("dims", "-h"),
+    ("table", "--m-range", "1..2", "-h"),
+    ("verify", "--help"),
+    ("dims", "-m", "2", "-n", "4"),
+    ("dims", "-m", "x", "-n", "4", "-r", "1"),
+    ("dims", "-m", "2", "-n", "4", "-r", "1", "--format", "xml"),
+    ("dims", "-m", "2", "-m", "3", "-n", "4", "-r", "1"),
+    ("dims", "-m", "-2", "-n", "4", "-r", "1"),
+    ("dims", "-m", "2", "-n", "4", "-r", "1", "extra"),
+    ("dims", "extra", "-m", "2", "-n", "4", "-r", "1", "more"),
+    ("dims", "-m", "2", "-n", "4", "-r", "1", "-x"),
+    ("dims", "-x", "1", "-m", "2", "-n", "4", "-r", "1"),
+    ("--", "dims", "-m", "2", "-n", "4", "-r", "1"),
+    ("dims", "--", "-m", "2", "-n", "4", "-r", "1"),
+    ("dims", "-m", "2", "-n", "4", "-r", "1", "--"),
+    ("verify", "--", "pfaff"),
+    ("classify", "a.json", "b.json"),
+    ("table", "--m-range", "2..x", "--n-range", "4..6"),
+    ("table", "--m-range", "1..2", "--n-range", "1..2", "--out"),
+    ("verify", "all", "--cases", "-3"),
+    ("verify",),
+    ("verify", "everything"),
+    ("bogus",),
+    ("bogus", "-m", "2"),
+    ("-x", "dims"),
+    ("--format", "json"),
+    (),
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """(exit code, the namespace's vars, stdout, stderr) of one parse; None for no exit."""
+    code = namespace = None
+    try:
+        namespace = vars(parse(list(argv)))
+    except SystemExit as exc:
+        code = exc.code
+    return (code, namespace, *capsys.readouterr())
+
+
+class TestOneLevelParse:
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "<empty>")
+    def test_same_outcome_as_the_two_level_parse(self, capsys, argv):
+        assert parse_outcome(cli._parse_args, argv, capsys) == parse_outcome(
+            cli._PARSER.parse_args, argv, capsys
+        )
+
+    def test_a_named_subcommand_skips_the_top_level_parser(self, run_cli, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a subcommand's request went through the top-level parser")
+
+        expected = run_cli("dims", "-m", "4", "-n", "5", "-r", "3", "--format", "csv")
+        monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
+        assert run_cli("dims", "-m", "4", "-n", "5", "-r", "3", "--format", "csv") == expected
+        assert expected[0] == 0
 
 
 class TestRoundTrip:

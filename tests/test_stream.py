@@ -123,18 +123,29 @@ class TestStreaming:
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
-def test_table_builds_no_query_or_record(monkeypatch, run_cli, fmt):
-    # n = 1 holds the hyp_error records, so the routes disagree and the exit is 2.
-    argv = ("table", "--m-range", "1..6", "--n-range", "1..3", "--format", fmt)
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # n = 1 holds the hyp_error records, so the routes disagree and the exit is 2.
+        (("table", "--m-range", "1..6", "--n-range", "1..3"), 2),
+        (("dims", "-m", "4", "-n", "5", "-r", "3"), 0),
+        (("dims", "-m", "2", "-n", "1", "-r", "1"), 2),
+    ],
+    ids=["table", "dims 4 5 3", "dims 2 1 1"],
+)
+def test_table_builds_no_query_or_record(monkeypatch, run_cli, argv, code, fmt):
+    # Nor does dims: it renders the one row of its block, with an int I_hyp.
+    argv = (*argv, "--format", fmt)
     expected = run_cli(*argv)
-    assert expected[0] == 2
+    assert expected[0] == code
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the table path built a query or a record")
+        raise AssertionError("the table or dims path built a query, a record or a Fraction")
 
     for module in (dims, cli):
-        for name in ("DimQuery", "DimensionRecord"):
-            monkeypatch.setattr(module, name, refuse)
+        for name in ("DimQuery", "DimensionRecord", "Fraction"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     assert run_cli(*argv) == expected
 
 
