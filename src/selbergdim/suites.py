@@ -9,21 +9,22 @@ counterexample.
 Randomized suites draw parameters from a self-contained 64-bit linear
 congruential generator (documented in the README) rather than the host
 language's RNG, so a reported counterexample is reproducible from
-(suite, seed, cases) alone, in any reimplementation. A draw's rationals are
-taken as scaled ints, (L, p1 L/q1, ...) with L the lcm of the denominators
-as drawn, in the same order as one ``rational()`` call each, and go
-straight to the identity checks' int forms: a passing check builds no
-Fraction, and a counterexample prints each input as the reduced p/q. Draws
-that hit a declared error case (a pole before termination, a vanishing
-closed-form denominator) are skipped and counted; ``cases`` counts actual
-checks.
+(suite, seed, cases) alone, in any reimplementation. A seeded suite's
+inputs are one ``Lcg.draws`` generator. Each draw's rationals come as
+scaled ints, (L, p1 L/q1, ...) with L the lcm of the denominators as
+drawn, in the same order as one ``rational()`` call each, and go straight
+to the identity checks' int forms: a passing check builds no Fraction, and
+a counterexample prints each input as the reduced p/q. Draws that hit a
+declared error case (a pole before termination, a vanishing closed-form
+denominator) are skipped and counted; ``cases`` counts actual checks.
 
 Exhaustive suites ignore seed and cases:
 
 * ``hockey``      -- hockey-stick identity for all 0 <= s < r <= 40;
 * ``routes``      -- every dimension route agrees, D = K + I, and the
                      hypergeometric value is integral, on the grid
-                     1 <= m <= 8, 2 <= n <= 10, 0 <= r <= n;
+                     1 <= m <= 8, 2 <= n <= 10, 0 <= r <= n, checked on
+                     the rows of ``dims._iter_rows``, one block per (m, n);
 * ``closedforms`` -- image-dimension closed forms at r = n and r = n - 1,
                      plus the parity-split product form, for
                      2 <= m <= 8, m <= n <= 12.
@@ -31,11 +32,10 @@ Exhaustive suites ignore seed and cases:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import dims, hyper
 from .exactnum import binom, format_rational, hockey_stick_check
@@ -63,23 +63,34 @@ class Lcg:
         self.state = (_LCG_MULT * self.state + _LCG_INC) & _LCG_MASK
         return lo + (self.state >> 33) % (hi - lo + 1)
 
-    def _draw(self, rng_num: int, max_den: int) -> tuple[int, int]:
-        """Numerator in [-rng_num, rng_num], then denominator in [1, max_den]."""
-        return self.randint(-rng_num, rng_num), self.randint(1, max_den)
-
     def rational(self, rng_num: int = 8, max_den: int = 4) -> Fraction:
         """Draw numerator in [-rng_num, rng_num], then denominator in [1, max_den]."""
-        return Fraction(*self._draw(rng_num, max_den))
+        num = self.randint(-rng_num, rng_num)
+        return Fraction(num, self.randint(1, max_den))
 
-    def scaled(self, k: int) -> tuple[int, ...]:
-        """k ``rational()`` draws as (L, p1 L/q1, ..., pk L/qk), all plain ints.
+    def draws(self, k: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        """Endless draws (L, p1 L/q1, ..., pk L/qk, j), all plain ints.
 
-        L is the lcm of the denominators as drawn, so it may carry a factor
-        the reduced rationals do not need (2/2 gives L = 2).
+        Each draw is k ``rational()`` draws, taken over L, the lcm of their
+        denominators as drawn, then j = ``randint(lo, hi)``: the same 2k + 1
+        steps in the same order. L may carry a factor the reduced rationals
+        do not need (2/2 gives L = 2). A draw starts from ``self.state`` and
+        writes it back once it is made, so other draws may come between.
         """
-        draws = [self._draw(8, 4) for _ in range(k)]
-        L = math.lcm(*[q for _, q in draws])
-        return (L, *[p * (L // q) for p, q in draws])
+        span = hi - lo + 1
+        while True:
+            state = self.state
+            pairs, L = [], 1
+            for _ in range(k):
+                state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
+                p = (state >> 33) % 17 - 8
+                state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
+                q = (state >> 33) % 4 + 1
+                pairs.append((p, q))
+                L = math.lcm(L, q)
+            state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
+            self.state = state
+            yield (L, *[p * (L // q) for p, q in pairs], lo + (state >> 33) % span)
 
 
 @dataclass(frozen=True)
@@ -97,7 +108,7 @@ class SuiteResult:
 
 # A check takes one input and returns None when it holds, else the text
 # (possibly empty) that follows the inputs in a counterexample. A seeded
-# check takes its draw as it comes from Lcg.scaled, (L, P1, ..., Pk, j),
+# check takes its draw as it comes from Lcg.draws, (L, P1, ..., Pk, j),
 # and calls the identity's int form.
 
 
@@ -128,18 +139,20 @@ def _hockey(r: int, s: int) -> str | None:
     return None if hockey_stick_check(r, s) else ""
 
 
-def _routes(m: int, n: int, r: int) -> str | None:
-    rec = dims.compute_record(dims.DimQuery(m, n, r))
-    if (
-        rec.routes_agree
-        and rec.D == rec.K_closed + rec.I_sum
-        and rec.I_hyp is not None
-        and rec.I_hyp.denominator == 1
-    ):
+def _routes(
+    m: int, n: int, r: int, D: int, K_recursion: int, K_reduction: int, K_closed: int,
+    I_sum: int, I_hyp: int | Fraction | None, I_subtract: int,
+    hyp_error: str | None, routes_agree: bool, in_validity_range: bool,
+) -> str | None:
+    """Check one row of ``dims._iter_rows``, whose integral I_hyp is the int.
+
+    Any other I_hyp is a non-integral Fraction, or None on a series error.
+    """
+    if routes_agree and D == K_closed + I_sum and type(I_hyp) is int:
         return None
     return (
-        f": D={rec.D} K=({rec.K_recursion},{rec.K_reduction},{rec.K_closed}) "
-        f"I=({rec.I_sum},{rec.I_hyp},{rec.I_subtract})"
+        f": D={D} K=({K_recursion},{K_reduction},{K_closed}) "
+        f"I=({I_sum},{I_hyp},{I_subtract})"
     )
 
 
@@ -159,21 +172,21 @@ class _Suite(NamedTuple):
     names: str  # the inputs' names, as a counterexample prints them
     check: Callable[..., str | None]
     cases: int | None  # default number of checks; None for an exhaustive suite
-    inputs: Callable[..., Any]  # seeded: draw(rng) gives one scaled draw; else grid() gives all
+    inputs: Callable[..., Iterable[tuple]]  # seeded: inputs(rng) draws; else inputs() the grid
 
 
 _SUITES: dict[str, _Suite] = {
     "pfaff": _Suite(
         "a b c j", _pfaff, 500,
-        lambda rng: (*rng.scaled(3), rng.randint(1, 8)),
+        lambda rng: rng.draws(3, 1, 8),
     ),
     "contiguity": _Suite(
         "a b c j", _contiguity, 200,
-        lambda rng: (*rng.scaled(3), rng.randint(0, 10)),
+        lambda rng: rng.draws(3, 0, 10),
     ),
     "pochhammer": _Suite(
         "a b k", _pochhammer, 200,
-        lambda rng: (*rng.scaled(2), rng.randint(0, 10)),
+        lambda rng: rng.draws(2, 0, 10),
     ),
     "hockey": _Suite(
         "r s", _hockey, None,
@@ -181,7 +194,7 @@ _SUITES: dict[str, _Suite] = {
     ),
     "routes": _Suite(
         "m n r", _routes, None,
-        lambda: ((m, n, r) for m in range(1, 9) for n in range(2, 11) for r in range(n + 1)),
+        lambda: dims._iter_rows((1, 8), (2, 10)),
     ),
     "closedforms": _Suite(
         "m n", _closedforms, None,
@@ -206,7 +219,7 @@ def _run(name: str, seed: int, cases: int | None) -> SuiteResult:
     if suite.cases is None:
         inputs, cases = suite.inputs(), None
     else:
-        inputs = map(suite.inputs, itertools.repeat(Lcg(seed)))
+        inputs = suite.inputs(Lcg(seed))
         cases = suite.cases if cases is None else cases
     passed = failed = skipped = 0
     counterexample = None
@@ -235,12 +248,17 @@ def run_suites(suite: str, seed: int = 0, cases: int | None = None) -> list[Suit
     ``cases`` applies to the randomized suites only; None, the only default
     value, means the per-suite default (pfaff 500, contiguity 200,
     pochhammer 200), and exhaustive suites ignore it. Raises ValueError for
-    an unknown suite name or ``cases < 1``.
+    an unknown suite name, a ``seed`` or ``cases`` that is not an int (a
+    bool is not one), or ``cases < 1``.
     """
     if suite != "all" and suite not in _SUITES:
         raise ValueError(
             f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES + ('all',))}"
         )
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    if cases is not None and type(cases) is not int:
+        raise ValueError(f"cases must be an int or None, got {cases!r}")
     if cases is not None and cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases}")
     names = SUITE_NAMES if suite == "all" else (suite,)

@@ -7,9 +7,10 @@ with them the LCG draw order, are pinned too.
 """
 
 import csv
-import dataclasses
 import io
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -63,15 +64,16 @@ def test_hockey_counterexample(monkeypatch):
 
 
 def _break_routes_at_4_6_2(monkeypatch):
-    compute = dims.compute_record
+    block_rows = dims._block_rows
 
-    def off_at_4_6_2(query):
-        rec = compute(query)
-        if (query.m, query.n, query.r) == (4, 6, 2):
-            return dataclasses.replace(rec, K_reduction=rec.K_reduction + 1, routes_agree=False)
-        return rec
+    def off_at_4_6_2(m, n, rs):
+        for row in block_rows(m, n, rs):
+            if row[:3] == (4, 6, 2):
+                # K_reduction one too high, and so the routes disagree.
+                row = (*row[:5], row[5] + 1, *row[6:11], False, row[12])
+            yield row
 
-    monkeypatch.setattr(dims, "compute_record", off_at_4_6_2)
+    monkeypatch.setattr(dims, "_block_rows", off_at_4_6_2)
 
 
 ROUTES_COUNTEREXAMPLE = "m=4 n=6 r=2: D=70 K=(29,30,29) I=(41,41,41)"
@@ -98,6 +100,21 @@ def test_routes_counterexample_is_one_quoted_csv_cell(monkeypatch, run_cli):
     ]
 
 
+def test_routes_builds_no_query_or_record(monkeypatch, run_cli):
+    # The suite checks the rows of each (m, n) block, as table renders them.
+    expected = run_cli("verify", "routes")
+    assert expected[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify routes built a query, a record or a Fraction")
+
+    for module in (dims, suites):
+        for name in ("DimQuery", "DimensionRecord", "Fraction"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert run_cli("verify", "routes") == expected
+
+
 def test_closedforms_counterexample(monkeypatch):
     extremes = dims.dim_I_extremes
 
@@ -122,23 +139,52 @@ def test_cases_below_one_rejected(cases):
             run_suites(suite, 7, cases)
 
 
+@pytest.mark.parametrize(
+    "seed,cases,message",
+    [
+        (0, 2.5, "cases must be an int or None, got 2.5"),
+        (0, True, "cases must be an int or None, got True"),
+        (0, "3", "cases must be an int or None, got '3'"),
+        (1.0, None, "seed must be an int, got 1.0"),
+        (False, 3, "seed must be an int, got False"),
+        ("7", 3, "seed must be an int, got '7'"),
+    ],
+)
+def test_non_int_seed_or_cases_rejected(seed, cases, message):
+    # A float cases never equals passed + failed, so it would never stop.
+    for suite in ("pochhammer", "all"):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_suites(suite, seed, cases)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite 'everything'"):
         run_suites("everything")
 
 
-@given(seed=st.integers(min_value=0, max_value=2**64 - 1), k=st.integers(min_value=0, max_value=4))
-def test_scaled_draw_is_k_rational_draws(seed, k):
-    scaled, rational, raw = Lcg(seed), Lcg(seed), Lcg(seed)
-    draw = scaled.scaled(k)
-    values = [rational.rational() for _ in range(k)]
-    # Numerator, then denominator, for each rational; L is the lcm of the
-    # denominators as drawn, reduced or not.
-    pairs = [(raw.randint(-8, 8), raw.randint(1, 4)) for _ in range(k)]
-    L = math.lcm(*(q for _, q in pairs))
-    assert draw == (L, *(p * (L // q) for p, q in pairs))
-    assert [Fraction(p, L) for p in draw[1:]] == values
-    assert scaled.state == rational.state == raw.state
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    k=st.integers(min_value=0, max_value=4),
+    lo=st.integers(min_value=-5, max_value=5),
+    width=st.integers(min_value=0, max_value=10),
+    n=st.integers(min_value=1, max_value=5),
+)
+def test_draws_are_k_rational_draws_then_randint(seed, k, lo, width, n):
+    rng, raw, rational = Lcg(seed), Lcg(seed), Lcg(seed)
+    got = list(itertools.islice(rng.draws(k, lo, lo + width), n))
+    want = []
+    for _ in range(n):
+        # Numerator, then denominator, for each rational; L is the lcm of the
+        # denominators as drawn, reduced or not; then the trailing randint.
+        pairs = [(raw.randint(-8, 8), raw.randint(1, 4)) for _ in range(k)]
+        L = math.lcm(*(q for _, q in pairs))
+        want.append((L, *(p * (L // q) for p, q in pairs), raw.randint(lo, lo + width)))
+    assert got == want
+    assert rng.state == raw.state
+    # Over L, each draw's ints are its k rational() draws.
+    for L, *scaled, j in got:
+        assert [Fraction(p, L) for p in scaled] == [rational.rational() for _ in range(k)]
+        assert j == rational.randint(lo, lo + width)
 
 
 def test_passing_seeded_checks_build_no_fraction(monkeypatch):
