@@ -27,16 +27,16 @@ Every record renderer takes a row: the flat tuple of values that
 ``dims._block_rows`` computes, m, n, r and then the fields of a
 ``DimensionRecord`` after its query, where I_hyp may be an int or a
 ``Fraction`` of the same value. ``table`` takes its rows straight from
-``dims._iter_rows``, and ``dims`` checks its point with ``dims._validate``
-and renders the one row of ``_block_rows(m, n, (r,))``; neither builds a
-``DimQuery``, a ``DimensionRecord`` or a dict. Only ``classify`` goes
-through a record, the one ``dims_for_config`` returns, and reads its row
-through one attrgetter. A record's CSV line is one %-template of its
-``CSV_COLUMNS`` cells and bypasses the quoting rule: its cells are ints,
-``p/q`` text, ``true``/``false`` or empty, so none can hold a comma, a
-quote, CR or LF. The pretty table and the record cells of ``classify
---format csv`` split that line at its commas, so every record cell has one
-format. A record's ``json.dumps(indent=2)`` form is one
+``dims._iter_rows``. ``dims`` checks its point with ``dims._validate`` and
+renders the one row of ``_block_rows(m, n, (r,))``, and ``classify``
+renders the same row for (m, n, r = #resonant) when every assumption
+holds, a point its config already keeps in the domain. None of them builds
+a ``DimQuery``, a ``DimensionRecord`` or a dict. A record's CSV line is
+one %-template of its ``CSV_COLUMNS`` cells and bypasses the quoting rule:
+its cells are ints, ``p/q`` text, ``true``/``false`` or empty, so none can
+hold a comma, a quote, CR or LF. The pretty table and the record cells of
+``classify --format csv`` split that line at its commas, so every record
+cell has one format. A record's ``json.dumps(indent=2)`` form is one
 %-template per nesting depth, built once from ``RECORD_COLUMNS``: depth 0
 for ``dims --format json``, depth 1 for each item of ``table --format
 json``, whose values are the row's put in ``RECORD_COLUMNS`` order, with K
@@ -45,9 +45,8 @@ rational as quoted ``p/q`` text, a bool as ``true``/``false``, None as
 ``null``, and the one string, ``hyp_error``, through ``json.dumps``. The
 ``classify`` JSON report is written in order too: ``json.dumps`` writes
 its head fields, each violation fills one depth-2 template with
-``json.dumps`` only for its condition, and ``dimensions`` fills the
-record template. ``verify`` JSON goes through ``json.dumps(indent=2)``
-itself.
+``json.dumps`` only for its condition, and ``dimensions`` fills the record
+template. ``verify`` JSON goes through ``json.dumps(indent=2)`` itself.
 
 ``table --format csv`` and ``--format json`` stream: each row is written,
 to stdout or to the ``--out`` file opened before the first one, as soon
@@ -80,21 +79,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import operator
 import os
 import re
 import sys
 from typing import Any, Callable, Iterable, Sequence
 
-from .dims import R_POLICIES, DimensionRecord, DomainError, _block_rows, _iter_rows, _Row, _validate
+from .dims import R_POLICIES, DomainError, _block_rows, _iter_rows, _Row, _validate
 from .exactnum import format_rational
 from .resonance import (
-    AssumptionViolatedError,
-    ConfigParseError,
-    ResonanceReport,
-    config_from_json,
-    config_to_json_dict,
-    dims_for_config,
+    ConfigParseError, ResonanceReport, classify, config_from_json, config_to_json_dict,
 )
 from .suites import DEFAULT_CASES, SUITE_NAMES, SuiteResult, run_suites
 
@@ -120,12 +113,10 @@ RECORD_COLUMNS = (
 CSV_COLUMNS = tuple(c for c in RECORD_COLUMNS if c not in ("K", "I", "hyp_error"))
 
 
-# Every record renderer takes a row, dims' flat form of a record: m, n, r,
-# then the record's fields after its query, in their order. A record's row
-# is one attrgetter away.
-_ROW_COLUMNS = ("m", "n", "r") + tuple(f.name for f in dataclasses.fields(DimensionRecord)[1:])
-_row_of = operator.attrgetter("query.m", "query.n", "query.r", *_ROW_COLUMNS[3:])
-_AGREE = _ROW_COLUMNS.index("routes_agree")
+# Where a row, dims' flat form of a record (m, n, r, D, the three K routes,
+# I_sum, I_hyp, I_subtract, hyp_error, routes_agree, in_validity_range),
+# holds routes_agree.
+_AGREE = 11
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,14 +158,6 @@ def _csv_row(cells: Sequence[str]) -> str:
     double quotes with each inner quote doubled; any other cell is written
     as it is, so rows of numbers, ``p/q`` text and flags never change.
     """
-    line = ",".join(cells)
-    # Most lines need no quoting: then the join has one comma between each
-    # pair of cells and none inside one, and no quote or line break.
-    if (
-        line.count(",") == len(cells) - 1
-        and '"' not in line and "\r" not in line and "\n" not in line
-    ):
-        return line
     return ",".join(
         '"' + cell.replace('"', '""') + '"' if _CSV_QUOTED.search(cell) else cell
         for cell in cells
@@ -511,18 +494,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         return _usage_error(args, f"cannot read {args.config}: {exc}")
     cfg = config_from_json(text)
-    try:
-        report, record = dims_for_config(cfg)
-    except AssumptionViolatedError as exc:
-        report, record = exc.report, None
-    row = None if record is None else _row_of(record)
+    report = classify(cfg)
+    # ExponentConfig holds an int m >= 1 and at least one lambda, and r counts
+    # resonant lambdas, so 0 <= r <= n: the point needs no second check.
+    row = next(_block_rows(cfg.m, cfg.n, (report.r,))) if report.assumption_valid else None
     sys.stdout.write(_CLASSIFY_RENDERERS[args.format](cfg, report, row))
     return EXIT_OK if report.assumption_valid else EXIT_ASSUMPTION
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cases is not None and args.cases < 1:
-        _PARSER.error("--cases must be >= 1")
+        _SUBPARSERS["verify"].error("--cases must be >= 1")
     results = run_suites(args.suite, seed=args.seed, cases=args.cases)
     sys.stdout.write(_VERIFY_RENDERERS[args.format](results, args))
     return EXIT_OK if all(res.ok for res in results) else EXIT_DISAGREEMENT

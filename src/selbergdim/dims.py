@@ -59,13 +59,15 @@ after its query, in their order, but with an integral I_hyp kept as the
 int. D, both K rows and the column are built once per block, sized to its
 largest r, and each r then costs one column sum, one 3F2 series and the
 checks. ``_iter_rows`` yields a table's rows lazily, one at a time, so a
-caller that writes each one out runs in constant memory; the CLI's table
-writers take these rows and build no object per record. The record
-objects are built only for a caller of the public API: ``compute_record``
-builds one from its query and the one row of its block, ``iter_table``
-builds a ``DimQuery``, which validates again, and a ``DimensionRecord``
-from each row of ``_iter_rows``, and ``table`` is that iterator collected
-into a list. Both put an int I_hyp back into a ``Fraction``.
+caller that writes each one out runs in constant memory; the CLI renders
+rows like these for all of its records, ``dims`` and ``classify`` the one
+row of ``_block_rows(m, n, (r,))`` and ``table`` those of ``_iter_rows``,
+and builds no object per record. The record objects are built only for a
+caller of the public API: ``compute_record`` builds one from its query and
+the one row of its block, ``iter_table`` builds a ``DimQuery``, which
+validates again, and a ``DimensionRecord`` from each row of
+``_iter_rows``, and ``table`` is that iterator collected into a list.
+Both put an int I_hyp back into a ``Fraction``.
 
 The domain is m >= 1, n >= 1 and 0 <= r <= n, each an exact int. One
 function holds its rules and messages; ``DimQuery`` and every public route
@@ -135,7 +137,9 @@ def _validate(m: int, n: int, r: int) -> None:
     here. The ``type(v) is int`` test rejects bool and costs no more than a
     range test. A record runs it once, in ``DimQuery``, the CLI's ``dims``
     once before its one row, and a row of ``_iter_rows`` not at all, as the
-    table's bounds were checked: the row path calls only private builders,
+    table's bounds were checked; nor does the CLI's ``classify``, whose
+    ``ExponentConfig`` already holds an int m >= 1 and n >= 1 lambdas, with
+    r counting some of them. The row path calls only private builders,
     which trust their arguments.
     """
     if not type(m) is type(n) is type(r) is int:
@@ -417,10 +421,9 @@ def compute_record(query: DimQuery) -> DimensionRecord:
     the K rows and the column are sized to this r, and are checked on ints
     as it describes; ``I_hyp`` is still the exact ``Fraction`` that
     ``dim_I_hyp`` returns, the row's int put back into one. This and
-    ``iter_table`` build the record objects, for callers of the API; of
-    the CLI's commands only ``classify`` reads this record's row, while
-    ``dims`` renders the row of ``_block_rows`` itself and ``table`` builds
-    no record.
+    ``iter_table`` build the record objects, for callers of the API; no
+    CLI command builds one, as ``dims`` and ``classify`` render the row of
+    ``_block_rows`` itself and ``table`` the rows of ``_iter_rows``.
     """
     return _record(query, next(_block_rows(query.m, query.n, (query.r,))))
 

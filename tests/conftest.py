@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import operator
 import os
 from fractions import Fraction
@@ -9,6 +10,7 @@ from typing import Any
 import pytest
 
 from selbergdim import cli
+from selbergdim.dims import DimensionRecord
 from selbergdim.exactnum import format_rational
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -101,3 +103,26 @@ def record_json_dict(rec) -> dict[str, Any]:
         column: format_rational(value) if type(value) is Fraction else value
         for column, value in zip(cli.RECORD_COLUMNS, _record_values(rec))
     }
+
+
+# The layout of a row, the flat tuple every record renderer of the CLI takes:
+# m, n, r, then the record's fields after its query, in their order. A
+# record's row, read field by field, is the oracle the row builders of
+# ``dims`` are tested against.
+ROW_COLUMNS = ("m", "n", "r") + tuple(f.name for f in dataclasses.fields(DimensionRecord)[1:])
+row_of = operator.attrgetter("query.m", "query.n", "query.r", *ROW_COLUMNS[3:])
+
+
+# A record's CSV cells as they were made before its line became one
+# template, kept verbatim as an oracle: the line was _csv_row of these.
+_FROZEN_CSV_VALUES = operator.itemgetter(*map(ROW_COLUMNS.index, cli.CSV_COLUMNS))
+
+
+def frozen_record_cells(row) -> list[str]:
+    # An int as digits, a bool as true/false, a missing I_hyp as an empty
+    # cell and a rational as p/q text.
+    return [
+        str(v) if type(v) is int else cli._bool_str(v) if type(v) is bool
+        else "" if v is None else format_rational(v)
+        for v in _FROZEN_CSV_VALUES(row)
+    ]

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -7,13 +8,16 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, GOLDEN_CASES, compare_golden, record_json_dict
+from conftest import (
+    DATA_DIR, GOLDEN_CASES, compare_golden, frozen_record_cells, record_json_dict, row_of,
+)
 import selbergdim
 from selbergdim import cli, dims, resonance
 from selbergdim.dims import DimQuery, compute_record
@@ -101,6 +105,16 @@ class TestExitCodes:
             assert (code, out) == (1, "")
             assert "--cases" in err
 
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_verify_cases_below_one_is_reported_by_verify(self, run_cli, cases):
+        # As a --cases that is no int is: verify's usage, then its error line.
+        _, _, not_int = run_cli("verify", "pfaff", "--cases", "x")
+        usage = not_int[:not_int.index("selbergdim verify: error: ")]
+        assert usage.startswith("usage: selbergdim verify ")
+        assert run_cli("verify", "pfaff", "--cases", cases) == (
+            1, "", usage + "selbergdim verify: error: --cases must be >= 1\n"
+        )
+
     @pytest.mark.parametrize("argv,message", [
         (("-m", "0", "-n", "3", "-r", "1"), "m must be >= 1, got 0"),
         (("-m", "2", "-n", "0", "-r", "0"), "n must be >= 1, got 0"),
@@ -152,8 +166,8 @@ class TestDigitLimit:
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_table_stops_at_the_record_over_the_limit(self, run_cli, monkeypatch, fmt):
-        small = cli._row_of(compute_record(DimQuery(2, 4, 1)))
-        big = cli._row_of(compute_record(DimQuery(10000, 10000, 2)))
+        small = row_of(compute_record(DimQuery(2, 4, 1)))
+        big = row_of(compute_record(DimQuery(10000, 10000, 2)))
         monkeypatch.setattr(cli, "_iter_rows", lambda *args: iter([small, big, small]))
         code, out, err = run_cli("table", "--m-range", "2..2", "--n-range", "4..4",
                                  "--format", fmt)
@@ -378,8 +392,7 @@ class TestCsvQuoting:
         assert all(f'"{cell.replace(chr(34), chr(34) * 2)}"' in line for cell in quoted)
 
 
-# The per-cell rule _csv_row applied to every line before it gained its
-# plain-join fast path, kept verbatim as an oracle.
+# The per-cell rule of _csv_row, kept verbatim as an oracle.
 _FROZEN_CSV_QUOTED = re.compile(r'[",\r\n]')
 
 
@@ -414,8 +427,77 @@ def test_classify_classifies_once(run_cli, monkeypatch):
         calls.append(cfg)
         return real(cfg)
 
-    monkeypatch.setattr(resonance, "classify", counting)
+    monkeypatch.setattr(cli, "classify", counting)
     code, out, _ = run_cli("classify", str(DATA_DIR / "config_resonant.json"), "--format", "json")
     assert code == 0
     assert json.loads(out)["dimensions"]["routes_agree"] is True
     assert len(calls) == 1
+
+
+# The committed configs, and the golden of each argv that has one.
+_CLASSIFY_CONFIGS = ("config_resonant.json", "config_violation.json", "config_m1.json")
+_GOLDENS = {argv: (name, code) for name, argv, code in GOLDEN_CASES}
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("config", _CLASSIFY_CONFIGS)
+def test_classify_builds_no_query_or_record(monkeypatch, run_cli, config, fmt):
+    # Like dims, classify renders the one row of its block.
+    argv = ("classify", str(DATA_DIR / config)) + (("--format", fmt) if fmt != "pretty" else ())
+    expected = run_cli(*argv)
+    if argv in _GOLDENS:
+        name, code = _GOLDENS[argv]
+        assert expected[0] == code
+        compare_golden(name, expected[1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify built a query or a record")
+
+    for module in (dims, resonance, cli):
+        for name in ("DimQuery", "DimensionRecord", "compute_record"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert run_cli(*argv) == expected
+
+
+def _classify_output(path, cfg, fmt):
+    # cli.main on the config written to ``path``: (exit code, stdout).
+    path.write_text(json.dumps(resonance.config_to_json_dict(cfg)), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["classify", str(path), "--format", fmt])
+    return code, out.getvalue()
+
+
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
+
+
+@st.composite
+def _configs(draw):
+    # About half the lambdas resonant: 2 lambda + g = k, an int.
+    g = draw(_SMALL_FRACTIONS)
+    resonant = st.builds(lambda k: (k - g) / 2, st.integers(-6, 6))
+    lambdas = draw(st.lists(st.one_of(resonant, _SMALL_FRACTIONS), min_size=1, max_size=6))
+    return resonance.ExponentConfig(m=draw(st.integers(1, 8)), g=g, lambdas=tuple(lambdas))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs())
+def test_classify_dimensions_are_dims_for_config(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "classify-config.json"
+    json_code, json_out = _classify_output(path, cfg, "json")
+    csv_code, csv_out = _classify_output(path, cfg, "csv")
+    header, cells = (next(csv.reader([line])) for line in csv_out.splitlines())
+    start = header.index("D")
+    assert header[start:] == list(cli.CSV_COLUMNS[cli.CSV_COLUMNS.index("D"):])
+    record_cells = cells[start:]
+    try:
+        _, rec = resonance.dims_for_config(cfg)
+    except resonance.AssumptionViolatedError:
+        assert json_code == csv_code == 3
+        assert json.loads(json_out)["dimensions"] is None
+        assert record_cells == [""] * len(record_cells)
+        return
+    assert json_code == csv_code == 0
+    assert json.loads(json_out)["dimensions"] == record_json_dict(rec)
+    assert record_cells == frozen_record_cells(row_of(rec))[cli.CSV_COLUMNS.index("D"):]

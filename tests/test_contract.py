@@ -16,10 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import record_json_dict
+from conftest import ROW_COLUMNS, frozen_record_cells, record_json_dict, row_of
 import selbergdim
 from selbergdim import cli
-from selbergdim.exactnum import format_rational
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "selbergdim").glob("*.py"))
@@ -63,6 +62,26 @@ def test_imports_are_stdlib_or_the_package(path):
             assert top in sys.stdlib_module_names or top == "selbergdim", (
                 f"{path.name}:{node.lineno} imports {module}"
             )
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name
+)
+def test_every_imported_name_is_used(path):
+    # __init__.py imports only to re-export, and __future__ names are flags.
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{path.name}:{line} imports {name}" for name, line in imported.items()
+              if name not in used]
+    assert not unused
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -323,7 +342,7 @@ _RECORDS = st.builds(
 def test_record_json_is_json_dumps_indent_2(rec):
     # The writers take the record's row; the reference reads the record itself,
     # K and I through its properties.
-    doc, row = record_json_dict(rec), cli._row_of(rec)
+    doc, row = record_json_dict(rec), row_of(rec)
     assert cli._record_json(row, 0) == json.dumps(doc, indent=2)
     assert "[\n" + cli._record_json(row, 1) + "\n]" == json.dumps([doc], indent=2)
     assert cli._DIMS_RENDERERS["json"](row) == json.dumps(doc, indent=2) + "\n"
@@ -333,24 +352,13 @@ def test_record_json_is_json_dumps_indent_2(rec):
         assert cli._record_json(int_row, 1) == cli._record_json(row, 1)
 
 
-# A record's CSV cells as they were made before its line became one
-# template, kept verbatim as an oracle: the line was _csv_row of these.
-_FROZEN_CSV_VALUES = operator.itemgetter(*map(cli._ROW_COLUMNS.index, cli.CSV_COLUMNS))
-
-
-def frozen_record_cells(row) -> list[str]:
-    # An int as digits, a bool as true/false, a missing I_hyp as an empty
-    # cell and a rational as p/q text.
-    return [
-        str(v) if type(v) is int else cli._bool_str(v) if type(v) is bool
-        else "" if v is None else format_rational(v)
-        for v in _FROZEN_CSV_VALUES(row)
-    ]
+def test_agree_is_the_routes_agree_column_of_a_row():
+    assert cli._AGREE == ROW_COLUMNS.index("routes_agree")
 
 
 # Ints of either sign with more digits than the default limit allows.
 _PAST_LIMIT = st.builds(operator.mul, st.sampled_from([1, -1]), st.integers(10**4300, 10**4400))
-_I_HYP = cli._ROW_COLUMNS.index("I_hyp")
+_I_HYP = ROW_COLUMNS.index("I_hyp")
 _ROWS = st.tuples(
     *[_INTS] * 8,
     st.one_of(st.none(), _INTS, _FRACTIONS),  # I_hyp: an int from a block, a Fraction from a record

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import ROW_COLUMNS, row_of
 from selbergdim import cli, dims
 from selbergdim.dims import (
     DimensionRecord,
@@ -855,7 +856,7 @@ def assert_same_record(got: DimensionRecord, want: DimensionRecord) -> None:
     assert type(got.I_hyp) is type(want.I_hyp)
 
 
-_I_HYP = cli._ROW_COLUMNS.index("I_hyp")
+_I_HYP = ROW_COLUMNS.index("I_hyp")
 
 
 def assert_row_is_record(row: tuple, want: DimensionRecord) -> None:
@@ -864,9 +865,9 @@ def assert_row_is_record(row: tuple, want: DimensionRecord) -> None:
     The row keeps an integral I_hyp as the int itself, and any other as the
     record does.
     """
-    values = cli._row_of(want)
+    values = row_of(want)
     assert len(row) == len(values)
-    for name, got, value in zip(cli._ROW_COLUMNS, row, values):
+    for name, got, value in zip(ROW_COLUMNS, row, values):
         assert got == value, name
         if name != "I_hyp":
             assert type(got) is type(value), name

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import record_json_dict
+from conftest import ROW_COLUMNS, record_json_dict, row_of
 from selbergdim import cli, dims
 from selbergdim.dims import iter_table, table
 
@@ -96,7 +96,7 @@ class TestStreaming:
         code, clean, _ = run_cli(*argv)
         assert code == 0
         block_rows = dims._block_rows
-        k_reduction, routes_agree = cli._ROW_COLUMNS.index("K_reduction"), cli._AGREE
+        k_reduction, routes_agree = ROW_COLUMNS.index("K_reduction"), cli._AGREE
 
         def off_at_3_2_1(m, n, rs):
             for row in block_rows(m, n, rs):
@@ -163,7 +163,7 @@ class TestJsonWriter:
             dims.compute_record(dims.DimQuery(2, 1, 1)), hyp_error='pole "k=1"\\\n\té '
         )
         buf = io.StringIO()
-        assert cli._write_json([cli._row_of(rec)] * 2, buf.write) is False
+        assert cli._write_json([row_of(rec)] * 2, buf.write) is False
         assert buf.getvalue() == json.dumps([record_json_dict(rec)] * 2, indent=2) + "\n"
 
     def test_empty_stream_is_an_empty_list(self):
