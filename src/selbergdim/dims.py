@@ -27,13 +27,15 @@ is the zero row K(·, n, 0) = 0. So each builder starts at level
 m - 2 min((m-1)//2, r), on the row [0] or on the base row of m's parity cut
 to width, and each step m' -> m' + 2 widens the row by one entry until it
 is K(m, n, 0..r). A query costs min((m-1)//2, r) steps of width <= r+1, at
-constant stack depth, however large m is. No route keeps a cache:
-``compute_record`` builds both rows for its one query, and a table builds
-the rows K(m, n, 0..R), the triangles at its largest r of the (m, n),
-R, once per (m, n) and reads every r of its loop from them; ``dim_D`` is
-one binomial.
-The two routes keep their own formulas and share no intermediate values,
-so they stay independent witnesses.
+constant stack depth, however large m is. The step to m' consumes
+D(m'-2, n) in both routes, so ``_d_levels`` computes these once, one
+``dim_D`` per level, and both builders read that one list and call no
+``dim_D`` themselves. No route keeps a cache: ``compute_record`` builds
+the list and both rows for its one query, and a table builds the rows
+K(m, n, 0..R), the triangles at its largest r of the (m, n), R, once per
+(m, n) and reads every r of its loop from them; ``dim_D`` is one binomial.
+The two routes keep their own formulas and share only their input, the
+D values, so they stay independent witnesses of the K identities.
 
 Both alternating sums read one signed column, ``_d_column``:
 (-1)^s D(m-2s, n) for s = 0..S. It is built by one upward walk that
@@ -48,26 +50,30 @@ downward step would divide by (n+M-1)(n+M), which is 0 at n = 1, M = 0.
 The column that serves every r up to R has depth S = min(R, m // 2); at
 each such r, ``_column_sums`` takes I_sum = sum of C(r, s) col[s] over
 s <= r, a single sum in C, and K_closed = col[0] - I_sum, the negated
-sum over s >= 1 (C(r, s) = 0 for s > r truncates both). The row routes call
-``dim_D`` themselves and share nothing with the column, so they stay
-independent witnesses; the column's first term, D(m, n) as the walk
-reached it, is checked against ``dim_D`` through I_sum == D - K_closed.
+sum over s >= 1 (C(r, s) = 0 for s > r truncates both). The column must
+not feed the triangles: the K identities hold for any sequence of D
+values, so rows built from the column's terms would agree with K_closed
+even where the walk went wrong. Built from ``_d_levels``, which calls
+``dim_D`` at every level, they make K_closed == K_recursion a check of
+every term of the walk against ``dim_D``. The column's first term,
+D(m, n) as the walk reached it, is checked against ``dim_D`` through
+I_sum == D - K_closed.
 
 The records of one (m, n) are computed together, by ``_block_rows``, each
 as a flat tuple of values: m, n, r, then the fields of ``DimensionRecord``
 after its query, in their order, but with an integral I_hyp kept as the
-int. D, both K rows and the column are built once per block, sized to its
-largest r, and each r then costs one column sum, one 3F2 series and the
-checks. ``_iter_rows`` yields a table's rows lazily, one at a time, so a
-caller that writes each one out runs in constant memory; the CLI renders
-rows like these for all of its records, ``dims`` and ``classify`` the one
-row of ``_block_rows(m, n, (r,))`` and ``table`` those of ``_iter_rows``,
-and builds no object per record. The record objects are built only for a
-caller of the public API: ``compute_record`` builds one from its query and
-the one row of its block, ``iter_table`` builds a ``DimQuery``, which
-validates again, and a ``DimensionRecord`` from each row of
-``_iter_rows``, and ``table`` is that iterator collected into a list.
-Both put an int I_hyp back into a ``Fraction``.
+int. D, the D levels, both K rows and the column are built once per block,
+sized to its largest r, and each r then costs one column sum, one 3F2
+series and the checks. ``_iter_rows`` yields a table's rows lazily, one
+at a time, so a caller that writes each one out runs in constant memory;
+the CLI renders rows like these for all of its records, ``dims`` and
+``classify`` the one row of ``_block_rows(m, n, (r,))`` and ``table``
+those of ``_iter_rows``, and builds no object per record. The record
+objects are built only for a caller of the public API: ``compute_record``
+builds one from its query and the one row of its block, ``iter_table``
+builds a ``DimQuery``, which validates again, and a ``DimensionRecord``
+from each row of ``_iter_rows``, and ``table`` is that iterator collected
+into a list. Both put an int I_hyp back into a ``Fraction``.
 
 The domain is m >= 1, n >= 1 and 0 <= r <= n, each an exact int. One
 function holds its rules and messages; ``DimQuery`` and every public route
@@ -89,11 +95,11 @@ base case, so the two routes cannot disagree over it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate, repeat
+from operator import mul, sub
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .exactnum import binom
@@ -209,8 +215,8 @@ def dim_D(m: int, n: int) -> int:
 
     The out-of-range conventions make the alternating sums over s truncate
     by themselves. m and n must be exact ints, as for every route, and n >= 1
-    once m >= 1; the row builders call this once per step, so the test is
-    one type comparison and one range test.
+    once m >= 1; ``_d_levels`` calls this once per triangle level, so the
+    test is one type comparison and one range test.
     """
     if not type(m) is type(n) is int or (m >= 1 and n < 1):
         _validate(m, n, 0)  # raises: the type error first, else the n >= 1 one
@@ -226,31 +232,43 @@ def dim_D(m: int, n: int) -> int:
 # resonant double point when m = 2), not re-derived here.
 
 
-def _k_start(m: int, r: int) -> tuple[int, list[int]]:
-    """Where the triangle for K(m, ·, 0..r) starts: its level and row there.
+def _k_start(m: int, r: int) -> list[int]:
+    """The row the triangle for K(m, ·, 0..r) starts from, before its first step.
 
     It takes s = min((m-1)//2, r) steps, so it starts at level m - 2s with
     the row K(m-2s, ·, 0..r-s). If s = r that row is K(·, ·, 0) = [0];
     otherwise m - 2s is m's base, 1 or 2, and the row is the base row
     K(1, ·, t) = 0 or K(2, ·, t) = t cut to width r-s+1. Both base rows
-    are [0] at width 1, so one expression serves either case.
+    are [0] at width 1, so one expression serves either case. The row
+    does not depend on n.
+    """
+    width = r - min((m - 1) // 2, r) + 1
+    return list(range(width)) if m % 2 == 0 else [0] * width
+
+
+def _d_levels(m: int, n: int, r: int) -> list[int]:
+    """D(m'-2, n) for each level m' that the triangles for K(m, n, 0..r) step to, upward.
+
+    The triangles take s = min((m-1)//2, r) steps, to m' = m - 2s + 2, ..., m,
+    and the step to m' consumes D(m'-2, n): one ``dim_D`` per level. Both
+    builders read this one list, so a block computes each level's D once.
     """
     steps = min((m - 1) // 2, r)
-    width = r - steps + 1
-    return m - 2 * steps, list(range(width)) if m % 2 == 0 else [0] * width
+    return [dim_D(level, n) for level in range(m - 2 * steps, m - 1, 2)]
 
 
-def _k_recursion_row(m: int, n: int, r: int) -> list[int]:
+def _k_recursion_row(m: int, r: int, ds: list[int]) -> list[int]:
     """K(m, n, 0..r) by the recursion of ``dim_K_recursion``, as a triangle.
 
-    Each step m' -> m' + 2 reads the whole old row and writes a row one
-    entry wider, so the row reaches width r+1 at level m.
+    ``ds`` is ``_d_levels(m, n, r)``, and each of its values is one step
+    m' -> m' + 2, which reads the whole old row and writes a row one entry
+    wider, so the row reaches width r+1 at level m. The builder calls no
+    ``dim_D`` itself.
     """
-    low, row = _k_start(m, r)
-    for level in range(low + 2, m + 1, 2):
-        d = dim_D(level - 2, n)
+    row = _k_start(m, r)
+    for d in ds:
         # new[t] = D(m'-2, n) + new[t-1] - old[t-1], from new[0] = 0.
-        row = list(itertools.accumulate((d - old for old in row), initial=0))
+        row = list(accumulate(map(sub, repeat(d, len(row)), row), initial=0))
     return row
 
 
@@ -265,18 +283,20 @@ def dim_K_recursion(m: int, n: int, r: int) -> int:
     constant stack depth.
     """
     _validate(m, n, r)
-    return _k_recursion_row(m, n, r)[r]
+    return _k_recursion_row(m, r, _d_levels(m, n, r))[r]
 
 
-def _k_reduction_row(m: int, n: int, r: int) -> list[int]:
-    """K(m, n, 0..r) by the reduction of ``dim_K_reduction``, as a triangle."""
-    low, row = _k_start(m, r)
-    for level in range(low + 2, m + 1, 2):
-        d = dim_D(level - 2, n)
+def _k_reduction_row(m: int, r: int, ds: list[int]) -> list[int]:
+    """K(m, n, 0..r) by the reduction of ``dim_K_reduction``, as a triangle.
+
+    It steps through the same ``_d_levels(m, n, r)`` as
+    ``_k_recursion_row`` and calls no ``dim_D`` itself.
+    """
+    row = _k_start(m, r)
+    for d in ds:
         # new[t] = t D(m'-2, n) - (old[1] + ... + old[t-1]); old[0] = 0, so
         # the running prefix sum of old[0..t-1] is the subtrahend.
-        prefix = itertools.accumulate(row, initial=0)
-        row = [t * d - acc for t, acc in enumerate(prefix)]
+        row = [t * d - acc for t, acc in enumerate(accumulate(row, initial=0))]
     return row
 
 
@@ -291,7 +311,7 @@ def dim_K_reduction(m: int, n: int, r: int) -> int:
     sum: min((m-1)//2, r) steps of width <= r+1.
     """
     _validate(m, n, r)
-    return _k_reduction_row(m, n, r)[r]
+    return _k_reduction_row(m, r, _d_levels(m, n, r))[r]
 
 
 def _d_column(m: int, n: int, depth: int) -> list[int]:
@@ -319,7 +339,7 @@ def _column_sums(col: list[int], r: int) -> tuple[int, int]:
     I_sum is the sum of C(r, s) col[s] over s <= r, as far as the column
     goes, and K_closed = col[0] - I_sum is minus its terms for s >= 1.
     """
-    total = sum(map(mul, map(math.comb, itertools.repeat(r), range(r + 1)), col))
+    total = sum(map(mul, map(math.comb, repeat(r), range(r + 1)), col))
     return col[0] - total, total
 
 
@@ -446,10 +466,11 @@ def _record(query: DimQuery, row: _Row) -> DimensionRecord:
 def _block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[_Row]:
     """The rows of (m, n, r) for each r of ``rs``, which ascend, as ``_Row`` tuples.
 
-    D, both K rows K(m, n, 0..R) and the column of depth min(R, m // 2) are
-    built once, for the largest r, R = rs[-1], when the first row is asked
-    for. Then each r reads its K values from the rows, its K_closed and
-    I_sum from one ``_column_sums``, and its I_hyp from one 3F2 series.
+    D, the triangles' D levels, both K rows K(m, n, 0..R) and the column of
+    depth min(R, m // 2) are built once, for the largest r, R = rs[-1], when
+    the first row is asked for. Then each r reads its K values from the
+    rows, its K_closed and I_sum from one ``_column_sums``, and its I_hyp
+    from one 3F2 series.
 
     I_hyp = d num / den, from the kernel's pair, is checked on ints. With
     q, rem = divmod(d num, den) it is integral iff rem == 0, and then it is
@@ -461,7 +482,8 @@ def _block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[_Row]:
     """
     top = rs[-1]
     d = dim_D(m, n)
-    rec_row, red_row = _k_recursion_row(m, n, top), _k_reduction_row(m, n, top)
+    ds = _d_levels(m, n, top)
+    rec_row, red_row = _k_recursion_row(m, top, ds), _k_reduction_row(m, top, ds)
     col = _d_column(m, n, min(top, m // 2))
     for r in rs:
         k_rec = rec_row[r]

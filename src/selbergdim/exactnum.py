@@ -60,26 +60,40 @@ def format_rational(q: Fraction | int) -> str:
     '-13/12'
     >>> format_rational(Fraction(7, 1))
     '7'
+
+    Raises:
+        TypeError: ``q`` is a float, as for :func:`as_fraction`.
     """
     if type(q) is int:
         return str(q)
-    if type(q) is not Fraction:
-        q = Fraction(q)
+    q = as_fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
 def is_integer(q: Fraction | int) -> bool:
-    """True iff the (reduced) rational has denominator 1."""
-    return Fraction(q).denominator == 1
+    """True iff the (reduced) rational has denominator 1; a float raises TypeError."""
+    return as_fraction(q).denominator == 1
 
 
 def as_fraction(value) -> Fraction:
-    """``value`` as a Fraction; a value whose type is exactly Fraction is returned as is."""
+    """``value`` as a Fraction; a value whose type is exactly Fraction is returned as is.
+
+    Every public function that takes a rational reads it through here.
+
+    Raises:
+        TypeError: ``value`` is a float. Its binary value is seldom the number
+            it was written as (0.1 is 3602879701896397/2^55), so it is refused
+            rather than converted.
+    """
     # Fraction(f) builds a new object through the numbers ABCs even when f
     # already is a Fraction; skip that for the common case.
-    return value if type(value) is Fraction else Fraction(value)
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"expected an exact rational (int or Fraction), got the float {value!r}")
+    return Fraction(value)
 
 
 def _scale(*values: Fraction | int) -> tuple[int, ...]:

@@ -239,6 +239,17 @@ def _pfaff_rhs_pair(L: int, A: int, B: int, C: int, j: int) -> tuple[int, int]:
     return scaled_rising(C - A, L, j) * scaled_rising(C - B, L, j), den * den_cab
 
 
+def _order(j: int) -> int:
+    """The order ``j`` of a public identity check, as given; a float raises TypeError.
+
+    A float j would reach the series kernel as a float parameter, where
+    -0.0 sums as 0 and 1e300 never ends.
+    """
+    if isinstance(j, float):
+        raise TypeError(f"j must be an int, got the float {j!r}")
+    return j
+
+
 def _pfaff_scaled(L: int, A: int, B: int, C: int, j: int) -> bool:
     """:func:`pfaff_saalschutz_check` for a, b, c = A/L, B/L, C/L, on ints.
 
@@ -281,7 +292,7 @@ def pfaff_saalschutz_check(
     :func:`pfaff_saalschutz_rhs`, compared as an unreduced int pair by
     cross-multiplication. Evaluation errors on either side propagate.
     """
-    return _pfaff_scaled(*_scale(as_fraction(a), as_fraction(b), as_fraction(c)), j)
+    return _pfaff_scaled(*_scale(as_fraction(a), as_fraction(b), as_fraction(c)), _order(j))
 
 
 def _contiguity_scaled(L: int, A: int, B: int, C: int, j: int) -> tuple[int, int]:
@@ -316,7 +327,7 @@ def contiguity_residual(
     Fraction is built.
     """
     return Fraction(
-        *_contiguity_scaled(*_scale(as_fraction(a), as_fraction(b), as_fraction(c)), j)
+        *_contiguity_scaled(*_scale(as_fraction(a), as_fraction(b), as_fraction(c)), _order(j))
     )
 
 

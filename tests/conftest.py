@@ -9,7 +9,7 @@ from typing import Any
 
 import pytest
 
-from selbergdim import cli
+from selbergdim import cli, dims
 from selbergdim.dims import DimensionRecord
 from selbergdim.exactnum import format_rational
 
@@ -126,3 +126,19 @@ def frozen_record_cells(row) -> list[str]:
         else "" if v is None else format_rational(v)
         for v in _FROZEN_CSV_VALUES(row)
     ]
+
+
+_TRUE_D_LEVELS = dims._d_levels
+
+
+class DLevels(list):
+    """``dims._d_levels(m, n, r)``, the D levels both K-row builders take, which keeps its n.
+
+    A builder takes only m, r and this list, so a test that calls one at a
+    point builds its list here, and a test that patches ``dims._d_levels``
+    with this class reads each builder call's n from its list.
+    """
+
+    def __init__(self, m: int, n: int, r: int) -> None:
+        super().__init__(_TRUE_D_LEVELS(m, n, r))
+        self.n = n

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import ROW_COLUMNS, frozen_record_cells, record_json_dict, row_of
 import selbergdim
-from selbergdim import cli
+from selbergdim import cli, exactnum
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "selbergdim").glob("*.py"))
@@ -94,6 +94,128 @@ def test_no_float_literals_or_float_calls(path):
         assert not (
             isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
         ), f"{path.name}:{node.lineno} calls float()"
+
+
+# Every public entry point that takes a number, with a float in each of its
+# number arguments in turn: (name, call of the float, the exception, whether
+# the message names the value). A rational argument goes through
+# exactnum.as_fraction, which raises TypeError naming the value; an int one
+# is refused by its own check or by the stdlib op it reaches.
+def _float_at(name: str, args: tuple, i: int):
+    """Call the public ``name`` on ``args`` with the float in place of ``args[i]``."""
+    return lambda f: getattr(selbergdim, name)(*args[:i], f, *args[i + 1:])
+
+
+_HALVES = (Fraction(1, 2), Fraction(1, 3), Fraction(5, 2))
+_FLOAT_CASES = [
+    ("format_rational", _float_at("format_rational", (1,), 0), TypeError, True),
+    ("is_integer", _float_at("is_integer", (1,), 0), TypeError, True),
+    ("parse_rational", _float_at("parse_rational", ("1",), 0), ValueError, True),
+    ("pochhammer", _float_at("pochhammer", (1, 1), 0), TypeError, True),
+    ("pochhammer", _float_at("pochhammer", (1, 1), 1), TypeError, False),
+    ("binom", _float_at("binom", (3, 1), 0), TypeError, False),
+    ("binom", _float_at("binom", (3, 1), 1), TypeError, False),
+    # A float r or s fails the range test 0 <= s < r or the range() after it.
+    *[
+        ("hockey_stick_check", _float_at("hockey_stick_check", (3, 1), i), (TypeError, ValueError),
+         False)
+        for i in range(2)
+    ],
+    ("HypParams3F2", lambda f: selbergdim.HypParams3F2((f, -1, 1), (1, 1)), TypeError, True),
+    ("HypParams3F2", lambda f: selbergdim.HypParams3F2((-1, 1, 1), (1, f)), TypeError, True),
+    ("HypParams3F2", _float_at("HypParams3F2", ((-1, 1, 1), (1, 1), 1), 2), TypeError, True),
+    *[
+        # as_fraction names a float a, b or c, and the checks' own test a float j;
+        # pfaff_saalschutz_rhs refuses a float j in range(), which does not name it.
+        (name, _float_at(name, (*_HALVES, 2), i), TypeError, i < 3 or name != "pfaff_saalschutz_rhs")
+        for name in ("pfaff_saalschutz_rhs", "pfaff_saalschutz_check", "contiguity_residual")
+        for i in range(4)
+    ],
+    *[
+        (
+            "pochhammer_identity_residual",
+            _float_at("pochhammer_identity_residual", (*_HALVES[:2], 2), i),
+            TypeError,
+            i < 2,
+        )
+        for i in range(3)
+    ],
+    *[
+        (name, _float_at(name, (4, 5, 3)[:arity], i), selbergdim.DomainError, True)
+        for name, arity in [
+            ("DimQuery", 3), ("dim_D", 2), ("dim_K_recursion", 3), ("dim_K_reduction", 3),
+            ("dim_K_closed", 3), ("dim_I_sum", 3), ("dim_I_hyp", 3), ("dim_I_extremes", 2),
+            ("dim_I_full_resonance_product", 2),
+        ]
+        for i in range(arity)
+    ],
+    *[
+        (name, lambda f, name=name, i=i: getattr(selbergdim, name)(
+            *[(1, f) if k == i else (1, 2) for k in range(2)]), selbergdim.DomainError, True)
+        for name in ("iter_table", "table")
+        for i in range(2)
+    ],
+    ("ExponentConfig", _float_at("ExponentConfig", (2, 1, [1]), 0), ValueError, True),
+    ("ExponentConfig", _float_at("ExponentConfig", (2, 1, [1]), 1), TypeError, True),
+    ("ExponentConfig", lambda f: selbergdim.ExponentConfig(2, 1, [1, f]), TypeError, True),
+    *[
+        (
+            "config_from_json",
+            lambda f, field=field: selbergdim.config_from_json(
+                {"m": 2, "g": "1", "lambdas": ["1"], field: f}
+            ),
+            selbergdim.ConfigParseError,
+            True,
+        )
+        for field in ("m", "g")
+    ],
+    ("Lcg", _float_at("Lcg", (0,), 0), TypeError, False),
+    ("run_suites", _float_at("run_suites", ("hockey", 0), 1), ValueError, True),
+    ("run_suites", _float_at("run_suites", ("pfaff", 0, 2), 2), ValueError, True),
+]
+# The public names that take no number of their own: exceptions, result
+# records, the stdlib Fraction itself, and functions of a value that a
+# name above builds and checks.
+_TAKE_NO_NUMBER = {
+    "Rational", "HyperEvalError", "NonTerminatingError", "PoleBeforeTerminationError",
+    "ZeroDenominatorError", "DomainError", "AssumptionViolatedError", "ConfigParseError",
+    "DimensionRecord", "Violation", "ResonanceReport", "SuiteResult", "__version__",
+    "eval_terminating_3f2", "compute_record", "classify", "dims_for_config",
+    "config_to_json_dict",
+}
+
+
+def test_float_cases_cover_every_public_name():
+    assert {name for name, *_ in _FLOAT_CASES} | _TAKE_NO_NUMBER == set(PACKAGE_ALL)
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, -0.0, 1e300], ids=repr)
+@pytest.mark.parametrize(
+    "call,exc,named", [case[1:] for case in _FLOAT_CASES],
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(_FLOAT_CASES)],
+)
+def test_no_public_entry_point_takes_a_float(call, exc, named, value):
+    with pytest.raises(exc) as info:
+        call(value)
+    if named:
+        assert repr(value) in str(info.value)
+
+
+class _Sub(Fraction):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value,text", [(3, "3"), (-2, "-2"), (True, "1"), (False, "0"), (Fraction(-13, 12), "-13/12"),
+                   (_Sub(4, 6), "2/3"), (_Sub(6, 3), "2")],
+    ids=repr,
+)
+def test_exact_values_still_convert(value, text):
+    assert exactnum.as_fraction(value) == Fraction(text)
+    assert type(exactnum.as_fraction(value)) is Fraction
+    assert selbergdim.format_rational(value) == text
+    assert selbergdim.is_integer(value) == ("/" not in text)
+    assert selbergdim.pochhammer(value, 1) == Fraction(text)
 
 
 def test_no_module_attribute_is_a_cache():
@@ -221,6 +343,55 @@ def test_dims_json_digest_is_pinned(run_cli):
         assert err == ""
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == DIMS_SHA256
+
+
+# sha256 of `dims --format json` at deep points, taken while each K triangle
+# still computed its own D levels: the top of the m <= 200, n <= 80 grid at
+# r = n-5, n-1 and n, and a huge m at each small r. Every point exits 0.
+DEEP_DIMS_SHA256 = {
+    (185, 75, 70): "347946a20e67b82512224020778a98682ba3018f05202b957e3782ca215d4ea5",
+    (185, 75, 74): "a52569e470743209d0db2b65389fbbfca2e437cb0a2f04494f41dd6010fe6261",
+    (185, 75, 75): "32bc85116c652f8711b0b7790485ac228de67fcc717d7beff41e6c574bf59607",
+    (185, 78, 73): "31c2dca949c872d28252f8fc076e6fa10e9bac5073ac78bec1bf30a4cf512e3d",
+    (185, 78, 77): "1904c0eca01e6f75f43d42690261f70a91b0ee1d991bae609132b44535ef5719",
+    (185, 78, 78): "70cfa50aff430b4ff9d45658460f165865b30bf3ef5b5153d262d3025daef6d9",
+    (185, 80, 75): "b025a13e2047efe6fb0ee0891eea23301166f2e83904f1118670c32cb10d4347",
+    (185, 80, 79): "45c1ea709786300fce62a3d4f3177757e65ade08cd2f2a255b7c1971e0c036e9",
+    (185, 80, 80): "cd53556a5be707bd9aa07a3590f58ac0464a4de5cc02456637f130ca9599e869",
+    (192, 75, 70): "6a2c1bf2ca0c4b617f80b8398955724f3fcbadf0d304e6c55cdb2c889f694c10",
+    (192, 75, 74): "4cfbb09b4b0c104496c3422735e8adb22820c849fc899b6f20ad7be569bab967",
+    (192, 75, 75): "e0edb9f02ffce77558bb7d21ade0c19c2f3448abddeed743bb640089ec233fcc",
+    (192, 78, 73): "1aeff65704f91e76f698679b685e89b5234de8dd2718c2216a52d2d64290f6df",
+    (192, 78, 77): "fb48c9477383fcc85fea5a007c7e333df29534d308916c879db98c63bdd460aa",
+    (192, 78, 78): "63fea2e12fc4900cf22c6900810ddf6b653118def407dc9f9a69ee20750c5df4",
+    (192, 80, 75): "b17745936fdb61be9345c3523c4e0783d7646537a8edd8a8cf62bbe52479bf78",
+    (192, 80, 79): "6301f50af6c5c1bc050e7e1c84c40c955f35ff05fd44adff68f15a9231370e36",
+    (192, 80, 80): "349d42a3f1b48870ba750d1bfcd10338f5646ec1eacc9805029b6c0aa4536118",
+    (200, 75, 70): "164c1ff0d21a2160672f2768b77edccbbd058a7c18af92a21620c4a1d39fd6d3",
+    (200, 75, 74): "6bd8e1ed594a78bc13c7b9d629ff9a68d249802ad668da729b1eacc80f6f7a3e",
+    (200, 75, 75): "43cc42ab431486e9bdaceeb4d1c5f2c7f87cc9f2c63225804ec7ee204a9a8841",
+    (200, 78, 73): "c2b2e75f0d78d3ed41f01dceb5c46ad916dafdc082a7925d3c002d674482ea6f",
+    (200, 78, 77): "83198829e8ed3761791e1d351c46402316714465bb5d17f99a0ac7362ad83052",
+    (200, 78, 78): "083a37b2ee987915ce2b23070899397f5162f8b3f32287fa570d1939633a2fa2",
+    (200, 80, 75): "341313e52a881e4d0aaea64f676c82afdceaaad4f8b6b3d9c6c9537973e8976a",
+    (200, 80, 79): "d858705559dec7f282014fd7812dcaaaafd79be98a63740a86a069ff59575227",
+    (200, 80, 80): "b115cc7f179ddf4c048687f87222ace813f65f0e4c7bd978b119a55a4707428d",
+    (10**13, 3, 0): "314ada51fc3deb3ddb5f8dab0c48a7d7ad0a55239eec5801031ae5cf8de123fd",
+    (10**13, 3, 1): "3a52983de20681b6b3722f106a4f89ed94a0fac854c75f72780457904d9faa80",
+    (10**13, 3, 2): "b1eda8a18bea47692e2dced83adada21f9f33f53884cd222150b010971bd4824",
+    (10**6, 80, 0): "ddf15924334581ca01d08266e276a05c428538f5f1150fabf7b10086c1ec6cc3",
+    (10**6, 80, 1): "b1cd9d04401fb15498f70b0ee5a81fd47610c70df16ef1fcfa15ec9ac08544a6",
+    (10**6, 80, 2): "077aa99ffd8d0111cd850d067263342dac5c4d7837e3b80f0a8b079fbfbb9446",
+    (10**6, 80, 3): "48f8a9b44718c2e80dc6892f7637f8325d5284774c345dcf9d89613546620d00",
+}
+
+
+@pytest.mark.parametrize("point", DEEP_DIMS_SHA256, ids=lambda point: "%d-%d-%d" % point)
+def test_deep_dims_json_digest_is_pinned(run_cli, point):
+    m, n, r = map(str, point)
+    code, out, err = run_cli("dims", "-m", m, "-n", n, "-r", r, "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_DIMS_SHA256[point]
 
 
 # sha256 of the seeded suites' JSON output, taken before the suites drew
@@ -356,8 +527,6 @@ def test_agree_is_the_routes_agree_column_of_a_row():
     assert cli._AGREE == ROW_COLUMNS.index("routes_agree")
 
 
-# Ints of either sign with more digits than the default limit allows.
-_PAST_LIMIT = st.builds(operator.mul, st.sampled_from([1, -1]), st.integers(10**4300, 10**4400))
 _I_HYP = ROW_COLUMNS.index("I_hyp")
 _ROWS = st.tuples(
     *[_INTS] * 8,
@@ -369,16 +538,22 @@ _ROWS = st.tuples(
 )
 # One field past the limit: an int field, m to I_subtract, or I_hyp as an
 # int, as an integral Fraction or as a Fraction with a long denominator.
-_PAST_LIMIT_FIELD = st.one_of(
-    st.tuples(st.sampled_from([i for i in range(10) if i != _I_HYP]), _PAST_LIMIT),
-    st.tuples(
-        st.just(_I_HYP),
-        st.one_of(
-            _PAST_LIMIT,
-            st.builds(Fraction, _PAST_LIMIT),
-            st.builds(Fraction, st.sampled_from([1, -1]), _PAST_LIMIT),
-        ),
+# Its int, sign (10^(4300 + extra) + residue), is drawn as these parts,
+# which print, and built in the test body: an example that holds an int
+# past the limit could not be printed in a failure report.
+_PAST_LIMIT_KINDS = {
+    "int": operator.mul,
+    "integral Fraction": lambda sign, size: Fraction(sign * size),
+    "long denominator": Fraction,
+}
+_PAST_LIMIT_FIELD = st.tuples(
+    st.one_of(
+        st.tuples(st.sampled_from([i for i in range(10) if i != _I_HYP]), st.just("int")),
+        st.tuples(st.just(_I_HYP), st.sampled_from(list(_PAST_LIMIT_KINDS))),
     ),
+    st.sampled_from([1, -1]),  # the sign
+    st.integers(0, 100),  # the extra digits
+    st.integers(0, 10**4300 - 1),  # the residue
 )
 
 
@@ -386,7 +561,8 @@ _PAST_LIMIT_FIELD = st.one_of(
 def test_record_csv_is_csv_row_of_the_cells(row, past_limit):
     if past_limit is not None:
         # Both sides raise the limit's ValueError.
-        index, value = past_limit
+        (index, kind), sign, extra, residue = past_limit
+        value = _PAST_LIMIT_KINDS[kind](sign, 10 ** (4300 + extra) + residue)
         row = row[:index] + (value,) + row[index + 1:]
         with pytest.raises(ValueError):
             cli._csv_row(frozen_record_cells(row))

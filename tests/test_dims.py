@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ROW_COLUMNS, row_of
+from conftest import ROW_COLUMNS, DLevels, row_of
 from selbergdim import cli, dims
 from selbergdim.dims import (
     DimensionRecord,
@@ -37,6 +37,7 @@ from selbergdim.hyper import (
     ZeroDenominatorError,
     pfaff_saalschutz_rhs,
 )
+from selbergdim.suites import run_suites
 
 
 class TestDimD:
@@ -244,8 +245,8 @@ class TestComputeRecord:
     @pytest.mark.parametrize(
         "route,forced",
         [
-            ("_k_recursion_row", lambda m, n, r: [-1] * (r + 1)),
-            ("_k_reduction_row", lambda m, n, r: [36] * (r + 1)),
+            ("_k_recursion_row", lambda m, r, ds: [-1] * (r + 1)),
+            ("_k_reduction_row", lambda m, r, ds: [36] * (r + 1)),
             # d num / den = 35 (-1) / 70 = -1/2, and 35 (1) / (-70) = -1/2.
             ("_i_hyp_pair", lambda m, n, r: (-1, 70)),
             ("_i_hyp_pair", lambda m, n, r: (1, -70)),
@@ -457,6 +458,12 @@ def _k_reduction_full_row(m: int, n: int) -> list[int]:
     return row
 
 
+# Triangles of no step (m = 1, 2), of (m-1)//2 steps, of r steps, and of r
+# steps at a huge m.
+_STEP_POINTS = [(1, 5, 5), (2, 5, 5), (7, 9, 4), (8, 9, 2), (200, 80, 80), (10**13, 3, 2)]
+_K_REC, _K_RED, _AGREE = map(ROW_COLUMNS.index, ("K_recursion", "K_reduction", "routes_agree"))
+
+
 class TestTriangleBuilders:
     @settings(max_examples=300)
     @given(
@@ -466,15 +473,17 @@ class TestTriangleBuilders:
     )
     def test_triangle_is_the_full_row_cut_to_r(self, m, n, data):
         r = data.draw(st.integers(min_value=0, max_value=n))
-        assert dims._k_recursion_row(m, n, r) == _k_recursion_full_row(m, n)[: r + 1]
-        assert dims._k_reduction_row(m, n, r) == _k_reduction_full_row(m, n)[: r + 1]
+        ds = DLevels(m, n, r)
+        assert dims._k_recursion_row(m, r, ds) == _k_recursion_full_row(m, n)[: r + 1]
+        assert dims._k_reduction_row(m, r, ds) == _k_reduction_full_row(m, n)[: r + 1]
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 80), (3, 1), (199, 80), (200, 80)])
     def test_every_r_at_the_corners(self, m, n):
         rec_row, red_row = _k_recursion_full_row(m, n), _k_reduction_full_row(m, n)
         for r in range(n + 1):
-            assert dims._k_recursion_row(m, n, r) == rec_row[: r + 1]
-            assert dims._k_reduction_row(m, n, r) == red_row[: r + 1]
+            ds = DLevels(m, n, r)
+            assert dims._k_recursion_row(m, r, ds) == rec_row[: r + 1]
+            assert dims._k_reduction_row(m, r, ds) == red_row[: r + 1]
 
     @pytest.mark.parametrize(
         "m,n,r",
@@ -499,12 +508,9 @@ class TestTriangleBuilders:
         widths = list(zip(built["_k_recursion_row"], built["_k_reduction_row"]))
         assert widths == [(r + 1, r + 1)]
 
-    @pytest.mark.parametrize("builder", ["_k_recursion_row", "_k_reduction_row"])
-    @pytest.mark.parametrize(
-        "m,n,r", [(1, 5, 5), (2, 5, 5), (7, 9, 4), (8, 9, 2), (200, 80, 80), (10**13, 3, 2)]
-    )
-    def test_each_step_is_one_dim_D(self, monkeypatch, builder, m, n, r):
-        # The triangle takes min((m-1)//2, r) steps, one D(m'-2, n) each.
+    @pytest.fixture
+    def dim_d_levels(self, monkeypatch):
+        """The m of every ``dim_D`` call while the test runs."""
         levels = []
 
         def counting(m_, n_):
@@ -512,9 +518,57 @@ class TestTriangleBuilders:
             return dim_D(m_, n_)
 
         monkeypatch.setattr(dims, "dim_D", counting)
+        return levels
+
+    @pytest.mark.parametrize("m,n,r", _STEP_POINTS)
+    def test_each_step_is_one_dim_D(self, dim_d_levels, m, n, r):
+        # The triangles take min((m-1)//2, r) steps, one D(m'-2, n) each.
         steps = min((m - 1) // 2, r)
-        assert len(getattr(dims, builder)(m, n, r)) == r + 1
-        assert levels == list(range(m - 2 * steps, m - 1, 2))
+        ds = dims._d_levels(m, n, r)
+        assert dim_d_levels == list(range(m - 2 * steps, m - 1, 2))
+        assert ds == [dim_D(level, n) for level in dim_d_levels]
+        # Neither builder calls dim_D.
+        for builder in (dims._k_recursion_row, dims._k_reduction_row):
+            assert len(builder(m, r, ds)) == r + 1
+        assert len(dim_d_levels) == steps
+
+    @pytest.mark.parametrize("m,n,r", _STEP_POINTS)
+    def test_a_block_computes_each_level_once(self, dim_d_levels, m, n, r):
+        # One dim_D per triangle level, shared by both builders, one for
+        # D(m, n) and one for the column's deepest term, D(m - 2 min(r, m // 2), n).
+        steps = min((m - 1) // 2, r)
+        assert next(dims._block_rows(m, n, (r,)))[_AGREE]
+        assert len(dim_d_levels) == steps + 2
+        assert sorted(dim_d_levels) == sorted(
+            [*range(m - 2 * steps, m - 1, 2), m, m - 2 * min(r, m // 2)]
+        )
+
+    @staticmethod
+    def routes_failures() -> tuple[int, list[tuple]]:
+        """The failed checks of ``verify routes``, and its grid's rows, 1..8 x 2..10."""
+        [result] = run_suites("routes")
+        return result.failed, list(dims._iter_rows((1, 8), (2, 10)))
+
+    def test_shifted_d_levels_break_the_routes(self, monkeypatch):
+        # D(m', n) where D(m'-2, n) belongs: both triangles read the same wrong
+        # list, so they agree with each other, but not with the column.
+        def shifted(m, n, r):
+            steps = min((m - 1) // 2, r)
+            return [dim_D(level + 2, n) for level in range(m - 2 * steps, m - 1, 2)]
+
+        monkeypatch.setattr(dims, "_d_levels", shifted)
+        failed, rows = self.routes_failures()
+        assert all(row[_K_REC] == row[_K_RED] for row in rows)
+        assert failed > 0
+        assert not all(row[_AGREE] for row in rows)
+
+    @pytest.mark.parametrize("builder", ["_k_recursion_row", "_k_reduction_row"])
+    def test_perturbed_levels_for_one_builder_break_the_routes(self, monkeypatch, builder):
+        build = getattr(dims, builder)
+        monkeypatch.setattr(dims, builder, lambda m, r, ds: build(m, r, [d + 1 for d in ds]))
+        failed, rows = self.routes_failures()
+        assert failed > 0
+        assert not all(row[_AGREE] for row in rows)
 
 
 class TestDeepInputsAndBoundedTables:
@@ -567,12 +621,14 @@ class TestDeepInputsAndBoundedTables:
             calls = builds[name] = []
             build = getattr(dims, name)
 
-            def counted(m, n, r):
-                calls.append((m, n))
-                return build(m, n, r)
+            def counted(m, r, ds):
+                calls.append((m, ds.n))
+                return build(m, r, ds)
 
             return counted
 
+        # Each builder call's list is a DLevels, which keeps its n.
+        monkeypatch.setattr(dims, "_d_levels", DLevels)
         for name in ("_k_recursion_row", "_k_reduction_row"):
             monkeypatch.setattr(dims, name, counting(name))
         return builds
@@ -883,7 +939,8 @@ class TestRecordMatchesFractionOracle:
     @staticmethod
     def rows(query: DimQuery) -> tuple[int, list[int], list[int]]:
         m, n, r = query.m, query.n, query.r
-        return dim_D(m, n), dims._k_recursion_row(m, n, r), dims._k_reduction_row(m, n, r)
+        ds = DLevels(m, n, r)
+        return dim_D(m, n), dims._k_recursion_row(m, r, ds), dims._k_reduction_row(m, r, ds)
 
     @settings(max_examples=300)
     @given(
