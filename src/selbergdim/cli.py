@@ -9,57 +9,19 @@ Usage:
     selbergdim verify pfaff --seed 7 --cases 500    # seeded identity suite
 
 Output is deterministic: identical invocations produce byte-identical
-output. Rationals are always rendered in the exact ``p/q`` form (``/q``
-omitted when the denominator is 1); CSV contains only integers, ``p/q``
-strings and ``true``/``false``.
+output. Rationals are exact ``p/q`` text (``/q`` omitted when the
+denominator is 1); CSV holds only ints, ``p/q`` text and ``true``/``false``,
+and a CSV cell with a comma, a quote or a line break is quoted (RFC 4180).
 
-Each output kind has one schema. ``RECORD_COLUMNS`` orders a dimension
-record's fields for JSON; the CSV header, CSV cells, pretty table and the
-record part of ``classify --format csv`` take the same list without the
-JSON-only ``K``, ``I`` and ``hyp_error``. The verify outputs take their
-columns from ``SuiteResult``'s fields. Every subcommand renders through a
-table from ``--format`` (one of ``FORMATS``) to a renderer. Every CSV line
-but a record's goes through one RFC 4180 minimal-quoting rule, so a cell
-with a comma, a quote or a line break is quoted and rows keep their
-header's width.
-
-Every record renderer takes a row: the flat tuple of values that
-``dims._block_rows`` computes, m, n, r and then the fields of a
-``DimensionRecord`` after its query, where I_hyp may be an int or a
-``Fraction`` of the same value. ``table`` takes its rows straight from
-``dims._iter_rows``. ``dims`` checks its point with ``dims._validate`` and
-renders the one row of ``_block_rows(m, n, (r,))``, and ``classify``
-renders the same row for (m, n, r = #resonant) when every assumption
-holds, a point its config already keeps in the domain. None of them builds
-a ``DimQuery``, a ``DimensionRecord`` or a dict. A record's CSV line is
-one %-template of its ``CSV_COLUMNS`` cells and bypasses the quoting rule:
-its cells are ints, ``p/q`` text, ``true``/``false`` or empty, so none can
-hold a comma, a quote, CR or LF. The pretty table and the record cells of
-``classify --format csv`` split that line at its commas, so every record
-cell has one format. A record's ``json.dumps(indent=2)`` form is one
-%-template per nesting depth, built once from ``RECORD_COLUMNS``: depth 0
-for ``dims --format json``, depth 1 for each item of ``table --format
-json``, whose values are the row's put in ``RECORD_COLUMNS`` order, with K
-and I set from ``routes_agree``. An int is written as its digits, a
-rational as quoted ``p/q`` text, a bool as ``true``/``false``, None as
-``null``, and the one string, ``hyp_error``, through ``json.dumps``. The
-``classify`` JSON report is written in order too: ``json.dumps`` writes
-its head fields, each violation fills one depth-2 template with
-``json.dumps`` only for its condition, and ``dimensions`` fills the record
-template. ``verify`` JSON goes through ``json.dumps(indent=2)`` itself.
-
-``table --format csv`` and ``--format json`` stream: each row is written,
-to stdout or to the ``--out`` file opened before the first one, as soon
-as it is computed, and none is kept, so memory stays constant however
-large the ranges. The JSON is written row by row yet is byte-identical to
-``json.dumps(records, indent=2)``. The exit code is decided after the
-last row. The pretty table needs every row's width before its first line,
-so it is built whole and then written.
-
-Arguments are parsed once: when the first one names a subcommand, that
-subcommand's parser takes the rest, as the top-level parser would hand it
-over, and what it leaves is reported as the top-level parser reports it.
-Any other argument list goes through the top-level parser.
+Each output kind has one schema. Every record renderer takes a row of
+``dims._block_rows``, laid out as ``dims._ROW_FIELDS``. ``RECORD_COLUMNS``
+orders a record's JSON keys, and ``CSV_COLUMNS``, the same list without the
+JSON-only ``K``, ``I`` and ``hyp_error``, its CSV, pretty-table and
+``classify`` cells. A record's CSV line and its ``json.dumps(indent=2)``
+text are %-templates built once from these columns. The verify outputs take
+their columns from ``SuiteResult``'s fields. ``table --format csv|json``
+writes each row as it is computed and keeps none, so memory stays constant;
+the pretty table needs every row's width first, so it collects the rows.
 
 Exit codes:
     0  success (all routes agree / assumptions hold / all checks pass)
@@ -84,7 +46,7 @@ import re
 import sys
 from typing import Any, Callable, Iterable, Sequence
 
-from .dims import R_POLICIES, DomainError, _block_rows, _iter_rows, _Row, _validate
+from .dims import R_POLICIES, _AGREE, _ROW_FIELDS, DomainError, _block_rows, _iter_rows, _validate
 from .exactnum import format_rational
 from .resonance import (
     ConfigParseError, ResonanceReport, classify, config_from_json, config_to_json_dict,
@@ -103,20 +65,12 @@ EXIT_BROKEN_PIPE = 141
 
 FORMATS = ("pretty", "json", "csv")
 
-# The columns of a dimension record, in JSON key order. The derived K and I
-# and the error text are JSON-only; CSV and the pretty table show the rest.
-RECORD_COLUMNS = (
-    "m", "n", "r", "D", "K_recursion", "K_reduction", "K_closed",
-    "I_sum", "I_hyp", "I_subtract", "K", "I",
-    "routes_agree", "in_validity_range", "hyp_error",
-)
+# The columns of a dimension record, in JSON key order: a row's fields, with
+# the derived K and I in the place of the error text, which goes last. K, I
+# and hyp_error are JSON-only; CSV and the pretty table show the rest.
+_HYP_ERROR = _ROW_FIELDS.index("hyp_error")
+RECORD_COLUMNS = (*_ROW_FIELDS[:_HYP_ERROR], "K", "I", *_ROW_FIELDS[_HYP_ERROR + 1:], "hyp_error")
 CSV_COLUMNS = tuple(c for c in RECORD_COLUMNS if c not in ("K", "I", "hyp_error"))
-
-
-# Where a row, dims' flat form of a record (m, n, r, D, the three K routes,
-# I_sum, I_hyp, I_subtract, hyp_error, routes_agree, in_validity_range),
-# holds routes_agree.
-_AGREE = 11
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,10 +134,10 @@ class _DigitLimitError(Exception):
                 f"({sys.get_int_max_str_digits()}); PYTHONINTMAXSTRDIGITS=0 lifts it")
 
 
-def _digit_limited(render: Callable[..., str]) -> Callable[..., str]:
+def _digit_limited(render: Callable[..., Any]) -> Callable[..., Any]:
     """``render``, with the digit limit's ValueError raised as _DigitLimitError."""
 
-    def checked(*args: Any) -> str:
+    def checked(*args: Any) -> Any:
         try:
             return render(*args)
         except ValueError:
@@ -196,7 +150,7 @@ def _digit_limited(render: Callable[..., str]) -> Callable[..., str]:
 _RECORD_CSV = ",".join(["%s"] * len(CSV_COLUMNS))
 
 
-def _record_csv(row: _Row) -> str:
+def _record_csv(row: tuple) -> str:
     """A row's CSV line, as ``_csv_row`` writes its cells, without its line end.
 
     An int is passed as it is, and %s writes it as str does, digit limit
@@ -212,13 +166,13 @@ def _record_csv(row: _Row) -> str:
     )
 
 
-def _record_cells(row: _Row) -> list[str]:
+def _record_cells(row: tuple) -> list[str]:
     # For the pretty table and classify's CSV: the line split at its commas,
     # which no cell holds, so every record cell has one format.
     return _record_csv(row).split(",")
 
 
-def _record_pretty(row: _Row) -> str:
+def _record_pretty(row: tuple) -> str:
     m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, agree, valid = row
     hyp = format_rational(i_hyp) if i_hyp is not None else "undefined"
     lines = [
@@ -235,8 +189,7 @@ def _record_pretty(row: _Row) -> str:
     return _lines(lines)
 
 
-@_digit_limited
-def _records_pretty_table(rows: Sequence[_Row]) -> str:
+def _records_pretty_table(rows: Sequence[tuple]) -> str:
     lines = [list(CSV_COLUMNS)] + [_record_cells(row) for row in rows]
     widths = [max(len(line[col]) for line in lines) for col in range(len(CSV_COLUMNS))]
     return _lines(
@@ -255,7 +208,7 @@ _RECORD_JSON_TEMPLATES = tuple(
 )
 
 
-def _record_json(row: _Row, depth: int) -> str:
+def _record_json(row: tuple, depth: int) -> str:
     """A row as ``json.dumps(indent=2)`` writes its record's dict at ``depth``.
 
     The dict maps each of ``RECORD_COLUMNS`` to the record's value, a
@@ -275,7 +228,7 @@ def _record_json(row: _Row, depth: int) -> str:
     )
 
 
-_DIMS_RENDERERS: dict[str, Callable[[_Row], str]] = {
+_DIMS_RENDERERS: dict[str, Callable[[tuple], str]] = {
     "pretty": _digit_limited(_record_pretty),
     "json": _digit_limited(lambda row: _record_json(row, 0) + "\n"),
     "csv": _digit_limited(lambda row: _lines([_csv_row(CSV_COLUMNS), _record_csv(row)])),
@@ -284,49 +237,43 @@ _DIMS_RENDERERS: dict[str, Callable[[_Row], str]] = {
 
 # Table writers: each writes the rows it is given through ``write`` and
 # returns whether every row's routes agree. csv and json write each row as
-# soon as it is computed and keep none of them, and a row past the digit
+# soon as it is computed and keep none of them, so a row past the digit
 # limit ends the stream there; the pretty table needs every row's width
-# before its first line, so it collects them first.
+# before its first line, so it collects them first. ``_iter_rows`` raises
+# DomainError before a writer runs, so the only ValueError a writer meets is
+# the digit limit's.
 
-def _write_csv(rows: Iterable[_Row], write: Callable[[str], Any]) -> bool:
+def _write_csv(rows: Iterable[tuple], write: Callable[[str], Any]) -> bool:
     write(_csv_row(CSV_COLUMNS) + "\n")
     agree = True
     for row in rows:
-        try:
-            line = _record_csv(row)
-        except ValueError:
-            raise _DigitLimitError from None
-        write(line + "\n")
+        write(_record_csv(row) + "\n")
         agree = agree and row[_AGREE]
     return agree
 
 
-def _write_json(rows: Iterable[_Row], write: Callable[[str], Any]) -> bool:
+def _write_json(rows: Iterable[tuple], write: Callable[[str], Any]) -> bool:
     # The bytes of json.dumps(list_of_records, indent=2) + "\n", one record at a time.
     agree = True
     opening = "[\n"
     for row in rows:
-        try:
-            item = _record_json(row, 1)
-        except ValueError:
-            raise _DigitLimitError from None
-        write(opening + item)
+        write(opening + _record_json(row, 1))
         opening = ",\n"
         agree = agree and row[_AGREE]
     write("[]\n" if opening == "[\n" else "\n]\n")
     return agree
 
 
-def _write_pretty(rows: Iterable[_Row], write: Callable[[str], Any]) -> bool:
+def _write_pretty(rows: Iterable[tuple], write: Callable[[str], Any]) -> bool:
     rows = list(rows)
     write(_records_pretty_table(rows))
     return all(row[_AGREE] for row in rows)
 
 
 _TABLE_WRITERS: dict[str, Callable[..., bool]] = {
-    "pretty": _write_pretty,
-    "json": _write_json,
-    "csv": _write_csv,
+    "pretty": _digit_limited(_write_pretty),
+    "json": _digit_limited(_write_json),
+    "csv": _digit_limited(_write_csv),
 }
 
 
@@ -346,7 +293,7 @@ _VIOLATION_JSON = (
 _CLASSIFY_JSON = '%s,\n  "violations": %s,\n  "assumption_valid": %s,\n  "dimensions": %s\n}\n'
 
 
-def _classify_json(cfg: Any, report: ResonanceReport, row: _Row | None) -> str:
+def _classify_json(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
     head = json.dumps({
         "config": config_to_json_dict(cfg),
         "lambda_infinity": format_rational(report.lambda_infinity),
@@ -366,7 +313,7 @@ def _classify_json(cfg: Any, report: ResonanceReport, row: _Row | None) -> str:
     )
 
 
-def _classify_pretty(cfg: Any, report: ResonanceReport, row: _Row | None) -> str:
+def _classify_pretty(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
     lambdas = ", ".join(format_rational(lam) for lam in cfg.lambdas)
     lines = [
         f"config: m={cfg.m} g={format_rational(cfg.g)} lambdas=[{lambdas}]",
@@ -394,7 +341,7 @@ _CLASSIFY_COLUMNS = ("m", "n", "r", "lambda_infinity", "assumption_valid", "viol
 _CLASSIFY_RECORD_FROM = CSV_COLUMNS.index("D")
 
 
-def _classify_csv(cfg: Any, report: ResonanceReport, row: _Row | None) -> str:
+def _classify_csv(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
     cells = [
         str(cfg.m),
         str(cfg.n),

@@ -1,102 +1,54 @@
 """Dimension counts for the invariant twisted homology of a Selberg-type integrand.
 
-For m integration variables, n marked points and r resonant exponents the
-three quantities of interest are
+For m integration variables, n marked points and r resonant exponents:
 
-* ``D`` -- the dimension of the full invariant (locally finite) twisted
-  homology, ``D(m, n) = C(n+m-2, m)``;
-* ``K`` -- the dimension of the kernel of the regularization map from
+* ``D(m, n) = C(n+m-2, m)`` is the dimension of the invariant locally finite
+  twisted homology;
+* ``K`` is the dimension of the kernel of the regularization map from
   compact to locally finite homology;
-* ``I`` -- the dimension of its image, the space of regularizable cycles,
-  with ``D = K + I``.
+* ``I`` is the dimension of its image, the regularizable cycles: D = K + I.
 
-K and I are each computed by several mutually independent routes:
+The domain is m >= 1, n >= 1 and 0 <= r <= n, each an exact int.
+``_validate`` holds its rules and messages; outside it every public route
+raises DomainError. K and I each come from several independent routes, and
+a record states whether they agree rather than assuming it:
 
-* ``dim_K_recursion`` peels off one resonant point at a time,
-* ``dim_K_reduction`` drops two integration variables at a time,
-* ``dim_K_closed`` is a single alternating binomial sum,
-* ``dim_I_sum`` is the complementary alternating sum,
-* ``dim_I_hyp`` packages that sum as a prefactored terminating 3F2, whose
-  parameters are all halves of ints, so it calls the int series kernel
-  directly over the denominator 2 and builds no parameter Fraction,
-* the subtraction route recovers I as D - K.
+* ``dim_K_recursion`` peels off one resonant point at a time, and
+  ``dim_K_reduction`` drops two integration variables at a time. K(m, n, r)
+  reads only K(m-2j, n, 0..r-j), so both run bottom-up as triangles:
+  min((m-1)//2, r) steps of width <= r+1, at constant stack depth. The step
+  to level m' consumes D(m'-2, n), and ``_d_levels`` computes each by ``dim_D``.
+* ``dim_K_closed`` and ``dim_I_sum`` split one alternating sum over the
+  signed column (-1)^s D(m-2s, n), ``_d_column``.
+* ``dim_I_hyp`` is that sum as D(m, n) times a terminating 3F2 whose
+  parameters are halves of ints, summed by the int series kernel over 2.
+* I_subtract is D - K_closed.
 
-The recursion and reduction routes are evaluated bottom-up, as triangles.
-K(m, n, r) reads only K(m-2j, n, 0..r-j), and every row below level m - 2r
-is the zero row K(·, n, 0) = 0. So each builder starts at level
-m - 2 min((m-1)//2, r), on the row [0] or on the base row of m's parity cut
-to width, and each step m' -> m' + 2 widens the row by one entry until it
-is K(m, n, 0..r). A query costs min((m-1)//2, r) steps of width <= r+1, at
-constant stack depth, however large m is. The step to m' consumes
-D(m'-2, n) in both routes, so ``_d_levels`` computes these once, one
-``dim_D`` per level, and both builders read that one list and call no
-``dim_D`` themselves. No route keeps a cache: ``compute_record`` builds
-the list and both rows for its one query, and a table builds the rows
-K(m, n, 0..R), the triangles at its largest r of the (m, n), R, once per
-(m, n) and reads every r of its loop from them; ``dim_D`` is one binomial.
-The two routes keep their own formulas and share only their input, the
-D values, so they stay independent witnesses of the K identities.
+``_d_column`` computes one ``dim_D`` at the deepest term M and walks upward
+by the exact int step D(M+2, n) (M+1)(M+2) = D(M, n) (n+M-1)(n+M). Downward
+it would divide by (n+M-1)(n+M), which is 0 at n = 1, M = 0. The column must
+not feed the triangles: the K identities hold for any sequence of D values,
+so rows built from the walk would agree with K_closed even where the walk
+went wrong. Built from ``dim_D``, they make K_closed == K_recursion a check
+of every term of the walk, and I_sum == D - K_closed checks its first.
 
-Both alternating sums read one signed column, ``_d_column``:
-(-1)^s D(m-2s, n) for s = 0..S. It is built by one upward walk that
-computes one ``dim_D`` at the deepest term, M = m - 2S, and takes each
-next term from the last:
+``_block_rows`` computes the records of one (m, n) together, as rows laid
+out by ``_ROW_FIELDS``. D, the D levels, both K rows and the column are
+built once, at the largest r, and each r then costs one column sum and one
+3F2 series. The CLI renders these rows; ``compute_record`` and
+``iter_table`` build the public records from them. No route keeps a cache.
+The closed forms at r = n and r = n - 1 are exposed for cross-checks.
 
-    D(M+2, n) = D(M, n) (n+M-1)(n+M) / ((M+1)(M+2))
-
-The division is exact, D(M, n) (n+M-1)(n+M) = D(M+2, n) (M+1)(M+2), so
-the walk stays on ints. It walks upward, from small M to m, because the
-downward step would divide by (n+M-1)(n+M), which is 0 at n = 1, M = 0.
-The column that serves every r up to R has depth S = min(R, m // 2); at
-each such r, ``_column_sums`` takes I_sum = sum of C(r, s) col[s] over
-s <= r, a single sum in C, and K_closed = col[0] - I_sum, the negated
-sum over s >= 1 (C(r, s) = 0 for s > r truncates both). The column must
-not feed the triangles: the K identities hold for any sequence of D
-values, so rows built from the column's terms would agree with K_closed
-even where the walk went wrong. Built from ``_d_levels``, which calls
-``dim_D`` at every level, they make K_closed == K_recursion a check of
-every term of the walk against ``dim_D``. The column's first term,
-D(m, n) as the walk reached it, is checked against ``dim_D`` through
-I_sum == D - K_closed.
-
-The records of one (m, n) are computed together, by ``_block_rows``, each
-as a flat tuple of values: m, n, r, then the fields of ``DimensionRecord``
-after its query, in their order, but with an integral I_hyp kept as the
-int. D, the D levels, both K rows and the column are built once per block,
-sized to its largest r, and each r then costs one column sum, one 3F2
-series and the checks. ``_iter_rows`` yields a table's rows lazily, one
-at a time, so a caller that writes each one out runs in constant memory;
-the CLI renders rows like these for all of its records, ``dims`` and
-``classify`` the one row of ``_block_rows(m, n, (r,))`` and ``table``
-those of ``_iter_rows``, and builds no object per record. The record
-objects are built only for a caller of the public API: ``compute_record``
-builds one from its query and the one row of its block, ``iter_table``
-builds a ``DimQuery``, which validates again, and a ``DimensionRecord``
-from each row of ``_iter_rows``, and ``table`` is that iterator collected
-into a list. Both put an int I_hyp back into a ``Fraction``.
-
-The domain is m >= 1, n >= 1 and 0 <= r <= n, each an exact int. One
-function holds its rules and messages; ``DimQuery`` and every public route
-call it, and raise DomainError outside the domain, so no route fails with
-a TypeError or a wrong answer on a bool or a float.
-
-Agreement of all routes is recorded, never assumed: ``compute_record``
-fills every field and flags disagreement instead of raising. The closed
-forms at full resonance (r = n) and one below it (r = n - 1) are exposed
-separately, including the parity-split product form used to cross-check
-the r = n value.
-
-A note on conventions: the alternating sums use D(0, n) = 1 and
-D(m, n) = 0 for m < 0, which is the unique choice under which they
-reproduce the base cases K(2, n, r) = r and the closed forms at extreme
-resonance. The recursion route never consumes D(0, n) because m = 2 is a
-base case, so the two routes cannot disagree over it.
+Conventions: the alternating sums use D(0, n) = 1 and D(m, n) = 0 for m < 0,
+the unique choice under which they reproduce the base cases K(2, n, r) = r
+and the closed forms at extreme resonance. The recursion never consumes
+D(0, n), as m = 2 is a base case, so the routes cannot disagree over it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul, sub
@@ -139,14 +91,10 @@ class DomainError(ValueError):
 def _validate(m: int, n: int, r: int) -> None:
     """The (m, n, r) domain: exact ints, m >= 1, n >= 1, 0 <= r <= n.
 
-    ``DimQuery`` and every route call this, so each rule and message lives
-    here. The ``type(v) is int`` test rejects bool and costs no more than a
-    range test. A record runs it once, in ``DimQuery``, the CLI's ``dims``
-    once before its one row, and a row of ``_iter_rows`` not at all, as the
-    table's bounds were checked; nor does the CLI's ``classify``, whose
-    ``ExponentConfig`` already holds an int m >= 1 and n >= 1 lambdas, with
-    r counting some of them. The row path calls only private builders,
-    which trust their arguments.
+    ``DimQuery``, every public route and the CLI's ``dims`` call this, so
+    each rule and message lives here. The ``type(v) is int`` test rejects
+    bool and costs no more than a range test. The private row builders trust
+    their arguments: ``_iter_rows`` checks a table's bounds once instead.
     """
     if not type(m) is type(n) is type(r) is int:
         name, value = next((k, v) for k, v in (("m", m), ("n", n), ("r", r)) if type(v) is not int)
@@ -180,11 +128,12 @@ class DimensionRecord:
     """Every route's answer for one query, plus the agreement verdicts.
 
     ``I_hyp`` is kept as an exact rational (its integrality is part of what
-    is being verified); it is None exactly when ``hyp_error`` is set, which
-    can only happen outside the n >= 2 regime. ``routes_agree`` requires all
-    three K routes and all three I routes to coincide. ``in_validity_range``
-    is the sanity check that every computed dimension is a plausible one:
-    nonnegative and K <= D.
+    is being verified), and an int given for it is stored as its Fraction;
+    it is None exactly when ``hyp_error`` is set, which can only happen
+    outside the n >= 2 regime. ``routes_agree`` requires all three K routes
+    and all three I routes to coincide. ``in_validity_range`` is the sanity
+    check that every computed dimension is a plausible one: nonnegative and
+    K <= D.
     """
 
     query: DimQuery
@@ -199,6 +148,11 @@ class DimensionRecord:
     routes_agree: bool
     in_validity_range: bool
 
+    def __post_init__(self) -> None:
+        # A row keeps an integral I_hyp as the int; the record holds its Fraction.
+        if type(self.I_hyp) is int:
+            object.__setattr__(self, "I_hyp", Fraction(self.I_hyp))
+
     @property
     def K(self) -> int | None:
         """The agreed kernel dimension, or None if the routes disagree."""
@@ -208,6 +162,14 @@ class DimensionRecord:
     def I(self) -> int | None:
         """The agreed image dimension, or None if the routes disagree."""
         return self.I_sum if self.routes_agree else None
+
+
+# A record as a flat tuple, the row every record renderer takes: the fields of
+# its query, then its own after the query, with an integral I_hyp kept as the
+# int. Every row position and column list derives from these names.
+_ROW_FIELDS = tuple(f.name for f in fields(DimQuery) + fields(DimensionRecord)[1:])
+_QUERY = len(fields(DimQuery))
+_AGREE = _ROW_FIELDS.index("routes_agree")
 
 
 def dim_D(m: int, n: int) -> int:
@@ -262,8 +224,7 @@ def _k_recursion_row(m: int, r: int, ds: list[int]) -> list[int]:
 
     ``ds`` is ``_d_levels(m, n, r)``, and each of its values is one step
     m' -> m' + 2, which reads the whole old row and writes a row one entry
-    wider, so the row reaches width r+1 at level m. The builder calls no
-    ``dim_D`` itself.
+    wider, so the row reaches width r+1 at level m.
     """
     row = _k_start(m, r)
     for d in ds:
@@ -289,8 +250,7 @@ def dim_K_recursion(m: int, n: int, r: int) -> int:
 def _k_reduction_row(m: int, r: int, ds: list[int]) -> list[int]:
     """K(m, n, 0..r) by the reduction of ``dim_K_reduction``, as a triangle.
 
-    It steps through the same ``_d_levels(m, n, r)`` as
-    ``_k_recursion_row`` and calls no ``dim_D`` itself.
+    It steps through the same ``_d_levels(m, n, r)`` as ``_k_recursion_row``.
     """
     row = _k_start(m, r)
     for d in ds:
@@ -437,34 +397,13 @@ def compute_record(query: DimQuery) -> DimensionRecord:
     a lower series parameter can vanish too early) is recorded in
     ``hyp_error`` with ``I_hyp = None``; all integer routes are still filled
     in. Disagreement of any kind yields ``routes_agree = False``. The values
-    are those of the one row of the block ``_block_rows(m, n, (r,))``, so D,
-    the K rows and the column are sized to this r, and are checked on ints
-    as it describes; ``I_hyp`` is still the exact ``Fraction`` that
-    ``dim_I_hyp`` returns, the row's int put back into one. This and
-    ``iter_table`` build the record objects, for callers of the API; no
-    CLI command builds one, as ``dims`` and ``classify`` render the row of
-    ``_block_rows`` itself and ``table`` the rows of ``_iter_rows``.
+    are those of the one row of ``_block_rows(m, n, (r,))``.
     """
-    return _record(query, next(_block_rows(query.m, query.n, (query.r,))))
+    return DimensionRecord(query, *next(_block_rows(query.m, query.n, (query.r,)))[_QUERY:])
 
 
-# A record as a flat tuple: m, n, r, then the fields of DimensionRecord after
-# its query, in their order, with an integral I_hyp kept as the int.
-_Row = tuple[
-    int, int, int, int, int, int, int, int, int | Fraction | None, int, str | None, bool, bool
-]
-
-
-def _record(query: DimQuery, row: _Row) -> DimensionRecord:
-    """The record of ``query`` from its row, with an int I_hyp put back into a Fraction."""
-    i_hyp = row[8]
-    return DimensionRecord(
-        query, *row[3:8], Fraction(i_hyp) if type(i_hyp) is int else i_hyp, *row[9:]
-    )
-
-
-def _block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[_Row]:
-    """The rows of (m, n, r) for each r of ``rs``, which ascend, as ``_Row`` tuples.
+def _block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[tuple]:
+    """The rows of (m, n, r) for each r of ``rs``, which ascend, laid out as ``_ROW_FIELDS``.
 
     D, the triangles' D levels, both K rows K(m, n, 0..R) and the column of
     depth min(R, m // 2) are built once, for the largest r, R = rs[-1], when
@@ -477,8 +416,8 @@ def _block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[_Row]:
     q, so the routes agree iff rem == 0 and q == I_sum == I_subtract.
     Python's q is the floor of the exact quotient for either sign of den,
     and floor(x) >= 0 iff x >= 0, so q >= 0 is the bound I_hyp >= 0. The
-    row keeps an integral I_hyp as the int q, with no Fraction built, and
-    any other as Fraction(d num, den).
+    row keeps an integral I_hyp as the int q and any other as
+    Fraction(d num, den).
     """
     top = rs[-1]
     d = dim_D(m, n)
@@ -511,7 +450,7 @@ def _block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[_Row]:
 
 def _iter_rows(
     m_range: tuple[int, int], n_range: tuple[int, int], r_policy: RPolicy = "all"
-) -> Iterator[_Row]:
+) -> Iterator[tuple]:
     """Lazily yield the rows of ``table``, one at a time, in (m, n, r) order.
 
     The bounds and the policy are checked when this is called, before the
@@ -519,11 +458,8 @@ def _iter_rows(
     writes anything. Rows are computed as they are asked for and none is
     kept, so a caller that writes each one out runs in constant memory
     however large the ranges are. Each (m, n) is one ``_block_rows`` over
-    the policy's r values, so D, both K rows and the D column are built
-    once per (m, n), for its largest r, when its first row is asked for,
-    and serve all its r. Each point is in the domain the bounds checked, so
-    no row builds or validates a ``DimQuery``; the CLI's table writers take
-    these rows, whose integral I_hyp is an int.
+    the policy's r values, which builds D, both K rows and the D column
+    once, at the largest of them.
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
@@ -537,7 +473,7 @@ def _iter_rows(
         raise DomainError(f"unknown r policy {r_policy!r}; expected one of {R_POLICIES}")
     r_values = _R_VALUES[r_policy]
 
-    def rows() -> Iterator[_Row]:
+    def rows() -> Iterator[tuple]:
         for m in range(m_lo, m_hi + 1):
             for n in range(n_lo, n_hi + 1):
                 yield from _block_rows(m, n, r_values(n))
@@ -550,16 +486,13 @@ def iter_table(
 ) -> Iterator[DimensionRecord]:
     """Lazily yield the records of ``table``, one at a time, in (m, n, r) order.
 
-    Each record is built from a row of ``_iter_rows``, with its own
-    ``DimQuery``, which validates its point again, and an int I_hyp put
-    back into a ``Fraction``. So the bounds and the policy are checked when
-    this is called, records are computed as they are asked for and none is
-    kept, and D, both K rows and the D column are built once per (m, n).
-    Each record equals ``compute_record`` of its query. The CLI's table
-    writers take the rows themselves and build no record.
+    Each record is built from a row of ``_iter_rows``, so the bounds and
+    the policy are checked when this is called, records are computed as they
+    are asked for and none is kept. Each record equals ``compute_record`` of
+    its query.
     """
     rows = _iter_rows(m_range, n_range, r_policy)
-    return (_record(DimQuery(*row[:3]), row) for row in rows)
+    return (DimensionRecord(DimQuery(*row[:_QUERY]), *row[_QUERY:]) for row in rows)
 
 
 def table(

@@ -30,6 +30,7 @@ anywhere.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -129,11 +130,6 @@ class AssumptionViolatedError(Exception):
         self.report = report
 
 
-def _choose2(k: int) -> int:
-    # C(k, 2) with the explicit convention C(1, 2) = 0.
-    return k * (k - 1) // 2
-
-
 def classify(cfg: ExponentConfig) -> ResonanceReport:
     """Classify a configuration: resonant index set plus every failed assumption.
 
@@ -157,17 +153,17 @@ def classify(cfg: ExponentConfig) -> ResonanceReport:
 
     violations: list[Violation] = []
     for k in (1, *range(3, m + 1)):
-        shift = _choose2(k) * G
+        shift = math.comb(k, 2) * G
         for j, lam in enumerate(lams, start=1):
             value = k * lam + shift
             if value % L == 0:
                 violations.append(Violation(condition=POINT, j=j, k=k, value=Fraction(value // L)))
     for k in range(1, m + 1):
-        value = k * lam_inf + _choose2(k) * G
+        value = k * lam_inf + math.comb(k, 2) * G
         if value % L == 0:
             violations.append(Violation(condition=INFINITY, k=k, value=Fraction(value // L)))
     for k in range(2, m + 1):
-        value = _choose2(k) * G
+        value = math.comb(k, 2) * G
         if value % L == 0:
             violations.append(Violation(condition=DIAGONAL, k=k, value=Fraction(value // L)))
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import operator
 import os
 from fractions import Fraction
@@ -10,7 +9,6 @@ from typing import Any
 import pytest
 
 from selbergdim import cli, dims
-from selbergdim.dims import DimensionRecord
 from selbergdim.exactnum import format_rational
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -105,12 +103,19 @@ def record_json_dict(rec) -> dict[str, Any]:
     }
 
 
-# The layout of a row, the flat tuple every record renderer of the CLI takes:
-# m, n, r, then the record's fields after its query, in their order. A
-# record's row, read field by field, is the oracle the row builders of
-# ``dims`` are tested against.
-ROW_COLUMNS = ("m", "n", "r") + tuple(f.name for f in dataclasses.fields(DimensionRecord)[1:])
-row_of = operator.attrgetter("query.m", "query.n", "query.r", *ROW_COLUMNS[3:])
+# The layout of a row, the flat tuple every record renderer of the CLI takes,
+# from its one definition in ``dims``: m, n, r, then the record's fields after
+# its query, in their order. A record's row, read field by field, is the
+# oracle the row builders of ``dims`` are tested against.
+ROW_COLUMNS = dims._ROW_FIELDS
+row_of = operator.attrgetter(
+    *(f"query.{name}" for name in ROW_COLUMNS[:dims._QUERY]), *ROW_COLUMNS[dims._QUERY:]
+)
+
+
+def replace_row(row: tuple, **values: Any) -> tuple:
+    """``row`` with the named fields set to ``values``."""
+    return tuple(values.get(name, value) for name, value in zip(ROW_COLUMNS, row))
 
 
 # A record's CSV cells as they were made before its line became one

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ROW_COLUMNS, frozen_record_cells, record_json_dict, row_of
+from conftest import ROW_COLUMNS, frozen_record_cells, record_json_dict, replace_row, row_of
 import selbergdim
 from selbergdim import cli, exactnum
 
@@ -82,6 +82,28 @@ def test_every_imported_name_is_used(path):
     unused = [f"{path.name}:{line} imports {name}" for name, line in imported.items()
               if name not in used]
     assert not unused
+
+
+def _is_int_literal(node: ast.expr | None) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_row_is_indexed_by_an_int_literal(path):
+    # Every position in a row derives from dims._ROW_FIELDS, so no literal
+    # index goes stale when a field moves.
+    literal = []
+    for node in ast.walk(_tree(path)):
+        if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "row"):
+            continue
+        index = node.slice
+        bounds = (index.lower, index.upper) if isinstance(index, ast.Slice) else (index,)
+        if any(map(_is_int_literal, bounds)):
+            literal.append(f"{path.name}:{node.lineno}")
+    assert not literal
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -519,23 +541,19 @@ def test_record_json_is_json_dumps_indent_2(rec):
     assert cli._DIMS_RENDERERS["json"](row) == json.dumps(doc, indent=2) + "\n"
     # A block row keeps an integral I_hyp as the int, which writes the same.
     if rec.I_hyp is not None and rec.I_hyp.denominator == 1:
-        int_row = row[:8] + (rec.I_hyp.numerator,) + row[9:]
+        int_row = replace_row(row, I_hyp=rec.I_hyp.numerator)
         assert cli._record_json(int_row, 1) == cli._record_json(row, 1)
 
 
-def test_agree_is_the_routes_agree_column_of_a_row():
-    assert cli._AGREE == ROW_COLUMNS.index("routes_agree")
-
-
 _I_HYP = ROW_COLUMNS.index("I_hyp")
-_ROWS = st.tuples(
-    *[_INTS] * 8,
-    st.one_of(st.none(), _INTS, _FRACTIONS),  # I_hyp: an int from a block, a Fraction from a record
-    _INTS,
-    st.one_of(st.none(), _TEXT),
-    st.booleans(),
-    st.booleans(),
-)
+# The values of a row's fields by name; every field not named here is an int.
+_ROW_VALUES = {
+    "I_hyp": st.one_of(st.none(), _INTS, _FRACTIONS),  # an int from a block, a Fraction from a record
+    "hyp_error": st.one_of(st.none(), _TEXT),
+    "routes_agree": st.booleans(),
+    "in_validity_range": st.booleans(),
+}
+_ROWS = st.tuples(*(_ROW_VALUES.get(name, _INTS) for name in ROW_COLUMNS))
 # One field past the limit: an int field, m to I_subtract, or I_hyp as an
 # int, as an integral Fraction or as a Fraction with a long denominator.
 # Its int, sign (10^(4300 + extra) + residue), is drawn as these parts,
@@ -548,7 +566,10 @@ _PAST_LIMIT_KINDS = {
 }
 _PAST_LIMIT_FIELD = st.tuples(
     st.one_of(
-        st.tuples(st.sampled_from([i for i in range(10) if i != _I_HYP]), st.just("int")),
+        st.tuples(
+            st.sampled_from([i for i, name in enumerate(ROW_COLUMNS) if name not in _ROW_VALUES]),
+            st.just("int"),
+        ),
         st.tuples(st.just(_I_HYP), st.sampled_from(list(_PAST_LIMIT_KINDS))),
     ),
     st.sampled_from([1, -1]),  # the sign

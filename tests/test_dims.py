@@ -233,6 +233,12 @@ class TestComputeRecord:
         assert rec.routes_agree and rec.in_validity_range
         assert rec.K == 27 and rec.I == 8
 
+    @pytest.mark.parametrize("i_hyp", [5, Fraction(5), Fraction(1, 2), None])
+    def test_record_stores_an_int_I_hyp_as_its_Fraction(self, i_hyp):
+        rec = DimensionRecord(DimQuery(4, 5, 3), 35, 27, 27, 27, 8, i_hyp, 8, None, False, True)
+        assert rec.I_hyp == i_hyp
+        assert type(rec.I_hyp) is (type(None) if i_hyp is None else Fraction)
+
     def test_out_of_validity_record(self):
         rec = compute_record(DimQuery(2, 2, 2))
         assert rec.D == 1

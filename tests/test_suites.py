@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ROW_COLUMNS, replace_row
 from selbergdim import dims, hyper, suites
 from selbergdim.suites import DEFAULT_CASES, SUITE_NAMES, Lcg, SuiteResult, run_suites
 
@@ -65,12 +66,13 @@ def test_hockey_counterexample(monkeypatch):
 
 def _break_routes_at_4_6_2(monkeypatch):
     block_rows = dims._block_rows
+    r_at, k_red = map(ROW_COLUMNS.index, ("r", "K_reduction"))
 
     def off_at_4_6_2(m, n, rs):
         for row in block_rows(m, n, rs):
-            if row[:3] == (4, 6, 2):
+            if (m, n, row[r_at]) == (4, 6, 2):
                 # K_reduction one too high, and so the routes disagree.
-                row = (*row[:5], row[5] + 1, *row[6:11], False, row[12])
+                row = replace_row(row, K_reduction=row[k_red] + 1, routes_agree=False)
             yield row
 
     monkeypatch.setattr(dims, "_block_rows", off_at_4_6_2)
