@@ -26,10 +26,10 @@ the pretty table needs every row's width first, so it collects the rows.
 Exit codes:
     0  success (all routes agree / assumptions hold / all checks pass)
     1  usage, parse or I/O error, a value with more digits than the
-       interpreter's int-to-str limit (``PYTHONINTMAXSTRDIGITS=0`` lifts it),
-       or rows too large for the memory the process may take (one
-       ``out of memory`` line, no traceback); a streamed table stops at
-       that record
+       interpreter's int-to-str limit (``PYTHONINTMAXSTRDIGITS=0`` lifts it;
+       ``dims`` checks D before any route runs), or rows too large for the
+       memory the process may take (one ``out of memory`` line, no
+       traceback); a streamed table stops at that record
     2  route disagreement or a failed verification suite
     3  resonance assumptions violated (classify; report still printed)
   141  stdout was closed before all output was written (``... | head``);
@@ -46,7 +46,8 @@ import re
 import sys
 from typing import Any, Callable, Iterable, Sequence
 
-from .dims import R_POLICIES, _AGREE, _ROW_FIELDS, DomainError, _block_rows, _iter_rows, _validate
+from .dims import R_POLICIES, _AGREE, _ROW_FIELDS, DomainError, _block_rows, _iter_rows
+from .dims import _validate, dim_D
 from .exactnum import format_rational
 from .resonance import (
     ConfigParseError, ResonanceReport, classify, config_from_json, config_to_json_dict,
@@ -120,30 +121,6 @@ def _csv_row(cells: Sequence[str]) -> str:
 
 # ---------------------------------------------------------------------------
 # record rendering
-
-
-class _DigitLimitError(Exception):
-    """A value to render has more digits than the int-to-str limit allows.
-
-    Rendering a record or a report turns ints into text and raises no other
-    ValueError, so a renderer turns any it raises into this.
-    """
-
-    def __str__(self) -> str:
-        return ("a value has more digits than the interpreter's int-to-str limit "
-                f"({sys.get_int_max_str_digits()}); PYTHONINTMAXSTRDIGITS=0 lifts it")
-
-
-def _digit_limited(render: Callable[..., Any]) -> Callable[..., Any]:
-    """``render``, with the digit limit's ValueError raised as _DigitLimitError."""
-
-    def checked(*args: Any) -> Any:
-        try:
-            return render(*args)
-        except ValueError:
-            raise _DigitLimitError from None
-
-    return checked
 
 
 # A record's CSV line, without its line end: one %s per CSV column.
@@ -229,9 +206,9 @@ def _record_json(row: tuple, depth: int) -> str:
 
 
 _DIMS_RENDERERS: dict[str, Callable[[tuple], str]] = {
-    "pretty": _digit_limited(_record_pretty),
-    "json": _digit_limited(lambda row: _record_json(row, 0) + "\n"),
-    "csv": _digit_limited(lambda row: _lines([_csv_row(CSV_COLUMNS), _record_csv(row)])),
+    "pretty": _record_pretty,
+    "json": lambda row: _record_json(row, 0) + "\n",
+    "csv": lambda row: _lines([_csv_row(CSV_COLUMNS), _record_csv(row)]),
 }
 
 
@@ -271,9 +248,9 @@ def _write_pretty(rows: Iterable[tuple], write: Callable[[str], Any]) -> bool:
 
 
 _TABLE_WRITERS: dict[str, Callable[..., bool]] = {
-    "pretty": _digit_limited(_write_pretty),
-    "json": _digit_limited(_write_json),
-    "csv": _digit_limited(_write_csv),
+    "pretty": _write_pretty,
+    "json": _write_json,
+    "csv": _write_csv,
 }
 
 
@@ -359,9 +336,9 @@ def _classify_csv(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
 
 
 _CLASSIFY_RENDERERS = {
-    "pretty": _digit_limited(_classify_pretty),
-    "json": _digit_limited(_classify_json),
-    "csv": _digit_limited(_classify_csv),
+    "pretty": _classify_pretty,
+    "json": _classify_json,
+    "csv": _classify_csv,
 }
 
 
@@ -414,6 +391,13 @@ def _usage_error(args: argparse.Namespace, message: str) -> int:
 
 def _cmd_dims(args: argparse.Namespace) -> int:
     _validate(args.m, args.n, args.r)
+    # Every format prints D = C(m+n-2, m), so a D past the digit limit L fails
+    # here, before the routes run. D < 2^(m+n-2) <= 2^(3L) < 10^L while
+    # m + n - 2 <= 3L, so an ordinary request costs one comparison and no D.
+    # Builds before 3.10.7 have neither the limit nor the function.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.m + args.n - 2 > 3 * limit and dim_D(args.m, args.n) >= 10 ** limit:
+        raise ValueError("D exceeds the int-to-str limit")
     row = next(_block_rows(args.m, args.n, (args.r,)))
     sys.stdout.write(_DIMS_RENDERERS[args.format](row))
     return EXIT_OK if row[_AGREE] else EXIT_DISAGREEMENT
@@ -424,8 +408,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = _iter_rows(args.m_range, args.n_range, args.r_policy.replace("-", "_"))
     write_table = _TABLE_WRITERS[args.format]
     if args.out is not None:
+        # A path with a NUL byte makes open() raise ValueError. Around the
+        # writes only OSError is caught: a ValueError there is the digit
+        # limit's, and main reports it.
         try:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle = open(args.out, "w", encoding="utf-8", newline="")
+        except (OSError, ValueError) as exc:
+            return _usage_error(args, f"cannot write {args.out}: {exc}")
+        try:
+            with handle:
                 agree = write_table(rows, handle.write)
         except OSError as exc:
             return _usage_error(args, f"cannot write {args.out}: {exc}")
@@ -438,7 +429,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    # ValueError: a path with a NUL byte, or text that is not UTF-8.
+    except (OSError, ValueError) as exc:
         return _usage_error(args, f"cannot read {args.config}: {exc}")
     cfg = config_from_json(text)
     report = classify(cfg)
@@ -548,9 +540,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    # Input outside the domain, or an answer too long to print.
-    except (DomainError, ConfigParseError, _DigitLimitError) as exc:
+    # Input outside the domain.
+    except (DomainError, ConfigParseError) as exc:
         return _usage_error(args, str(exc))
+    # Once the domain and parse checks pass, the only ValueError a command
+    # raises is the int-to-str digit limit's: argparse and _cmd_verify vet
+    # run_suites' arguments, _iter_rows raises DomainError before any write,
+    # config_from_json wraps its own ValueErrors, the engine raises none on
+    # validated input, and the commands catch open()'s themselves.
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        return _usage_error(args, "a value has more digits than the interpreter's int-to-str "
+                            f"limit ({limit}); PYTHONINTMAXSTRDIGITS=0 lifts it")
     # Rows too large for the memory the process may take (a K row has r + 1 entries).
     except MemoryError:
         return _usage_error(args, "out of memory: the rows of this request do not fit")

@@ -1,8 +1,9 @@
 """Exact rational arithmetic and the combinatorial primitives built on it.
 
-Every scalar in this package is a :class:`fractions.Fraction`: arbitrary
-precision, always reduced to lowest terms with a positive denominator, so
-equality is structural. No floating point exists anywhere downstream.
+The package computes on plain ints inside and takes and returns
+:class:`fractions.Fraction` values at its API edge: arbitrary precision,
+always reduced to lowest terms with a positive denominator, so equality is
+structural. No floating point exists anywhere.
 
 On top of that this module provides the rising factorial (with its
 plain-int kernel ``scaled_rising``, which the identity checks in
@@ -110,11 +111,7 @@ def scaled_rising(p: int, q: int, k: int) -> int:
     """
     if k < 0:
         raise ValueError(f"pochhammer order must be nonnegative, got {k}")
-    out = 1
-    for _ in range(k):
-        out *= p
-        p += q
-    return out
+    return math.prod(range(p, p + k * q, q))
 
 
 def pochhammer(a: Fraction | int, k: int) -> Fraction:

@@ -79,11 +79,6 @@ class ExponentConfig:
     def n(self) -> int:
         return len(self.lambdas)
 
-    @property
-    def lambda_infinity(self) -> Fraction:
-        """Exponent at infinity: -sum(lambdas) - (m-1) g."""
-        return -sum(self.lambdas, Fraction(0)) - (self.m - 1) * self.g
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -121,9 +116,7 @@ class AssumptionViolatedError(Exception):
     """Raised when dimension formulas are requested outside their hypotheses."""
 
     def __init__(self, report: ResonanceReport):
-        conditions = ", ".join(
-            sorted({v.condition for v in report.violations})
-        )
+        conditions = ", ".join(sorted({v.condition for v in report.violations}))
         super().__init__(
             f"{len(report.violations)} non-resonance assumption(s) violated ({conditions})"
         )

@@ -63,10 +63,9 @@ class Lcg:
         self.state = (_LCG_MULT * self.state + _LCG_INC) & _LCG_MASK
         return lo + (self.state >> 33) % (hi - lo + 1)
 
-    def rational(self, rng_num: int = 8, max_den: int = 4) -> Fraction:
-        """Draw numerator in [-rng_num, rng_num], then denominator in [1, max_den]."""
-        num = self.randint(-rng_num, rng_num)
-        return Fraction(num, self.randint(1, max_den))
+    def rational(self) -> Fraction:
+        """Draw numerator in [-8, 8], then denominator in [1, 4]."""
+        return Fraction(self.randint(-8, 8), self.randint(1, 4))
 
     def draws(self, k: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
         """Endless draws (L, p1 L/q1, ..., pk L/qk, j), all plain ints.

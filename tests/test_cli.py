@@ -81,6 +81,20 @@ class TestExitCodes:
         assert out == ""
         assert "cannot read" in err and "Traceback" not in err
 
+    def test_classify_path_with_nul_byte(self, run_cli):
+        # open() raises ValueError, not OSError, for an embedded NUL.
+        code, out, err = run_cli("classify", "a\x00b.json")
+        assert (code, out) == (1, "")
+        assert err.startswith("selbergdim classify: error: cannot read ")
+        assert err.count("\n") == 1
+
+    def test_table_out_path_with_nul_byte(self, run_cli):
+        code, out, err = run_cli("table", "--m-range", "2..2", "--n-range", "4..4",
+                                 "--out", "a\x00b")
+        assert (code, out) == (1, "")
+        assert err.startswith("selbergdim table: error: cannot write ")
+        assert err.count("\n") == 1
+
     def test_classify_integer_over_the_digit_limit(self, run_cli, tmp_path):
         big = tmp_path / "big.json"
         big.write_text('{"m": 1' + "0" * 4999 + ', "g": "1/2", "lambdas": ["1/4"]}')
@@ -180,6 +194,61 @@ class TestDigitLimit:
             "json": "[\n" + cli._record_json(small, 1),
             "pretty": "",
         }[fmt]
+
+    def test_table_out_stops_at_the_record_over_the_limit(self, run_cli, monkeypatch, tmp_path):
+        # The digit limit's ValueError in mid-stream is not a write error.
+        small = row_of(compute_record(DimQuery(2, 4, 1)))
+        big = row_of(compute_record(DimQuery(10000, 10000, 2)))
+        monkeypatch.setattr(cli, "_iter_rows", lambda *args: iter([small, big, small]))
+        path = tmp_path / "table.csv"
+        code, out, err = run_cli("table", "--m-range", "2..2", "--n-range", "4..4",
+                                 "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and DIGIT_LIMIT_HINT in err and "cannot write" not in err
+        assert path.read_text(encoding="utf-8").endswith("\n2,4,1,6,1,1,1,5,5,5,true,true\n")
+
+    @pytest.mark.parametrize("mnr", ["7200", "10000"])
+    def test_dims_checks_d_before_the_routes(self, mnr):
+        # The routes for m = n = r = 7200 run for minutes; D alone has 4,332 digits.
+        src = Path(selbergdim.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "4300"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "selbergdim", "dims", "-m", mnr, "-n", mnr, "-r", mnr],
+            env=env, capture_output=True, text=True, check=False, timeout=5,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "selbergdim dims: error: a value has more digits than the interpreter's "
+            "int-to-str limit (4300); PYTHONINTMAXSTRDIGITS=0 lifts it\n"
+        )
+
+    @pytest.mark.parametrize("m", [1065, 1066, 1067, 1068])
+    def test_dims_early_check_matches_the_limit(self, run_cli, m):
+        # D(m, m) has 639, 640, 641 and 641 digits: at a limit of 640 the
+        # early check fails exactly the requests whose D str() would refuse.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli("dims", "-m", str(m), "-n", str(m), "-r", "1",
+                                     "--format", "csv")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        if len(str(dims.dim_D(m, m))) > 640:
+            assert (code, out) == (1, "")
+            assert err == (
+                "selbergdim dims: error: a value has more digits than the interpreter's "
+                "int-to-str limit (640); PYTHONINTMAXSTRDIGITS=0 lifts it\n"
+            )
+        else:
+            assert (code, err) == (0, "")
+            assert out.split("\n")[1].split(",")[3] == str(dims.dim_D(m, m))
+
+    def test_dims_without_the_limit_function(self, run_cli, monkeypatch):
+        # Early 3.10 builds have no sys.get_int_max_str_digits: no early check.
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        code, out, err = run_cli("dims", "-m", "2", "-n", "4", "-r", "4", "--format", "csv")
+        assert (code, err) == (0, "")
+        compare_golden("dims_2_4_4.csv", out)
 
     def test_lifted_limit_prints_the_exact_record(self):
         src = Path(selbergdim.__file__).parent.parent

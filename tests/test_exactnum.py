@@ -76,7 +76,31 @@ class TestPochhammer:
         assert outcome(pochhammer, a, k) == outcome(frozen_fraction_pochhammer, a, k)
 
 
+def frozen_loop_scaled_rising(p, q, k):
+    """The original multiply-and-step loop, kept verbatim as an oracle."""
+    if k < 0:
+        raise ValueError(f"pochhammer order must be nonnegative, got {k}")
+    out = 1
+    for _ in range(k):
+        out *= p
+        p += q
+    return out
+
+
 class TestScaledRising:
+    @settings(max_examples=300)
+    @given(
+        st.integers(-30, 30),
+        st.integers(-12, 12).filter(bool),
+        st.integers(-2, 12),
+    )
+    @example(-6, 3, 3)  # the factor at i = 2 is zero
+    @example(6, -3, 3)  # q < 0: 6, 3, 0
+    @example(5, -12, 12)  # q < 0, no factor vanishes
+    @example(1, -2, -2)
+    def test_matches_loop(self, p, q, k):
+        assert outcome(scaled_rising, p, q, k) == outcome(frozen_loop_scaled_rising, p, q, k)
+
     def test_empty_product(self):
         assert scaled_rising(5, 3, 0) == 1
 
