@@ -27,7 +27,8 @@ Exit codes:
     0  success (all routes agree / assumptions hold / all checks pass)
     1  usage, parse or I/O error, a value with more digits than the
        interpreter's int-to-str limit (``PYTHONINTMAXSTRDIGITS=0`` lifts it;
-       ``dims`` checks D before any route runs), or rows too large for the
+       ``dims``, ``table`` and ``classify`` check D before they build a
+       block's rows), or rows too large for the
        memory the process may take (one ``out of memory`` line, no
        traceback); a streamed table stops at that record
     2  route disagreement or a failed verification suite
@@ -46,8 +47,7 @@ import re
 import sys
 from typing import Any, Callable, Iterable, Sequence
 
-from .dims import R_POLICIES, _AGREE, _ROW_FIELDS, DomainError, _block_rows, _iter_rows
-from .dims import _validate, dim_D
+from .dims import R_POLICIES, _AGREE, _ROW_FIELDS, DomainError, _block_rows, _iter_rows, _validate
 from .exactnum import format_rational
 from .resonance import (
     ConfigParseError, ResonanceReport, classify, config_from_json, config_to_json_dict,
@@ -385,27 +385,36 @@ _VERIFY_RENDERERS = {"pretty": _verify_pretty, "json": _verify_json, "csv": _ver
 # subcommand drivers
 
 def _usage_error(args: argparse.Namespace, message: str) -> int:
+    # A C0 control or DEL, as in a path the user gave, is written as \xNN, so
+    # the error stays one line and sends the terminal no control bytes.
+    message = re.sub(r"[\x00-\x1f\x7f]", lambda c: f"\\x{ord(c[0]):02x}", message)
     print(f"selbergdim {args.command}: error: {message}", file=sys.stderr)
     return EXIT_USAGE
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit, 0 when it is off.
+
+    Builds before 3.10.7 have neither the limit nor the function.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _row(m: int, n: int, r: int) -> tuple:
+    """The row of (m, n, r); every format prints its D, so D is checked against the limit first."""
+    return next(_block_rows(m, n, (r,), _digit_limit()))
+
+
 def _cmd_dims(args: argparse.Namespace) -> int:
     _validate(args.m, args.n, args.r)
-    # Every format prints D = C(m+n-2, m), so a D past the digit limit L fails
-    # here, before the routes run. D < 2^(m+n-2) <= 2^(3L) < 10^L while
-    # m + n - 2 <= 3L, so an ordinary request costs one comparison and no D.
-    # Builds before 3.10.7 have neither the limit nor the function.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and args.m + args.n - 2 > 3 * limit and dim_D(args.m, args.n) >= 10 ** limit:
-        raise ValueError("D exceeds the int-to-str limit")
-    row = next(_block_rows(args.m, args.n, (args.r,)))
+    row = _row(args.m, args.n, args.r)
     sys.stdout.write(_DIMS_RENDERERS[args.format](row))
     return EXIT_OK if row[_AGREE] else EXIT_DISAGREEMENT
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     # _iter_rows checks the bounds before anything is opened or written.
-    rows = _iter_rows(args.m_range, args.n_range, args.r_policy.replace("-", "_"))
+    rows = _iter_rows(args.m_range, args.n_range, args.r_policy.replace("-", "_"), _digit_limit())
     write_table = _TABLE_WRITERS[args.format]
     if args.out is not None:
         # A path with a NUL byte makes open() raise ValueError. Around the
@@ -436,7 +445,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     report = classify(cfg)
     # ExponentConfig holds an int m >= 1 and at least one lambda, and r counts
     # resonant lambdas, so 0 <= r <= n: the point needs no second check.
-    row = next(_block_rows(cfg.m, cfg.n, (report.r,))) if report.assumption_valid else None
+    row = _row(cfg.m, cfg.n, report.r) if report.assumption_valid else None
     sys.stdout.write(_CLASSIFY_RENDERERS[args.format](cfg, report, row))
     return EXIT_OK if report.assumption_valid else EXIT_ASSUMPTION
 
@@ -549,9 +558,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     # config_from_json wraps its own ValueErrors, the engine raises none on
     # validated input, and the commands catch open()'s themselves.
     except ValueError:
-        limit = sys.get_int_max_str_digits()
         return _usage_error(args, "a value has more digits than the interpreter's int-to-str "
-                            f"limit ({limit}); PYTHONINTMAXSTRDIGITS=0 lifts it")
+                            f"limit ({_digit_limit()}); PYTHONINTMAXSTRDIGITS=0 lifts it")
     # Rows too large for the memory the process may take (a K row has r + 1 entries).
     except MemoryError:
         return _usage_error(args, "out of memory: the rows of this request do not fit")

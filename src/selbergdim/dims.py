@@ -35,8 +35,11 @@ of every term of the walk, and I_sum == D - K_closed checks its first.
 ``_block_rows`` computes the records of one (m, n) together, as rows laid
 out by ``_ROW_FIELDS``. D, the D levels, both K rows and the column are
 built once, at the largest r, and each r then costs one column sum and one
-3F2 series. The CLI renders these rows; ``compute_record`` and
-``iter_table`` build the public records from them. No route keeps a cache.
+3F2 series. The CLI renders these rows. It passes the interpreter's
+int-to-str digit limit, so a D too long to print fails before the K rows,
+the column and the series are built. ``compute_record`` and ``iter_table``
+pass no limit and build exact public records from the rows at any size.
+No route keeps a cache.
 The closed forms at r = n and r = n - 1 are exposed for cross-checks.
 
 Conventions: the alternating sums use D(0, n) = 1 and D(m, n) = 0 for m < 0,
@@ -194,17 +197,16 @@ def dim_D(m: int, n: int) -> int:
 # resonant double point when m = 2), not re-derived here.
 
 
-def _k_start(m: int, r: int) -> list[int]:
-    """The row the triangle for K(m, ·, 0..r) starts from, before its first step.
+def _k_start(m: int, width: int) -> list[int]:
+    """The row, of the given width, that a triangle for K(m, ·, 0..r) starts from.
 
-    It takes s = min((m-1)//2, r) steps, so it starts at level m - 2s with
-    the row K(m-2s, ·, 0..r-s). If s = r that row is K(·, ·, 0) = [0];
-    otherwise m - 2s is m's base, 1 or 2, and the row is the base row
-    K(1, ·, t) = 0 or K(2, ·, t) = t cut to width r-s+1. Both base rows
-    are [0] at width 1, so one expression serves either case. The row
-    does not depend on n.
+    The triangle takes one step per level of ``_d_levels(m, n, r)``, s of
+    them, so it starts at level m - 2s with the row K(m-2s, ·, 0..r-s), of
+    width r + 1 - s. If s = r that row is K(·, ·, 0) = [0]; otherwise m - 2s
+    is m's base, 1 or 2, and the row is the base row K(1, ·, t) = 0 or
+    K(2, ·, t) = t cut to that width. Both base rows are [0] at width 1, so
+    one expression serves either case. The row does not depend on n.
     """
-    width = r - min((m - 1) // 2, r) + 1
     return list(range(width)) if m % 2 == 0 else [0] * width
 
 
@@ -226,7 +228,7 @@ def _k_recursion_row(m: int, r: int, ds: list[int]) -> list[int]:
     m' -> m' + 2, which reads the whole old row and writes a row one entry
     wider, so the row reaches width r+1 at level m.
     """
-    row = _k_start(m, r)
+    row = _k_start(m, r + 1 - len(ds))
     for d in ds:
         # new[t] = D(m'-2, n) + new[t-1] - old[t-1], from new[0] = 0.
         row = list(accumulate(map(sub, repeat(d, len(row)), row), initial=0))
@@ -252,7 +254,7 @@ def _k_reduction_row(m: int, r: int, ds: list[int]) -> list[int]:
 
     It steps through the same ``_d_levels(m, n, r)`` as ``_k_recursion_row``.
     """
-    row = _k_start(m, r)
+    row = _k_start(m, r + 1 - len(ds))
     for d in ds:
         # new[t] = t D(m'-2, n) - (old[1] + ... + old[t-1]); old[0] = 0, so
         # the running prefix sum of old[0..t-1] is the subtrahend.
@@ -274,14 +276,17 @@ def dim_K_reduction(m: int, n: int, r: int) -> int:
     return _k_reduction_row(m, r, _d_levels(m, n, r))[r]
 
 
-def _d_column(m: int, n: int, depth: int) -> list[int]:
-    """The signed column (-1)^s D(m-2s, n) for s = 0..depth, with depth <= m // 2.
+def _d_column(m: int, n: int, r: int) -> list[int]:
+    """The signed column (-1)^s D(m-2s, n) for s = 0..depth, the lesser of r and m // 2.
 
-    The upward walk of the module docstring: one ``dim_D`` at M = m - 2 depth,
-    then one exact step per term up to s = 0, whose term is the walk's own
-    D(m, n). The sign flips at each step, and a floor division of an exact
-    quotient is exact for either sign.
+    Past that depth C(r, s) or D(m-2s, n) is 0, so the column holds every
+    nonzero term of the sums at r and at any smaller r. The upward walk of
+    the module docstring: one ``dim_D`` at M = m - 2 depth, then one exact
+    step per term up to s = 0, whose term is the walk's own D(m, n). The
+    sign flips at each step, and a floor division of an exact quotient is
+    exact for either sign.
     """
+    depth = min(r, m // 2)
     M = m - 2 * depth
     d = -dim_D(M, n) if depth % 2 else dim_D(M, n)
     col = [d]
@@ -294,7 +299,7 @@ def _d_column(m: int, n: int, depth: int) -> list[int]:
 
 
 def _column_sums(col: list[int], r: int) -> tuple[int, int]:
-    """(K_closed, I_sum) at r from the ``_d_column`` of (m, n), of depth >= min(r, m // 2).
+    """(K_closed, I_sum) at r from the ``_d_column`` of (m, n, R), for any R >= r.
 
     I_sum is the sum of C(r, s) col[s] over s <= r, as far as the column
     goes, and K_closed = col[0] - I_sum is minus its terms for s >= 1.
@@ -314,7 +319,7 @@ def dim_K_closed(m: int, n: int, r: int) -> int:
     s = 0 term D(m, n), each times C(r, s).
     """
     _validate(m, n, r)
-    return _column_sums(_d_column(m, n, min(r, m // 2)), r)[0]
+    return _column_sums(_d_column(m, n, r), r)[0]
 
 
 def dim_I_sum(m: int, n: int, r: int) -> int:
@@ -328,7 +333,7 @@ def dim_I_sum(m: int, n: int, r: int) -> int:
     ``dim_D``.
     """
     _validate(m, n, r)
-    return _column_sums(_d_column(m, n, min(r, m // 2)), r)[1]
+    return _column_sums(_d_column(m, n, r), r)[1]
 
 
 def dim_I_hyp(m: int, n: int, r: int) -> Fraction:
@@ -402,14 +407,20 @@ def compute_record(query: DimQuery) -> DimensionRecord:
     return DimensionRecord(query, *next(_block_rows(query.m, query.n, (query.r,)))[_QUERY:])
 
 
-def _block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[tuple]:
+def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[tuple]:
     """The rows of (m, n, r) for each r of ``rs``, which ascend, laid out as ``_ROW_FIELDS``.
 
-    D, the triangles' D levels, both K rows K(m, n, 0..R) and the column of
-    depth min(R, m // 2) are built once, for the largest r, R = rs[-1], when
-    the first row is asked for. Then each r reads its K values from the
-    rows, its K_closed and I_sum from one ``_column_sums``, and its I_hyp
-    from one 3F2 series.
+    D, the triangles' D levels, both K rows K(m, n, 0..R) and the D column
+    are built once, for the largest r, R = rs[-1], when the first row is
+    asked for. Then each r reads its K values from the rows, its K_closed
+    and I_sum from one ``_column_sums``, and its I_hyp from one 3F2 series.
+
+    A nonzero ``limit`` is a digit limit for the printed rows: every row
+    holds D, so a D of more than ``limit`` digits raises ValueError right
+    after D, before the levels, rows and column. A D below 2^(3 limit),
+    which is below 10^limit, passes on one bit_length test. Callers that
+    print pass the interpreter's int-to-str limit; library callers pass none
+    and get exact rows at any size.
 
     I_hyp = d num / den, from the kernel's pair, is checked on ints. With
     q, rem = divmod(d num, den) it is integral iff rem == 0, and then it is
@@ -421,9 +432,11 @@ def _block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[tuple]:
     """
     top = rs[-1]
     d = dim_D(m, n)
+    if limit and d.bit_length() > 3 * limit and d >= 10 ** limit:
+        raise ValueError("D exceeds the int-to-str limit")
     ds = _d_levels(m, n, top)
     rec_row, red_row = _k_recursion_row(m, top, ds), _k_reduction_row(m, top, ds)
-    col = _d_column(m, n, min(top, m // 2))
+    col = _d_column(m, n, top)
     for r in rs:
         k_rec = rec_row[r]
         k_red = red_row[r]
@@ -449,7 +462,7 @@ def _block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[tuple]:
 
 
 def _iter_rows(
-    m_range: tuple[int, int], n_range: tuple[int, int], r_policy: RPolicy = "all"
+    m_range: tuple[int, int], n_range: tuple[int, int], r_policy: RPolicy = "all", limit: int = 0
 ) -> Iterator[tuple]:
     """Lazily yield the rows of ``table``, one at a time, in (m, n, r) order.
 
@@ -459,7 +472,7 @@ def _iter_rows(
     kept, so a caller that writes each one out runs in constant memory
     however large the ranges are. Each (m, n) is one ``_block_rows`` over
     the policy's r values, which builds D, both K rows and the D column
-    once, at the largest of them.
+    once, at the largest of them, and checks D against ``limit`` first.
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
@@ -476,7 +489,7 @@ def _iter_rows(
     def rows() -> Iterator[tuple]:
         for m in range(m_lo, m_hi + 1):
             for n in range(n_lo, n_hi + 1):
-                yield from _block_rows(m, n, r_values(n))
+                yield from _block_rows(m, n, r_values(n), limit)
 
     return rows()
 

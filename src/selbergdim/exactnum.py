@@ -8,8 +8,9 @@ structural. No floating point exists anywhere.
 On top of that this module provides the rising factorial (with its
 plain-int kernel ``scaled_rising``, which the identity checks in
 :mod:`selbergdim.hyper` use directly), ``_scale``, the one place that puts
-rationals over a common denominator L as plain ints (the 3F2 kernel and the
-resonance tests in :mod:`selbergdim.resonance` work on those ints), binomial
+rationals, each read through ``as_fraction``, over a common denominator L as
+plain ints (the 3F2 kernel, the public identity checks and the resonance
+tests in :mod:`selbergdim.resonance` work on those ints), binomial
 coefficients with the vanishing convention for out-of-range arguments, a
 direct-summation checker for the hockey-stick identity, and the strict
 ``p/q`` text form used for rationals in all CLI and JSON output.
@@ -98,7 +99,11 @@ def as_fraction(value) -> Fraction:
 
 
 def _scale(*values: Fraction | int) -> tuple[int, ...]:
-    """(L, v1 L, v2 L, ...): L > 0 the lcm of the denominators, all plain ints."""
+    """(L, v1 L, v2 L, ...): L > 0 the lcm of the denominators, all plain ints.
+
+    Each value is read through :func:`as_fraction`, so a float raises TypeError.
+    """
+    values = tuple(map(as_fraction, values))
     L = math.lcm(*(v.denominator for v in values))
     return (L, *(v.numerator * (L // v.denominator) for v in values))
 

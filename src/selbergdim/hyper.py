@@ -276,7 +276,7 @@ def pfaff_saalschutz_rhs(
     Raises:
         ZeroDenominatorError: (c)_j or (c-a-b)_j vanishes.
     """
-    return Fraction(*_pfaff_rhs_pair(*_scale(as_fraction(a), as_fraction(b), as_fraction(c)), j))
+    return Fraction(*_pfaff_rhs_pair(*_scale(a, b, c), j))
 
 
 def pfaff_saalschutz_check(
@@ -292,7 +292,7 @@ def pfaff_saalschutz_check(
     :func:`pfaff_saalschutz_rhs`, compared as an unreduced int pair by
     cross-multiplication. Evaluation errors on either side propagate.
     """
-    return _pfaff_scaled(*_scale(as_fraction(a), as_fraction(b), as_fraction(c)), _order(j))
+    return _pfaff_scaled(*_scale(a, b, c), _order(j))
 
 
 def _contiguity_scaled(L: int, A: int, B: int, C: int, j: int) -> tuple[int, int]:
@@ -326,9 +326,7 @@ def contiguity_residual(
     limit. The combination is taken on ints over one denominator and one
     Fraction is built.
     """
-    return Fraction(
-        *_contiguity_scaled(*_scale(as_fraction(a), as_fraction(b), as_fraction(c)), _order(j))
-    )
+    return Fraction(*_contiguity_scaled(*_scale(a, b, c), _order(j)))
 
 
 def _pochhammer_scaled(L: int, A: int, B: int, k: int) -> tuple[int, int]:
@@ -355,4 +353,4 @@ def pochhammer_identity_residual(
     The residual is taken on ints over a power of the common denominator
     of a and b, and one Fraction is built from it.
     """
-    return Fraction(*_pochhammer_scaled(*_scale(as_fraction(a), as_fraction(b)), k))
+    return Fraction(*_pochhammer_scaled(*_scale(a, b), k))

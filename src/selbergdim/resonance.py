@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from .dims import DimensionRecord, DimQuery, compute_record
 from .exactnum import _scale, as_fraction, format_rational, parse_rational
@@ -134,9 +134,11 @@ def classify(cfg: ExponentConfig) -> ResonanceReport:
 
     Every test is exact integer divisibility: g and the lambdas are scaled
     to ints G and lam_j over their common denominator L, and a combination
-    such as 2 lam_j + G is integral exactly when L divides it. A Fraction
-    is built only for ``lambda_infinity`` and for each violation's value,
-    which is the integer quotient.
+    such as 2 lam_j + G is integral exactly when L divides it. One generator
+    yields every non-resonance combination, times L, in report order, and
+    one filter keeps those L divides. A Fraction is built only for
+    ``lambda_infinity`` and for each violation's value, which is the
+    integer quotient.
     """
     m = cfg.m
     L, G, *lams = _scale(cfg.g, *cfg.lambdas)
@@ -144,27 +146,20 @@ def classify(cfg: ExponentConfig) -> ResonanceReport:
 
     resonant = tuple(j for j, lam in enumerate(lams, start=1) if (2 * lam + G) % L == 0)
 
-    violations: list[Violation] = []
-    for k in (1, *range(3, m + 1)):
-        shift = math.comb(k, 2) * G
-        for j, lam in enumerate(lams, start=1):
-            value = k * lam + shift
-            if value % L == 0:
-                violations.append(Violation(condition=POINT, j=j, k=k, value=Fraction(value // L)))
-    for k in range(1, m + 1):
-        value = k * lam_inf + math.comb(k, 2) * G
-        if value % L == 0:
-            violations.append(Violation(condition=INFINITY, k=k, value=Fraction(value // L)))
-    for k in range(2, m + 1):
-        value = math.comb(k, 2) * G
-        if value % L == 0:
-            violations.append(Violation(condition=DIAGONAL, k=k, value=Fraction(value // L)))
+    def tests() -> Iterator[tuple[str, int | None, int, int]]:
+        # Every test as (condition, j, k, its combination times L), in report order.
+        for k in (1, *range(3, m + 1)):
+            shift = math.comb(k, 2) * G
+            for j, lam in enumerate(lams, start=1):
+                yield POINT, j, k, k * lam + shift
+        for k in range(1, m + 1):
+            yield INFINITY, None, k, k * lam_inf + math.comb(k, 2) * G
+        for k in range(2, m + 1):
+            yield DIAGONAL, None, k, math.comb(k, 2) * G
 
-    return ResonanceReport(
-        resonant_indices=resonant,
-        lambda_infinity=Fraction(lam_inf, L),
-        violations=tuple(violations),
-    )
+    violations = tuple(Violation(condition=condition, j=j, k=k, value=Fraction(value // L))
+                       for condition, j, k, value in tests() if value % L == 0)
+    return ResonanceReport(resonant, Fraction(lam_inf, L), violations)
 
 
 def dims_for_config(cfg: ExponentConfig) -> tuple[ResonanceReport, DimensionRecord]:

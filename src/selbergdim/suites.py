@@ -3,8 +3,9 @@
 A suite is its inputs (seeded draws or a fixed grid) plus a check of one
 input, which returns None when the input passes and otherwise the text
 that follows the inputs in a counterexample. One driver runs every suite:
-it keeps the passed, failed and skipped counts and the first
-counterexample.
+it hands the suite's inputs one generator seeded with ``seed``, which a
+grid ignores, and keeps the passed, failed and skipped counts and the
+first counterexample.
 
 Randomized suites draw parameters from a self-contained 64-bit linear
 congruential generator (documented in the README) rather than the host
@@ -171,7 +172,7 @@ class _Suite(NamedTuple):
     names: str  # the inputs' names, as a counterexample prints them
     check: Callable[..., str | None]
     cases: int | None  # default number of checks; None for an exhaustive suite
-    inputs: Callable[..., Iterable[tuple]]  # seeded: inputs(rng) draws; else inputs() the grid
+    inputs: Callable[[Lcg], Iterable[tuple]]  # the draws of rng, or the grid, which ignores it
 
 
 _SUITES: dict[str, _Suite] = {
@@ -189,15 +190,15 @@ _SUITES: dict[str, _Suite] = {
     ),
     "hockey": _Suite(
         "r s", _hockey, None,
-        lambda: ((r, s) for r in range(1, 41) for s in range(r)),
+        lambda _: ((r, s) for r in range(1, 41) for s in range(r)),
     ),
     "routes": _Suite(
         "m n r", _routes, None,
-        lambda: dims._iter_rows((1, 8), (2, 10)),
+        lambda _: dims._iter_rows((1, 8), (2, 10)),
     ),
     "closedforms": _Suite(
         "m n", _closedforms, None,
-        lambda: ((m, n) for m in range(2, 9) for n in range(m, 13)),
+        lambda _: ((m, n) for m in range(2, 9) for n in range(m, 13)),
     ),
 }
 
@@ -215,14 +216,11 @@ def _run(name: str, seed: int, cases: int | None) -> SuiteResult:
     a vanishing closed-form denominator) counts its input as skipped.
     """
     suite = _SUITES[name]
-    if suite.cases is None:
-        inputs, cases = suite.inputs(), None
-    else:
-        inputs = suite.inputs(Lcg(seed))
-        cases = suite.cases if cases is None else cases
+    # cases is None or >= 1 (run_suites checks it); an exhaustive suite runs its whole grid.
+    limit = None if suite.cases is None else cases or suite.cases
     passed = failed = skipped = 0
     counterexample = None
-    for args in inputs:
+    for args in suite.inputs(Lcg(seed)):
         try:
             detail = suite.check(*args)
         except hyper.HyperEvalError:
@@ -236,7 +234,7 @@ def _run(name: str, seed: int, cases: int | None) -> SuiteResult:
                 shown = args if suite.cases is None else _unscaled(args)
                 named = zip(suite.names.split(), shown)
                 counterexample = " ".join(f"{k}={format_rational(v)}" for k, v in named) + detail
-        if passed + failed == cases:
+        if passed + failed == limit:
             break
     return SuiteResult(name, passed, failed, skipped, counterexample)
 

@@ -222,6 +222,54 @@ class TestDigitLimit:
             "int-to-str limit (4300); PYTHONINTMAXSTRDIGITS=0 lifts it\n"
         )
 
+    def test_table_checks_d_before_the_routes(self):
+        # At m = n = 7200 the routes run for minutes, and D alone has 4,332
+        # digits: the table writes its header, then fails at the first record.
+        src = Path(selbergdim.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "4300"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "selbergdim", "table", "--m-range", "7200..7200",
+             "--n-range", "7200..7200", "--r-policy", "only-n", "--format", "csv"],
+            env=env, capture_output=True, text=True, check=False, timeout=5,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ",".join(cli.CSV_COLUMNS) + "\n"
+        assert proc.stderr == (
+            "selbergdim table: error: a value has more digits than the interpreter's "
+            "int-to-str limit (4300); PYTHONINTMAXSTRDIGITS=0 lifts it\n"
+        )
+
+    @pytest.mark.parametrize("command", ["dims", "table", "classify"])
+    def test_every_printing_command_checks_d_in_the_row_builder(
+        self, run_cli, monkeypatch, tmp_path, command
+    ):
+        # D(3, 6) = 35 has two digits; a one-digit limit, seen only by the
+        # row builder, stops each command before its first record.
+        config = tmp_path / "config.json"
+        config.write_text('{"m": 3, "g": "1/7", "lambdas": '
+                          '["1/11", "1/13", "1/17", "1/19", "1/23", "1/29"]}')
+        argv = {
+            "dims": ("dims", "-m", "3", "-n", "6", "-r", "0", "--format", "json"),
+            "table": ("table", "--m-range", "3..3", "--n-range", "6..6", "--format", "json"),
+            "classify": ("classify", str(config), "--format", "json"),
+        }[command]
+        monkeypatch.setattr(cli, "_digit_limit", lambda: 1)
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"selbergdim {command}: error: a value has more digits than the interpreter's "
+            "int-to-str limit (1); PYTHONINTMAXSTRDIGITS=0 lifts it\n"
+        )
+
+    def test_the_library_takes_no_limit(self):
+        # D(7200, 7200) has 4,332 digits, past the default limit of 4,300:
+        # the row builder refuses it only when given that limit.
+        with pytest.raises(ValueError):
+            next(dims._block_rows(7200, 7200, (1,), 4300))
+        rec = compute_record(DimQuery(7200, 7200, 1))
+        assert rec.D == math.comb(14398, 7200) and rec.routes_agree
+        assert row_of(rec) == next(dims._block_rows(7200, 7200, (1,)))
+
     @pytest.mark.parametrize("m", [1065, 1066, 1067, 1068])
     def test_dims_early_check_matches_the_limit(self, run_cli, m):
         # D(m, m) has 639, 640, 641 and 641 digits: at a limit of 640 the
@@ -397,6 +445,46 @@ class TestRoundTrip:
                                "--out", str(tmp_path / "no" / "dir" / "t.csv"))
         assert code == 1
         assert "cannot write" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_table_out_to_a_full_device_is_one_io_error(self, run_cli):
+        code, out, err = run_cli("table", "--m-range", "2..2", "--n-range", "4..4",
+                                 "--out", "/dev/full")
+        assert (code, out) == (1, "")
+        assert err.startswith("selbergdim table: error: cannot write /dev/full: [Errno 28] ")
+        assert err.count("\n") == 1
+
+
+# A C0 control or DEL in an echoed path is written as \xNN.
+_CONTROL_PATHS = [("a\x00b.json", "a\\x00b.json"), ("a\x1b[31mred.json", "a\\x1b[31mred.json"),
+                  ("a\nb.json", "a\\x0ab.json"), ("a\x7fb.json", "a\\x7fb.json")]
+
+
+class TestEchoedPaths:
+    @pytest.mark.parametrize("path,shown", _CONTROL_PATHS, ids=repr)
+    def test_classify_path_is_one_line_without_control_bytes(self, run_cli, path, shown):
+        code, out, err = run_cli("classify", path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"selbergdim classify: error: cannot read {shown}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not re.search(r"[\x00-\x1f\x7f]", err[:-1])
+
+    @pytest.mark.parametrize("path,shown", _CONTROL_PATHS, ids=repr)
+    def test_table_out_path_is_one_line_without_control_bytes(
+        self, run_cli, tmp_path, path, shown
+    ):
+        code, out, err = run_cli("table", "--m-range", "2..2", "--n-range", "4..4",
+                                 "--out", str(tmp_path / "no" / path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"selbergdim table: error: cannot write {tmp_path}/no/{shown}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not re.search(r"[\x00-\x1f\x7f]", err[:-1])
+
+    def test_an_ordinary_path_is_echoed_as_it_is(self, run_cli, tmp_path):
+        path = str(tmp_path / "dir ü\\x41 'q'.json")
+        code, _, err = run_cli("classify", path)
+        assert code == 1
+        assert err.startswith(f"selbergdim classify: error: cannot read {path}: ")
 
 
 class TestContent:

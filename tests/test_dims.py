@@ -834,7 +834,8 @@ class TestAlternatingSumsMatchFrozenRoutes:
     @pytest.mark.parametrize("m,n,r", [(1, 5, 3), (6, 4, 2), (9, 5, 5), (40, 30, 12)])
     def test_terms_are_the_signed_products_in_walk_order(self, m, n, r):
         terms = [(-1) ** s * binom(r, s) * dim_D(m - 2 * s, n) for s in range(min(r, m // 2) + 1)]
-        column = dims._d_column(m, n, min(r, m // 2))
+        column = dims._d_column(m, n, r)
+        assert len(column) == len(terms)
         assert dims._column_sums(column, r) == (-sum(terms[1:]), sum(terms))
 
 
@@ -904,7 +905,7 @@ def block_row(query: DimQuery, d: int) -> tuple:
     even where its deepest term is D(m, n) itself.
     """
     m, n, r = query.m, query.n, query.r
-    column = dims._d_column(m, n, min(r, m // 2))
+    column = dims._d_column(m, n, r)
     true_dim_D = dims.dim_D
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dims, "dim_D", lambda m_, n_: d if (m_, n_) == (m, n) else true_dim_D(m_, n_))

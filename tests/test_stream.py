@@ -30,8 +30,8 @@ def computed(monkeypatch):
     calls = []
     block_rows = dims._block_rows
 
-    def counting(m, n, rs):
-        for row in block_rows(m, n, rs):
+    def counting(m, n, rs, limit=0):
+        for row in block_rows(m, n, rs, limit):
             calls.append(row[:3])
             yield row
 
@@ -98,8 +98,8 @@ class TestStreaming:
         block_rows = dims._block_rows
         k_reduction, routes_agree = ROW_COLUMNS.index("K_reduction"), cli._AGREE
 
-        def off_at_3_2_1(m, n, rs):
-            for row in block_rows(m, n, rs):
+        def off_at_3_2_1(m, n, rs, limit=0):
+            for row in block_rows(m, n, rs, limit):
                 values = list(row)
                 if row[:3] == (3, 2, 1):
                     values[k_reduction] += 1

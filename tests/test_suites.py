@@ -68,8 +68,8 @@ def _break_routes_at_4_6_2(monkeypatch):
     block_rows = dims._block_rows
     r_at, k_red = map(ROW_COLUMNS.index, ("r", "K_reduction"))
 
-    def off_at_4_6_2(m, n, rs):
-        for row in block_rows(m, n, rs):
+    def off_at_4_6_2(m, n, rs, limit=0):
+        for row in block_rows(m, n, rs, limit):
             if (m, n, row[r_at]) == (4, 6, 2):
                 # K_reduction one too high, and so the routes disagree.
                 row = replace_row(row, K_reduction=row[k_red] + 1, routes_agree=False)
@@ -84,6 +84,23 @@ ROUTES_COUNTEREXAMPLE = "m=4 n=6 r=2: D=70 K=(29,30,29) I=(41,41,41)"
 def test_routes_counterexample(monkeypatch):
     _break_routes_at_4_6_2(monkeypatch)
     assert run_suites("routes") == [SuiteResult("routes", 503, 1, 0, ROUTES_COUNTEREXAMPLE)]
+
+
+def test_routes_counterexample_pretty(monkeypatch, run_cli):
+    _break_routes_at_4_6_2(monkeypatch)
+    code, out, err = run_cli("verify", "routes", "--format", "pretty")
+    assert (code, err) == (2, "")
+    assert out == (
+        "routes: passed=503 failed=1 skipped=0\n"
+        f"  counterexample: {ROUTES_COUNTEREXAMPLE}\n"
+        "1 suite(s) failed\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["hockey", "routes", "closedforms"])
+@pytest.mark.parametrize("seed,cases", [(0, 1), (7, 3), (2**64 + 5, 10_000)])
+def test_exhaustive_suites_ignore_seed_and_cases(name, seed, cases):
+    assert run_suites(name, seed=seed, cases=cases) == run_suites(name)
 
 
 def test_routes_counterexample_is_one_quoted_csv_cell(monkeypatch, run_cli):
