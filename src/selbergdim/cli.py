@@ -23,6 +23,10 @@ their columns from ``SuiteResult``'s fields. ``table --format csv|json``
 writes each row as it is computed and keeps none, so memory stays constant;
 the pretty table needs every row's width first, so it collects the rows.
 
+A well-formed request is parsed directly, from a table read at import from
+the subcommand parsers' own actions. Help and every other argv go to
+argparse, which writes every help text, usage line and error message.
+
 Exit codes:
     0  success (all routes agree / assumptions hold / all checks pass)
     1  usage, parse or I/O error, a value with more digits than the
@@ -262,29 +266,36 @@ def _violation_compact(v: Any) -> str:
     return f"{v.condition}:{j_part}k={v.k}:value={format_rational(v.value)}"
 
 
-# A violation as json.dumps(indent=2) writes it in the report's list, at
-# depth 2, and the report after its field r, the head written by json.dumps.
+# The report as json.dumps(indent=2) writes it, and a violation as it sits
+# in the report's list, at depth 2. Every value is an int, a bool, null, a
+# nested template or ASCII p/q text or condition name, none of which needs
+# escaping; the config's keys and values are those of config_to_json_dict.
 _VIOLATION_JSON = (
-    '    {\n      "condition": %s,\n      "j": %s,\n      "k": %s,\n      "value": "%s"\n    }'
+    '    {\n      "condition": "%s",\n      "j": %s,\n      "k": %s,\n      "value": "%s"\n    }'
 )
-_CLASSIFY_JSON = '%s,\n  "violations": %s,\n  "assumption_valid": %s,\n  "dimensions": %s\n}\n'
+_CLASSIFY_JSON = (
+    '{\n  "config": {\n    "m": %s,\n    "g": "%s",\n    "lambdas": %s\n  },\n'
+    '  "lambda_infinity": "%s",\n  "resonant_indices": %s,\n  "r": %s,\n'
+    '  "violations": %s,\n  "assumption_valid": %s,\n  "dimensions": %s\n}\n'
+)
+
+
+def _json_list(items: Sequence[str], pad: str) -> str:
+    # A list whose items are already indented one level deeper than ``pad``.
+    return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
 
 
 def _classify_json(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
-    head = json.dumps({
-        "config": config_to_json_dict(cfg),
-        "lambda_infinity": format_rational(report.lambda_infinity),
-        "resonant_indices": list(report.resonant_indices),
-        "r": report.r,
-    }, indent=2)[:-2]
-    violations = ",\n".join([
-        _VIOLATION_JSON
-        % (json.dumps(v.condition), "null" if v.j is None else v.j, v.k, format_rational(v.value))
-        for v in report.violations
-    ])
+    config = config_to_json_dict(cfg)
     return _CLASSIFY_JSON % (
-        head,
-        f"[\n{violations}\n  ]" if violations else "[]",
+        config["m"], config["g"],
+        _json_list([f'      "{lam}"' for lam in config["lambdas"]], "    "),
+        format_rational(report.lambda_infinity),
+        _json_list([f"    {j}" for j in report.resonant_indices], "  "),
+        report.r,
+        _json_list([_VIOLATION_JSON % (
+            v.condition, "null" if v.j is None else v.j, v.k, format_rational(v.value)
+        ) for v in report.violations], "  "),
         _bool_str(report.assumption_valid),
         "null" if row is None else _record_json(row, 1).lstrip(),
     )
@@ -520,28 +531,63 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
+def _direct_table(command: _Parser) -> tuple:
+    """A subcommand's one-value options by string, positionals, required dests, defaults."""
+    actions = command._actions
+    plain = [a for a in actions if type(a) is argparse._StoreAction and a.nargs is None]
+    return (
+        {option: a for a in plain for option in a.option_strings},
+        [a for a in plain if not a.option_strings],
+        {a.dest for a in actions if a.required},
+        {**{a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS},
+         **command._defaults},
+    )
+
+
 # Built once at import: construction costs more than parsing, and parsing
 # leaves the parsers unchanged, so every call to ``main`` can share them.
 _PARSER, _SUBPARSERS = _build_parser()
+_DIRECT = {name: _direct_table(command) for name, command in _SUBPARSERS.items()}
+
+
+def _parse_direct(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``_PARSER.parse_args(argv)`` returns, or None where argparse must decide.
+
+    ``argv[0]`` names a subcommand, and each later token is an exact option
+    string followed by a value, or the next positional value. No value
+    starts with ``-``, each passes its action's ``type`` and ``choices``, no
+    action is given twice and every required one is given. Anything else
+    (``-h``, ``--opt=value``, ``-m3``, an abbreviation, ``--``) returns None.
+    """
+    if not argv or argv[0] not in _DIRECT:
+        return None
+    options, positionals, required, defaults = _DIRECT[argv[0]]
+    pending = iter(positionals)
+    values: dict[str, Any] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            action, token = options[token], next(tokens, "-")
+        else:
+            action = next(pending, None)
+        if action is None or action.dest in values or token.startswith("-"):
+            return None
+        # The exceptions argparse turns into an "invalid value" error.
+        try:
+            value = (action.type or str)(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    complete = required <= values.keys()
+    return argparse.Namespace(**{**defaults, **values, "command": argv[0]}) if complete else None
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """``_PARSER.parse_args(argv)``, with one level of parsing where it can.
-
-    When ``argv[0]`` names a subcommand, the top-level parser would only
-    hand the rest to that subcommand's parser and report what it leaves
-    over; this does the same without the outer pass, which costs about as
-    much as the inner one. Anything else, an empty argv, ``-h`` or an
-    unknown command, goes through ``_PARSER`` itself.
-    """
-    command = _SUBPARSERS.get(argv[0]) if argv else None
-    if command is None:
-        return _PARSER.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        _PARSER.error("unrecognized arguments: %s" % " ".join(extras))
-    args.command = argv[0]
-    return args
+    """``_PARSER.parse_args(argv)``: the direct parse, and argparse for help and every error."""
+    args = _parse_direct(argv)
+    return _PARSER.parse_args(argv) if args is None else args
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -21,6 +21,7 @@ from conftest import (
 import selbergdim
 from selbergdim import cli, dims, resonance
 from selbergdim.dims import DimQuery, compute_record
+from selbergdim.exactnum import format_rational
 from selbergdim.resonance import config_from_json
 
 
@@ -351,14 +352,26 @@ class TestDeterminism:
         assert json.loads(out_a)["results"][0]["skipped"] != json.loads(out_b)["results"][0]["skipped"]
 
 
-# Argument lists on which the one-level parse of ``cli._parse_args`` must
-# behave exactly as the two-level ``cli._PARSER.parse_args``: valid requests,
-# option spellings, help, each kind of usage error, and the fallbacks.
-PARSE_CORPUS = [
+# One well-formed request of each subcommand, and each argv form the
+# benchmark workloads send.
+WELL_FORMED = [
     ("dims", "-m", "4", "-n", "5", "-r", "3"),
     ("table", "--m-range", "2..4", "--n-range", "4..6", "--r-policy", "only-n"),
     ("classify", "config.json"),
     ("verify", "pfaff", "--seed", "7", "--cases", "5"),
+    ("table", "--m-range", "1..30", "--n-range", "2..30", "--r-policy", "all", "--format", "csv"),
+    ("table", "--m-range", "1..30", "--n-range", "2..30", "--r-policy", "all", "--format", "json"),
+    ("dims", "-m", "17", "-n", "40", "-r", "40", "--format", "json"),
+    ("classify", "config-0.json", "--format", "json"),
+    ("verify", "all", "--seed", "1", "--format", "json"),
+    ("verify", "pfaff", "--seed", "2", "--cases", "250", "--format", "json"),
+]
+
+# Argument lists on which ``cli._parse_args`` must behave exactly as
+# ``cli._PARSER.parse_args``: valid requests, option spellings, help, each
+# kind of usage error, and the edges of the direct parse, where it hands over
+# to argparse.
+PARSE_CORPUS = WELL_FORMED + [
     ("dims", "-m3", "-n", "5", "-r", "3"),
     ("dims", "-m", "4", "-n", "5", "-r", "3", "--format=csv"),
     ("dims", "-m", "4", "-n", "5", "-r", "3", "--form", "json"),
@@ -392,34 +405,109 @@ PARSE_CORPUS = [
     ("-x", "dims"),
     ("--format", "json"),
     (),
+    # Values int reads, and those it refuses: "", and more digits than the
+    # int-to-str limit allows.
+    ("dims", "-m", "", "-n", "4", "-r", "1"),
+    ("dims", "-m", " 4", "-n", "5", "-r", "3"),
+    ("dims", "-m", "1_0", "-n", "5", "-r", "3"),
+    ("dims", "-m", "\u0664", "-n", "5", "-r", "3"),
+    ("dims", "-m", "1" * 5000, "-n", "3", "-r", "1"),
+    # An option with no value, options given twice, an option before the
+    # positional, and positionals that start with "-".
+    ("dims", "-m", "2", "-n", "4", "-r"),
+    ("table", "--m-range", "1..2", "--n-range", "1..2", "--out", "a.csv", "--out", "b.csv"),
+    ("table", "--m-range", "1..2", "--n-range", "1..2", "--r-policy", "only-n",
+     "--r-policy", "all"),
+    ("verify", "--seed", "3", "pfaff"),
+    ("classify", "-"),
+    ("classify", "-x.json"),
 ]
 
 
-def parse_outcome(parse, argv, capsys):
+def parse_outcome(parse, argv):
     """(exit code, the namespace's vars, stdout, stderr) of one parse; None for no exit."""
     code = namespace = None
-    try:
-        namespace = vars(parse(list(argv)))
-    except SystemExit as exc:
-        code = exc.code
-    return (code, namespace, *capsys.readouterr())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parse(list(argv)))
+        except SystemExit as exc:
+            code = exc.code
+    return code, namespace, out.getvalue(), err.getvalue()
 
 
-class TestOneLevelParse:
-    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "<empty>")
-    def test_same_outcome_as_the_two_level_parse(self, capsys, argv):
-        assert parse_outcome(cli._parse_args, argv, capsys) == parse_outcome(
-            cli._PARSER.parse_args, argv, capsys
-        )
+# Tokens for random argument lists: every value kind of every option, good
+# and bad, and the spellings the direct parse leaves to argparse.
+_VALUES = ("2", "0", "-3", " 4", "", "x", "1_0", "2..3", "2..x", "only-n", "json", "xml",
+           "pfaff", "all", "a.json", "-", "-x.json")
+_SPELLINGS = ("--", "-h", "--help", "-x", "--form", "-m3", "--seed=2", "--format=json")
 
-    def test_a_named_subcommand_skips_the_top_level_parser(self, run_cli, monkeypatch):
+
+@st.composite
+def _argvs(draw):
+    # A well-formed request cut into pieces, each an option with its value
+    # or a lone token; in half the draws one to three random pieces join
+    # them, the pieces are shuffled, and in half the draws one is dropped.
+    base = draw(st.sampled_from(WELL_FORMED))
+    name, tokens = base[0], base[1:]
+    options = sorted(cli._SUBPARSERS[name]._option_string_actions)
+    pieces = []
+    while tokens:
+        width = 2 if tokens[0].startswith("-") else 1
+        pieces.append(tokens[:width])
+        tokens = tokens[width:]
+    value = st.sampled_from(_VALUES)
+    extra = st.one_of(
+        st.tuples(st.sampled_from(options), value),
+        st.tuples(value),
+        st.tuples(st.sampled_from(_SPELLINGS)),
+        st.builds(lambda option, v: (f"{option}={v}",), st.sampled_from(options), value),
+    )
+    extras = draw(st.one_of(st.just([]), st.lists(extra, min_size=1, max_size=3)))
+    pieces = draw(st.permutations(pieces + extras))
+    if pieces and draw(st.booleans()):
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    return (name, *(token for piece in pieces for token in piece))
+
+
+class TestDirectParse:
+    @pytest.mark.parametrize("argv", PARSE_CORPUS,
+                             ids=lambda argv: " ".join(argv)[:80] or "<empty>")
+    def test_same_outcome_as_argparse(self, argv):
+        assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._PARSER.parse_args, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_argvs())
+    def test_same_outcome_as_argparse_on_random_argvs(self, argv):
+        assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._PARSER.parse_args, argv)
+
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+    def test_well_formed_requests_parse_directly(self, argv):
+        assert cli._parse_direct(argv) is not None
+
+    @pytest.mark.parametrize("name,argv,expected_code", GOLDEN_CASES,
+                             ids=[c[0] for c in GOLDEN_CASES])
+    def test_well_formed_requests_never_reach_argparse(
+        self, run_cli, monkeypatch, name, argv, expected_code
+    ):
         def refuse(*args, **kwargs):
-            raise AssertionError("a subcommand's request went through the top-level parser")
+            raise AssertionError("a well-formed request went through argparse")
 
-        expected = run_cli("dims", "-m", "4", "-n", "5", "-r", "3", "--format", "csv")
-        monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
-        assert run_cli("dims", "-m", "4", "-n", "5", "-r", "3", "--format", "csv") == expected
-        assert expected[0] == 0
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (expected_code, "")
+        compare_golden(name, out)
+
+    @pytest.mark.parametrize("name", sorted(cli._SUBPARSERS))
+    def test_the_direct_parse_takes_every_store_action(self, name):
+        # An option added in _build_parser reaches the direct parse by itself.
+        actions = cli._SUBPARSERS[name]._actions
+        options, positionals, _, _ = cli._DIRECT[name]
+        assert set(options) == {
+            option for action in actions if isinstance(action, argparse._StoreAction)
+            for option in action.option_strings
+        }
+        assert positionals == [action for action in actions if not action.option_strings]
 
 
 class TestRoundTrip:
@@ -658,3 +746,32 @@ def test_classify_dimensions_are_dims_for_config(tmp_path_factory, cfg):
     assert json_code == csv_code == 0
     assert json.loads(json_out)["dimensions"] == record_json_dict(rec)
     assert record_cells == frozen_record_cells(row_of(rec))[cli.CSV_COLUMNS.index("D"):]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs())
+@example(resonance.ExponentConfig(m=2, g=Fraction(1, 3), lambdas=(Fraction(1, 5), Fraction(2, 7))))
+@example(resonance.ExponentConfig(m=2, g=Fraction(1, 3), lambdas=(Fraction(1, 3), Fraction(2, 7))))
+@example(resonance.ExponentConfig(m=2, g=Fraction(1), lambdas=(Fraction(1, 2), Fraction(-1, 2))))
+def test_classify_json_is_json_dumps_of_the_report(cfg):
+    # The templated report, with and without resonant indices, violations
+    # and a record, is the bytes json.dumps(indent=2) writes for its dict.
+    report = resonance.classify(cfg)
+    try:
+        _, rec = resonance.dims_for_config(cfg)
+    except resonance.AssumptionViolatedError:
+        rec = None
+    expected = json.dumps({
+        "config": resonance.config_to_json_dict(cfg),
+        "lambda_infinity": format_rational(report.lambda_infinity),
+        "resonant_indices": list(report.resonant_indices),
+        "r": report.r,
+        "violations": [
+            {"condition": v.condition, "j": v.j, "k": v.k, "value": format_rational(v.value)}
+            for v in report.violations
+        ],
+        "assumption_valid": report.assumption_valid,
+        "dimensions": None if rec is None else record_json_dict(rec),
+    }, indent=2) + "\n"
+    row = None if rec is None else row_of(rec)
+    assert cli._classify_json(cfg, report, row) == expected
