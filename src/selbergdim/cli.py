@@ -13,13 +13,9 @@ output. Rationals are exact ``p/q`` text (``/q`` omitted when the
 denominator is 1); CSV holds only ints, ``p/q`` text and ``true``/``false``,
 and a CSV cell with a comma, a quote or a line break is quoted (RFC 4180).
 
-Each output kind has one schema. Every record renderer takes a row of
-``dims._block_rows``, laid out as ``dims._ROW_FIELDS``. ``RECORD_COLUMNS``
-orders a record's JSON keys, and ``CSV_COLUMNS``, the same list without the
-JSON-only ``K``, ``I`` and ``hyp_error``, its CSV, pretty-table and
-``classify`` cells. A record's CSV line and its ``json.dumps(indent=2)``
-text are %-templates built once from these columns. The verify outputs take
-their columns from ``SuiteResult``'s fields. ``table --format csv|json``
+Each output kind has one schema: a record's is ``RECORD_COLUMNS``, and
+the verify outputs take theirs from ``SuiteResult``'s fields. Every record
+renderer takes a row of ``dims._block_rows``. ``table --format csv|json``
 writes each row as it is computed and keeps none, so memory stays constant;
 the pretty table needs every row's width first, so it collects the rows.
 
@@ -30,11 +26,10 @@ argparse, which writes every help text, usage line and error message.
 Exit codes:
     0  success (all routes agree / assumptions hold / all checks pass)
     1  usage, parse or I/O error, a value with more digits than the
-       interpreter's int-to-str limit (``PYTHONINTMAXSTRDIGITS=0`` lifts it;
-       ``dims``, ``table`` and ``classify`` check D before they build a
-       block's rows), or rows too large for the
-       memory the process may take (one ``out of memory`` line, no
-       traceback); a streamed table stops at that record
+       interpreter's int-to-str limit (``PYTHONINTMAXSTRDIGITS=0`` lifts
+       it), or rows too large for the memory the process may take (one
+       ``out of memory`` line, no traceback); a streamed table stops at
+       that record
     2  route disagreement or a failed verification suite
     3  resonance assumptions violated (classify; report still printed)
   141  stdout was closed before all output was written (``... | head``);
@@ -69,6 +64,8 @@ EXIT_ASSUMPTION = 3
 EXIT_BROKEN_PIPE = 141
 
 FORMATS = ("pretty", "json", "csv")
+# Each r policy by its --r-policy spelling; argparse lists the keys as the choices.
+_R_POLICY_NAMES = {policy.replace("_", "-"): policy for policy in R_POLICIES}
 
 # The columns of a dimension record, in JSON key order: a row's fields, with
 # the derived K and I in the place of the error text, which goes last. K, I
@@ -412,7 +409,7 @@ def _digit_limit() -> int:
 
 
 def _row(m: int, n: int, r: int) -> tuple:
-    """The row of (m, n, r); every format prints its D, so D is checked against the limit first."""
+    """The row of (m, n, r), under the interpreter's digit limit (``dims._block_rows``)."""
     return next(_block_rows(m, n, (r,), _digit_limit()))
 
 
@@ -425,7 +422,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     # _iter_rows checks the bounds before anything is opened or written.
-    rows = _iter_rows(args.m_range, args.n_range, args.r_policy.replace("-", "_"), _digit_limit())
+    rows = _iter_rows(args.m_range, args.n_range, _R_POLICY_NAMES[args.r_policy], _digit_limit())
     write_table = _TABLE_WRITERS[args.format]
     if args.out is not None:
         # A path with a NUL byte makes open() raise ValueError. Around the
@@ -493,7 +490,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_table.add_argument("--n-range", type=_parse_range, required=True, metavar="LO..HI")
     p_table.add_argument(
         "--r-policy",
-        choices=[policy.replace("_", "-") for policy in R_POLICIES],
+        choices=_R_POLICY_NAMES,
         default="all",
         help="which r values to include per (m, n)",
     )

@@ -8,44 +8,29 @@ For m integration variables, n marked points and r resonant exponents:
   compact to locally finite homology;
 * ``I`` is the dimension of its image, the regularizable cycles: D = K + I.
 
-The domain is m >= 1, n >= 1 and 0 <= r <= n, each an exact int.
-``_validate`` holds its rules and messages; outside it every public route
-raises DomainError. K and I each come from several independent routes, and
-a record states whether they agree rather than assuming it:
+The domain is m >= 1, n >= 1 and 0 <= r <= n, each an exact int, as
+``_validate`` states; outside it every public route raises DomainError.
+K comes by recursion, by reduction and in closed form, I as an alternating
+sum, as D times a 3F2 and as I_subtract = D - K_closed; a record states
+whether they agree rather than assuming it. No route keeps a cache.
 
-* ``dim_K_recursion`` peels off one resonant point at a time, and
-  ``dim_K_reduction`` drops two integration variables at a time. K(m, n, r)
-  reads only K(m-2j, n, 0..r-j), so both run bottom-up as triangles:
-  min((m-1)//2, r) steps of width <= r+1, at constant stack depth. The step
-  to level m' consumes D(m'-2, n), and ``_d_levels`` computes each by ``dim_D``.
-* ``dim_K_closed`` and ``dim_I_sum`` split one alternating sum over the
-  signed column (-1)^s D(m-2s, n), ``_d_column``.
-* ``dim_I_hyp`` is that sum as D(m, n) times a terminating 3F2 whose
-  parameters are halves of ints, summed by the int series kernel over 2.
-* I_subtract is D - K_closed.
+The K triangles. ``dim_K_recursion`` peels off one resonant point at a
+time and ``dim_K_reduction`` drops two integration variables at a time, so
+K(m, n, r) reads only K(m-2j, n, 0..r-j) and both run bottom-up: each step
+to level m' reads the whole row of level m' - 2, consumes D(m'-2, n) and
+writes a row one entry wider. From the row of ``_k_start`` they take
+min((m-1)//2, r) steps of width <= r+1 to level m, at constant stack depth.
+``_d_levels`` lists the D each step consumes, once for both triangles.
 
-``_d_column`` computes one ``dim_D`` at the deepest term M and walks upward
-by the exact int step D(M+2, n) (M+1)(M+2) = D(M, n) (n+M-1)(n+M). Downward
-it would divide by (n+M-1)(n+M), which is 0 at n = 1, M = 0. The column must
-not feed the triangles: the K identities hold for any sequence of D values,
-so rows built from the walk would agree with K_closed even where the walk
-went wrong. Built from ``dim_D``, they make K_closed == K_recursion a check
-of every term of the walk, and I_sum == D - K_closed checks its first.
-
-``_block_rows`` computes the records of one (m, n) together, as rows laid
-out by ``_ROW_FIELDS``. D, the D levels, both K rows and the column are
-built once, at the largest r, and each r then costs one column sum and one
-3F2 series. The CLI renders these rows. It passes the interpreter's
-int-to-str digit limit, so a D too long to print fails before the K rows,
-the column and the series are built. ``compute_record`` and ``iter_table``
-pass no limit and build exact public records from the rows at any size.
-No route keeps a cache.
-The closed forms at r = n and r = n - 1 are exposed for cross-checks.
-
-Conventions: the alternating sums use D(0, n) = 1 and D(m, n) = 0 for m < 0,
-the unique choice under which they reproduce the base cases K(2, n, r) = r
-and the closed forms at extreme resonance. The recursion never consumes
-D(0, n), as m = 2 is a base case, so the routes cannot disagree over it.
+The D column. ``dim_K_closed`` and ``dim_I_sum`` split one alternating sum
+over the signed column (-1)^s D(m-2s, n) of ``_d_column``, which computes
+one ``dim_D`` at the deepest term M and walks upward by the exact int step
+D(M+2, n) (M+1)(M+2) = D(M, n) (n+M-1)(n+M). Downward it would divide by
+(n+M-1)(n+M), which is 0 at n = 1, M = 0. The column must not feed the
+triangles: the K identities hold for any sequence of D values, so rows
+built from the walk would agree with K_closed even where the walk went
+wrong. Built from ``dim_D``, they make K_closed == K_recursion a check of
+every term of the walk, and I_sum == D - K_closed checks its first.
 """
 
 from __future__ import annotations
@@ -112,11 +97,7 @@ def _validate(m: int, n: int, r: int) -> None:
 
 @dataclass(frozen=True)
 class DimQuery:
-    """A dimension query: m >= 1 variables, n >= 1 points, 0 <= r <= n resonant.
-
-    Each field must be an int (bool is rejected); anything else raises
-    DomainError here rather than a TypeError deep inside a route.
-    """
+    """A dimension query: m >= 1 variables, n >= 1 points, 0 <= r <= n resonant (``_validate``)."""
 
     m: int
     n: int
@@ -130,13 +111,11 @@ class DimQuery:
 class DimensionRecord:
     """Every route's answer for one query, plus the agreement verdicts.
 
-    ``I_hyp`` is kept as an exact rational (its integrality is part of what
-    is being verified), and an int given for it is stored as its Fraction;
-    it is None exactly when ``hyp_error`` is set, which can only happen
-    outside the n >= 2 regime. ``routes_agree`` requires all three K routes
-    and all three I routes to coincide. ``in_validity_range`` is the sanity
-    check that every computed dimension is a plausible one: nonnegative and
-    K <= D.
+    ``I_hyp`` is an exact rational, as its integrality is part of what is
+    verified (an int given for it is stored as its Fraction); it is None
+    exactly when ``hyp_error`` is set. ``routes_agree`` requires all three K
+    routes and all three I routes to coincide; ``in_validity_range``, that
+    every dimension is nonnegative and each K <= D.
     """
 
     query: DimQuery
@@ -178,10 +157,11 @@ _AGREE = _ROW_FIELDS.index("routes_agree")
 def dim_D(m: int, n: int) -> int:
     """Total invariant dimension C(n+m-2, m), with D(0, n) = 1 and D(m<0, n) = 0.
 
-    The out-of-range conventions make the alternating sums over s truncate
-    by themselves. m and n must be exact ints, as for every route, and n >= 1
-    once m >= 1; ``_d_levels`` calls this once per triangle level, so the
-    test is one type comparison and one range test.
+    Those two values truncate the alternating sums over s by themselves,
+    and are the one choice under which the sums give K(2, n, r) = r and the
+    closed forms at extreme resonance; the recursion never consumes D(0, n).
+    m and n must be exact ints, and n >= 1 once m >= 1: one type comparison
+    and one range test, as this runs once per triangle level.
     """
     if not type(m) is type(n) is int or (m >= 1 and n < 1):
         _validate(m, n, 0)  # raises: the type error first, else the n >= 1 one
@@ -198,36 +178,23 @@ def dim_D(m: int, n: int) -> int:
 
 
 def _k_start(m: int, width: int) -> list[int]:
-    """The row, of the given width, that a triangle for K(m, ·, 0..r) starts from.
+    """The row, of the given width, that the K triangles for m start from.
 
-    The triangle takes one step per level of ``_d_levels(m, n, r)``, s of
-    them, so it starts at level m - 2s with the row K(m-2s, ·, 0..r-s), of
-    width r + 1 - s. If s = r that row is K(·, ·, 0) = [0]; otherwise m - 2s
-    is m's base, 1 or 2, and the row is the base row K(1, ·, t) = 0 or
-    K(2, ·, t) = t cut to that width. Both base rows are [0] at width 1, so
-    one expression serves either case. The row does not depend on n.
+    A triangle of s steps starts at level m - 2s, width r + 1 - s: m's base
+    row K(1, ·, t) = 0 or K(2, ·, t) = t, or, when s = r, K(·, ·, 0) = [0],
+    which both base rows are at width 1. The row does not depend on n.
     """
     return list(range(width)) if m % 2 == 0 else [0] * width
 
 
 def _d_levels(m: int, n: int, r: int) -> list[int]:
-    """D(m'-2, n) for each level m' that the triangles for K(m, n, 0..r) step to, upward.
-
-    The triangles take s = min((m-1)//2, r) steps, to m' = m - 2s + 2, ..., m,
-    and the step to m' consumes D(m'-2, n): one ``dim_D`` per level. Both
-    builders read this one list, so a block computes each level's D once.
-    """
+    """D(m'-2, n) for each level m' that the K triangles for (m, n, r) step to, upward."""
     steps = min((m - 1) // 2, r)
     return [dim_D(level, n) for level in range(m - 2 * steps, m - 1, 2)]
 
 
 def _k_recursion_row(m: int, r: int, ds: list[int]) -> list[int]:
-    """K(m, n, 0..r) by the recursion of ``dim_K_recursion``, as a triangle.
-
-    ``ds`` is ``_d_levels(m, n, r)``, and each of its values is one step
-    m' -> m' + 2, which reads the whole old row and writes a row one entry
-    wider, so the row reaches width r+1 at level m.
-    """
+    """K(m, n, 0..r) by the recursion of ``dim_K_recursion``, over ``ds = _d_levels(m, n, r)``."""
     row = _k_start(m, r + 1 - len(ds))
     for d in ds:
         # new[t] = D(m'-2, n) + new[t-1] - old[t-1], from new[0] = 0.
@@ -240,20 +207,14 @@ def dim_K_recursion(m: int, n: int, r: int) -> int:
 
         K(m, n, r) = D(m-2, n) + K(m, n, r-1) - K(m-2, n, r-1)
 
-    for m >= 3, on top of the shared base cases. K(m, n, r) reads only
-    K(m-2j, n, 0..r-j), and K(·, n, 0) = 0, so it is evaluated bottom-up as
-    a triangle: min((m-1)//2, r) steps, each one row of width <= r+1, at
-    constant stack depth.
+    for m >= 3, on top of the shared base cases, evaluated as a K triangle.
     """
     _validate(m, n, r)
     return _k_recursion_row(m, r, _d_levels(m, n, r))[r]
 
 
 def _k_reduction_row(m: int, r: int, ds: list[int]) -> list[int]:
-    """K(m, n, 0..r) by the reduction of ``dim_K_reduction``, as a triangle.
-
-    It steps through the same ``_d_levels(m, n, r)`` as ``_k_recursion_row``.
-    """
+    """K(m, n, 0..r) by the reduction of ``dim_K_reduction``, over ``ds = _d_levels(m, n, r)``."""
     row = _k_start(m, r + 1 - len(ds))
     for d in ds:
         # new[t] = t D(m'-2, n) - (old[1] + ... + old[t-1]); old[0] = 0, so
@@ -268,9 +229,7 @@ def dim_K_reduction(m: int, n: int, r: int) -> int:
         K(m, n, r) = r D(m-2, n) - K(m-2, n, 1) - ... - K(m-2, n, r-1)
 
     for m >= 3, on top of the shared base cases. For m = 3 this collapses
-    to r * D(1, n) = r (n - 1). Evaluated bottom-up as a triangle, like
-    ``dim_K_recursion``, with the subtracted sum kept as a running prefix
-    sum: min((m-1)//2, r) steps of width <= r+1.
+    to r * D(1, n) = r (n - 1). Evaluated as a K triangle.
     """
     _validate(m, n, r)
     return _k_reduction_row(m, r, _d_levels(m, n, r))[r]
@@ -280,11 +239,9 @@ def _d_column(m: int, n: int, r: int) -> list[int]:
     """The signed column (-1)^s D(m-2s, n) for s = 0..depth, the lesser of r and m // 2.
 
     Past that depth C(r, s) or D(m-2s, n) is 0, so the column holds every
-    nonzero term of the sums at r and at any smaller r. The upward walk of
-    the module docstring: one ``dim_D`` at M = m - 2 depth, then one exact
-    step per term up to s = 0, whose term is the walk's own D(m, n). The
-    sign flips at each step, and a floor division of an exact quotient is
-    exact for either sign.
+    nonzero term of the sums at r and at any smaller r. It is the module
+    docstring's upward walk; the sign flips at each step, and a floor
+    division of an exact quotient is exact for either sign.
     """
     depth = min(r, m // 2)
     M = m - 2 * depth
@@ -312,11 +269,7 @@ def dim_K_closed(m: int, n: int, r: int) -> int:
     """Kernel dimension as the alternating sum over s >= 1 of (-1)^(s-1) C(r, s) D(m-2s, n).
 
     C(r, s) = 0 for s > r and the D conventions truncate the sum at
-    s = min(r, floor(m/2)). The terms (-1)^s D(m-2s, n) come from
-    ``_d_column``, an upward walk on ints that starts from one ``dim_D`` at
-    the deepest term and takes each next term from the last by an exact
-    division, never by zero; this is the negated sum of all of them but the
-    s = 0 term D(m, n), each times C(r, s).
+    s = min(r, floor(m/2)). The terms come from the D column.
     """
     _validate(m, n, r)
     return _column_sums(_d_column(m, n, r), r)[0]
@@ -326,11 +279,7 @@ def dim_I_sum(m: int, n: int, r: int) -> int:
     """Image dimension as the alternating sum over s >= 0 of (-1)^s C(r, s) D(m-2s, n).
 
     C(r, s) = 0 for s > r and the D conventions truncate the sum at
-    s = min(r, floor(m/2)). This is the sum over every term of the column
-    ``_d_column`` (one ``dim_D`` at the deepest term, then exact int steps),
-    each times C(r, s). Its first term is D(m, n) as the walk reached it,
-    so a record's test I_sum == D - K_closed also checks that value against
-    ``dim_D``.
+    s = min(r, floor(m/2)). The terms come from the D column.
     """
     _validate(m, n, r)
     return _column_sums(_d_column(m, n, r), r)[1]
@@ -339,11 +288,9 @@ def dim_I_sum(m: int, n: int, r: int) -> int:
 def dim_I_hyp(m: int, n: int, r: int) -> Fraction:
     """Image dimension via the hypergeometric route, as an exact rational.
 
-    Returns C(n+m-2, m) * 3F2(-r, -m/2, (1-m)/2; (2-n-m)/2, (3-n-m)/2; 1).
-    Every parameter is half an int, so the series goes straight to the int
-    kernel over L = 2, as (-2r, -m, 1-m; 2-n-m, 3-n-m) at x = 1/1, with no
-    Fraction built for a parameter. The value is integral and equals
-    ``dim_I_sum`` whenever the series is defined; it is returned
+    Returns C(n+m-2, m) * 3F2(-r, -m/2, (1-m)/2; (2-n-m)/2, (3-n-m)/2; 1),
+    the series summed by the int kernel over L = 2. The value is integral
+    and equals ``dim_I_sum`` whenever the series is defined; it is returned
     unconverted so that an integrality failure would be observable rather
     than masked. Series errors propagate.
     """
@@ -384,10 +331,9 @@ def dim_I_full_resonance_product(m: int, n: int) -> Fraction:
     For even m = 2j:  n (n-1) ... (n-2j+2) / (2j)!  *  (n + 1 - 4j)
     For odd  m = 2j+1: n (n-1) ... (n-2j+1) / (2j+1)! * (n - 4j - 1)
 
-    Both parities are the one formula n (n-1) ... (n-m+2) / m! * (n+1-2m),
-    a falling product of m-1 factors. Exact rational on the way through;
-    equals ``dim_I_extremes(m, n).at_n``. Requires m >= 2 so that both
-    parities have a nonempty product.
+    Both are n (n-1) ... (n-m+2) / m! * (n+1-2m), a falling product of m-1
+    factors, exact, and equal ``dim_I_extremes(m, n).at_n``. Requires m >= 2,
+    so that both parities have a nonempty product.
     """
     _validate(m, n, 0)
     if m < 2:
@@ -398,11 +344,9 @@ def dim_I_full_resonance_product(m: int, n: int) -> Fraction:
 def compute_record(query: DimQuery) -> DimensionRecord:
     """Run every route for one query and report, never raise, on disagreement.
 
-    A hypergeometric-route evaluation error (possible only at n = 1, where
-    a lower series parameter can vanish too early) is recorded in
-    ``hyp_error`` with ``I_hyp = None``; all integer routes are still filled
-    in. Disagreement of any kind yields ``routes_agree = False``. The values
-    are those of the one row of ``_block_rows(m, n, (r,))``.
+    The values are those of the one row of ``_block_rows(m, n, (r,))``. A
+    3F2 error (at n = 1, where a lower parameter can vanish too early) goes
+    to ``hyp_error``, and any disagreement to ``routes_agree = False``.
     """
     return DimensionRecord(query, *next(_block_rows(query.m, query.n, (query.r,)))[_QUERY:])
 
@@ -410,25 +354,22 @@ def compute_record(query: DimQuery) -> DimensionRecord:
 def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[tuple]:
     """The rows of (m, n, r) for each r of ``rs``, which ascend, laid out as ``_ROW_FIELDS``.
 
-    D, the triangles' D levels, both K rows K(m, n, 0..R) and the D column
-    are built once, for the largest r, R = rs[-1], when the first row is
-    asked for. Then each r reads its K values from the rows, its K_closed
-    and I_sum from one ``_column_sums``, and its I_hyp from one 3F2 series.
+    D, the D levels, both K rows K(m, n, 0..R) and the D column are built
+    once, at R = rs[-1], when the first row is asked for; each r then costs
+    one ``_column_sums`` and one 3F2 series.
 
-    A nonzero ``limit`` is a digit limit for the printed rows: every row
-    holds D, so a D of more than ``limit`` digits raises ValueError right
-    after D, before the levels, rows and column. A D below 2^(3 limit),
-    which is below 10^limit, passes on one bit_length test. Callers that
-    print pass the interpreter's int-to-str limit; library callers pass none
-    and get exact rows at any size.
+    A nonzero ``limit`` is a digit limit for printed rows: every row holds
+    D, so a D of more than ``limit`` digits raises ValueError right after D,
+    before the levels, rows and column. A D below 2^(3 limit) < 10^limit
+    passes on one bit_length test. Callers that print pass the interpreter's
+    int-to-str limit; library callers pass none and get exact rows at any size.
 
-    I_hyp = d num / den, from the kernel's pair, is checked on ints. With
-    q, rem = divmod(d num, den) it is integral iff rem == 0, and then it is
-    q, so the routes agree iff rem == 0 and q == I_sum == I_subtract.
-    Python's q is the floor of the exact quotient for either sign of den,
-    and floor(x) >= 0 iff x >= 0, so q >= 0 is the bound I_hyp >= 0. The
-    row keeps an integral I_hyp as the int q and any other as
-    Fraction(d num, den).
+    I_hyp = d num / den, from the kernel's pair, is checked on ints: with
+    q, rem = divmod(d num, den) it is integral iff rem == 0, and is then q,
+    so the routes agree iff rem == 0 and q == I_sum == I_subtract. q is the
+    floor of the exact quotient for either sign of den, so q >= 0 iff
+    I_hyp >= 0. The row keeps an integral I_hyp as the int q and any other
+    as Fraction(d num, den).
     """
     top = rs[-1]
     d = dim_D(m, n)
@@ -471,8 +412,7 @@ def _iter_rows(
     writes anything. Rows are computed as they are asked for and none is
     kept, so a caller that writes each one out runs in constant memory
     however large the ranges are. Each (m, n) is one ``_block_rows`` over
-    the policy's r values, which builds D, both K rows and the D column
-    once, at the largest of them, and checks D against ``limit`` first.
+    the policy's r values, with ``limit``.
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
@@ -499,10 +439,9 @@ def iter_table(
 ) -> Iterator[DimensionRecord]:
     """Lazily yield the records of ``table``, one at a time, in (m, n, r) order.
 
-    Each record is built from a row of ``_iter_rows``, so the bounds and
-    the policy are checked when this is called, records are computed as they
-    are asked for and none is kept. Each record equals ``compute_record`` of
-    its query.
+    The records are built from the rows of ``_iter_rows``: the bounds and the
+    policy are checked when this is called, and none is kept. Each record
+    equals ``compute_record`` of its query.
     """
     rows = _iter_rows(m_range, n_range, r_policy)
     return (DimensionRecord(DimQuery(*row[:_QUERY]), *row[_QUERY:]) for row in rows)

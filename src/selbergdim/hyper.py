@@ -14,20 +14,8 @@ counts as termination, not as a pole. That convention is what makes the
 series agree with the finite alternating sums it is used to repackage
 (the factor that would blow up is already multiplied by zero).
 
-The walk itself runs on plain ints. All five parameters are scaled to
-integers over their common denominator L, so each step multiplies by an
-integer ratio of numerator and denominator factors, and the partial sum is
-carried as one integer numerator over one shared integer denominator. The
-kernel returns that pair unreduced, so the loop performs no gcd; a caller
-that needs a value builds the one Fraction from it. The scaling multiplies
-each factor by a nonzero constant, so an integer factor is zero exactly
-when the rational one is and the zero-numerator-first rule is unchanged. The kernel,
-:func:`_eval_scaled_3f2`, takes the scaled integers themselves; L comes
-from :func:`selbergdim.exactnum._scale`, the one place that computes a
-common denominator: the lcm of the denominators, with every value as an
-int over it.
-
-Everything downstream of the series is an identity checker:
+One kernel, :func:`_eval_scaled_3f2`, sums every series on ints; its
+docstring says how. Everything downstream of it is an identity checker:
 
 * Pfaff-Saalschuetz: a terminating balanced 3F2 at x=1 equals a ratio of
   four Pochhammer symbols.
@@ -36,24 +24,14 @@ Everything downstream of the series is an identity checker:
 * The Pochhammer identity a (a+1)_k (b)_k - b (a)_k (b+1)_k =
   (a-b) (a)_k (b)_k that the contiguity relation rests on.
 
-The identity checks run on plain ints as well. Each has a scaled form
-(:func:`_pfaff_scaled`, :func:`_contiguity_scaled`,
-:func:`_pochhammer_scaled`) that takes its rational inputs as ints over one
-common denominator L, so every series is a direct kernel call and every
-Pochhammer symbol is an int rising product from
-:func:`selbergdim.exactnum.scaled_rising` over a power of L. The
-Pfaff-Saalschuetz check cross-multiplies the series' pair with the closed
-form's unreduced (num, den) pair, and a residual is returned as one
-unreduced (num, den) pair, zero exactly when num is. The public checkers
-are thin wrappers that scale their inputs once with :func:`_scale` and
-build a Fraction only where they return one; the seeded suites call the
-scaled forms directly with draws that are already ints over L.
-``HypParams3F2`` and :func:`eval_terminating_3f2` are the public front end
-for callers outside the package.
+Each check has a scaled form on ints over one common denominator L, which
+:func:`selbergdim.exactnum._scale`, the one place that computes one, gives
+the public checkers; the seeded suites call the scaled forms directly.
+``HypParams3F2`` and :func:`eval_terminating_3f2` front the kernel publicly.
 
-The residual functions return exact values whose contract is "always
-zero"; they exist so that a violation would be a loud, reproducible
-counterexample rather than a silent assumption.
+A residual's contract is "always zero". Inside it is an exact, unreduced
+(num, den) pair, zero exactly when num is, so that a violation would be a
+loud, reproducible counterexample rather than a silent assumption.
 """
 
 from __future__ import annotations
@@ -104,10 +82,9 @@ class ZeroDenominatorError(HyperEvalError):
 class HypParams3F2:
     """Parameters of a 3F2 series: three upper, two lower, one argument.
 
-    Values are coerced to Fraction on construction (values that already
-    are exactly Fraction are kept as they are); instances are immutable and
-    safe to share. Termination is a property of ``upper`` and is checked at
-    evaluation time, not here.
+    Values are coerced to Fraction on construction (an exact Fraction is
+    kept as it is); instances are immutable and safe to share. Termination
+    is checked at evaluation time, not here.
     """
 
     upper: tuple[Fraction, Fraction, Fraction]
@@ -129,33 +106,26 @@ def _eval_scaled_3f2(
 ) -> tuple[int, int, int]:
     """Sum 3F2(p1/L, p2/L, p3/L; q1/L, q2/L; u/v); return (num, den, terms summed).
 
-    The series kernel, on plain ints: every parameter is an integer over the
+    The series kernel, on plain ints: every parameter is an int over a
     common denominator L > 0 and the argument is u/v with v > 0. It is
-    internal and checks neither; its callers guarantee both. The
-    ``HypParams3F2`` front end (v the argument's denominator) and the
-    identity checks (u = v = 1) take L from :func:`_scale`;
-    ``dims.dim_I_hyp``, whose parameters are halves of ints, passes L = 2
-    and u = v = 1.
-
-    Each factor a + k is then (p + kL)/L, and b + k is (q + kL)/L, so the
-    ratio of term k+1 to term k is
+    internal and checks neither; its callers guarantee both. Each factor
+    a + k is then (p + kL)/L, and b + k is (q + kL)/L, so the ratio of term
+    k+1 to term k is
 
         (p1+kL)(p2+kL)(p3+kL) u  /  ((q1+kL)(q2+kL)(k+1) L v).
 
-    The partial sum is kept as ``total / den`` over one shared integer
-    denominator: each step multiplies ``total`` and ``den`` by the same
-    step factor and adds the new term's numerator. The final pair is
-    returned as it is: not reduced, and ``den`` nonzero but possibly
-    negative.
+    The partial sum is kept as ``total / den``: each step multiplies both by
+    the step's denominator and adds the new term's numerator. The pair is
+    returned unreduced, ``den`` nonzero of either sign, so the loop performs
+    no gcd; a caller that needs a value builds one Fraction.
 
-    The zero tests see exactly what a rational loop would. Since L, u and v
-    never enter them, (a)_{k+1} vanishes iff (p1+kL)(p2+kL)(p3+kL) does,
-    and (b1)_{k+1} (b2)_{k+1} (k+1)! vanishes iff (q1+kL)(q2+kL)(k+1) does;
-    the numerator factor is tested first, so an index where both vanish is
-    termination. With x = 0 the terms after the first are zero, but the
-    walk, the term count and any pole index are unchanged. Any common
-    multiple of the denominators serves as L: the zero tests, the pole
-    index and the reduced value do not depend on which one.
+    Scaling multiplies each factor by a nonzero constant, so the zero tests
+    see exactly what a rational loop would: (a)_{k+1} vanishes iff
+    (p1+kL)(p2+kL)(p3+kL) does, and (b1)_{k+1} (b2)_{k+1} (k+1)! iff
+    (q1+kL)(q2+kL)(k+1) does. With x = 0 the terms after the first are
+    zero, but the walk, the term count and any pole index are unchanged.
+    Any common multiple of the denominators serves as L: the zero tests,
+    the pole index and the reduced value do not depend on which one.
     """
     if not (
         p1 <= 0 and p1 % L == 0 or p2 <= 0 and p2 % L == 0 or p3 <= 0 and p3 % L == 0
@@ -190,19 +160,6 @@ def _eval_scaled_3f2(
         k += 1
 
 
-def _eval_terms(params: HypParams3F2) -> tuple[Fraction, int]:
-    """Evaluate the series; return (value, number of terms actually summed).
-
-    Scales the five parameters with :func:`_scale` and hands them to
-    :func:`_eval_scaled_3f2`, the one kernel, and builds the one Fraction
-    from the pair it returns.
-    """
-    L, p1, p2, p3, q1, q2 = _scale(*params.upper, *params.lower)
-    x = params.argument
-    num, den, terms = _eval_scaled_3f2(p1, p2, p3, q1, q2, L, x.numerator, x.denominator)
-    return Fraction(num, den), terms
-
-
 def eval_terminating_3f2(params: HypParams3F2) -> Fraction:
     """Exact value of a terminating 3F2.
 
@@ -215,19 +172,18 @@ def eval_terminating_3f2(params: HypParams3F2) -> Fraction:
         PoleBeforeTerminationError: a denominator Pochhammer vanishes at an
             index where the numerator product is still nonzero.
     """
-    value, _ = _eval_terms(params)
-    return value
+    L, p1, p2, p3, q1, q2 = _scale(*params.upper, *params.lower)
+    x = params.argument
+    return Fraction(*_eval_scaled_3f2(p1, p2, p3, q1, q2, L, x.numerator, x.denominator)[:2])
 
 
 def _pfaff_rhs_pair(L: int, A: int, B: int, C: int, j: int) -> tuple[int, int]:
     """Unreduced (num, den) of the Pfaff-Saalschuetz closed form, den != 0.
 
-    With a, b, c = A/L, B/L, C/L the four parameters c, c-a-b, c-a and c-b
-    are C/L, (C-A-B)/L, (C-A)/L and (C-B)/L, so each (x/L)_j is an int
-    rising product over L^j and the L^j cancel in the ratio. Both
-    denominator products are tested for zero as ints; L^j != 0, so either
-    vanishes exactly when its Pochhammer symbol does. Only the error
-    message builds Fractions: a, b and c, reduced.
+    With a, b, c = A/L, B/L, C/L each of the four (x/L)_j is an int rising
+    product over L^j, and the L^j cancel in the ratio; L^j != 0, so a
+    denominator product is 0 exactly when its Pochhammer symbol is. Only the
+    error message builds Fractions: a, b and c, reduced.
     """
     den = scaled_rising(C, L, j)
     den_cab = scaled_rising(C - A - B, L, j)
@@ -271,8 +227,6 @@ def pfaff_saalschutz_rhs(
 
         (c-a)_j (c-b)_j / ( (c)_j (c-a-b)_j )
 
-    The four rising products are taken on ints and one Fraction is built.
-
     Raises:
         ZeroDenominatorError: (c)_j or (c-a-b)_j vanishes.
     """
@@ -287,10 +241,9 @@ def pfaff_saalschutz_check(
 ) -> bool:
     """True iff both sides of the Pfaff-Saalschuetz identity agree exactly.
 
-    The left side is the terminating series 3F2(a, b, -j; c, 1+a+b-c-j; 1)
-    evaluated term by term, first; the right side is the closed form of
-    :func:`pfaff_saalschutz_rhs`, compared as an unreduced int pair by
-    cross-multiplication. Evaluation errors on either side propagate.
+    The left side is the terminating series 3F2(a, b, -j; c, 1+a+b-c-j; 1),
+    evaluated first; the right side is :func:`pfaff_saalschutz_rhs`.
+    Evaluation errors on either side propagate.
     """
     return _pfaff_scaled(*_scale(a, b, c), _order(j))
 
@@ -323,8 +276,7 @@ def contiguity_residual(
 
     All three series must be defined: an input whose shared lower row
     produces a pole before termination raises, it is not interpreted as a
-    limit. The combination is taken on ints over one denominator and one
-    Fraction is built.
+    limit.
     """
     return Fraction(*_contiguity_scaled(*_scale(a, b, c), _order(j)))
 
@@ -348,9 +300,5 @@ def pochhammer_identity_residual(
     b: Fraction | int,
     k: int,
 ) -> Fraction:
-    """a (a+1)_k (b)_k - b (a)_k (b+1)_k - (a-b) (a)_k (b)_k; always zero.
-
-    The residual is taken on ints over a power of the common denominator
-    of a and b, and one Fraction is built from it.
-    """
+    """a (a+1)_k (b)_k - b (a)_k (b+1)_k - (a-b) (a)_k (b)_k; always zero."""
     return Fraction(*_pochhammer_scaled(*_scale(a, b), k))

@@ -204,20 +204,20 @@ def config_from_json(doc: str | bytes | dict[str, Any]) -> ExponentConfig:
     m = data["m"]
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ConfigParseError(f"m: expected an integer >= 1, got {m!r}")
-    try:
-        g = parse_rational(data["g"])
-    except ValueError as exc:
-        raise ConfigParseError(f"g: {exc}") from exc
+    g = _rational_field("g", data["g"])
     raw_lambdas = data["lambdas"]
     if not isinstance(raw_lambdas, list) or not raw_lambdas:
         raise ConfigParseError("lambdas: expected a nonempty list of rational strings")
-    lambdas = []
-    for idx, item in enumerate(raw_lambdas):
-        try:
-            lambdas.append(parse_rational(item))
-        except ValueError as exc:
-            raise ConfigParseError(f"lambdas[{idx}]: {exc}") from exc
-    return ExponentConfig(m=m, g=g, lambdas=tuple(lambdas))
+    lambdas = tuple(_rational_field(f"lambdas[{i}]", item) for i, item in enumerate(raw_lambdas))
+    return ExponentConfig(m=m, g=g, lambdas=lambdas)
+
+
+def _rational_field(path: str, text: Any) -> Fraction:
+    """``parse_rational(text)``, its ValueError raised as a ConfigParseError that names ``path``."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise ConfigParseError(f"{path}: {exc}") from exc
 
 
 def config_to_json_dict(cfg: ExponentConfig) -> dict[str, Any]:

@@ -510,6 +510,44 @@ class TestDirectParse:
         assert positionals == [action for action in actions if not action.option_strings]
 
 
+_TABLE_USAGE = """\
+usage: selbergdim table [-h] --m-range LO..HI --n-range LO..HI
+                        [--r-policy {all,only-n,only-n-minus-1}] [--out OUT]
+                        [--format {pretty,json,csv}]
+"""
+
+
+class TestPinnedParserBytes:
+    def test_table_help(self, run_cli, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli("table", "-h")
+        assert (code, err) == (0, "")
+        assert out == _TABLE_USAGE + """\
+
+options:
+  -h, --help            show this help message and exit
+  --m-range LO..HI
+  --n-range LO..HI
+  --r-policy {all,only-n,only-n-minus-1}
+                        which r values to include per (m, n)
+  --out OUT             write to this file instead of stdout
+  --format {pretty,json,csv}
+                        output format
+"""
+
+    def test_invalid_r_policy(self, run_cli, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli("table", "--m-range", "1..2", "--n-range", "1..2",
+                                 "--r-policy", "only_n")
+        assert (code, out) == (1, "")
+        prefix = "selbergdim table: error: argument --r-policy: invalid choice: 'only_n' "
+        # Later argparse releases list the choices with str(), earlier ones with repr().
+        assert err in {
+            _TABLE_USAGE + prefix + "(choose from 'all', 'only-n', 'only-n-minus-1')\n",
+            _TABLE_USAGE + prefix + "(choose from all, only-n, only-n-minus-1)\n",
+        }
+
+
 class TestRoundTrip:
     def test_classify_json_config_reparses_to_equal_value(self, run_cli):
         source = DATA_DIR / "config_resonant.json"

@@ -255,6 +255,25 @@ class TestConfigJson:
         with pytest.raises(ConfigParseError, match="not valid JSON"):
             config_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ('{"m": 2, "g": "1/0", "lambdas": ["1/4"]}',
+             "g: invalid rational literal '1/0': denominator is zero"),
+            ('{"m": 2, "g": "1/2", "lambdas": ["1/4", "x"]}',
+             "lambdas[1]: invalid rational literal 'x': expected 'p' or 'p/q'"),
+            ('{"m": 2, "g": "1/2", "lambdas": ["1/4", "1/3", null]}',
+             "lambdas[2]: invalid rational literal None: expected 'p' or 'p/q'"),
+            ('{"m": 2, "g": "1/2", "lambdas": []}',
+             "lambdas: expected a nonempty list of rational strings"),
+        ],
+        ids=["g", "lambdas-item", "non-string-item", "empty-list"],
+    )
+    def test_field_error_messages_are_pinned(self, doc, message):
+        with pytest.raises(ConfigParseError) as exc_info:
+            config_from_json(doc)
+        assert str(exc_info.value) == message
+
     def test_integer_over_the_digit_limit_is_a_parse_error(self):
         # json.loads raises a plain ValueError, not a JSONDecodeError, for an
         # integer literal longer than the interpreter's int-string limit.
