@@ -150,21 +150,27 @@ def _record_cells(row: tuple) -> list[str]:
     return _record_csv(row).split(",")
 
 
+# A record as the pretty text writes it, filled by column name from the
+# record's CSV cells, with K and I as ? when the routes disagree and a missing
+# I_hyp as "undefined". A hyp_error line follows when the series failed.
+_RECORD_PRETTY = (
+    "m={m} n={n} r={r}\n"
+    "  D = {D}\n"
+    "  K = {K}  (recursion={K_recursion}, reduction={K_reduction}, closed={K_closed})\n"
+    "  I = {I}  (sum={I_sum}, hyp={I_hyp}, subtract={I_subtract})\n"
+    "  routes_agree = {routes_agree}\n"
+    "  in_validity_range = {in_validity_range}\n"
+)
+
+
 def _record_pretty(row: tuple) -> str:
-    m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, agree, valid = row
-    hyp = format_rational(i_hyp) if i_hyp is not None else "undefined"
-    lines = [
-        f"m={m} n={n} r={r}",
-        f"  D = {d}",
-        f"  K = {k_clo if agree else '?'}  (recursion={k_rec}, reduction={k_red}, "
-        f"closed={k_clo})",
-        f"  I = {i_sum if agree else '?'}  (sum={i_sum}, hyp={hyp}, subtract={i_sub})",
-        f"  routes_agree = {_bool_str(agree)}",
-        f"  in_validity_range = {_bool_str(valid)}",
-    ]
-    if hyp_error is not None:
-        lines.append(f"  hyp_error = {hyp_error}")
-    return _lines(lines)
+    cells = dict(zip(CSV_COLUMNS, _record_cells(row)))
+    agree, hyp_error = row[_AGREE], row[_HYP_ERROR]
+    text = _RECORD_PRETTY.format_map({
+        **cells, "I_hyp": cells["I_hyp"] or "undefined",
+        "K": cells["K_closed"] if agree else "?", "I": cells["I_sum"] if agree else "?",
+    })
+    return text if hyp_error is None else f"{text}  hyp_error = {hyp_error}\n"
 
 
 def _records_pretty_table(rows: Sequence[tuple]) -> str:
@@ -258,9 +264,11 @@ _TABLE_WRITERS: dict[str, Callable[..., bool]] = {
 # ---------------------------------------------------------------------------
 # classify rendering
 
-def _violation_compact(v: Any) -> str:
-    j_part = f"j={v.j}:" if v.j is not None else ""
-    return f"{v.condition}:{j_part}k={v.k}:value={format_rational(v.value)}"
+def _violation_parts(v: Any) -> list[str]:
+    # The pretty report and classify's CSV join these: the condition, then
+    # j (point tests only), k and the value, each as name=value.
+    j = [f"j={v.j}"] if v.j is not None else []
+    return [v.condition, *j, f"k={v.k}", f"value={format_rational(v.value)}"]
 
 
 # The report as json.dumps(indent=2) writes it, and a violation as it sits
@@ -299,9 +307,9 @@ def _classify_json(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
 
 
 def _classify_pretty(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
-    lambdas = ", ".join(format_rational(lam) for lam in cfg.lambdas)
+    config = config_to_json_dict(cfg)
     lines = [
-        f"config: m={cfg.m} g={format_rational(cfg.g)} lambdas=[{lambdas}]",
+        f"config: m={config['m']} g={config['g']} lambdas=[{', '.join(config['lambdas'])}]",
         f"lambda_infinity = {format_rational(report.lambda_infinity)}",
         f"resonant_indices = [{', '.join(str(j) for j in report.resonant_indices)}]",
         f"r = {report.r}",
@@ -309,8 +317,8 @@ def _classify_pretty(cfg: Any, report: ResonanceReport, row: tuple | None) -> st
     if report.violations:
         lines.append("violations:")
         for v in report.violations:
-            j_part = f"j={v.j} " if v.j is not None else ""
-            lines.append(f"  {v.condition}: {j_part}k={v.k} value={format_rational(v.value)}")
+            condition, *parts = _violation_parts(v)
+            lines.append(f"  {condition}: {' '.join(parts)}")
     else:
         lines.append("violations: none")
     lines.append(f"assumption_valid = {_bool_str(report.assumption_valid)}")
@@ -320,27 +328,23 @@ def _classify_pretty(cfg: Any, report: ResonanceReport, row: tuple | None) -> st
     return out
 
 
-# The report's own columns, then the record's CSV columns from D onward,
-# blank when the assumptions fail and there is no record.
-_CLASSIFY_COLUMNS = ("m", "n", "r", "lambda_infinity", "assumption_valid", "violations")
+# Classify's CSV columns from D onward are the record's, blank when the
+# assumptions fail and there is no record.
 _CLASSIFY_RECORD_FROM = CSV_COLUMNS.index("D")
 
 
 def _classify_csv(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
-    cells = [
-        str(cfg.m),
-        str(cfg.n),
-        str(report.r),
-        format_rational(report.lambda_infinity),
-        _bool_str(report.assumption_valid),
-        ";".join(_violation_compact(v) for v in report.violations),
-    ]
-    if row is not None:
-        cells.extend(_record_cells(row)[_CLASSIFY_RECORD_FROM:])
-    else:
-        cells.extend([""] * (len(CSV_COLUMNS) - _CLASSIFY_RECORD_FROM))
-    header = _CLASSIFY_COLUMNS + CSV_COLUMNS[_CLASSIFY_RECORD_FROM:]
-    return _lines([_csv_row(header), _csv_row(cells)])
+    cells = {
+        "m": str(cfg.m),
+        "n": str(cfg.n),
+        "r": str(report.r),
+        "lambda_infinity": format_rational(report.lambda_infinity),
+        "assumption_valid": _bool_str(report.assumption_valid),
+        "violations": ";".join(":".join(_violation_parts(v)) for v in report.violations),
+    }
+    record = _record_cells(row) if row is not None else [""] * len(CSV_COLUMNS)
+    cells.update(zip(CSV_COLUMNS[_CLASSIFY_RECORD_FROM:], record[_CLASSIFY_RECORD_FROM:]))
+    return _lines([_csv_row(list(cells)), _csv_row(list(cells.values()))])
 
 
 _CLASSIFY_RENDERERS = {

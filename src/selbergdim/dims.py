@@ -31,6 +31,18 @@ triangles: the K identities hold for any sequence of D values, so rows
 built from the walk would agree with K_closed even where the walk went
 wrong. Built from ``dim_D``, they make K_closed == K_recursion a check of
 every term of the walk, and I_sum == D - K_closed checks its first.
+
+Degrees. At a fixed m every route is a polynomial in (n, r) on n >= 2,
+r >= 0. D(m', n) = C(n+m'-2, m') has degree m' in n, so I_sum, the sum over
+s <= m/2 of (-1)^s C(r, s) D(m-2s, n), has degree <= m in n and <= m // 2
+in r, as has K_closed = D - I_sum. From K(1, n, r) = 0 and K(2, n, r) = r,
+by induction on m, the recursion's step in r, D(m-2, n) - K(m-2, n, r-1),
+and the reduction's r D(m-2, n) minus a sum of K(m-2, n, t) over t < r each
+give K degree <= m - 2 in n and <= m // 2 in r. D times term k of the 3F2
+is the s = k term of I_sum. So two routes that agree on n0..n0+m by
+0..m//2, n0 = max(2, m // 2), agree at every n >= 2 and 0 <= r <= n of that
+m; ``tests/test_route_degrees.py`` checks those grids for m <= 60 and the
+degree bounds on the code's values.
 """
 
 from __future__ import annotations
@@ -359,8 +371,13 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     one ``_column_sums`` and one 3F2 series.
 
     A nonzero ``limit`` is a digit limit for printed rows: every row holds
-    D, so a D of more than ``limit`` digits raises ValueError right after D,
-    before the levels, rows and column. A D below 2^(3 limit) < 10^limit
+    D, so a D of more than ``limit`` digits raises ValueError before the
+    levels, rows and column, and before D itself where m and n make its size
+    certain. With N = m + n - 2, D = C(N, m) < 2^N, so N <= 3 limit needs no
+    test. Else, when j = min(m, n - 2) >= 1 and b is the bit length of
+    N // j, D = C(N, j) >= (N // j)^j >= 2^(j (b - 1)), so j (b - 1) >= 4 limit
+    raises at once. Only the rest computes D, cheaply (there j < 4 limit, or
+    n <= 2 and D <= 1), and compares it: a D below 2^(3 limit) < 10^limit
     passes on one bit_length test. Callers that print pass the interpreter's
     int-to-str limit; library callers pass none and get exact rows at any size.
 
@@ -372,6 +389,10 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     as Fraction(d num, den).
     """
     top = rs[-1]
+    if limit and m + n - 2 > 3 * limit:
+        j = min(m, n - 2)
+        if j > 0 and j * (((m + n - 2) // j).bit_length() - 1) >= 4 * limit:
+            raise ValueError("D exceeds the int-to-str limit")
     d = dim_D(m, n)
     if limit and d.bit_length() > 3 * limit and d >= 10 ** limit:
         raise ValueError("D exceeds the int-to-str limit")

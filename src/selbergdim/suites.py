@@ -34,6 +34,7 @@ Exhaustive suites ignore seed and cases:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -139,21 +140,22 @@ def _hockey(r: int, s: int) -> str | None:
     return None if hockey_stick_check(r, s) else ""
 
 
-def _routes(
-    m: int, n: int, r: int, D: int, K_recursion: int, K_reduction: int, K_closed: int,
-    I_sum: int, I_hyp: int | Fraction | None, I_subtract: int,
-    hyp_error: str | None, routes_agree: bool, in_validity_range: bool,
-) -> str | None:
+# The fields of a row that the routes check tests, read by name in one call.
+_ROUTES_TESTED = operator.itemgetter(
+    *map(dims._ROW_FIELDS.index, ("routes_agree", "D", "K_closed", "I_sum", "I_hyp"))
+)
+
+
+def _routes(*row: object) -> str | None:
     """Check one row of ``dims._iter_rows``, whose integral I_hyp is the int.
 
     Any other I_hyp is a non-integral Fraction, or None on a series error.
     """
-    if routes_agree and D == K_closed + I_sum and type(I_hyp) is int:
+    agree, d, k_closed, i_sum, i_hyp = _ROUTES_TESTED(row)
+    if agree and d == k_closed + i_sum and type(i_hyp) is int:
         return None
-    return (
-        f": D={D} K=({K_recursion},{K_reduction},{K_closed}) "
-        f"I=({I_sum},{I_hyp},{I_subtract})"
-    )
+    return (": D={D} K=({K_recursion},{K_reduction},{K_closed}) "
+            "I=({I_sum},{I_hyp},{I_subtract})").format_map(dict(zip(dims._ROW_FIELDS, row)))
 
 
 def _closedforms(m: int, n: int) -> str | None:

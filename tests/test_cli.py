@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    DATA_DIR, GOLDEN_CASES, compare_golden, frozen_record_cells, record_json_dict, row_of,
+    DATA_DIR, GOLDEN_CASES, compare_golden, frozen_record_cells, record_json_dict, replace_row,
+    row_of,
 )
 import selbergdim
 from selbergdim import cli, dims, resonance
@@ -262,14 +263,52 @@ class TestDigitLimit:
             "int-to-str limit (1); PYTHONINTMAXSTRDIGITS=0 lifts it\n"
         )
 
-    def test_the_library_takes_no_limit(self):
-        # D(7200, 7200) has 4,332 digits, past the default limit of 4,300:
-        # the row builder refuses it only when given that limit.
+    @pytest.mark.parametrize("m,n", [(7200, 7200), (3, 2 ** 5740)], ids=["late", "early"])
+    def test_the_library_takes_no_limit(self, m, n):
+        # D(7200, 7200) has 4,332 digits, past the default limit of 4,300, and
+        # is compared once computed; D(3, 2^5740) has 5,183, certain from m
+        # and n alone. The row builder refuses each only when given that limit.
         with pytest.raises(ValueError):
-            next(dims._block_rows(7200, 7200, (1,), 4300))
-        rec = compute_record(DimQuery(7200, 7200, 1))
-        assert rec.D == math.comb(14398, 7200) and rec.routes_agree
-        assert row_of(rec) == next(dims._block_rows(7200, 7200, (1,)))
+            next(dims._block_rows(m, n, (1,), 4300))
+        rec = compute_record(DimQuery(m, n, 1))
+        assert rec.D == math.comb(m + n - 2, m) and rec.routes_agree
+        assert row_of(rec) == next(dims._block_rows(m, n, (1,)))
+
+    @pytest.mark.parametrize("argv", [
+        ("dims", "-m", "1000000", "-n", "1000000", "-r", "1000000"),
+        ("dims", "-m", "10000000", "-n", "10000000", "-r", "3"),
+        ("table", "--m-range", "1000000..1000000", "--n-range", "1000000..1000000",
+         "--r-policy", "only-n"),
+    ], ids=["dims-r1000000", "dims-r3", "table"])
+    def test_a_d_past_the_limit_from_m_and_n_is_never_computed(self, run_cli, monkeypatch, argv):
+        # math.comb would take minutes on each of these Ds.
+        def refuse(m, n):
+            raise AssertionError(f"D({m}, {n}) was computed")
+
+        monkeypatch.setattr(dims, "dim_D", refuse)
+        monkeypatch.setattr(cli, "_digit_limit", lambda: 4300)
+        assert run_cli(*argv) == (
+            1,
+            "" if argv[0] == "dims" else ",".join(cli.CSV_COLUMNS) + "\n",
+            f"selbergdim {argv[0]}: error: a value has more digits than the interpreter's "
+            "int-to-str limit (4300); PYTHONINTMAXSTRDIGITS=0 lifts it\n",
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 400), st.integers(1, 400), st.integers(1, 40))
+    @example(10, 100, 5)  # refused from m and n alone: j = 10, b = 4, and 10 * 3 >= 4 * 5
+    @example(3, 14, 2)  # D = 455, refused once computed and compared
+    @example(1, 10, 1)  # j = 1, where the bound is tightest: D = 9 and D = 599 are
+    @example(1, 600, 3)  # under the limit, though their N is past 8^limit
+    @example(10, 2, 1)  # j = min(m, n - 2) = 0 and D = 1: D is compared
+    @example(10, 1, 1)  # j = -1 and D = 0
+    def test_the_row_builder_refuses_exactly_a_d_past_the_limit(self, m, n, limit):
+        try:
+            next(dims._block_rows(m, n, (0,), limit))
+        except ValueError:
+            assert dims.dim_D(m, n) >= 10 ** limit
+        else:
+            assert dims.dim_D(m, n) < 10 ** limit
 
     @pytest.mark.parametrize("m", [1065, 1066, 1067, 1068])
     def test_dims_early_check_matches_the_limit(self, run_cli, m):
@@ -658,6 +697,59 @@ class TestContent:
         assert doc["I_hyp"] is None
         assert doc["hyp_error"] is not None
         assert doc["routes_agree"] is False
+
+    def test_dims_pretty_n1_record_is_pinned(self, run_cli):
+        # The pretty record of a series error: K and I unknown, hyp undefined,
+        # and the error text on a line of its own.
+        assert run_cli("dims", "-m", "2", "-n", "1", "-r", "1") == (2, (
+            "m=2 n=1 r=1\n"
+            "  D = 0\n"
+            "  K = ?  (recursion=1, reduction=1, closed=1)\n"
+            "  I = ?  (sum=-1, hyp=undefined, subtract=-1)\n"
+            "  routes_agree = false\n"
+            "  in_validity_range = false\n"
+            "  hyp_error = denominator vanishes at term k=1 before the series terminates\n"
+        ), "")
+
+    def test_pretty_record_of_a_non_integral_i_hyp_is_pinned(self):
+        row = replace_row(
+            row_of(compute_record(DimQuery(3, 5, 2))), I_hyp=Fraction(23, 2), routes_agree=False
+        )
+        assert cli._record_pretty(row) == (
+            "m=3 n=5 r=2\n"
+            "  D = 20\n"
+            "  K = ?  (recursion=8, reduction=8, closed=8)\n"
+            "  I = ?  (sum=12, hyp=23/2, subtract=12)\n"
+            "  routes_agree = false\n"
+            "  in_validity_range = true\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["pretty", "csv"])
+    def test_classify_point_and_infinity_violations_are_pinned(self, run_cli, tmp_path, fmt):
+        # A point violation names its j; an infinity or a diagonal one has none.
+        config = tmp_path / "config.json"
+        config.write_text('{"m": 3, "g": "2/3", "lambdas": ["1", "1/5", "-6/5"]}')
+        assert run_cli("classify", str(config), "--format", fmt) == (3, {
+            "pretty": (
+                "config: m=3 g=2/3 lambdas=[1, 1/5, -6/5]\n"
+                "lambda_infinity = -4/3\n"
+                "resonant_indices = []\n"
+                "r = 0\n"
+                "violations:\n"
+                "  point: j=1 k=1 value=1\n"
+                "  point: j=1 k=3 value=5\n"
+                "  infinity: k=2 value=-2\n"
+                "  infinity: k=3 value=-2\n"
+                "  diagonal: k=3 value=2\n"
+                "assumption_valid = false\n"
+            ),
+            "csv": (
+                "m,n,r,lambda_infinity,assumption_valid,violations,D,K_recursion,"
+                "K_reduction,K_closed,I_sum,I_hyp,I_subtract,routes_agree,in_validity_range\n"
+                "3,3,0,-4/3,false,point:j=1:k=1:value=1;point:j=1:k=3:value=5;"
+                "infinity:k=2:value=-2;infinity:k=3:value=-2;diagonal:k=3:value=2,,,,,,,,,\n"
+            ),
+        }[fmt], "")
 
 
 class TestCsvQuoting:
