@@ -83,8 +83,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _bool_str(value: bool) -> str:
-    return "true" if value else "false"
+# A flag's text, indexed by the flag itself.
+_bool_str = ("false", "true")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -140,7 +140,7 @@ def _record_csv(row: tuple) -> str:
     return _RECORD_CSV % (
         m, n, r, d, k_rec, k_red, k_clo, i_sum,
         "" if i_hyp is None else format_rational(i_hyp), i_sub,
-        _bool_str(agree), _bool_str(valid),
+        _bool_str[agree], _bool_str[valid],
     )
 
 
@@ -207,7 +207,7 @@ def _record_json(row: tuple, depth: int) -> str:
         m, n, r, d, k_rec, k_red, k_clo, i_sum,
         "null" if i_hyp is None else '"' + format_rational(i_hyp) + '"', i_sub,
         k_clo if agree else "null", i_sum if agree else "null",
-        _bool_str(agree), _bool_str(valid),
+        _bool_str[agree], _bool_str[valid],
         "null" if hyp_error is None else json.dumps(hyp_error),
     )
 
@@ -301,7 +301,7 @@ def _classify_json(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
         _json_list([_VIOLATION_JSON % (
             v.condition, "null" if v.j is None else v.j, v.k, format_rational(v.value)
         ) for v in report.violations], "  "),
-        _bool_str(report.assumption_valid),
+        _bool_str[report.assumption_valid],
         "null" if row is None else _record_json(row, 1).lstrip(),
     )
 
@@ -321,7 +321,7 @@ def _classify_pretty(cfg: Any, report: ResonanceReport, row: tuple | None) -> st
             lines.append(f"  {condition}: {' '.join(parts)}")
     else:
         lines.append("violations: none")
-    lines.append(f"assumption_valid = {_bool_str(report.assumption_valid)}")
+    lines.append(f"assumption_valid = {_bool_str[report.assumption_valid]}")
     out = _lines(lines)
     if row is not None:
         out += "\n" + _record_pretty(row)
@@ -339,7 +339,7 @@ def _classify_csv(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
         "n": str(cfg.n),
         "r": str(report.r),
         "lambda_infinity": format_rational(report.lambda_infinity),
-        "assumption_valid": _bool_str(report.assumption_valid),
+        "assumption_valid": _bool_str[report.assumption_valid],
         "violations": ";".join(":".join(_violation_parts(v)) for v in report.violations),
     }
     record = _record_cells(row) if row is not None else [""] * len(CSV_COLUMNS)

@@ -30,7 +30,13 @@ D(M+2, n) (M+1)(M+2) = D(M, n) (n+M-1)(n+M). Downward it would divide by
 triangles: the K identities hold for any sequence of D values, so rows
 built from the walk would agree with K_closed even where the walk went
 wrong. Built from ``dim_D``, they make K_closed == K_recursion a check of
-every term of the walk, and I_sum == D - K_closed checks its first.
+every term of the walk, and I_sum == D - K_closed checks its first. A
+block that asks for r = 0, 1, ..., R sweeps the column c instead of summing
+it at each r: a list v starts as c, row r reads I_sum = v[0] and
+K_closed = c[0] - v[0], and then each v[s] becomes v[s] + v[s+1], the last
+entry carried, since sum_s C(r+1, s) c[s] = sum_s C(r, s) (c[s] + c[s+1]).
+A term then costs one addition where the sum at one r costs a binomial and
+a product.
 
 Degrees. At a fixed m every route is a polynomial in (n, r) on n >= 2,
 r >= 0. D(m', n) = C(n+m'-2, m') has degree m' in n, so I_sum, the sum over
@@ -42,7 +48,9 @@ give K degree <= m - 2 in n and <= m // 2 in r. D times term k of the 3F2
 is the s = k term of I_sum. So two routes that agree on n0..n0+m by
 0..m//2, n0 = max(2, m // 2), agree at every n >= 2 and 0 <= r <= n of that
 m; ``tests/test_route_degrees.py`` checks those grids for m <= 60 and the
-degree bounds on the code's values.
+degree bounds on the code's values. Its grids are blocks of r = 0..R, so
+they check the swept K_closed and I_sum; ``tests/test_dims.py`` holds the
+sums at one r to the sweep.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .exactnum import binom
@@ -271,7 +279,9 @@ def _column_sums(col: list[int], r: int) -> tuple[int, int]:
     """(K_closed, I_sum) at r from the ``_d_column`` of (m, n, R), for any R >= r.
 
     I_sum is the sum of C(r, s) col[s] over s <= r, as far as the column
-    goes, and K_closed = col[0] - I_sum is minus its terms for s >= 1.
+    goes, and K_closed = col[0] - I_sum is minus its terms for s >= 1. The
+    public routes and blocks of one r take it; a block of r = 0..R sweeps
+    the column instead (module docstring, "The D column").
     """
     total = sum(map(mul, map(math.comb, repeat(r), range(r + 1)), col))
     return col[0] - total, total
@@ -368,7 +378,10 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
 
     D, the D levels, both K rows K(m, n, 0..R) and the D column are built
     once, at R = rs[-1], when the first row is asked for; each r then costs
-    one ``_column_sums`` and one 3F2 series.
+    one 3F2 series, plus K_closed and I_sum. When ``rs`` is 0, 1, ..., R with
+    R >= 1, which for strictly ascending ``rs`` is R == len(rs) - 1, those
+    two come from the sweep of the column (module docstring, "The D
+    column"); else from one ``_column_sums`` per r.
 
     A nonzero ``limit`` is a digit limit for printed rows: every row holds
     D, so a D of more than ``limit`` digits raises ValueError before the
@@ -399,10 +412,16 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     ds = _d_levels(m, n, top)
     rec_row, red_row = _k_recursion_row(m, top, ds), _k_reduction_row(m, top, ds)
     col = _d_column(m, n, top)
+    sweep = col if 0 < top == len(rs) - 1 else None
     for r in rs:
         k_rec = rec_row[r]
         k_red = red_row[r]
-        k_clo, i_sum = _column_sums(col, r)
+        if sweep is None:
+            k_clo, i_sum = _column_sums(col, r)
+        else:
+            i_sum = sweep[0]
+            k_clo = col[0] - i_sum
+            sweep = [*map(add, sweep, sweep[1:]), sweep[-1]]
         i_sub = d - k_clo
         try:
             num, den = _i_hyp_pair(m, n, r)

@@ -127,7 +127,7 @@ def frozen_record_cells(row) -> list[str]:
     # An int as digits, a bool as true/false, a missing I_hyp as an empty
     # cell and a rational as p/q text.
     return [
-        str(v) if type(v) is int else cli._bool_str(v) if type(v) is bool
+        str(v) if type(v) is int else cli._bool_str[v] if type(v) is bool
         else "" if v is None else format_rational(v)
         for v in _FROZEN_CSV_VALUES(row)
     ]

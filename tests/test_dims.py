@@ -839,6 +839,33 @@ class TestAlternatingSumsMatchFrozenRoutes:
         assert dims._column_sums(column, r) == (-sum(terms[1:]), sum(terms))
 
 
+_K_CLOSED, _I_SUM = map(dims._ROW_FIELDS.index, ("K_closed", "I_sum"))
+
+
+class TestColumnSweep:
+    """A block of r = 0..R sweeps the D column; a block of one r sums it at that r."""
+
+    def test_every_swept_row_is_the_sum_at_its_r(self, monkeypatch):
+        column_sums = dims._column_sums
+        monkeypatch.setattr(dims, "_column_sums", None)  # a block of r = 0..n never calls it
+        blocks = [(m, n) for m in range(1, 41) for n in range(1, 41)] + [(400, 400)]
+        wrong = []
+        for m, n in blocks:
+            column = dims._d_column(m, n, n)
+            for row in dims._block_rows(m, n, range(n + 1)):
+                if (row[_K_CLOSED], row[_I_SUM]) != column_sums(column, row[2]):
+                    wrong.append(row[:3])
+        assert wrong == []
+
+    def test_single_r_rows_are_the_swept_rows_at_their_r(self):
+        swept = {row[:3]: row for row in dims._iter_rows((1, 12), (1, 40))}
+        for r_policy in ("only_n", "only_n_minus_1"):
+            rows = list(dims._iter_rows((1, 12), (1, 40), r_policy))
+            assert len(rows) == 12 * 40
+            for row in rows:
+                assert row == swept[row[:3]]
+
+
 # The per-query term walk that the D column and its per-r sum replaced, kept
 # verbatim as an oracle.
 
