@@ -31,12 +31,20 @@ triangles: the K identities hold for any sequence of D values, so rows
 built from the walk would agree with K_closed even where the walk went
 wrong. Built from ``dim_D``, they make K_closed == K_recursion a check of
 every term of the walk, and I_sum == D - K_closed checks its first. A
-block that asks for r = 0, 1, ..., R sweeps the column c instead of summing
-it at each r: a list v starts as c, row r reads I_sum = v[0] and
-K_closed = c[0] - v[0], and then each v[s] becomes v[s] + v[s+1], the last
-entry carried, since sum_s C(r+1, s) c[s] = sum_s C(r, s) (c[s] + c[s+1]).
-A term then costs one addition where the sum at one r costs a binomial and
-a product.
+block that asks for r = 0, 1, ..., R sweeps two columns c across r instead
+of summing sum_s C(r, s) c[s] at each r: this one, whose sum is I_sum with
+K_closed = c[0] - I_sum, and the 3F2 column of ``_hyp_column``, whose sum is
+D times the 3F2 over a den fixed for the block. ``_sweep`` is the one
+sweep: a list v starts as c and a 0 past its end, row r reads v[0], and
+then each v[s] becomes v[s] + v[s+1], since
+sum_s C(r+1, s) c[s] = sum_s C(r, s) (c[s] + c[s+1]). Row r+1 reads only
+v[0..R-r-1], so the step after row r keeps at most R - r entries before
+the 0, and none after row R. A term then costs one addition where the sum
+at one r costs a binomial and a product, and the series at one r a step
+of the kernel. The 3F2 column reads neither this column nor ``dim_D``,
+only the block's D(m, n), so I_hyp stays a route of its own. Its entries
+are den times this column's, so a wrong sweep would move I_sum and I_hyp
+alike: K_closed == K_recursion is the check of the sweep.
 
 Degrees. At a fixed m every route is a polynomial in (n, r) on n >= 2,
 r >= 0. D(m', n) = C(n+m'-2, m') has degree m' in n, so I_sum, the sum over
@@ -49,8 +57,8 @@ is the s = k term of I_sum. So two routes that agree on n0..n0+m by
 0..m//2, n0 = max(2, m // 2), agree at every n >= 2 and 0 <= r <= n of that
 m; ``tests/test_route_degrees.py`` checks those grids for m <= 60 and the
 degree bounds on the code's values. Its grids are blocks of r = 0..R, so
-they check the swept K_closed and I_sum; ``tests/test_dims.py`` holds the
-sums at one r to the sweep.
+they check the swept K_closed, I_sum and I_hyp; ``tests/test_dims.py``
+holds the sums and the kernel at one r to the sweeps.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ from operator import add, mul, sub
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .exactnum import binom
-from .hyper import HyperEvalError, _eval_scaled_3f2
+from .hyper import HyperEvalError, PoleBeforeTerminationError, _eval_scaled_3f2
 
 __all__ = [
     "DomainError",
@@ -326,6 +334,43 @@ def _i_hyp_pair(m: int, n: int, r: int) -> tuple[int, int]:
     return _eval_scaled_3f2(-2 * r, -m, 1 - m, 2 - n - m, 3 - n - m, 2, 1, 1)[:2]
 
 
+def _sweep(col: list[int], top: int) -> Iterator[int]:
+    """sum_s C(r, s) col[s] for r = 0, 1, ..., top: the sweep (module docstring, "The D column")."""
+    v = [*col, 0]
+    for keep in range(top, -1, -1):
+        yield v[0]
+        v = [*map(add, v, v[1 : keep + 1]), 0]
+
+
+def _hyp_column(m: int, n: int, top: int, d: int) -> tuple[list[int], int, int]:
+    """(col, den, pole): d times the 3F2 of ``dim_I_hyp`` at r <= top is col's sweep at r over den.
+
+    With a2, a3 = -m/2, (1-m)/2 and b1, b2 = (2-n-m)/2, (3-n-m)/2, and
+    (-r)_k / k! = (-1)^k C(r, k), the 3F2 is sum_k C(r, k) w_k / den for
+    w_k = (-1)^k (a2)_k (a3)_k (b1+k)_(depth-k) (b2+k)_(depth-k) and
+    den = (b1)_depth (b2)_depth. On the kernel's ints over L = 2, step j
+    multiplies the upper product by (p2+2j)(p3+2j), p2 = -m, p3 = 1-m, and
+    the lower by (q1+2j)(q2+2j), q1 = 2-n-m, q2 = 3-n-m; the powers of L
+    cancel. The steps follow the kernel's rule: a zero numerator ends the
+    column (first at j = m // 2, so depth = min(top, m // 2) without a
+    pole), else a zero denominator is a pole at term k = j + 1, met by every
+    r >= k; pole is that k, or top + 1. From w_0 = den each entry is the
+    exact w_(j+1) = -w_j (p2+2j)(p3+2j) / ((q1+2j)(q2+2j)); col holds d w_k.
+    """
+    steps, pole = [], top + 1
+    for j in range(top):
+        a = (2 * j - m) * (2 * j + 1 - m)
+        if a == 0:
+            break
+        b = (2 * j + 2 - n - m) * (2 * j + 3 - n - m)
+        if b == 0:
+            pole = j + 1
+            break
+        steps.append((a, b))
+    den = math.prod(b for _, b in steps)
+    return list(accumulate(steps, lambda w, ab: -w * ab[0] // ab[1], initial=d * den)), den, pole
+
+
 class ExtremeImageDims(NamedTuple):
     at_n: int
     at_n_minus_1: int
@@ -377,11 +422,13 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     """The rows of (m, n, r) for each r of ``rs``, which ascend, laid out as ``_ROW_FIELDS``.
 
     D, the D levels, both K rows K(m, n, 0..R) and the D column are built
-    once, at R = rs[-1], when the first row is asked for; each r then costs
-    one 3F2 series, plus K_closed and I_sum. When ``rs`` is 0, 1, ..., R with
-    R >= 1, which for strictly ascending ``rs`` is R == len(rs) - 1, those
-    two come from the sweep of the column (module docstring, "The D
-    column"); else from one ``_column_sums`` per r.
+    once, at R = rs[-1], when the first row is asked for. When ``rs`` is
+    0, 1, ..., R with R >= 1, which for strictly ascending ``rs`` is
+    R == len(rs) - 1, so is the 3F2 column, and each r costs one step of
+    each column's sweep (module docstring, "The D column"): K_closed and
+    I_sum, and d num of I_hyp over the column's den; a row at or past the
+    column's pole gets the kernel's error. Else each r costs one
+    ``_column_sums`` and one 3F2 series of the kernel.
 
     A nonzero ``limit`` is a digit limit for printed rows: every row holds
     D, so a D of more than ``limit`` digits raises ValueError before the
@@ -394,12 +441,12 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     passes on one bit_length test. Callers that print pass the interpreter's
     int-to-str limit; library callers pass none and get exact rows at any size.
 
-    I_hyp = d num / den, from the kernel's pair, is checked on ints: with
-    q, rem = divmod(d num, den) it is integral iff rem == 0, and is then q,
-    so the routes agree iff rem == 0 and q == I_sum == I_subtract. q is the
-    floor of the exact quotient for either sign of den, so q >= 0 iff
-    I_hyp >= 0. The row keeps an integral I_hyp as the int q and any other
-    as Fraction(d num, den).
+    I_hyp = d num / den, from the kernel's pair or the swept column, is
+    checked on ints: with q, rem = divmod(d num, den) it is integral iff
+    rem == 0, and is then q, so the routes agree iff rem == 0 and
+    q == I_sum == I_subtract. q is the floor of the exact quotient for
+    either sign of den, so q >= 0 iff I_hyp >= 0. The row keeps an integral
+    I_hyp as the int q and any other as Fraction(d num, den).
     """
     top = rs[-1]
     if limit and m + n - 2 > 3 * limit:
@@ -412,27 +459,34 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     ds = _d_levels(m, n, top)
     rec_row, red_row = _k_recursion_row(m, top, ds), _k_reduction_row(m, top, ds)
     col = _d_column(m, n, top)
-    sweep = col if 0 < top == len(rs) - 1 else None
+    nums = None
+    if 0 < top == len(rs) - 1:
+        hyp_col, den, pole = _hyp_column(m, n, top, d)
+        sums, nums = _sweep(col, top), _sweep(hyp_col, top)
     for r in rs:
-        k_rec = rec_row[r]
-        k_red = red_row[r]
-        if sweep is None:
+        k_rec, k_red = rec_row[r], red_row[r]
+        if nums is None:
             k_clo, i_sum = _column_sums(col, r)
         else:
-            i_sum = sweep[0]
+            i_sum = next(sums)
             k_clo = col[0] - i_sum
-            sweep = [*map(add, sweep, sweep[1:]), sweep[-1]]
         i_sub = d - k_clo
         try:
-            num, den = _i_hyp_pair(m, n, r)
+            if nums is None:
+                num, den = _i_hyp_pair(m, n, r)
+                num *= d
+            else:
+                num = next(nums)
+                if r >= pole:
+                    raise PoleBeforeTerminationError(pole)
         except HyperEvalError as exc:
             # No I_hyp: rem = 1 makes it agree with no route, and q = I_sum
             # adds no bound that I_sum does not already meet.
             i_hyp, hyp_error, q, rem = None, str(exc), i_sum, 1
         else:
             hyp_error = None
-            q, rem = divmod(d * num, den)
-            i_hyp = Fraction(d * num, den) if rem else q
+            q, rem = divmod(num, den)  # num holds d num
+            i_hyp = Fraction(num, den) if rem else q
         agree = k_rec == k_red == k_clo and rem == 0 and q == i_sum == i_sub
         # Each K in 0..D (so D >= 0) and each I >= 0.
         valid = (

@@ -865,6 +865,81 @@ class TestColumnSweep:
             for row in rows:
                 assert row == swept[row[:3]]
 
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(), min_size=1, max_size=12), st.integers(min_value=0, max_value=20))
+    @example(col=[7], top=4)
+    @example(col=[3, -1, 4, 1, -5], top=1)
+    def test_sweep_yields_the_binomial_sums(self, col, top):
+        given_col = list(col)
+        want = [sum(math.comb(r, s) * c for s, c in enumerate(col)) for r in range(top + 1)]
+        assert list(dims._sweep(col, top)) == want
+        assert col == given_col
+
+
+_HYP_ERROR, _VALID = map(ROW_COLUMNS.index, ("hyp_error", "in_validity_range"))
+
+
+def kernel_hyp(pair, m: int, n: int, r: int) -> tuple:
+    """(type, value) of I_hyp and hyp_error at (m, n, r) from a kernel pair, as one row has them."""
+    d = dim_D(m, n)
+    try:
+        num, den = pair(m, n, r)
+    except HyperEvalError as exc:
+        return type(None), None, str(exc)
+    q, rem = divmod(d * num, den)
+    i_hyp = Fraction(d * num, den) if rem else q
+    return type(i_hyp), i_hyp, None
+
+
+def inverse_sweep(sums: list[int]) -> list[int]:
+    """The column whose ``_sweep`` yields ``sums``: col[s] = sum_t (-1)^(s-t) C(s, t) sums[t]."""
+    return [
+        sum((-1) ** (s - t) * math.comb(s, t) * sums[t] for t in range(s + 1))
+        for s in range(len(sums))
+    ]
+
+
+class TestHypColumnSweep:
+    """A block of r = 0..R sweeps the 3F2 column; a block of one r calls the kernel."""
+
+    def test_every_swept_row_is_the_kernel_at_its_r(self, monkeypatch):
+        pair = dims._i_hyp_pair
+        monkeypatch.setattr(dims, "_i_hyp_pair", None)  # a block of r = 0..n never calls it
+        blocks = [(m, n) for m in range(1, 41) for n in range(1, 41)] + [(400, 400), (60, 3000)]
+        wrong = []
+        for m, n in blocks:
+            for row in dims._block_rows(m, n, range(n + 1)):
+                got = type(row[_I_HYP]), row[_I_HYP], row[_HYP_ERROR]
+                if got != kernel_hyp(pair, m, n, row[2]):
+                    wrong.append(row[:3])
+        assert wrong == []
+        # The one pole row of the domain: n = 1 and r >= m / 2 = 1.
+        row = list(dims._block_rows(2, 1, range(2)))[1]
+        assert row[_I_HYP] is None and not row[_AGREE]
+        assert row[_HYP_ERROR] == "denominator vanishes at term k=1 before the series terminates"
+
+    def test_each_check_applies_to_swept_rows(self, monkeypatch):
+        # D(4, 5) = 35 and the column's den is 42 * 20 = 840: one more unit in
+        # the numerator at r = 3 gives I_hyp = 8 + 1/840, and -(I_sum + 1) den
+        # at r = 2 gives I_hyp = -1. No other row moves.
+        true_rows = list(dims._block_rows(4, 5, range(6)))
+        col, den, pole = dims._hyp_column(4, 5, 5, 35)
+        assert den == 840 and pole == 6
+        shift = [0] * 6
+        shift[3] = 1
+        shift[2] = -(true_rows[2][_I_SUM] + 1) * den
+        bent = [a + b for a, b in itertools.zip_longest(col, inverse_sweep(shift), fillvalue=0)]
+        monkeypatch.setattr(dims, "_hyp_column", lambda m, n, top, d: (bent, den, pole))
+        rows = list(dims._block_rows(4, 5, range(6)))
+        assert rows[3][_I_HYP] == 8 + Fraction(1, 840) and type(rows[3][_I_HYP]) is Fraction
+        assert not rows[3][_AGREE] and rows[3][_VALID]
+        assert rows[2][_I_HYP] == -1 and type(rows[2][_I_HYP]) is int
+        assert not rows[2][_AGREE] and not rows[2][_VALID]
+        assert [row for r, row in enumerate(rows) if r not in (2, 3)] == [
+            row for r, row in enumerate(true_rows) if r not in (2, 3)
+        ]
+        assert all(true_rows[r][_AGREE] and true_rows[r][_VALID] for r in (2, 3))
+
 
 # The per-query term walk that the D column and its per-r sum replaced, kept
 # verbatim as an oracle.
