@@ -42,9 +42,16 @@ v[0..R-r-1], so the step after row r keeps at most R - r entries before
 the 0, and none after row R. A term then costs one addition where the sum
 at one r costs a binomial and a product, and the series at one r a step
 of the kernel. The 3F2 column reads neither this column nor ``dim_D``,
-only the block's D(m, n), so I_hyp stays a route of its own. Its entries
-are den times this column's, so a wrong sweep would move I_sum and I_hyp
-alike: K_closed == K_recursion is the check of the sweep.
+only the block's D(m, n), so I_hyp stays a route of its own. Yet both
+Pochhammer pairs of the 3F2 collapse: (-m/2)_k ((1-m)/2)_k = (-m)_(2k) / 4^k
+= m! / ((m-2k)! 4^k), and ((2-n-m)/2)_k ((3-n-m)/2)_k = (n+m-2)! /
+((n+m-2-2k)! 4^k) before a pole, so D(m, n) times term k is
+(-1)^k C(r, k) D(m-2k, n), and the 3F2 column is den times this one. The
+sweep is linear and, over r = 0..R, one-to-one on columns of at most R + 1
+entries (binomial inversion), so d num == den I_sum at every r exactly when
+the two columns are equal: a block checks I_hyp by that one comparison, and
+sweeps the 3F2 column only where it fails. A wrong sweep would move I_sum
+and I_hyp alike: K_closed == K_recursion is the check of the sweep.
 
 Degrees. At a fixed m every route is a polynomial in (n, r) on n >= 2,
 r >= 0. D(m', n) = C(n+m'-2, m') has degree m' in n, so I_sum, the sum over
@@ -425,10 +432,12 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     once, at R = rs[-1], when the first row is asked for. When ``rs`` is
     0, 1, ..., R with R >= 1, which for strictly ascending ``rs`` is
     R == len(rs) - 1, so is the 3F2 column, and each r costs one step of
-    each column's sweep (module docstring, "The D column"): K_closed and
-    I_sum, and d num of I_hyp over the column's den; a row at or past the
-    column's pole gets the kernel's error. Else each r costs one
-    ``_column_sums`` and one 3F2 series of the kernel.
+    the D column's sweep, for K_closed and I_sum (module docstring, "The D
+    column"). If the 3F2 column is den times the D column, I_hyp is I_sum;
+    else each r costs one step of its sweep too, for d num of I_hyp over
+    the column's den, and a row at or past its pole gets the kernel's
+    error. Else each r costs one ``_column_sums`` and one 3F2 series of the
+    kernel.
 
     A nonzero ``limit`` is a digit limit for printed rows: every row holds
     D, so a D of more than ``limit`` digits raises ValueError before the
@@ -441,10 +450,10 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     passes on one bit_length test. Callers that print pass the interpreter's
     int-to-str limit; library callers pass none and get exact rows at any size.
 
-    I_hyp = d num / den, from the kernel's pair or the swept column, is
-    checked on ints: with q, rem = divmod(d num, den) it is integral iff
-    rem == 0, and is then q, so the routes agree iff rem == 0 and
-    q == I_sum == I_subtract. q is the floor of the exact quotient for
+    Any other I_hyp = d num / den, from the kernel's pair or the swept
+    column, is checked on ints: with q, rem = divmod(d num, den) it is
+    integral iff rem == 0, and is then q, so the routes agree iff rem == 0
+    and q == I_sum == I_subtract. q is the floor of the exact quotient for
     either sign of den, so q >= 0 iff I_hyp >= 0. The row keeps an integral
     I_hyp as the int q and any other as Fraction(d num, den).
     """
@@ -459,34 +468,40 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     ds = _d_levels(m, n, top)
     rec_row, red_row = _k_recursion_row(m, top, ds), _k_reduction_row(m, top, ds)
     col = _d_column(m, n, top)
-    nums = None
+    sums = nums = None
+    same = False
     if 0 < top == len(rs) - 1:
         hyp_col, den, pole = _hyp_column(m, n, top, d)
-        sums, nums = _sweep(col, top), _sweep(hyp_col, top)
+        sums = _sweep(col, top)
+        same = hyp_col == [den * c for c in col]
+        nums = None if same else _sweep(hyp_col, top)
     for r in rs:
         k_rec, k_red = rec_row[r], red_row[r]
-        if nums is None:
+        if sums is None:
             k_clo, i_sum = _column_sums(col, r)
         else:
             i_sum = next(sums)
             k_clo = col[0] - i_sum
         i_sub = d - k_clo
-        try:
-            if nums is None:
-                num, den = _i_hyp_pair(m, n, r)
-                num *= d
-            else:
-                num = next(nums)
-                if r >= pole:
-                    raise PoleBeforeTerminationError(pole)
-        except HyperEvalError as exc:
-            # No I_hyp: rem = 1 makes it agree with no route, and q = I_sum
-            # adds no bound that I_sum does not already meet.
-            i_hyp, hyp_error, q, rem = None, str(exc), i_sum, 1
+        if same:
+            i_hyp, hyp_error, q, rem = i_sum, None, i_sum, 0
         else:
-            hyp_error = None
-            q, rem = divmod(num, den)  # num holds d num
-            i_hyp = Fraction(num, den) if rem else q
+            try:
+                if nums is None:
+                    num, den = _i_hyp_pair(m, n, r)
+                    num *= d
+                else:
+                    num = next(nums)
+                    if r >= pole:
+                        raise PoleBeforeTerminationError(pole)
+            except HyperEvalError as exc:
+                # No I_hyp: rem = 1 makes it agree with no route, and q = I_sum
+                # adds no bound that I_sum does not already meet.
+                i_hyp, hyp_error, q, rem = None, str(exc), i_sum, 1
+            else:
+                hyp_error = None
+                q, rem = divmod(num, den)  # num holds d num
+                i_hyp = Fraction(num, den) if rem else q
         agree = k_rec == k_red == k_clo and rem == 0 and q == i_sum == i_sub
         # Each K in 0..D (so D >= 0) and each I >= 0.
         valid = (

@@ -185,9 +185,10 @@ def config_from_json(doc: str | bytes | dict[str, Any]) -> ExponentConfig:
     if isinstance(doc, (str, bytes)):
         try:
             data = json.loads(doc)
-        # JSONDecodeError, UnicodeDecodeError, and the ValueError of an
-        # integer literal longer than the int-string digit limit.
-        except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, the ValueError of an integer
+        # literal longer than the int-string digit limit, and the
+        # RecursionError of arrays or objects nested past the stack.
+        except (ValueError, RecursionError) as exc:
             raise ConfigParseError(f"not valid JSON: {exc}") from exc
     else:
         data = doc

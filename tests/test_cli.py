@@ -105,6 +105,20 @@ class TestExitCodes:
         assert out == ""
         assert "not valid JSON" in err and err.count("\n") == 1
 
+    def test_classify_deeply_nested_document(self, tmp_path):
+        # A real process, as the traceback this guards against is what it prints.
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)
+        src = Path(selbergdim.__file__).parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "selbergdim", "classify", str(nested)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=False, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("selbergdim classify: error: not valid JSON: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     def test_verify_unknown_suite_is_usage_error(self, run_cli):
         code, _, err = run_cli("verify", "everything")
         assert code == 1

@@ -940,6 +940,40 @@ class TestHypColumnSweep:
         ]
         assert all(true_rows[r][_AGREE] and true_rows[r][_VALID] for r in (2, 3))
 
+    @pytest.mark.parametrize("m, n, deltas", [(12, 9, (1, -1)), (400, 400, (1,))])
+    def test_the_column_comparison_sees_every_entry(self, monkeypatch, m, n, deltas):
+        # One unit more or less in entry k moves the sweep at every r >= k by
+        # C(r, k) units of d num, so those rows disagree and no other row moves.
+        true_rows = list(dims._block_rows(m, n, range(n + 1)))
+        col, den, pole = dims._hyp_column(m, n, n, dim_D(m, n))
+        assert len(col) == min(n, m // 2) + 1 and pole == n + 1
+        for k, delta in itertools.product(range(len(col)), deltas):
+            bent = col[:k] + [col[k] + delta] + col[k + 1 :]
+            monkeypatch.setattr(dims, "_hyp_column", lambda *args, bent=bent: (bent, den, pole))
+            rows = list(dims._block_rows(m, n, range(n + 1)))
+            assert rows[:k] == true_rows[:k], (k, delta)
+            assert [type(row[_I_HYP]) for row in rows[:k]] == [int] * k, (k, delta)
+            assert not any(row[_AGREE] for row in rows[k:]), (k, delta)
+
+    def test_equal_columns_skip_the_second_sweep(self, monkeypatch):
+        # The 3F2 column is den times the D column wherever it has no pole, so
+        # every swept block but (2, 1) sweeps the D column alone.
+        blocks = [(m, n) for m in range(1, 61) for n in range(1, 61)] + [(400, 400), (60, 3000)]
+        unequal = []
+        for m, n in blocks:
+            col, den, _ = dims._hyp_column(m, n, n, dim_D(m, n))
+            if col != [den * c for c in dims._d_column(m, n, n)]:
+                unequal.append((m, n))
+        assert unequal == [(2, 1)]
+        sweep, calls = dims._sweep, []
+        monkeypatch.setattr(dims, "_sweep", lambda col, top: calls.append(top) or sweep(col, top))
+        sweeps = {}
+        for m, n in blocks:
+            calls.clear()
+            list(dims._block_rows(m, n, range(n + 1)))
+            sweeps.setdefault(len(calls), []).append((m, n))
+        assert sweeps.keys() == {1, 2} and sweeps[2] == [(2, 1)]
+
 
 # The per-query term walk that the D column and its per-r sum replaced, kept
 # verbatim as an oracle.

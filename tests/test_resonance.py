@@ -281,6 +281,12 @@ class TestConfigJson:
         with pytest.raises(ConfigParseError, match="not valid JSON"):
             config_from_json(doc)
 
+    @pytest.mark.parametrize("opener", ["[", '{"a": '])
+    def test_nesting_past_the_stack_is_a_parse_error(self, opener):
+        # json.loads raises RecursionError, not a ValueError, on such a document.
+        with pytest.raises(ConfigParseError, match="not valid JSON: maximum recursion depth"):
+            config_from_json(opener * 100_000)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExponentConfig(m=0, g=F(1, 2), lambdas=(F(1, 4),))
