@@ -28,8 +28,10 @@ Exit codes:
     1  usage, parse or I/O error, a value with more digits than the
        interpreter's int-to-str limit (``PYTHONINTMAXSTRDIGITS=0`` lifts
        it), or rows too large for the memory the process may take (one
-       ``out of memory`` line, no traceback); a streamed table stops at
-       that record
+       ``out of memory`` line, no traceback), or a count past the
+       interpreter's index limit, ``sys.maxsize`` (one ``too large`` line,
+       as for ``classify`` with m = 10^30); a streamed table stops at that
+       record
     2  route disagreement or a failed verification suite
     3  resonance assumptions violated (classify; report still printed)
   141  stdout was closed before all output was written (``... | head``);
@@ -610,6 +612,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     # Rows too large for the memory the process may take (a K row has r + 1 entries).
     except MemoryError:
         return _usage_error(args, "out of memory: the rows of this request do not fit")
+    # A count past the largest index a list or range can hold (sys.maxsize),
+    # such as classify's tests up to m = 10^30 or a K row of 10^30 entries.
+    except OverflowError:
+        return _usage_error(args, "too large: this request counts past the interpreter's index limit")
 
 
 def run() -> None:

@@ -31,27 +31,28 @@ triangles: the K identities hold for any sequence of D values, so rows
 built from the walk would agree with K_closed even where the walk went
 wrong. Built from ``dim_D``, they make K_closed == K_recursion a check of
 every term of the walk, and I_sum == D - K_closed checks its first. A
-block that asks for r = 0, 1, ..., R sweeps two columns c across r instead
-of summing sum_s C(r, s) c[s] at each r: this one, whose sum is I_sum with
-K_closed = c[0] - I_sum, and the 3F2 column of ``_hyp_column``, whose sum is
-D times the 3F2 over a den fixed for the block. ``_sweep`` is the one
-sweep: a list v starts as c and a 0 past its end, row r reads v[0], and
-then each v[s] becomes v[s] + v[s+1], since
+block that asks for r = 0, 1, ..., R sweeps this column c across r instead
+of summing sum_s C(r, s) c[s] at each r: row r reads I_sum, with K_closed =
+c[0] - I_sum. ``_sweep`` is the sweep: a list v starts as c and a 0 past
+its end, row r reads v[0], and then each v[s] becomes v[s] + v[s+1], since
 sum_s C(r+1, s) c[s] = sum_s C(r, s) (c[s] + c[s+1]). Row r+1 reads only
 v[0..R-r-1], so the step after row r keeps at most R - r entries before
 the 0, and none after row R. A term then costs one addition where the sum
-at one r costs a binomial and a product, and the series at one r a step
-of the kernel. The 3F2 column reads neither this column nor ``dim_D``,
-only the block's D(m, n), so I_hyp stays a route of its own. Yet both
-Pochhammer pairs of the 3F2 collapse: (-m/2)_k ((1-m)/2)_k = (-m)_(2k) / 4^k
-= m! / ((m-2k)! 4^k), and ((2-n-m)/2)_k ((3-n-m)/2)_k = (n+m-2)! /
-((n+m-2-2k)! 4^k) before a pole, so D(m, n) times term k is
-(-1)^k C(r, k) D(m-2k, n), and the 3F2 column is den times this one. The
-sweep is linear and, over r = 0..R, one-to-one on columns of at most R + 1
-entries (binomial inversion), so d num == den I_sum at every r exactly when
-the two columns are equal: a block checks I_hyp by that one comparison, and
-sweeps the 3F2 column only where it fails. A wrong sweep would move I_sum
-and I_hyp alike: K_closed == K_recursion is the check of the sweep.
+at one r costs a binomial and a product. The block's 3F2 is a column too:
+``_hyp_column`` factors -r out of each term, so d times the 3F2 at r is
+the sum of that column at r over a den fixed for the block. It reads
+neither this column nor ``dim_D``, only the block's D(m, n), so I_hyp
+stays a route of its own. Yet both Pochhammer pairs of the 3F2 collapse:
+(-m/2)_k ((1-m)/2)_k = (-m)_(2k) / 4^k = m! / ((m-2k)! 4^k), and
+((2-n-m)/2)_k ((3-n-m)/2)_k = (n+m-2)! / ((n+m-2-2k)! 4^k) before a pole,
+so D(m, n) times term k is (-1)^k C(r, k) D(m-2k, n), and the 3F2 column
+is den times this one. The sweep is linear and, over r = 0..R, one-to-one
+on columns of at most R + 1 entries (binomial inversion), so d num ==
+den I_sum at every r exactly when the two columns are equal: a block
+checks I_hyp by that one comparison. Where it fails, by a pole ((2, 1) in
+the domain) or a wrong column, each row runs the kernel at its r, as a
+block of one r does. A wrong sweep would move I_sum and I_hyp alike:
+K_closed == K_recursion is the check of the sweep.
 
 Degrees. At a fixed m every route is a polynomial in (n, r) on n >= 2,
 r >= 0. D(m', n) = C(n+m'-2, m') has degree m' in n, so I_sum, the sum over
@@ -73,12 +74,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, takewhile
 from operator import add, mul, sub
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .exactnum import binom
-from .hyper import HyperEvalError, PoleBeforeTerminationError, _eval_scaled_3f2
+from .hyper import HyperEvalError, _eval_scaled_3f2
 
 __all__ = [
     "DomainError",
@@ -349,8 +350,8 @@ def _sweep(col: list[int], top: int) -> Iterator[int]:
         v = [*map(add, v, v[1 : keep + 1]), 0]
 
 
-def _hyp_column(m: int, n: int, top: int, d: int) -> tuple[list[int], int, int]:
-    """(col, den, pole): d times the 3F2 of ``dim_I_hyp`` at r <= top is col's sweep at r over den.
+def _hyp_column(m: int, n: int, top: int, d: int) -> tuple[list[int], int]:
+    """(col, den): d times the 3F2 of ``dim_I_hyp`` at r <= top is col's sweep at r over den.
 
     With a2, a3 = -m/2, (1-m)/2 and b1, b2 = (2-n-m)/2, (3-n-m)/2, and
     (-r)_k / k! = (-1)^k C(r, k), the 3F2 is sum_k C(r, k) w_k / den for
@@ -358,24 +359,21 @@ def _hyp_column(m: int, n: int, top: int, d: int) -> tuple[list[int], int, int]:
     den = (b1)_depth (b2)_depth. On the kernel's ints over L = 2, step j
     multiplies the upper product by (p2+2j)(p3+2j), p2 = -m, p3 = 1-m, and
     the lower by (q1+2j)(q2+2j), q1 = 2-n-m, q2 = 3-n-m; the powers of L
-    cancel. The steps follow the kernel's rule: a zero numerator ends the
-    column (first at j = m // 2, so depth = min(top, m // 2) without a
-    pole), else a zero denominator is a pole at term k = j + 1, met by every
-    r >= k; pole is that k, or top + 1. From w_0 = den each entry is the
-    exact w_(j+1) = -w_j (p2+2j)(p3+2j) / ((q1+2j)(q2+2j)); col holds d w_k.
+    cancel. The column ends at the first step with a zero factor: a zero
+    numerator, first at j = m // 2, so depth = min(top, m // 2), or a zero
+    denominator, a pole, which leaves the column shorter than that. The
+    pole's rule is the kernel's alone; a short column never equals the D
+    column, so its block runs the kernel (``_block_rows``). From w_0 = den
+    each entry is the exact w_(j+1) = -w_j (p2+2j)(p3+2j) / ((q1+2j)(q2+2j));
+    col holds d w_k.
     """
-    steps, pole = [], top + 1
-    for j in range(top):
-        a = (2 * j - m) * (2 * j + 1 - m)
-        if a == 0:
-            break
-        b = (2 * j + 2 - n - m) * (2 * j + 3 - n - m)
-        if b == 0:
-            pole = j + 1
-            break
-        steps.append((a, b))
+    factors = (
+        ((2 * j - m) * (2 * j + 1 - m), (2 * j + 2 - n - m) * (2 * j + 3 - n - m))
+        for j in range(top)
+    )
+    steps = list(takewhile(all, factors))  # up to the first zero factor
     den = math.prod(b for _, b in steps)
-    return list(accumulate(steps, lambda w, ab: -w * ab[0] // ab[1], initial=d * den)), den, pole
+    return list(accumulate(steps, lambda w, ab: -w * ab[0] // ab[1], initial=d * den)), den
 
 
 class ExtremeImageDims(NamedTuple):
@@ -434,10 +432,8 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     R == len(rs) - 1, so is the 3F2 column, and each r costs one step of
     the D column's sweep, for K_closed and I_sum (module docstring, "The D
     column"). If the 3F2 column is den times the D column, I_hyp is I_sum;
-    else each r costs one step of its sweep too, for d num of I_hyp over
-    the column's den, and a row at or past its pole gets the kernel's
-    error. Else each r costs one ``_column_sums`` and one 3F2 series of the
-    kernel.
+    else each r runs the kernel for I_hyp, as a block of one r does. Else
+    each r costs one ``_column_sums`` and one 3F2 series of the kernel.
 
     A nonzero ``limit`` is a digit limit for printed rows: every row holds
     D, so a D of more than ``limit`` digits raises ValueError before the
@@ -450,12 +446,12 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     passes on one bit_length test. Callers that print pass the interpreter's
     int-to-str limit; library callers pass none and get exact rows at any size.
 
-    Any other I_hyp = d num / den, from the kernel's pair or the swept
-    column, is checked on ints: with q, rem = divmod(d num, den) it is
-    integral iff rem == 0, and is then q, so the routes agree iff rem == 0
-    and q == I_sum == I_subtract. q is the floor of the exact quotient for
-    either sign of den, so q >= 0 iff I_hyp >= 0. The row keeps an integral
-    I_hyp as the int q and any other as Fraction(d num, den).
+    Any other I_hyp = d num / den, from the kernel's pair, is checked on
+    ints: with q, rem = divmod(d num, den) it is integral iff rem == 0, and
+    is then q, so the routes agree iff rem == 0 and q == I_sum ==
+    I_subtract. q is the floor of the exact quotient for either sign of
+    den, so q >= 0 iff I_hyp >= 0. The row keeps an integral I_hyp as the
+    int q and any other as Fraction(d num, den).
     """
     top = rs[-1]
     if limit and m + n - 2 > 3 * limit:
@@ -468,13 +464,12 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     ds = _d_levels(m, n, top)
     rec_row, red_row = _k_recursion_row(m, top, ds), _k_reduction_row(m, top, ds)
     col = _d_column(m, n, top)
-    sums = nums = None
+    sums = None
     same = False
     if 0 < top == len(rs) - 1:
-        hyp_col, den, pole = _hyp_column(m, n, top, d)
+        hyp_col, den = _hyp_column(m, n, top, d)
         sums = _sweep(col, top)
         same = hyp_col == [den * c for c in col]
-        nums = None if same else _sweep(hyp_col, top)
     for r in rs:
         k_rec, k_red = rec_row[r], red_row[r]
         if sums is None:
@@ -487,20 +482,15 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
             i_hyp, hyp_error, q, rem = i_sum, None, i_sum, 0
         else:
             try:
-                if nums is None:
-                    num, den = _i_hyp_pair(m, n, r)
-                    num *= d
-                else:
-                    num = next(nums)
-                    if r >= pole:
-                        raise PoleBeforeTerminationError(pole)
+                num, den = _i_hyp_pair(m, n, r)
             except HyperEvalError as exc:
                 # No I_hyp: rem = 1 makes it agree with no route, and q = I_sum
                 # adds no bound that I_sum does not already meet.
                 i_hyp, hyp_error, q, rem = None, str(exc), i_sum, 1
             else:
                 hyp_error = None
-                q, rem = divmod(num, den)  # num holds d num
+                num *= d
+                q, rem = divmod(num, den)
                 i_hyp = Fraction(num, den) if rem else q
         agree = k_rec == k_red == k_clo and rem == 0 and q == i_sum == i_sub
         # Each K in 0..D (so D >= 0) and each I >= 0.

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,19 +106,49 @@ class TestExitCodes:
         assert out == ""
         assert "not valid JSON" in err and err.count("\n") == 1
 
-    def test_classify_deeply_nested_document(self, tmp_path):
-        # A real process, as the traceback this guards against is what it prints.
-        nested = tmp_path / "nested.json"
-        nested.write_text("[" * 100_000)
+    @staticmethod
+    def classify_process(config: Path) -> subprocess.CompletedProcess:
+        # A real process, as the traceback these guard against is what it prints.
         src = Path(selbergdim.__file__).parent.parent
-        proc = subprocess.run(
-            [sys.executable, "-m", "selbergdim", "classify", str(nested)],
+        return subprocess.run(
+            [sys.executable, "-m", "selbergdim", "classify", str(config)],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, check=False, timeout=10,
         )
+
+    def test_classify_deeply_nested_document(self, tmp_path):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)
+        proc = self.classify_process(nested)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("selbergdim classify: error: not valid JSON: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_classify_m_past_the_index_limit(self, tmp_path):
+        # The tests run up to k = m, a range longer than sys.maxsize.
+        huge = tmp_path / "huge-m.json"
+        huge.write_text('{"m": 1' + "0" * 30 + ', "g": "1/3", "lambdas": ["1/5"]}')
+        start = time.perf_counter()
+        proc = self.classify_process(huge)
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "selbergdim classify: error: too large: this request counts past the "
+            "interpreter's index limit\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ("dims", "-m", "3", "-n", str(10**30), "-r", str(10**30)),
+        ("table", "--m-range", "3..3", "--n-range", f"{10**30}..{10**30}", "--r-policy", "only-n"),
+    ], ids=lambda argv: argv[0])
+    def test_k_row_past_the_index_limit_is_one_line(self, run_cli, argv):
+        # A K row of 10^30 + 1 entries is longer than any list can be.
+        code, _, err = run_cli(*argv, "--format", "json")
+        assert code == 1
+        assert err == (
+            f"selbergdim {argv[0]}: error: too large: this request counts past the "
+            "interpreter's index limit\n"
+        )
 
     def test_verify_unknown_suite_is_usage_error(self, run_cli):
         code, _, err = run_cli("verify", "everything")

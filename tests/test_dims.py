@@ -891,20 +891,23 @@ def kernel_hyp(pair, m: int, n: int, r: int) -> tuple:
     return type(i_hyp), i_hyp, None
 
 
-def inverse_sweep(sums: list[int]) -> list[int]:
-    """The column whose ``_sweep`` yields ``sums``: col[s] = sum_t (-1)^(s-t) C(s, t) sums[t]."""
-    return [
-        sum((-1) ** (s - t) * math.comb(s, t) * sums[t] for t in range(s + 1))
-        for s in range(len(sums))
-    ]
+def recorded_pair(monkeypatch) -> list[tuple[int, int, int]]:
+    """Wrap ``dims._i_hyp_pair`` so that it records each (m, n, r) it is called at."""
+    pair, calls = dims._i_hyp_pair, []
+    monkeypatch.setattr(dims, "_i_hyp_pair", lambda *mnr: calls.append(mnr) or pair(*mnr))
+    return calls
 
 
 class TestHypColumnSweep:
-    """A block of r = 0..R sweeps the 3F2 column; a block of one r calls the kernel."""
+    """A block of r = 0..R compares its 3F2 column with its D column once.
+
+    Equal columns give each row I_hyp = I_sum; where they differ, as in a
+    block of one r, each row runs the kernel at its r.
+    """
 
     def test_every_swept_row_is_the_kernel_at_its_r(self, monkeypatch):
         pair = dims._i_hyp_pair
-        monkeypatch.setattr(dims, "_i_hyp_pair", None)  # a block of r = 0..n never calls it
+        calls = recorded_pair(monkeypatch)
         blocks = [(m, n) for m in range(1, 41) for n in range(1, 41)] + [(400, 400), (60, 3000)]
         wrong = []
         for m, n in blocks:
@@ -913,23 +916,27 @@ class TestHypColumnSweep:
                 if got != kernel_hyp(pair, m, n, row[2]):
                     wrong.append(row[:3])
         assert wrong == []
+        # Only the block with the domain's one pole runs the kernel, at each r.
+        assert calls == [(2, 1, 0), (2, 1, 1)]
         # The one pole row of the domain: n = 1 and r >= m / 2 = 1.
         row = list(dims._block_rows(2, 1, range(2)))[1]
         assert row[_I_HYP] is None and not row[_AGREE]
         assert row[_HYP_ERROR] == "denominator vanishes at term k=1 before the series terminates"
 
     def test_each_check_applies_to_swept_rows(self, monkeypatch):
-        # D(4, 5) = 35 and the column's den is 42 * 20 = 840: one more unit in
-        # the numerator at r = 3 gives I_hyp = 8 + 1/840, and -(I_sum + 1) den
-        # at r = 2 gives I_hyp = -1. No other row moves.
+        # D(4, 5) = 35. The patched kernel gives d num / den = 8 + 1/840 at
+        # r = 3, one unit of 840 past I_sum = 8, and -1 at r = 2; at every
+        # other r it is the true kernel. A bent 3F2 column sends the block to
+        # the kernel; the true column does not, so no row moves.
         true_rows = list(dims._block_rows(4, 5, range(6)))
-        col, den, pole = dims._hyp_column(4, 5, 5, 35)
-        assert den == 840 and pole == 6
-        shift = [0] * 6
-        shift[3] = 1
-        shift[2] = -(true_rows[2][_I_SUM] + 1) * den
-        bent = [a + b for a, b in itertools.zip_longest(col, inverse_sweep(shift), fillvalue=0)]
-        monkeypatch.setattr(dims, "_hyp_column", lambda m, n, top, d: (bent, den, pole))
+        assert [row[_I_SUM] for row in true_rows[2:4]] == [16, 8] and true_rows[0][3] == 35
+        pair = dims._i_hyp_pair
+        bad = {3: (8 * 840 + 1, 840 * 35), 2: (-1, 35)}
+        monkeypatch.setattr(dims, "_i_hyp_pair", lambda m, n, r: bad.get(r) or pair(m, n, r))
+        assert list(dims._block_rows(4, 5, range(6))) == true_rows
+        col, den = dims._hyp_column(4, 5, 5, 35)
+        assert den == 840
+        monkeypatch.setattr(dims, "_hyp_column", lambda *args: ([col[0] + 1, *col[1:]], den))
         rows = list(dims._block_rows(4, 5, range(6)))
         assert rows[3][_I_HYP] == 8 + Fraction(1, 840) and type(rows[3][_I_HYP]) is Fraction
         assert not rows[3][_AGREE] and rows[3][_VALID]
@@ -940,39 +947,41 @@ class TestHypColumnSweep:
         ]
         assert all(true_rows[r][_AGREE] and true_rows[r][_VALID] for r in (2, 3))
 
-    @pytest.mark.parametrize("m, n, deltas", [(12, 9, (1, -1)), (400, 400, (1,))])
+    @pytest.mark.parametrize("m, n, deltas", [(12, 9, (1, -1)), (400, 400, (1, -1))])
     def test_the_column_comparison_sees_every_entry(self, monkeypatch, m, n, deltas):
-        # One unit more or less in entry k moves the sweep at every r >= k by
-        # C(r, k) units of d num, so those rows disagree and no other row moves.
-        true_rows = list(dims._block_rows(m, n, range(n + 1)))
-        col, den, pole = dims._hyp_column(m, n, n, dim_D(m, n))
-        assert len(col) == min(n, m // 2) + 1 and pole == n + 1
+        # The comparison runs before the first row, and a block whose columns
+        # differ runs the kernel from r = 0, so the first row shows which way
+        # the block went. No D level makes the K triangles trivial.
+        col, den = dims._hyp_column(m, n, n, dim_D(m, n))
+        assert len(col) == min(n, m // 2) + 1
+        monkeypatch.setattr(dims, "_d_levels", lambda *args: [])
+        calls = recorded_pair(monkeypatch)
+        next(dims._block_rows(m, n, range(n + 1)))
+        assert calls == []
         for k, delta in itertools.product(range(len(col)), deltas):
             bent = col[:k] + [col[k] + delta] + col[k + 1 :]
-            monkeypatch.setattr(dims, "_hyp_column", lambda *args, bent=bent: (bent, den, pole))
-            rows = list(dims._block_rows(m, n, range(n + 1)))
-            assert rows[:k] == true_rows[:k], (k, delta)
-            assert [type(row[_I_HYP]) for row in rows[:k]] == [int] * k, (k, delta)
-            assert not any(row[_AGREE] for row in rows[k:]), (k, delta)
+            monkeypatch.setattr(dims, "_hyp_column", lambda *args, bent=bent: (bent, den))
+            calls.clear()
+            next(dims._block_rows(m, n, range(n + 1)))
+            assert calls == [(m, n, 0)], (k, delta)
 
-    def test_equal_columns_skip_the_second_sweep(self, monkeypatch):
+    def test_one_sweep_per_block_and_the_kernel_only_where_columns_differ(self, monkeypatch):
         # The 3F2 column is den times the D column wherever it has no pole, so
-        # every swept block but (2, 1) sweeps the D column alone.
+        # every swept block but (2, 1) takes I_hyp from the D column's sweep.
         blocks = [(m, n) for m in range(1, 61) for n in range(1, 61)] + [(400, 400), (60, 3000)]
         unequal = []
         for m, n in blocks:
-            col, den, _ = dims._hyp_column(m, n, n, dim_D(m, n))
+            col, den = dims._hyp_column(m, n, n, dim_D(m, n))
             if col != [den * c for c in dims._d_column(m, n, n)]:
                 unequal.append((m, n))
         assert unequal == [(2, 1)]
-        sweep, calls = dims._sweep, []
-        monkeypatch.setattr(dims, "_sweep", lambda col, top: calls.append(top) or sweep(col, top))
-        sweeps = {}
+        sweep, sweeps = dims._sweep, []
+        monkeypatch.setattr(dims, "_sweep", lambda col, top: sweeps.append(top) or sweep(col, top))
+        calls = recorded_pair(monkeypatch)
         for m, n in blocks:
-            calls.clear()
             list(dims._block_rows(m, n, range(n + 1)))
-            sweeps.setdefault(len(calls), []).append((m, n))
-        assert sweeps.keys() == {1, 2} and sweeps[2] == [(2, 1)]
+        assert sweeps == [n for _, n in blocks]
+        assert calls == [(2, 1, 0), (2, 1, 1)]
 
 
 # The per-query term walk that the D column and its per-r sum replaced, kept
