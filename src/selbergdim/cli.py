@@ -27,8 +27,9 @@ Exit codes:
     0  success (all routes agree / assumptions hold / all checks pass)
     1  usage, parse or I/O error, a value with more digits than the
        interpreter's int-to-str limit (``PYTHONINTMAXSTRDIGITS=0`` lifts
-       it), or rows too large for the memory the process may take (one
-       ``out of memory`` line, no traceback), or a count past the
+       it; ``classify`` names the config field that holds it), or rows
+       too large for the memory the process may take (one ``out of
+       memory`` line, no traceback), or a count past the
        interpreter's index limit, ``sys.maxsize`` (one ``too large`` line,
        as for ``classify`` with m = 10^30); a streamed table stops at that
        record
@@ -49,7 +50,7 @@ import sys
 from typing import Any, Callable, Iterable, Sequence
 
 from .dims import R_POLICIES, _AGREE, _ROW_FIELDS, DomainError, _block_rows, _iter_rows, _validate
-from .exactnum import format_rational
+from .exactnum import _TOO_MANY_DIGITS, _digit_limit, format_rational
 from .resonance import (
     ConfigParseError, ResonanceReport, classify, config_from_json, config_to_json_dict,
 )
@@ -133,15 +134,16 @@ _RECORD_CSV = ",".join(["%s"] * len(CSV_COLUMNS))
 def _record_csv(row: tuple) -> str:
     """A row's CSV line, as ``_csv_row`` writes its cells, without its line end.
 
-    An int is passed as it is, and %s writes it as str does, digit limit
-    included; I_hyp is its digits, p/q text or, when missing, empty, and a
-    flag is true/false. No such cell holds a comma, a quote, CR or LF, so
-    the line needs no quoting.
+    An int or a Fraction is passed as it is, and %s writes it as str does,
+    digit limit included: an I_hyp, int or Fraction, as its ``p/q`` text
+    (str of a Fraction leaves out /1, as ``format_rational`` does) or, when
+    missing, empty. A flag is true/false. No such cell holds a comma, a
+    quote, CR or LF, so the line needs no quoting.
     """
     m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, _, agree, valid = row
     return _RECORD_CSV % (
         m, n, r, d, k_rec, k_red, k_clo, i_sum,
-        "" if i_hyp is None else format_rational(i_hyp), i_sub,
+        "" if i_hyp is None else i_hyp, i_sub,
         _bool_str[agree], _bool_str[valid],
     )
 
@@ -201,13 +203,13 @@ def _record_json(row: tuple, depth: int) -> str:
     rational as p/q text. The row's values go into the template in that
     order, with K and I taken from K_closed and I_sum when the routes
     agree. An int is passed as it is, and %s writes it as str does, digit
-    limit included; a rational, or an int I_hyp, is quoted p/q text and
-    the one string, hyp_error, is escaped by ``json.dumps``.
+    limit included; I_hyp, int or Fraction, is its str, the p/q text, in
+    quotes, and the one string, hyp_error, is escaped by ``json.dumps``.
     """
     m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, agree, valid = row
     return _RECORD_JSON_TEMPLATES[depth] % (
         m, n, r, d, k_rec, k_red, k_clo, i_sum,
-        "null" if i_hyp is None else '"' + format_rational(i_hyp) + '"', i_sub,
+        "null" if i_hyp is None else f'"{i_hyp}"', i_sub,
         k_clo if agree else "null", i_sum if agree else "null",
         _bool_str[agree], _bool_str[valid],
         "null" if hyp_error is None else json.dumps(hyp_error),
@@ -406,14 +408,6 @@ def _usage_error(args: argparse.Namespace, message: str) -> int:
     return EXIT_USAGE
 
 
-def _digit_limit() -> int:
-    """The interpreter's int-to-str digit limit, 0 when it is off.
-
-    Builds before 3.10.7 have neither the limit nor the function.
-    """
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def _row(m: int, n: int, r: int) -> tuple:
     """The row of (m, n, r), under the interpreter's digit limit (``dims._block_rows``)."""
     return next(_block_rows(m, n, (r,), _digit_limit()))
@@ -607,8 +601,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # config_from_json wraps its own ValueErrors, the engine raises none on
     # validated input, and the commands catch open()'s themselves.
     except ValueError:
-        return _usage_error(args, "a value has more digits than the interpreter's int-to-str "
-                            f"limit ({_digit_limit()}); PYTHONINTMAXSTRDIGITS=0 lifts it")
+        return _usage_error(args, _TOO_MANY_DIGITS.format(_digit_limit()))
     # Rows too large for the memory the process may take (a K row has r + 1 entries).
     except MemoryError:
         return _usage_error(args, "out of memory: the rows of this request do not fit")

@@ -33,26 +33,35 @@ wrong. Built from ``dim_D``, they make K_closed == K_recursion a check of
 every term of the walk, and I_sum == D - K_closed checks its first. A
 block that asks for r = 0, 1, ..., R sweeps this column c across r instead
 of summing sum_s C(r, s) c[s] at each r: row r reads I_sum, with K_closed =
-c[0] - I_sum. ``_sweep`` is the sweep: a list v starts as c and a 0 past
-its end, row r reads v[0], and then each v[s] becomes v[s] + v[s+1], since
-sum_s C(r+1, s) c[s] = sum_s C(r, s) (c[s] + c[s+1]). Row r+1 reads only
-v[0..R-r-1], so the step after row r keeps at most R - r entries before
-the 0, and none after row R. A term then costs one addition where the sum
-at one r costs a binomial and a product. The block's 3F2 is a column too:
-``_hyp_column`` factors -r out of each term, so d times the 3F2 at r is
-the sum of that column at r over a den fixed for the block. It reads
-neither this column nor ``dim_D``, only the block's D(m, n), so I_hyp
-stays a route of its own. Yet both Pochhammer pairs of the 3F2 collapse:
+c[0] - I_sum. ``_sweep`` is the sweep, in Newton's forward-difference form:
+the s-th forward difference in r of I_sum at r = 0 is c[s], so with
+P_depth(r) = c[depth] for every r, the last entry, and P_s(r) = c[s] +
+P_(s+1)(0) + ... + P_(s+1)(r-1), P_0 is I_sum at r = 0..R. Each P_s is one
+C-level ``accumulate`` pass over the first R entries of P_(s+1), so a term
+costs one addition where the sum at one r costs a binomial and a product.
+The block's 3F2 is a column too: ``_hyp_column`` factors -r out of each
+term, so d times the 3F2 at r is the sum of that column at r over a den
+fixed for the block. It reads neither this column nor ``dim_D``, only the
+block's D(m, n), so I_hyp stays a route of its own. Yet both Pochhammer
+pairs of the 3F2 collapse:
 (-m/2)_k ((1-m)/2)_k = (-m)_(2k) / 4^k = m! / ((m-2k)! 4^k), and
 ((2-n-m)/2)_k ((3-n-m)/2)_k = (n+m-2)! / ((n+m-2-2k)! 4^k) before a pole,
 so D(m, n) times term k is (-1)^k C(r, k) D(m-2k, n), and the 3F2 column
 is den times this one. The sweep is linear and, over r = 0..R, one-to-one
 on columns of at most R + 1 entries (binomial inversion), so d num ==
 den I_sum at every r exactly when the two columns are equal: a block
-checks I_hyp by that one comparison. Where it fails, by a pole ((2, 1) in
-the domain) or a wrong column, each row runs the kernel at its r, as a
-block of one r does. A wrong sweep would move I_sum and I_hyp alike:
-K_closed == K_recursion is the check of the sweep.
+checks I_hyp by that one comparison. Where the columns are equal, the
+block's verdict is one more list comparison: K_recursion's row ==
+K_reduction's row == the K_closed row. It needs no test of d == c[0], on
+which I_subtract = d - K_closed == I_sum rests, since entry 0 of the column
+comparison is d den == den c[0] with den != 0. When both hold, every row
+agrees, I_subtract == I_hyp == I_sum, and the validity test reduces to
+K_closed >= 0 and I_sum >= 0 (K_closed <= d is I_subtract >= 0), so the
+block's rows are a ``zip`` of its columns. Any other block runs row by row,
+so that each wrong row shows its own values: where the columns differ, by a
+pole ((2, 1) in the domain) or a wrong column, each row runs the kernel at
+its r, as a block of one r does. A wrong sweep would move I_sum and I_hyp
+alike: K_closed == K_recursion is the check of the sweep.
 
 Degrees. At a fixed m every route is a polynomial in (n, r) on n >= 2,
 r >= 0. D(m', n) = C(n+m'-2, m') has degree m' in n, so I_sum, the sum over
@@ -74,8 +83,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import accumulate, repeat, takewhile
-from operator import add, mul, sub
+from itertools import accumulate, islice, repeat, takewhile
+from operator import and_, le, mul, sub
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .exactnum import binom
@@ -342,12 +351,12 @@ def _i_hyp_pair(m: int, n: int, r: int) -> tuple[int, int]:
     return _eval_scaled_3f2(-2 * r, -m, 1 - m, 2 - n - m, 3 - n - m, 2, 1, 1)[:2]
 
 
-def _sweep(col: list[int], top: int) -> Iterator[int]:
+def _sweep(col: list[int], top: int) -> list[int]:
     """sum_s C(r, s) col[s] for r = 0, 1, ..., top: the sweep (module docstring, "The D column")."""
-    v = [*col, 0]
-    for keep in range(top, -1, -1):
-        yield v[0]
-        v = [*map(add, v, v[1 : keep + 1]), 0]
+    row = [col[-1]] * (top + 1)
+    for c in col[-2::-1]:
+        row = list(accumulate(islice(row, top), initial=c))
+    return row
 
 
 def _hyp_column(m: int, n: int, top: int, d: int) -> tuple[list[int], int]:
@@ -429,11 +438,16 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     D, the D levels, both K rows K(m, n, 0..R) and the D column are built
     once, at R = rs[-1], when the first row is asked for. When ``rs`` is
     0, 1, ..., R with R >= 1, which for strictly ascending ``rs`` is
-    R == len(rs) - 1, so is the 3F2 column, and each r costs one step of
-    the D column's sweep, for K_closed and I_sum (module docstring, "The D
-    column"). If the 3F2 column is den times the D column, I_hyp is I_sum;
-    else each r runs the kernel for I_hyp, as a block of one r does. Else
-    each r costs one ``_column_sums`` and one 3F2 series of the kernel.
+    R == len(rs) - 1, so is the 3F2 column, and one sweep of the D column
+    gives the I_sum and K_closed rows (module docstring, "The D column").
+    If the 3F2 column is den times the D column, I_hyp is I_sum, and if
+    the K rows then equal the K_closed row, the block's verdict, every row
+    agrees: the rows are a ``zip`` of the columns, with validity K_closed
+    >= 0 and I_sum >= 0. d == col[0] needs no test of its own, as entry 0
+    of the column comparison is d den == den col[0]. Any other swept block
+    runs row by row, with the kernel for I_hyp where the columns differ,
+    as a block of one r does. Else each r costs one ``_column_sums`` and
+    one 3F2 series of the kernel.
 
     A nonzero ``limit`` is a digit limit for printed rows: every row holds
     D, so a D of more than ``limit`` digits raises ValueError before the
@@ -464,19 +478,20 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     ds = _d_levels(m, n, top)
     rec_row, red_row = _k_recursion_row(m, top, ds), _k_reduction_row(m, top, ds)
     col = _d_column(m, n, top)
-    sums = None
-    same = False
+    sums = same = None
     if 0 < top == len(rs) - 1:
         hyp_col, den = _hyp_column(m, n, top, d)
         sums = _sweep(col, top)
+        k_closed = [*map(sub, repeat(col[0]), sums)]
         same = hyp_col == [den * c for c in col]
+        if same and rec_row == red_row == k_closed:
+            valid = map(and_, map(le, repeat(0), k_closed), map(le, repeat(0), sums))
+            yield from zip(repeat(m), repeat(n), rs, repeat(d), rec_row, red_row, k_closed,
+                           sums, sums, sums, repeat(None), repeat(True), valid)
+            return
     for r in rs:
         k_rec, k_red = rec_row[r], red_row[r]
-        if sums is None:
-            k_clo, i_sum = _column_sums(col, r)
-        else:
-            i_sum = next(sums)
-            k_clo = col[0] - i_sum
+        k_clo, i_sum = _column_sums(col, r) if sums is None else (k_closed[r], sums[r])
         i_sub = d - k_clo
         if same:
             i_hyp, hyp_error, q, rem = i_sum, None, i_sum, 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 Rational = Fraction
@@ -36,6 +37,18 @@ __all__ = [
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
+# The one text for a value past the int-to-str digit limit, filled with the limit.
+_TOO_MANY_DIGITS = ("a value has more digits than the interpreter's int-to-str limit ({}); "
+                    "PYTHONINTMAXSTRDIGITS=0 lifts it")
+
+
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit, 0 when it is off.
+
+    Builds before 3.10.7 have neither the limit nor the function.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse the strict text form ``"p"`` or ``"p/q"`` into a Fraction.
@@ -45,18 +58,26 @@ def parse_rational(text: str) -> Fraction:
     rejected so that the text form stays bit-exact.
 
     Raises:
-        ValueError: on malformed input or a zero denominator.
+        ValueError: on malformed input, a zero denominator, or a part with
+            more digits than the int-to-str limit (``_TOO_MANY_DIGITS``).
     """
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"invalid rational literal {text!r}: expected 'p' or 'p/q'")
     num_part, _, den_part = text.partition("/")
-    if den_part and int(den_part) == 0:
+    try:
+        num, den = int(num_part), int(den_part or 1)
+    except ValueError:  # the literal matched, so this is the digit limit
+        raise ValueError(_TOO_MANY_DIGITS.format(_digit_limit())) from None
+    if den == 0:
         raise ValueError(f"invalid rational literal {text!r}: denominator is zero")
-    return Fraction(int(num_part), int(den_part) if den_part else 1)
+    return Fraction(num, den)
 
 
 def format_rational(q: Fraction | int) -> str:
     """Render a rational as ``p/q``, omitting ``/q`` when the denominator is 1.
+
+    That is ``str`` of the int, or of its Fraction, which leaves out ``/1``;
+    the record renderers write I_hyp by ``str`` on that ground.
 
     >>> format_rational(Fraction(-13, 12))
     '-13/12'
@@ -66,12 +87,7 @@ def format_rational(q: Fraction | int) -> str:
     Raises:
         TypeError: ``q`` is a float, as for :func:`as_fraction`.
     """
-    if type(q) is int:
-        return str(q)
-    q = as_fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(q if type(q) is int else as_fraction(q))
 
 
 def is_integer(q: Fraction | int) -> bool:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Any, Iterator
 
 from .dims import DimensionRecord, DimQuery, compute_record
-from .exactnum import _scale, as_fraction, format_rational, parse_rational
+from .exactnum import _digit_limit, _scale, as_fraction, format_rational, parse_rational
 
 __all__ = [
     "ExponentConfig",
@@ -176,18 +176,35 @@ def dims_for_config(cfg: ExponentConfig) -> tuple[ResonanceReport, DimensionReco
     return report, record
 
 
+class _LongInt(str):
+    """A JSON integer literal with more digits than the int-to-str limit, kept as its text."""
+
+
+def _json_int(text: str) -> int | str:
+    """``int(text)``, or, past the int-to-str digit limit, the text as a ``_LongInt``."""
+    try:
+        return int(text)
+    except ValueError:  # json passes only well-formed literals, so this is the digit limit
+        return _LongInt(text)
+
+
 def config_from_json(doc: str | bytes | dict[str, Any]) -> ExponentConfig:
     """Parse the JSON shape {"m": int, "g": "p/q", "lambdas": ["p/q", ...]}.
 
     Error messages name the offending field (and list position for
-    lambdas) so a malformed rational is easy to locate.
+    lambdas) so a malformed rational is easy to locate. So does the one
+    for a value past the int-to-str digit limit: ``_json_int`` keeps an
+    integer literal past it as a ``_LongInt``, which m names, and
+    ``parse_rational`` raises it for g and each lambda. Only a document
+    longer than the limit can hold such a literal, so only such a document
+    is read through ``_json_int``: json.loads builds a new decoder for each
+    call given a ``parse_int``, which costs more than reading a short one.
     """
     if isinstance(doc, (str, bytes)):
         try:
-            data = json.loads(doc)
-        # JSONDecodeError, UnicodeDecodeError, the ValueError of an integer
-        # literal longer than the int-string digit limit, and the
-        # RecursionError of arrays or objects nested past the stack.
+            data = json.loads(doc, parse_int=_json_int if 0 < _digit_limit() < len(doc) else None)
+        # JSONDecodeError, UnicodeDecodeError, and the RecursionError of
+        # arrays or objects nested past the stack.
         except (ValueError, RecursionError) as exc:
             raise ConfigParseError(f"not valid JSON: {exc}") from exc
     else:
@@ -203,6 +220,8 @@ def config_from_json(doc: str | bytes | dict[str, Any]) -> ExponentConfig:
             raise ConfigParseError(f"missing field {field!r}")
 
     m = data["m"]
+    if type(m) is _LongInt:  # its digits fail parse_rational too: the digit limit's error, for m
+        _rational_field("m", m)
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ConfigParseError(f"m: expected an integer >= 1, got {m!r}")
     g = _rational_field("g", data["g"])

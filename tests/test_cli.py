@@ -98,13 +98,29 @@ class TestExitCodes:
         assert err.startswith("selbergdim table: error: cannot write ")
         assert err.count("\n") == 1
 
-    def test_classify_integer_over_the_digit_limit(self, run_cli, tmp_path):
+    @staticmethod
+    def classify_past_the_digit_limit(run_cli, tmp_path, doc: str, field: str) -> None:
+        # A 5,000-digit value: one line in the words of the dims digit check,
+        # naming the field, not Python's own text.
         big = tmp_path / "big.json"
-        big.write_text('{"m": 1' + "0" * 4999 + ', "g": "1/2", "lambdas": ["1/4"]}')
-        code, out, err = run_cli("classify", str(big))
-        assert code == 1
-        assert out == ""
-        assert "not valid JSON" in err and err.count("\n") == 1
+        big.write_text(doc % ("1" + "0" * 4999))
+        assert run_cli("classify", str(big)) == (
+            1,
+            "",
+            f"selbergdim classify: error: {field}: a value has more digits than the "
+            "interpreter's int-to-str limit (4300); PYTHONINTMAXSTRDIGITS=0 lifts it\n",
+        )
+
+    def test_classify_integer_over_the_digit_limit(self, run_cli, tmp_path):
+        doc = '{"m": %s, "g": "1/2", "lambdas": ["1/4"]}'
+        self.classify_past_the_digit_limit(run_cli, tmp_path, doc, "m")
+
+    @pytest.mark.parametrize("field, doc", [
+        ("g", '{"m": 2, "g": "%s/3", "lambdas": ["1/4"]}'),
+        ("lambdas[1]", '{"m": 2, "g": "1/2", "lambdas": ["1/4", "-1/%s"]}'),
+    ], ids=["g", "lambda"])
+    def test_classify_rational_over_the_digit_limit(self, run_cli, tmp_path, field, doc):
+        self.classify_past_the_digit_limit(run_cli, tmp_path, doc, field)
 
     @staticmethod
     def classify_process(config: Path) -> subprocess.CompletedProcess:

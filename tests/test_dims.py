@@ -5,6 +5,8 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from operator import add
+from typing import Iterator, Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -982,6 +984,139 @@ class TestHypColumnSweep:
             list(dims._block_rows(m, n, range(n + 1)))
         assert sweeps == [n for _, n in blocks]
         assert calls == [(2, 1, 0), (2, 1, 1)]
+
+
+# The per-row loop of a table block, as it was before a block whose rows all
+# agree was emitted as columns, kept verbatim as an oracle, with its sweep;
+# only the digit limit is left out. It reads every helper from dims, so a
+# patched helper reaches both.
+
+
+def frozen_sweep(col: list[int], top: int) -> Iterator[int]:
+    v = [*col, 0]
+    for keep in range(top, -1, -1):
+        yield v[0]
+        v = [*map(add, v, v[1 : keep + 1]), 0]
+
+
+def frozen_block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[tuple]:
+    top = rs[-1]
+    d = dims.dim_D(m, n)
+    ds = dims._d_levels(m, n, top)
+    rec_row, red_row = dims._k_recursion_row(m, top, ds), dims._k_reduction_row(m, top, ds)
+    col = dims._d_column(m, n, top)
+    sums = None
+    same = False
+    if 0 < top == len(rs) - 1:
+        hyp_col, den = dims._hyp_column(m, n, top, d)
+        sums = frozen_sweep(col, top)
+        same = hyp_col == [den * c for c in col]
+    for r in rs:
+        k_rec, k_red = rec_row[r], red_row[r]
+        if sums is None:
+            k_clo, i_sum = dims._column_sums(col, r)
+        else:
+            i_sum = next(sums)
+            k_clo = col[0] - i_sum
+        i_sub = d - k_clo
+        if same:
+            i_hyp, hyp_error, q, rem = i_sum, None, i_sum, 0
+        else:
+            try:
+                num, den = dims._i_hyp_pair(m, n, r)
+            except HyperEvalError as exc:
+                # No I_hyp: rem = 1 makes it agree with no route, and q = I_sum
+                # adds no bound that I_sum does not already meet.
+                i_hyp, hyp_error, q, rem = None, str(exc), i_sum, 1
+            else:
+                hyp_error = None
+                num *= d
+                q, rem = divmod(num, den)
+                i_hyp = Fraction(num, den) if rem else q
+        agree = k_rec == k_red == k_clo and rem == 0 and q == i_sum == i_sub
+        # Each K in 0..D (so D >= 0) and each I >= 0.
+        valid = (
+            0 <= k_rec <= d and 0 <= k_red <= d and 0 <= k_clo <= d
+            and i_sum >= 0 and i_sub >= 0 and q >= 0
+        )
+        yield m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, agree, valid
+
+
+def assert_same_rows(got: list[tuple], want: list[tuple]) -> None:
+    """Equal rows, cell by cell of the same type: == alone lets 1 for True through."""
+    assert got == want
+    assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+
+
+_K_ROW_BUILDERS = ("_k_recursion_row", "_k_reduction_row")
+
+
+class TestZippedBlocks:
+    """A swept block whose columns are equal and whose K rows agree is zipped.
+
+    Its rows are then built as columns; any other block runs the frozen
+    per-row loop, so each row must equal that loop's, cell for cell.
+    """
+
+    def test_rows_are_the_frozen_loop(self):
+        blocks = [(m, n) for m in range(1, 41) for n in range(1, 41)] + [(400, 400), (60, 3000)]
+        for m, n in blocks:
+            rs = range(n + 1)
+            assert_same_rows(list(dims._block_rows(m, n, rs)), list(frozen_block_rows(m, n, rs)))
+
+    @pytest.mark.parametrize("builder", _K_ROW_BUILDERS)
+    def test_a_bent_k_row_moves_its_own_row_alone(self, monkeypatch, builder):
+        # Entry k of one K row one too high: the block is not zipped, row k
+        # disagrees and every other row is the true one.
+        true_rows = list(dims._block_rows(12, 9, range(10)))
+        assert all(row[_AGREE] for row in true_rows)
+        build = getattr(dims, builder)
+        column = ROW_COLUMNS.index("K_recursion" if builder == _K_ROW_BUILDERS[0] else "K_reduction")
+        for k in range(10):
+            def bent(m, r, ds, k=k):
+                row = build(m, r, ds)
+                row[k] += 1
+                return row
+
+            monkeypatch.setattr(dims, builder, bent)
+            rows = list(dims._block_rows(12, 9, range(10)))
+            assert_same_rows(rows, list(frozen_block_rows(12, 9, range(10))))
+            assert not rows[k][_AGREE] and rows[k][column] == true_rows[k][column] + 1
+            assert_same_rows(rows[:k] + rows[k + 1 :], true_rows[:k] + true_rows[k + 1 :])
+
+    def test_every_swept_block_but_the_pole_block_is_zipped(self, monkeypatch):
+        # Every block of r = 0..n agrees at every r but (2, 1), whose 3F2 has
+        # its pole at r = 1: it alone runs row by row. At n = 1 every other
+        # block is all zeros past D and is zipped too.
+        zips = []
+        monkeypatch.setattr(dims, "zip", lambda *cols: zips.append(1) or zip(*cols), raising=False)
+        for m, n in [(m, n) for m in range(1, 41) for n in range(1, 41)] + [(400, 400)]:
+            zips.clear()
+            rows = list(dims._block_rows(m, n, range(n + 1)))
+            zipped = (m, n) != (2, 1)
+            assert len(zips) == zipped, (m, n)
+            assert all(row[_AGREE] for row in rows) == zipped, (m, n)
+        zips.clear()
+        list(dims._iter_rows((1, 30), (2, 30), "only_n"))
+        assert zips == []  # blocks of one r are never zipped
+
+    @pytest.mark.parametrize("step", [1, -(10**9)], ids=["K-negative", "I-negative"])
+    def test_the_zipped_validity_checks_k_and_i(self, monkeypatch, step):
+        # A block made to agree with D column [d, step]: I_sum = d + r step, so
+        # K_closed = -r step. Rows r >= 1 have K_closed < 0 (step 1) or I_sum < 0
+        # (step -10^9); each is still zipped, and out of range.
+        m, n = 12, 9
+        d = dim_D(m, n)
+        col = [d, step]
+        k_row = [-r * step for r in range(n + 1)]
+        monkeypatch.setattr(dims, "_d_column", lambda *args: col)
+        monkeypatch.setattr(dims, "_hyp_column", lambda *args: (col, 1))
+        for builder in _K_ROW_BUILDERS:
+            monkeypatch.setattr(dims, builder, lambda *args: list(k_row))
+        rows = list(dims._block_rows(m, n, range(n + 1)))
+        assert_same_rows(rows, list(frozen_block_rows(m, n, range(n + 1))))
+        assert all(row[_AGREE] for row in rows)
+        assert [row[_VALID] for row in rows] == [True] + [False] * n
 
 
 # The per-query term walk that the D column and its per-r sum replaced, kept

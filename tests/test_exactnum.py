@@ -213,9 +213,27 @@ class TestTextForm:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("text", ["1" + "0" * 4999, "-1/1" + "0" * 4999, "0" * 5000 + "/0"])
+    def test_parse_past_the_digit_limit(self, text):
+        # The package's one text for it, not the interpreter's, and before the
+        # zero-denominator check, which would need the digits converted first.
+        with pytest.raises(ValueError) as exc_info:
+            parse_rational(text)
+        assert str(exc_info.value) == (
+            "a value has more digits than the interpreter's int-to-str limit (4300); "
+            "PYTHONINTMAXSTRDIGITS=0 lifts it"
+        )
+
     @given(rationals)
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
+
+    @given(st.one_of(st.integers(), st.fractions()))
+    @example(q=Fraction(7, 1))
+    @example(q=Fraction(-13, 12))
+    def test_format_is_str(self, q):
+        # The record renderers write I_hyp, an int or a Fraction, by str.
+        assert format_rational(q) == str(q)
 
 
 class TestFieldAxioms:

@@ -275,11 +275,20 @@ class TestConfigJson:
         assert str(exc_info.value) == message
 
     def test_integer_over_the_digit_limit_is_a_parse_error(self):
-        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
-        # integer literal longer than the interpreter's int-string limit.
+        # An integer literal longer than the interpreter's int-string limit is
+        # kept as its text by the JSON reader, so the error names its field.
         doc = '{"m": 1' + "0" * 4999 + ', "g": "1/2", "lambdas": ["1/4"]}'
-        with pytest.raises(ConfigParseError, match="not valid JSON"):
+        with pytest.raises(ConfigParseError, match="^m: a value has more digits than"):
             config_from_json(doc)
+
+    def test_the_shortest_literal_past_the_digit_limit_names_m(self):
+        # 4,301 digits in as short a document as holds them: only a document
+        # longer than the limit is read with the hook that keeps the literal.
+        doc = '{"m":1' + "0" * 4300 + ',"g":"1/2","lambdas":["1/4"]}'
+        with pytest.raises(ConfigParseError, match="^m: a value has more digits than"):
+            config_from_json(doc)
+        with pytest.raises(ConfigParseError, match="^m: a value has more digits than"):
+            config_from_json(doc.encode())
 
     @pytest.mark.parametrize("opener", ["[", '{"a": '])
     def test_nesting_past_the_stack_is_a_parse_error(self, opener):
