@@ -40,28 +40,26 @@ P_(s+1)(0) + ... + P_(s+1)(r-1), P_0 is I_sum at r = 0..R. Each P_s is one
 C-level ``accumulate`` pass over the first R entries of P_(s+1), so a term
 costs one addition where the sum at one r costs a binomial and a product.
 The block's 3F2 is a column too: ``_hyp_column`` factors -r out of each
-term, so d times the 3F2 at r is the sum of that column at r over a den
-fixed for the block. It reads neither this column nor ``dim_D``, only the
-block's D(m, n), so I_hyp stays a route of its own. Yet both Pochhammer
-pairs of the 3F2 collapse:
+term, so d times the 3F2 at r is the sum of C(r, k) times entry k of that
+column. It reads neither this column nor ``dim_D``, only the block's
+D(m, n), so I_hyp stays a route of its own. Yet both Pochhammer pairs of
+the 3F2 collapse:
 (-m/2)_k ((1-m)/2)_k = (-m)_(2k) / 4^k = m! / ((m-2k)! 4^k), and
 ((2-n-m)/2)_k ((3-n-m)/2)_k = (n+m-2)! / ((n+m-2-2k)! 4^k) before a pole,
-so D(m, n) times term k is (-1)^k C(r, k) D(m-2k, n), and the 3F2 column
-is den times this one. The sweep is linear and, over r = 0..R, one-to-one
-on columns of at most R + 1 entries (binomial inversion), so d num ==
-den I_sum at every r exactly when the two columns are equal: a block
-checks I_hyp by that one comparison. Where the columns are equal, the
-block's verdict is one more list comparison: K_recursion's row ==
+so D(m, n) times term k is (-1)^k C(r, k) D(m-2k, n): each entry is an int,
+and the 3F2 column equals this one. The sweep is linear and, over r = 0..R,
+one-to-one on columns of at most R + 1 entries (binomial inversion), so
+I_hyp == I_sum at every r exactly when the two columns are equal. A
+block's verdict is that comparison and one more: K_recursion's row ==
 K_reduction's row == the K_closed row. It needs no test of d == c[0], on
-which I_subtract = d - K_closed == I_sum rests, since entry 0 of the column
-comparison is d den == den c[0] with den != 0. When both hold, every row
-agrees, I_subtract == I_hyp == I_sum, and the validity test reduces to
-K_closed >= 0 and I_sum >= 0 (K_closed <= d is I_subtract >= 0), so the
-block's rows are a ``zip`` of its columns. Any other block runs row by row,
-so that each wrong row shows its own values: where the columns differ, by a
-pole ((2, 1) in the domain) or a wrong column, each row runs the kernel at
-its r, as a block of one r does. A wrong sweep would move I_sum and I_hyp
-alike: K_closed == K_recursion is the check of the sweep.
+which I_subtract = d - K_closed == I_sum rests: that is entry 0 of the
+column comparison. When both hold, every row agrees, I_subtract == I_hyp
+== I_sum, and the validity test reduces to K_closed >= 0 and I_sum >= 0
+(K_closed <= d is I_subtract >= 0), so the block's rows are a ``zip`` of
+its columns. Any other block, by a pole ((2, 1) in the domain), a wrong
+column or a wrong sweep, is built row by row as a block of one r is, from
+``_column_sums`` and the kernel at each r: no swept value reaches a row but
+through the ``zip``, and each wrong row shows its own values.
 
 Degrees. At a fixed m every route is a polynomial in (n, r) on n >= 2,
 r >= 0. D(m', n) = C(n+m'-2, m') has degree m' in n, so I_sum, the sum over
@@ -304,9 +302,9 @@ def _column_sums(col: list[int], r: int) -> tuple[int, int]:
     """(K_closed, I_sum) at r from the ``_d_column`` of (m, n, R), for any R >= r.
 
     I_sum is the sum of C(r, s) col[s] over s <= r, as far as the column
-    goes, and K_closed = col[0] - I_sum is minus its terms for s >= 1. The
-    public routes and blocks of one r take it; a block of r = 0..R sweeps
-    the column instead (module docstring, "The D column").
+    goes, and K_closed = col[0] - I_sum is minus its terms for s >= 1. Every
+    row but those of a zipped block takes it; that block sweeps the column
+    instead (module docstring, "The D column").
     """
     total = sum(map(mul, map(math.comb, repeat(r), range(r + 1)), col))
     return col[0] - total, total
@@ -359,30 +357,29 @@ def _sweep(col: list[int], top: int) -> list[int]:
     return row
 
 
-def _hyp_column(m: int, n: int, top: int, d: int) -> tuple[list[int], int]:
-    """(col, den): d times the 3F2 of ``dim_I_hyp`` at r <= top is col's sweep at r over den.
+def _hyp_column(m: int, n: int, top: int, d: int) -> list[int]:
+    """The 3F2 column: d times the 3F2 of ``dim_I_hyp`` at r <= top is its sweep at r.
 
     With a2, a3 = -m/2, (1-m)/2 and b1, b2 = (2-n-m)/2, (3-n-m)/2, and
-    (-r)_k / k! = (-1)^k C(r, k), the 3F2 is sum_k C(r, k) w_k / den for
-    w_k = (-1)^k (a2)_k (a3)_k (b1+k)_(depth-k) (b2+k)_(depth-k) and
-    den = (b1)_depth (b2)_depth. On the kernel's ints over L = 2, step j
-    multiplies the upper product by (p2+2j)(p3+2j), p2 = -m, p3 = 1-m, and
-    the lower by (q1+2j)(q2+2j), q1 = 2-n-m, q2 = 3-n-m; the powers of L
-    cancel. The column ends at the first step with a zero factor: a zero
-    numerator, first at j = m // 2, so depth = min(top, m // 2), or a zero
-    denominator, a pole, which leaves the column shorter than that. The
+    (-r)_k / k! = (-1)^k C(r, k), d times the 3F2 is sum_k C(r, k) w_k for
+    w_k = (-1)^k d (a2)_k (a3)_k / ((b1)_k (b2)_k). On the kernel's ints over
+    L = 2, step j multiplies the upper product by (p2+2j)(p3+2j), p2 = -m,
+    p3 = 1-m, and the lower by (q1+2j)(q2+2j), q1 = 2-n-m, q2 = 3-n-m; the
+    powers of L cancel. The column ends at the first step with a zero factor:
+    a zero numerator, first at j = m // 2, so depth = min(top, m // 2), or a
+    zero denominator, a pole, which leaves the column shorter than that. The
     pole's rule is the kernel's alone; a short column never equals the D
-    column, so its block runs the kernel (``_block_rows``). From w_0 = den
-    each entry is the exact w_(j+1) = -w_j (p2+2j)(p3+2j) / ((q1+2j)(q2+2j));
-    col holds d w_k.
+    column, so its block runs the kernel (``_block_rows``). From w_0 = d each
+    entry is w_(j+1) = -w_j (p2+2j)(p3+2j) / ((q1+2j)(q2+2j)), an int, so the
+    floor division is exact: (-1)^(j+1) D(m-2j-2, n) for n >= 2 (module
+    docstring, "The D column"), and 0 at n = 1, where d = 0.
     """
     factors = (
         ((2 * j - m) * (2 * j + 1 - m), (2 * j + 2 - n - m) * (2 * j + 3 - n - m))
         for j in range(top)
     )
-    steps = list(takewhile(all, factors))  # up to the first zero factor
-    den = math.prod(b for _, b in steps)
-    return list(accumulate(steps, lambda w, ab: -w * ab[0] // ab[1], initial=d * den)), den
+    # The column ends at the first zero factor.
+    return list(accumulate(takewhile(all, factors), lambda w, ab: -w * ab[0] // ab[1], initial=d))
 
 
 class ExtremeImageDims(NamedTuple):
@@ -438,16 +435,13 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     D, the D levels, both K rows K(m, n, 0..R) and the D column are built
     once, at R = rs[-1], when the first row is asked for. When ``rs`` is
     0, 1, ..., R with R >= 1, which for strictly ascending ``rs`` is
-    R == len(rs) - 1, so is the 3F2 column, and one sweep of the D column
-    gives the I_sum and K_closed rows (module docstring, "The D column").
-    If the 3F2 column is den times the D column, I_hyp is I_sum, and if
-    the K rows then equal the K_closed row, the block's verdict, every row
-    agrees: the rows are a ``zip`` of the columns, with validity K_closed
-    >= 0 and I_sum >= 0. d == col[0] needs no test of its own, as entry 0
-    of the column comparison is d den == den col[0]. Any other swept block
-    runs row by row, with the kernel for I_hyp where the columns differ,
-    as a block of one r does. Else each r costs one ``_column_sums`` and
-    one 3F2 series of the kernel.
+    R == len(rs) - 1, one sweep of the D column gives the I_sum and K_closed
+    rows (module docstring, "The D column"). If the 3F2 column equals the D
+    column and the K rows equal the K_closed row, the block's verdict, every
+    row agrees: the rows are a ``zip`` of the columns, with validity
+    K_closed >= 0 and I_sum >= 0. Any other block is built as single
+    queries: each r costs one ``_column_sums`` and one 3F2 series of the
+    kernel.
 
     A nonzero ``limit`` is a digit limit for printed rows: every row holds
     D, so a D of more than ``limit`` digits raises ValueError before the
@@ -460,7 +454,7 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     passes on one bit_length test. Callers that print pass the interpreter's
     int-to-str limit; library callers pass none and get exact rows at any size.
 
-    Any other I_hyp = d num / den, from the kernel's pair, is checked on
+    Such a row's I_hyp = d num / den, from the kernel's pair, is checked on
     ints: with q, rem = divmod(d num, den) it is integral iff rem == 0, and
     is then q, so the routes agree iff rem == 0 and q == I_sum ==
     I_subtract. q is the floor of the exact quotient for either sign of
@@ -478,35 +472,29 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     ds = _d_levels(m, n, top)
     rec_row, red_row = _k_recursion_row(m, top, ds), _k_reduction_row(m, top, ds)
     col = _d_column(m, n, top)
-    sums = same = None
     if 0 < top == len(rs) - 1:
-        hyp_col, den = _hyp_column(m, n, top, d)
         sums = _sweep(col, top)
         k_closed = [*map(sub, repeat(col[0]), sums)]
-        same = hyp_col == [den * c for c in col]
-        if same and rec_row == red_row == k_closed:
+        if _hyp_column(m, n, top, d) == col and rec_row == red_row == k_closed:
             valid = map(and_, map(le, repeat(0), k_closed), map(le, repeat(0), sums))
             yield from zip(repeat(m), repeat(n), rs, repeat(d), rec_row, red_row, k_closed,
                            sums, sums, sums, repeat(None), repeat(True), valid)
             return
     for r in rs:
         k_rec, k_red = rec_row[r], red_row[r]
-        k_clo, i_sum = _column_sums(col, r) if sums is None else (k_closed[r], sums[r])
+        k_clo, i_sum = _column_sums(col, r)
         i_sub = d - k_clo
-        if same:
-            i_hyp, hyp_error, q, rem = i_sum, None, i_sum, 0
+        try:
+            num, den = _i_hyp_pair(m, n, r)
+        except HyperEvalError as exc:
+            # No I_hyp: rem = 1 makes it agree with no route, and q = I_sum
+            # adds no bound that I_sum does not already meet.
+            i_hyp, hyp_error, q, rem = None, str(exc), i_sum, 1
         else:
-            try:
-                num, den = _i_hyp_pair(m, n, r)
-            except HyperEvalError as exc:
-                # No I_hyp: rem = 1 makes it agree with no route, and q = I_sum
-                # adds no bound that I_sum does not already meet.
-                i_hyp, hyp_error, q, rem = None, str(exc), i_sum, 1
-            else:
-                hyp_error = None
-                num *= d
-                q, rem = divmod(num, den)
-                i_hyp = Fraction(num, den) if rem else q
+            hyp_error = None
+            num *= d
+            q, rem = divmod(num, den)
+            i_hyp = Fraction(num, den) if rem else q
         agree = k_rec == k_red == k_clo and rem == 0 and q == i_sum == i_sub
         # Each K in 0..D (so D >= 0) and each I >= 0.
         valid = (

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import operator
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -10,6 +11,14 @@ import pytest
 
 from selbergdim import cli, dims
 from selbergdim.exactnum import format_rational
+
+# The digit-limit tests expect the interpreter's default int-to-str limit of
+# 4300 digits, whatever PYTHONINTMAXSTRDIGITS the suite is run under: pin it
+# in this process, where the interpreter has the limit, and for every
+# subprocess a test starts with a copy of this environment.
+os.environ["PYTHONINTMAXSTRDIGITS"] = "4300"
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(4300)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DATA_DIR = Path(__file__).parent / "data"

@@ -848,8 +848,10 @@ class TestColumnSweep:
     """A block of r = 0..R sweeps the D column; a block of one r sums it at that r."""
 
     def test_every_swept_row_is_the_sum_at_its_r(self, monkeypatch):
-        column_sums = dims._column_sums
-        monkeypatch.setattr(dims, "_column_sums", None)  # a block of r = 0..n never calls it
+        column_sums, calls = dims._column_sums, []
+        monkeypatch.setattr(
+            dims, "_column_sums", lambda col, r: calls.append((col, r)) or column_sums(col, r)
+        )
         blocks = [(m, n) for m in range(1, 41) for n in range(1, 41)] + [(400, 400)]
         wrong = []
         for m, n in blocks:
@@ -858,6 +860,8 @@ class TestColumnSweep:
                 if (row[_K_CLOSED], row[_I_SUM]) != column_sums(column, row[2]):
                     wrong.append(row[:3])
         assert wrong == []
+        # Only the block that fails its verdict, (2, 1), sums its column, once per row.
+        assert calls == [(dims._d_column(2, 1, 1), 0), (dims._d_column(2, 1, 1), 1)]
 
     def test_single_r_rows_are_the_swept_rows_at_their_r(self):
         swept = {row[:3]: row for row in dims._iter_rows((1, 12), (1, 40))}
@@ -936,9 +940,9 @@ class TestHypColumnSweep:
         bad = {3: (8 * 840 + 1, 840 * 35), 2: (-1, 35)}
         monkeypatch.setattr(dims, "_i_hyp_pair", lambda m, n, r: bad.get(r) or pair(m, n, r))
         assert list(dims._block_rows(4, 5, range(6))) == true_rows
-        col, den = dims._hyp_column(4, 5, 5, 35)
-        assert den == 840
-        monkeypatch.setattr(dims, "_hyp_column", lambda *args: ([col[0] + 1, *col[1:]], den))
+        col = dims._hyp_column(4, 5, 5, 35)
+        assert col == dims._d_column(4, 5, 5)
+        monkeypatch.setattr(dims, "_hyp_column", lambda *args: [col[0] + 1, *col[1:]])
         rows = list(dims._block_rows(4, 5, range(6)))
         assert rows[3][_I_HYP] == 8 + Fraction(1, 840) and type(rows[3][_I_HYP]) is Fraction
         assert not rows[3][_AGREE] and rows[3][_VALID]
@@ -953,28 +957,30 @@ class TestHypColumnSweep:
     def test_the_column_comparison_sees_every_entry(self, monkeypatch, m, n, deltas):
         # The comparison runs before the first row, and a block whose columns
         # differ runs the kernel from r = 0, so the first row shows which way
-        # the block went. No D level makes the K triangles trivial.
-        col, den = dims._hyp_column(m, n, n, dim_D(m, n))
+        # the block went. The true K rows are built once, for every bend.
+        col = dims._hyp_column(m, n, n, dim_D(m, n))
         assert len(col) == min(n, m // 2) + 1
-        monkeypatch.setattr(dims, "_d_levels", lambda *args: [])
+        ds = dims._d_levels(m, n, n)
+        for builder in _K_ROW_BUILDERS:
+            row = getattr(dims, builder)(m, n, ds)
+            monkeypatch.setattr(dims, builder, lambda *args, row=row: row)
         calls = recorded_pair(monkeypatch)
         next(dims._block_rows(m, n, range(n + 1)))
         assert calls == []
         for k, delta in itertools.product(range(len(col)), deltas):
             bent = col[:k] + [col[k] + delta] + col[k + 1 :]
-            monkeypatch.setattr(dims, "_hyp_column", lambda *args, bent=bent: (bent, den))
+            monkeypatch.setattr(dims, "_hyp_column", lambda *args, bent=bent: bent)
             calls.clear()
             next(dims._block_rows(m, n, range(n + 1)))
             assert calls == [(m, n, 0)], (k, delta)
 
     def test_one_sweep_per_block_and_the_kernel_only_where_columns_differ(self, monkeypatch):
-        # The 3F2 column is den times the D column wherever it has no pole, so
-        # every swept block but (2, 1) takes I_hyp from the D column's sweep.
+        # The 3F2 column equals the D column wherever it has no pole, so every
+        # swept block but (2, 1) takes I_hyp from the D column's sweep.
         blocks = [(m, n) for m in range(1, 61) for n in range(1, 61)] + [(400, 400), (60, 3000)]
         unequal = []
         for m, n in blocks:
-            col, den = dims._hyp_column(m, n, n, dim_D(m, n))
-            if col != [den * c for c in dims._d_column(m, n, n)]:
+            if dims._hyp_column(m, n, n, dim_D(m, n)) != dims._d_column(m, n, n):
                 unequal.append((m, n))
         assert unequal == [(2, 1)]
         sweep, sweeps = dims._sweep, []
@@ -988,8 +994,9 @@ class TestHypColumnSweep:
 
 # The per-row loop of a table block, as it was before a block whose rows all
 # agree was emitted as columns, kept verbatim as an oracle, with its sweep;
-# only the digit limit is left out. It reads every helper from dims, so a
-# patched helper reaches both.
+# only the digit limit is left out, and the column comparison takes the one
+# list of ``_hyp_column``. It reads every helper from dims, so a patched
+# helper reaches both.
 
 
 def frozen_sweep(col: list[int], top: int) -> Iterator[int]:
@@ -1008,9 +1015,9 @@ def frozen_block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[tuple]:
     sums = None
     same = False
     if 0 < top == len(rs) - 1:
-        hyp_col, den = dims._hyp_column(m, n, top, d)
+        hyp_col = dims._hyp_column(m, n, top, d)
         sums = frozen_sweep(col, top)
-        same = hyp_col == [den * c for c in col]
+        same = hyp_col == col
     for r in rs:
         k_rec, k_red = rec_row[r], red_row[r]
         if sums is None:
@@ -1100,6 +1107,39 @@ class TestZippedBlocks:
         list(dims._iter_rows((1, 30), (2, 30), "only_n"))
         assert zips == []  # blocks of one r are never zipped
 
+    @pytest.mark.parametrize("m, n", [(12, 9), (400, 400)])
+    def test_a_failed_verdict_builds_single_queries(self, monkeypatch, m, n):
+        # Entry k of the sweep, or of the 3F2 column, one too high: the block is
+        # not zipped, and each row is the one-r block's row at its r, from one
+        # _column_sums and one kernel series, whatever the bent entry held.
+        rs = range(n + 1)
+        singles = [next(dims._block_rows(m, n, (r,))) for r in rs]
+        zips = []
+        monkeypatch.setattr(dims, "zip", lambda *cols: zips.append(1) or zip(*cols), raising=False)
+        column_sums, sums_calls = dims._column_sums, []
+        monkeypatch.setattr(
+            dims, "_column_sums", lambda col, r: sums_calls.append(r) or column_sums(col, r)
+        )
+        pair_calls = recorded_pair(monkeypatch)
+        assert_same_rows(list(dims._block_rows(m, n, rs)), singles)
+        assert zips == [1] and sums_calls == pair_calls == []
+        for helper, args in (("_sweep", (dims._d_column(m, n, n), n)),
+                             ("_hyp_column", (m, n, n, dim_D(m, n)))):
+            true = getattr(dims, helper)
+            size = len(true(*args))
+            for k in range(size) if size < 20 else (0, 1, size // 2, size - 1):
+                def bent(*args, k=k, true=true):
+                    entries = true(*args)
+                    entries[k] += 1
+                    return entries
+
+                monkeypatch.setattr(dims, helper, bent)
+                del zips[:], sums_calls[:], pair_calls[:]
+                assert_same_rows(list(dims._block_rows(m, n, rs)), singles)
+                assert zips == [], (helper, k)
+                assert sums_calls == list(rs) and pair_calls == [(m, n, r) for r in rs]
+            monkeypatch.setattr(dims, helper, true)
+
     @pytest.mark.parametrize("step", [1, -(10**9)], ids=["K-negative", "I-negative"])
     def test_the_zipped_validity_checks_k_and_i(self, monkeypatch, step):
         # A block made to agree with D column [d, step]: I_sum = d + r step, so
@@ -1110,7 +1150,7 @@ class TestZippedBlocks:
         col = [d, step]
         k_row = [-r * step for r in range(n + 1)]
         monkeypatch.setattr(dims, "_d_column", lambda *args: col)
-        monkeypatch.setattr(dims, "_hyp_column", lambda *args: (col, 1))
+        monkeypatch.setattr(dims, "_hyp_column", lambda *args: col)
         for builder in _K_ROW_BUILDERS:
             monkeypatch.setattr(dims, builder, lambda *args: list(k_row))
         rows = list(dims._block_rows(m, n, range(n + 1)))
