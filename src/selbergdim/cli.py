@@ -409,12 +409,12 @@ def _usage_error(args: argparse.Namespace, message: str) -> int:
 
 
 def _row(m: int, n: int, r: int) -> tuple:
-    """The row of (m, n, r), under the interpreter's digit limit (``dims._block_rows``)."""
+    """The row of (m, n, r), checked by ``_validate``, under the interpreter's digit limit."""
+    _validate(m, n, r)
     return next(_block_rows(m, n, (r,), _digit_limit()))
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:
-    _validate(args.m, args.n, args.r)
     row = _row(args.m, args.n, args.r)
     sys.stdout.write(_DIMS_RENDERERS[args.format](row))
     return EXIT_OK if row[_AGREE] else EXIT_DISAGREEMENT
@@ -451,8 +451,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return _usage_error(args, f"cannot read {args.config}: {exc}")
     cfg = config_from_json(text)
     report = classify(cfg)
-    # ExponentConfig holds an int m >= 1 and at least one lambda, and r counts
-    # resonant lambdas, so 0 <= r <= n: the point needs no second check.
     row = _row(cfg.m, cfg.n, report.r) if report.assumption_valid else None
     sys.stdout.write(_CLASSIFY_RENDERERS[args.format](cfg, report, row))
     return EXIT_OK if report.assumption_valid else EXIT_ASSUMPTION

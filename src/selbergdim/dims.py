@@ -39,11 +39,9 @@ P_depth(r) = c[depth] for every r, the last entry, and P_s(r) = c[s] +
 P_(s+1)(0) + ... + P_(s+1)(r-1), P_0 is I_sum at r = 0..R. Each P_s is one
 C-level ``accumulate`` pass over the first R entries of P_(s+1), so a term
 costs one addition where the sum at one r costs a binomial and a product.
-The block's 3F2 is a column too: ``_hyp_column`` factors -r out of each
-term, so d times the 3F2 at r is the sum of C(r, k) times entry k of that
-column. It reads neither this column nor ``dim_D``, only the block's
-D(m, n), so I_hyp stays a route of its own. Yet both Pochhammer pairs of
-the 3F2 collapse:
+The block's 3F2 is a column too, ``_hyp_column``, built from the block's
+D(m, n) alone, not from this column or ``dim_D``, so I_hyp stays a route
+of its own. Yet both Pochhammer pairs of the 3F2 collapse:
 (-m/2)_k ((1-m)/2)_k = (-m)_(2k) / 4^k = m! / ((m-2k)! 4^k), and
 ((2-n-m)/2)_k ((3-n-m)/2)_k = (n+m-2)! / ((n+m-2-2k)! 4^k) before a pole,
 so D(m, n) times term k is (-1)^k C(r, k) D(m-2k, n): each entry is an int,
@@ -57,9 +55,9 @@ column comparison. When both hold, every row agrees, I_subtract == I_hyp
 == I_sum, and the validity test reduces to K_closed >= 0 and I_sum >= 0
 (K_closed <= d is I_subtract >= 0), so the block's rows are a ``zip`` of
 its columns. Any other block, by a pole ((2, 1) in the domain), a wrong
-column or a wrong sweep, is built row by row as a block of one r is, from
-``_column_sums`` and the kernel at each r: no swept value reaches a row but
-through the ``zip``, and each wrong row shows its own values.
+column or a wrong sweep, is built as single queries, as a block of one r
+is: from ``_column_sums`` and ``_i_hyp`` at each r. No swept value reaches
+a row but through the ``zip``, and each wrong row shows its own values.
 
 Degrees. At a fixed m every route is a polynomial in (n, r) on n >= 2,
 r >= 0. D(m', n) = C(n+m'-2, m') has degree m' in n, so I_sum, the sum over
@@ -71,9 +69,8 @@ give K degree <= m - 2 in n and <= m // 2 in r. D times term k of the 3F2
 is the s = k term of I_sum. So two routes that agree on n0..n0+m by
 0..m//2, n0 = max(2, m // 2), agree at every n >= 2 and 0 <= r <= n of that
 m; ``tests/test_route_degrees.py`` checks those grids for m <= 60 and the
-degree bounds on the code's values. Its grids are blocks of r = 0..R, so
-they check the swept K_closed, I_sum and I_hyp; ``tests/test_dims.py``
-holds the sums and the kernel at one r to the sweeps.
+degree bounds on the code's values. Its grids are swept blocks, and
+``tests/test_dims.py`` holds the single queries to them.
 """
 
 from __future__ import annotations
@@ -122,7 +119,7 @@ class DomainError(ValueError):
 def _validate(m: int, n: int, r: int) -> None:
     """The (m, n, r) domain: exact ints, m >= 1, n >= 1, 0 <= r <= n.
 
-    ``DimQuery``, every public route and the CLI's ``dims`` call this, so
+    ``DimQuery``, every public route and ``cli._row`` call this, so
     each rule and message lives here. The ``type(v) is int`` test rejects
     bool and costs no more than a range test. The private row builders trust
     their arguments: ``_iter_rows`` checks a table's bounds once instead.
@@ -302,9 +299,7 @@ def _column_sums(col: list[int], r: int) -> tuple[int, int]:
     """(K_closed, I_sum) at r from the ``_d_column`` of (m, n, R), for any R >= r.
 
     I_sum is the sum of C(r, s) col[s] over s <= r, as far as the column
-    goes, and K_closed = col[0] - I_sum is minus its terms for s >= 1. Every
-    row but those of a zipped block takes it; that block sweeps the column
-    instead (module docstring, "The D column").
+    goes, and K_closed = col[0] - I_sum is minus its terms for s >= 1.
     """
     total = sum(map(mul, map(math.comb, repeat(r), range(r + 1)), col))
     return col[0] - total, total
@@ -340,13 +335,19 @@ def dim_I_hyp(m: int, n: int, r: int) -> Fraction:
     than masked. Series errors propagate.
     """
     _validate(m, n, r)
-    num, den = _i_hyp_pair(m, n, r)
-    return Fraction(dim_D(m, n) * num, den)
+    return Fraction(_i_hyp(m, n, r, dim_D(m, n)))
 
 
-def _i_hyp_pair(m: int, n: int, r: int) -> tuple[int, int]:
-    """The 3F2 of ``dim_I_hyp`` as the kernel's unreduced (num, den), den != 0 of either sign."""
-    return _eval_scaled_3f2(-2 * r, -m, 1 - m, 2 - n - m, 3 - n - m, 2, 1, 1)[:2]
+def _i_hyp(m: int, n: int, r: int, d: int) -> int | Fraction:
+    """d times the 3F2 of ``dim_I_hyp``: the int when it is integral, else its Fraction.
+
+    The kernel gives the 3F2 as an unreduced (num, den), den != 0 of either
+    sign. With q, rem = divmod(d num, den), d num / den is integral iff
+    rem == 0, and is then q. Series errors propagate.
+    """
+    num, den, _ = _eval_scaled_3f2(-2 * r, -m, 1 - m, 2 - n - m, 3 - n - m, 2, 1, 1)
+    q, rem = divmod(d * num, den)
+    return Fraction(d * num, den) if rem else q
 
 
 def _sweep(col: list[int], top: int) -> list[int]:
@@ -367,12 +368,10 @@ def _hyp_column(m: int, n: int, top: int, d: int) -> list[int]:
     p3 = 1-m, and the lower by (q1+2j)(q2+2j), q1 = 2-n-m, q2 = 3-n-m; the
     powers of L cancel. The column ends at the first step with a zero factor:
     a zero numerator, first at j = m // 2, so depth = min(top, m // 2), or a
-    zero denominator, a pole, which leaves the column shorter than that. The
-    pole's rule is the kernel's alone; a short column never equals the D
-    column, so its block runs the kernel (``_block_rows``). From w_0 = d each
-    entry is w_(j+1) = -w_j (p2+2j)(p3+2j) / ((q1+2j)(q2+2j)), an int, so the
-    floor division is exact: (-1)^(j+1) D(m-2j-2, n) for n >= 2 (module
-    docstring, "The D column"), and 0 at n = 1, where d = 0.
+    zero denominator, a pole, which leaves the column shorter than that, by
+    the kernel's rule. From w_0 = d each entry is w_(j+1) = -w_j (p2+2j)(p3+2j)
+    / ((q1+2j)(q2+2j)), an int (module docstring, "The D column"), so the
+    floor division is exact.
     """
     factors = (
         ((2 * j - m) * (2 * j + 1 - m), (2 * j + 2 - n - m) * (2 * j + 3 - n - m))
@@ -433,15 +432,11 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     """The rows of (m, n, r) for each r of ``rs``, which ascend, laid out as ``_ROW_FIELDS``.
 
     D, the D levels, both K rows K(m, n, 0..R) and the D column are built
-    once, at R = rs[-1], when the first row is asked for. When ``rs`` is
-    0, 1, ..., R with R >= 1, which for strictly ascending ``rs`` is
-    R == len(rs) - 1, one sweep of the D column gives the I_sum and K_closed
-    rows (module docstring, "The D column"). If the 3F2 column equals the D
-    column and the K rows equal the K_closed row, the block's verdict, every
-    row agrees: the rows are a ``zip`` of the columns, with validity
-    K_closed >= 0 and I_sum >= 0. Any other block is built as single
-    queries: each r costs one ``_column_sums`` and one 3F2 series of the
-    kernel.
+    once, at R = rs[-1], when the first row is asked for. A block of
+    r = 0, 1, ..., R with R >= 1 (for strictly ascending ``rs``, R ==
+    len(rs) - 1) is swept and, if it passes its verdict, zipped (module
+    docstring, "The D column"). Every other row is a single query, from one
+    ``_column_sums`` and one ``_i_hyp`` at its r.
 
     A nonzero ``limit`` is a digit limit for printed rows: every row holds
     D, so a D of more than ``limit`` digits raises ValueError before the
@@ -453,13 +448,6 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     n <= 2 and D <= 1), and compares it: a D below 2^(3 limit) < 10^limit
     passes on one bit_length test. Callers that print pass the interpreter's
     int-to-str limit; library callers pass none and get exact rows at any size.
-
-    Such a row's I_hyp = d num / den, from the kernel's pair, is checked on
-    ints: with q, rem = divmod(d num, den) it is integral iff rem == 0, and
-    is then q, so the routes agree iff rem == 0 and q == I_sum ==
-    I_subtract. q is the floor of the exact quotient for either sign of
-    den, so q >= 0 iff I_hyp >= 0. The row keeps an integral I_hyp as the
-    int q and any other as Fraction(d num, den).
     """
     top = rs[-1]
     if limit and m + n - 2 > 3 * limit:
@@ -485,21 +473,15 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
         k_clo, i_sum = _column_sums(col, r)
         i_sub = d - k_clo
         try:
-            num, den = _i_hyp_pair(m, n, r)
+            i_hyp, hyp_error = _i_hyp(m, n, r, d), None
         except HyperEvalError as exc:
-            # No I_hyp: rem = 1 makes it agree with no route, and q = I_sum
-            # adds no bound that I_sum does not already meet.
-            i_hyp, hyp_error, q, rem = None, str(exc), i_sum, 1
-        else:
-            hyp_error = None
-            num *= d
-            q, rem = divmod(num, den)
-            i_hyp = Fraction(num, den) if rem else q
-        agree = k_rec == k_red == k_clo and rem == 0 and q == i_sum == i_sub
-        # Each K in 0..D (so D >= 0) and each I >= 0.
+            i_hyp, hyp_error = None, str(exc)
+        # None, and a Fraction that is not integral, equal no int.
+        agree = k_rec == k_red == k_clo and i_hyp == i_sum == i_sub
+        # Each K in 0..D (so D >= 0) and each I >= 0, I_subtract by K_closed <= D.
         valid = (
             0 <= k_rec <= d and 0 <= k_red <= d and 0 <= k_clo <= d
-            and i_sum >= 0 and i_sub >= 0 and q >= 0
+            and i_sum >= 0 and (i_hyp is None or i_hyp >= 0)
         )
         yield m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, agree, valid
 

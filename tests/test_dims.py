@@ -255,9 +255,10 @@ class TestComputeRecord:
         [
             ("_k_recursion_row", lambda m, r, ds: [-1] * (r + 1)),
             ("_k_reduction_row", lambda m, r, ds: [36] * (r + 1)),
-            # d num / den = 35 (-1) / 70 = -1/2, and 35 (1) / (-70) = -1/2.
-            ("_i_hyp_pair", lambda m, n, r: (-1, 70)),
-            ("_i_hyp_pair", lambda m, n, r: (1, -70)),
+            # The kernel's (num, den, terms): d num / den = 35 (-1) / 70 = -1/2,
+            # and 35 (1) / (-70) = -1/2.
+            ("_eval_scaled_3f2", lambda *args: (-1, 70, 1)),
+            ("_eval_scaled_3f2", lambda *args: (1, -70, 1)),
             ("_column_sums", lambda col, r: (36, 8)),
             ("_column_sums", lambda col, r: (27, -1)),
         ],
@@ -281,7 +282,7 @@ class TestComputeRecord:
     @pytest.mark.parametrize("pair", [(1, 70), (-1, -70), (17, 70)], ids=["1/2", "-1/-2", "17/2"])
     def test_positive_non_integral_I_hyp_disagrees_but_is_in_range(self, monkeypatch, pair):
         # D(4, 5) = 35: I_hyp = 35 num / den is 1/2 or 17/2, never the int 8.
-        monkeypatch.setattr(dims, "_i_hyp_pair", lambda m, n, r: pair)
+        monkeypatch.setattr(dims, "_eval_scaled_3f2", lambda *args: (*pair, 1))
         rec = compute_record(DimQuery(4, 5, 3))
         assert rec.I_hyp == Fraction(35 * pair[0], pair[1]) and type(rec.I_hyp) is Fraction
         assert not rec.routes_agree
@@ -303,14 +304,30 @@ class TestComputeRecord:
         assert rec.routes_agree
 
     def test_n_one_hyp_pole_is_flagged_not_raised(self):
-        # At n=1 with even m and r >= m/2 a lower series parameter vanishes
-        # too early; the record carries the error instead of aborting.
+        # At (2, 1, 1), the domain's one pole point, a lower series parameter
+        # vanishes too early; the record carries the error instead of aborting.
         rec = compute_record(DimQuery(2, 1, 1))
         assert rec.I_hyp is None
         assert rec.hyp_error is not None
         assert not rec.routes_agree
         assert rec.K is None and rec.I is None
         assert rec.I_sum == rec.I_subtract == -1  # integer routes still filled
+
+    def test_n_one_disagrees_only_at_the_pole(self):
+        # r <= n = 1, so (2, 1, 1) is the only point of n = 1 where the series
+        # has its pole. Every block row and every single query at n = 1,
+        # m <= 400, agrees but those at (2, 1, 1).
+        disagree = [
+            (kind, row[:3])
+            for m in range(1, 401)
+            for kind, rows in (
+                ("block", dims._block_rows(m, 1, range(2))),
+                ("single", (next(dims._block_rows(m, 1, (r,))) for r in (0, 1))),
+            )
+            for row in rows
+            if not row[_AGREE]
+        ]
+        assert disagree == [("block", (2, 1, 1)), ("single", (2, 1, 1))]
 
     def test_query_validation(self):
         with pytest.raises(DomainError):
@@ -885,11 +902,20 @@ class TestColumnSweep:
 _HYP_ERROR, _VALID = map(ROW_COLUMNS.index, ("hyp_error", "in_validity_range"))
 
 
-def kernel_hyp(pair, m: int, n: int, r: int) -> tuple:
-    """(type, value) of I_hyp and hyp_error at (m, n, r) from a kernel pair, as one row has them."""
+def kernel_pair(m: int, n: int, r: int) -> tuple[int, int]:
+    """The 3F2 of ``dim_I_hyp`` as the unreduced (num, den) of ``dims._eval_scaled_3f2``.
+
+    It reads the kernel from ``dims`` at each call, so a patched kernel
+    reaches both the code and the oracles that call this.
+    """
+    return dims._eval_scaled_3f2(-2 * r, -m, 1 - m, 2 - n - m, 3 - n - m, 2, 1, 1)[:2]
+
+
+def kernel_hyp(m: int, n: int, r: int) -> tuple:
+    """(type, value) of I_hyp and hyp_error at (m, n, r) from ``kernel_pair``, as a row has them."""
     d = dim_D(m, n)
     try:
-        num, den = pair(m, n, r)
+        num, den = kernel_pair(m, n, r)
     except HyperEvalError as exc:
         return type(None), None, str(exc)
     q, rem = divmod(d * num, den)
@@ -897,10 +923,12 @@ def kernel_hyp(pair, m: int, n: int, r: int) -> tuple:
     return type(i_hyp), i_hyp, None
 
 
-def recorded_pair(monkeypatch) -> list[tuple[int, int, int]]:
-    """Wrap ``dims._i_hyp_pair`` so that it records each (m, n, r) it is called at."""
-    pair, calls = dims._i_hyp_pair, []
-    monkeypatch.setattr(dims, "_i_hyp_pair", lambda *mnr: calls.append(mnr) or pair(*mnr))
+def recorded_i_hyp(monkeypatch) -> list[tuple[int, int, int]]:
+    """Wrap ``dims._i_hyp`` so that it records each (m, n, r) it is called at."""
+    i_hyp, calls = dims._i_hyp, []
+    monkeypatch.setattr(
+        dims, "_i_hyp", lambda m, n, r, d: calls.append((m, n, r)) or i_hyp(m, n, r, d)
+    )
     return calls
 
 
@@ -912,33 +940,34 @@ class TestHypColumnSweep:
     """
 
     def test_every_swept_row_is_the_kernel_at_its_r(self, monkeypatch):
-        pair = dims._i_hyp_pair
-        calls = recorded_pair(monkeypatch)
+        calls = recorded_i_hyp(monkeypatch)
         blocks = [(m, n) for m in range(1, 41) for n in range(1, 41)] + [(400, 400), (60, 3000)]
         wrong = []
         for m, n in blocks:
             for row in dims._block_rows(m, n, range(n + 1)):
                 got = type(row[_I_HYP]), row[_I_HYP], row[_HYP_ERROR]
-                if got != kernel_hyp(pair, m, n, row[2]):
+                if got != kernel_hyp(m, n, row[2]):
                     wrong.append(row[:3])
         assert wrong == []
         # Only the block with the domain's one pole runs the kernel, at each r.
         assert calls == [(2, 1, 0), (2, 1, 1)]
-        # The one pole row of the domain: n = 1 and r >= m / 2 = 1.
+        # The one pole row of the domain, (2, 1, 1).
         row = list(dims._block_rows(2, 1, range(2)))[1]
         assert row[_I_HYP] is None and not row[_AGREE]
         assert row[_HYP_ERROR] == "denominator vanishes at term k=1 before the series terminates"
 
     def test_each_check_applies_to_swept_rows(self, monkeypatch):
         # D(4, 5) = 35. The patched kernel gives d num / den = 8 + 1/840 at
-        # r = 3, one unit of 840 past I_sum = 8, and -1 at r = 2; at every
-        # other r it is the true kernel. A bent 3F2 column sends the block to
-        # the kernel; the true column does not, so no row moves.
+        # r = 3 (p1 = -2r), one unit of 840 past I_sum = 8, and -1 at r = 2;
+        # at every other r it is the true kernel. A bent 3F2 column sends the
+        # block to the kernel; the true column does not, so no row moves.
         true_rows = list(dims._block_rows(4, 5, range(6)))
         assert [row[_I_SUM] for row in true_rows[2:4]] == [16, 8] and true_rows[0][3] == 35
-        pair = dims._i_hyp_pair
-        bad = {3: (8 * 840 + 1, 840 * 35), 2: (-1, 35)}
-        monkeypatch.setattr(dims, "_i_hyp_pair", lambda m, n, r: bad.get(r) or pair(m, n, r))
+        kernel = dims._eval_scaled_3f2
+        bad = {-6: (8 * 840 + 1, 840 * 35, 4), -4: (-1, 35, 3)}
+        monkeypatch.setattr(
+            dims, "_eval_scaled_3f2", lambda p1, *rest: bad.get(p1) or kernel(p1, *rest)
+        )
         assert list(dims._block_rows(4, 5, range(6))) == true_rows
         col = dims._hyp_column(4, 5, 5, 35)
         assert col == dims._d_column(4, 5, 5)
@@ -964,7 +993,7 @@ class TestHypColumnSweep:
         for builder in _K_ROW_BUILDERS:
             row = getattr(dims, builder)(m, n, ds)
             monkeypatch.setattr(dims, builder, lambda *args, row=row: row)
-        calls = recorded_pair(monkeypatch)
+        calls = recorded_i_hyp(monkeypatch)
         next(dims._block_rows(m, n, range(n + 1)))
         assert calls == []
         for k, delta in itertools.product(range(len(col)), deltas):
@@ -985,7 +1014,7 @@ class TestHypColumnSweep:
         assert unequal == [(2, 1)]
         sweep, sweeps = dims._sweep, []
         monkeypatch.setattr(dims, "_sweep", lambda col, top: sweeps.append(top) or sweep(col, top))
-        calls = recorded_pair(monkeypatch)
+        calls = recorded_i_hyp(monkeypatch)
         for m, n in blocks:
             list(dims._block_rows(m, n, range(n + 1)))
         assert sweeps == [n for _, n in blocks]
@@ -994,9 +1023,9 @@ class TestHypColumnSweep:
 
 # The per-row loop of a table block, as it was before a block whose rows all
 # agree was emitted as columns, kept verbatim as an oracle, with its sweep;
-# only the digit limit is left out, and the column comparison takes the one
-# list of ``_hyp_column``. It reads every helper from dims, so a patched
-# helper reaches both.
+# only the digit limit is left out, the column comparison takes the one
+# list of ``_hyp_column``, and the kernel's pair comes from ``kernel_pair``.
+# It reads every helper from dims, so a patched helper reaches both.
 
 
 def frozen_sweep(col: list[int], top: int) -> Iterator[int]:
@@ -1030,7 +1059,7 @@ def frozen_block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[tuple]:
             i_hyp, hyp_error, q, rem = i_sum, None, i_sum, 0
         else:
             try:
-                num, den = dims._i_hyp_pair(m, n, r)
+                num, den = kernel_pair(m, n, r)
             except HyperEvalError as exc:
                 # No I_hyp: rem = 1 makes it agree with no route, and q = I_sum
                 # adds no bound that I_sum does not already meet.
@@ -1120,9 +1149,9 @@ class TestZippedBlocks:
         monkeypatch.setattr(
             dims, "_column_sums", lambda col, r: sums_calls.append(r) or column_sums(col, r)
         )
-        pair_calls = recorded_pair(monkeypatch)
+        hyp_calls = recorded_i_hyp(monkeypatch)
         assert_same_rows(list(dims._block_rows(m, n, rs)), singles)
-        assert zips == [1] and sums_calls == pair_calls == []
+        assert zips == [1] and sums_calls == hyp_calls == []
         for helper, args in (("_sweep", (dims._d_column(m, n, n), n)),
                              ("_hyp_column", (m, n, n, dim_D(m, n)))):
             true = getattr(dims, helper)
@@ -1134,10 +1163,10 @@ class TestZippedBlocks:
                     return entries
 
                 monkeypatch.setattr(dims, helper, bent)
-                del zips[:], sums_calls[:], pair_calls[:]
+                del zips[:], sums_calls[:], hyp_calls[:]
                 assert_same_rows(list(dims._block_rows(m, n, rs)), singles)
                 assert zips == [], (helper, k)
-                assert sums_calls == list(rs) and pair_calls == [(m, n, r) for r in rs]
+                assert sums_calls == list(rs) and hyp_calls == [(m, n, r) for r in rs]
             monkeypatch.setattr(dims, helper, true)
 
     @pytest.mark.parametrize("step", [1, -(10**9)], ids=["K-negative", "I-negative"])
@@ -1180,7 +1209,7 @@ def frozen_alternating_sums(m: int, n: int, r: int) -> tuple[int, int]:
 
 # A record as it was built while I_hyp was checked as a Fraction, kept as an
 # oracle for the int checks, on the frozen walk. Only the kernel call goes
-# through the pair helper, so a patched pair reaches both.
+# through ``kernel_pair``, so a patched kernel reaches both.
 
 
 def frozen_record(
@@ -1192,7 +1221,7 @@ def frozen_record(
     k_clo, i_sum = frozen_alternating_sums(m, n, r)
     i_sub = d - k_clo
     try:
-        num, den = dims._i_hyp_pair(m, n, r)
+        num, den = kernel_pair(m, n, r)
         i_hyp = Fraction(d * num, den)
         hyp_error = None
     except HyperEvalError as exc:
@@ -1334,6 +1363,6 @@ class TestRecordMatchesFractionOracle:
         else:
             pair = (data.draw(st.integers()), data.draw(_NONZERO))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dims, "_i_hyp_pair", lambda m, n, r: pair)
+            patch.setattr(dims, "_eval_scaled_3f2", lambda *args: (*pair, 1))
             want = frozen_record(query, d, rec_row, red_row)
             assert_row_is_record(block_row(query, d), want)
