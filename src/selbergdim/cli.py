@@ -17,7 +17,8 @@ Each output kind has one schema: a record's is ``RECORD_COLUMNS``, and
 the verify outputs take theirs from ``SuiteResult``'s fields. Every record
 renderer takes a row of ``dims._block_rows``. ``table --format csv|json``
 writes each row as it is computed and keeps none, so memory stays constant;
-the pretty table needs every row's width first, so it collects the rows.
+the pretty table needs every row's width first, so it keeps each row's
+cells, not the row, and writes its first line after the last row.
 
 A well-formed request is parsed directly, from a table read at import from
 the subcommand parsers' own actions. Help and every other argv go to
@@ -177,15 +178,6 @@ def _record_pretty(row: tuple) -> str:
     return text if hyp_error is None else f"{text}  hyp_error = {hyp_error}\n"
 
 
-def _records_pretty_table(rows: Sequence[tuple]) -> str:
-    lines = [list(CSV_COLUMNS)] + [_record_cells(row) for row in rows]
-    widths = [max(len(line[col]) for line in lines) for col in range(len(CSV_COLUMNS))]
-    return _lines(
-        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
-        for line in lines
-    )
-
-
 # json.dumps(indent=2) of a record as a %-template, built once per depth: 0
 # for a document of its own, 1 for an item of a top-level list. The braces
 # sit at the indent of the depth, one "key": value line per column one level
@@ -227,7 +219,8 @@ _DIMS_RENDERERS: dict[str, Callable[[tuple], str]] = {
 # returns whether every row's routes agree. csv and json write each row as
 # soon as it is computed and keep none of them, so a row past the digit
 # limit ends the stream there; the pretty table needs every row's width
-# before its first line, so it collects them first. ``_iter_rows`` raises
+# before its first line, so it keeps each row's cells, not the row, and
+# writes nothing until the last row is in. ``_iter_rows`` raises
 # DomainError before a writer runs, so the only ValueError a writer meets is
 # the digit limit's.
 
@@ -253,9 +246,14 @@ def _write_json(rows: Iterable[tuple], write: Callable[[str], Any]) -> bool:
 
 
 def _write_pretty(rows: Iterable[tuple], write: Callable[[str], Any]) -> bool:
-    rows = list(rows)
-    write(_records_pretty_table(rows))
-    return all(row[_AGREE] for row in rows)
+    lines, agree = [list(CSV_COLUMNS)], True
+    for row in rows:
+        lines.append(_record_cells(row))
+        agree = agree and row[_AGREE]
+    widths = [max(len(line[col]) for line in lines) for col in range(len(CSV_COLUMNS))]
+    for line in lines:
+        write("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() + "\n")
+    return agree
 
 
 _TABLE_WRITERS: dict[str, Callable[..., bool]] = {

@@ -35,7 +35,7 @@ __all__ = [
     "hockey_stick_check",
 ]
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 # The one text for a value past the int-to-str digit limit, filled with the limit.
 _TOO_MANY_DIGITS = ("a value has more digits than the interpreter's int-to-str limit ({}); "
@@ -61,7 +61,7 @@ def parse_rational(text: str) -> Fraction:
         ValueError: on malformed input, a zero denominator, or a part with
             more digits than the int-to-str limit (``_TOO_MANY_DIGITS``).
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"invalid rational literal {text!r}: expected 'p' or 'p/q'")
     num_part, _, den_part = text.partition("/")
     try:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Any, Iterator
 
 from .dims import DimensionRecord, DimQuery, compute_record
-from .exactnum import _digit_limit, _scale, as_fraction, format_rational, parse_rational
+from .exactnum import _scale, as_fraction, format_rational, parse_rational
 
 __all__ = [
     "ExponentConfig",
@@ -71,6 +71,8 @@ class ExponentConfig:
         if type(self.m) is not int or self.m < 1:
             raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
         object.__setattr__(self, "g", as_fraction(self.g))
+        if isinstance(self.lambdas, (str, bytes)):  # not split into its characters
+            raise TypeError(f"lambdas must be a sequence of rationals, got {self.lambdas!r}")
         object.__setattr__(self, "lambdas", tuple(as_fraction(lam) for lam in self.lambdas))
         if len(self.lambdas) < 1:
             raise ValueError("at least one lambda exponent is required")
@@ -195,14 +197,11 @@ def config_from_json(doc: str | bytes | dict[str, Any]) -> ExponentConfig:
     lambdas) so a malformed rational is easy to locate. So does the one
     for a value past the int-to-str digit limit: ``_json_int`` keeps an
     integer literal past it as a ``_LongInt``, which m names, and
-    ``parse_rational`` raises it for g and each lambda. Only a document
-    longer than the limit can hold such a literal, so only such a document
-    is read through ``_json_int``: json.loads builds a new decoder for each
-    call given a ``parse_int``, which costs more than reading a short one.
+    ``parse_rational`` raises it for g and each lambda.
     """
     if isinstance(doc, (str, bytes)):
         try:
-            data = json.loads(doc, parse_int=_json_int if 0 < _digit_limit() < len(doc) else None)
+            data = json.loads(doc, parse_int=_json_int)
         # JSONDecodeError, UnicodeDecodeError, and the RecursionError of
         # arrays or objects nested past the stack.
         except (ValueError, RecursionError) as exc:

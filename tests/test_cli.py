@@ -966,3 +966,84 @@ def test_classify_json_is_json_dumps_of_the_report(cfg):
     }, indent=2) + "\n"
     row = None if rec is None else row_of(rec)
     assert cli._classify_json(cfg, report, row) == expected
+
+
+# The values of a classify document. A long literal has 5,000 digits, past
+# the int-to-str limit; a rational outside the strict p or p/q form has a
+# trailing line break or space, a leading space, or is not one at all.
+_LONG = "1" + "0" * 4999
+_STRICT = st.one_of(
+    st.integers(-9, 9).map(str), st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9))
+)
+_NOT_STRICT = st.one_of(
+    st.tuples(_STRICT, st.sampled_from(["\n", " "])).map("".join),
+    _STRICT.map(" {}".format),
+    st.sampled_from(["1.5", "1 /2", "1e3", "", "+-1", "١/٢"]),
+)
+# Each fault a document may take, by name. A g or a lambda is replaced by
+# a value drawn here; so is a field, given as (name, JSON text or None for
+# a missing field).
+_FAULTY_RATIONALS = {
+    "wrong type": st.sampled_from([1.5, 2, True, None, [], {}]),
+    "long": st.sampled_from([_LONG, f"{_LONG}/3", f"-1/{_LONG}"]),
+    "zero denominator": st.integers(-9, 9).map("{}/0".format),
+    "not strict": _NOT_STRICT,
+}
+_FAULTY_FIELDS = (
+    st.tuples(st.just("m"), st.sampled_from(
+        ["0", "-2", "1.5", "true", "null", '"2"', "[2]", _LONG, "-" + _LONG, "1" + "0" * 30]
+    )),
+    st.tuples(st.just("lambdas"), st.sampled_from(['"1/2"', "null", "[]", "{}"])),
+    st.tuples(st.sampled_from(["m", "g", "lambdas"]), st.none()),
+    st.just(("n", "3")),
+)
+
+
+@st.composite
+def _classify_documents(draw):
+    """A classify document as JSON text, and whether each rational drawn for it is strict.
+
+    A well-formed document takes at most one fault of a g or a lambda and
+    one of a field.
+    """
+    rationals = draw(st.lists(_STRICT, min_size=2, max_size=5))  # g, then the lambdas
+    strict = True
+    for fault in draw(st.lists(st.sampled_from(list(_FAULTY_RATIONALS)), max_size=1)):
+        rationals[draw(st.integers(0, len(rationals) - 1))] = draw(_FAULTY_RATIONALS[fault])
+        strict = fault != "not strict"
+    fields = {
+        "m": str(draw(st.integers(1, 6))),
+        "g": json.dumps(rationals[0]),
+        "lambdas": json.dumps(rationals[1:]),
+    }
+    for name, text in draw(st.lists(st.one_of(*_FAULTY_FIELDS), max_size=1)):
+        fields[name] = text
+    present = ", ".join(f'"{name}": {text}' for name, text in fields.items() if text is not None)
+    return "{" + present + "}", strict
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        _classify_documents(),
+        st.tuples(st.sampled_from(["[]", "1", '"x"', "", "{", "NaN", '{"m": 2, "m": 3}']),
+                  st.just(True)),
+    ),
+    st.sampled_from(cli.FORMATS),
+)
+@example(("[" * 100000, True), "json")
+def test_classify_any_document_exits_with_a_documented_code(tmp_path_factory, document, fmt):
+    doc, strict = document
+    path = tmp_path_factory.getbasetemp() / "classify-document.json"
+    path.write_text(doc, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["classify", str(path), "--format", fmt])
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_ASSUMPTION)
+    if code == cli.EXIT_USAGE:
+        # One line of the package's own, never the interpreter's digit-limit text.
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        assert err.getvalue().endswith("\n") and "set_int_max_str_digits" not in err.getvalue()
+    else:
+        assert out.getvalue() and err.getvalue() == ""
+    assert strict or code == cli.EXIT_USAGE

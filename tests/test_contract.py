@@ -194,6 +194,10 @@ _FLOAT_CASES = [
     ("Lcg", _float_at("Lcg", (0,), 0), TypeError, False),
     ("run_suites", _float_at("run_suites", ("hockey", 0), 1), ValueError, True),
     ("run_suites", _float_at("run_suites", ("pfaff", 0, 2), 2), ValueError, True),
+    # lambdas as the str or bytes of the float is refused whole, not split
+    # into its characters. Last, so the ids above keep their index.
+    ("ExponentConfig", lambda f: selbergdim.ExponentConfig(2, 1, repr(f)), TypeError, True),
+    ("ExponentConfig", lambda f: selbergdim.ExponentConfig(2, 1, repr(f).encode()), TypeError, True),
 ]
 # The public names that take no number of their own: exceptions, result
 # records, the stdlib Fraction itself, and functions of a value that a

@@ -207,7 +207,8 @@ class TestTextForm:
         assert parse_rational("+3/9") == Fraction(1, 3)
 
     @pytest.mark.parametrize(
-        "bad", ["1/0", "0/0", "1.5", "", "/2", "1/", "1 /2", "3e2", "one", "1/-2", None]
+        "bad",
+        ["1/0", "0/0", "1.5", "", "/2", "1/", "1 /2", "3e2", "one", "1/-2", None, "1/2\n", "7\n"],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):

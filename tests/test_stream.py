@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ROW_COLUMNS, record_json_dict, row_of
+from conftest import ROW_COLUMNS, frozen_record_cells, record_json_dict, row_of
 from selbergdim import cli, dims
 from selbergdim.dims import iter_table, table
 
@@ -66,8 +66,9 @@ class TestStreaming:
             ("csv", list(range(29))),
             # Each record with its separator, then the closing bracket.
             ("json", list(range(1, 29)) + [28]),
-            # The pretty table needs every width first, so it is written once, at the end.
-            ("pretty", [28]),
+            # The pretty table needs every width first: each of its 29 lines
+            # is written after the last record is computed.
+            ("pretty", [28] * 29),
         ],
     )
     def test_records_written_as_computed(self, monkeypatch, computed, fmt, expected):
@@ -170,6 +171,28 @@ class TestJsonWriter:
         buf = io.StringIO()
         assert cli._write_json([], buf.write) is True
         assert buf.getvalue() == json.dumps([], indent=2) + "\n"
+
+
+def frozen_pretty_table(rows) -> str:
+    # The pretty table as it was written from a list of every row, kept as an
+    # oracle: each column padded to its widest cell, two spaces apart.
+    lines = [list(cli.CSV_COLUMNS)] + [frozen_record_cells(row) for row in rows]
+    widths = [max(len(line[col]) for line in lines) for col in range(len(cli.CSV_COLUMNS))]
+    return "".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() + "\n"
+        for line in lines
+    )
+
+
+def test_pretty_writer_is_the_frozen_table():
+    # m 1..12, n 1..15 has negative I values, and empty I_hyp cells at n = 1.
+    rows = list(dims._iter_rows((1, 12), (1, 15)))
+    cells = [frozen_record_cells(row) for row in rows]
+    i_sum, i_hyp = (cli.CSV_COLUMNS.index(c) for c in ("I_sum", "I_hyp"))
+    assert any(c[i_sum].startswith("-") for c in cells) and any(c[i_hyp] == "" for c in cells)
+    buf = io.StringIO()
+    assert cli._write_pretty(iter(rows), buf.write) is False
+    assert buf.getvalue() == frozen_pretty_table(rows)
 
 
 def _traced_peak(m_hi: int) -> int:
