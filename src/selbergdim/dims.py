@@ -20,17 +20,16 @@ K(m, n, r) reads only K(m-2j, n, 0..r-j) and both run bottom-up: each step
 to level m' reads the whole row of level m' - 2, consumes D(m'-2, n) and
 writes a row one entry wider. From the row of ``_k_start`` they take
 min((m-1)//2, r) steps of width <= r+1 to level m, at constant stack depth.
-``_d_levels`` lists the D each step consumes, once for both triangles.
+``_d_levels`` lists the D each step consumes, once for both triangles
+and the D column.
 
 The D column. ``dim_K_closed`` and ``dim_I_sum`` split one alternating sum
-over the signed column (-1)^s D(m-2s, n) of ``_d_column``, which computes
-one ``dim_D`` at the deepest term M and walks upward by the exact int step
-D(M+2, n) (M+1)(M+2) = D(M, n) (n+M-1)(n+M). Downward it would divide by
-(n+M-1)(n+M), which is 0 at n = 1, M = 0. The column must not feed the
-triangles: the K identities hold for any sequence of D values, so rows
-built from the walk would agree with K_closed even where the walk went
-wrong. Built from ``dim_D``, they make K_closed == K_recursion a check of
-every term of the walk, and I_sum == D - K_closed checks its first. A
+over the signed column (-1)^s D(m-2s, n) of ``_d_column``: D(m, n), the
+triangles' ``_d_levels`` read downward, and D(0, n) at even m with
+r >= m/2, so a block reads each D(m-2s, n) from ``dim_D`` once. The K
+identities hold for any sequence of D values, so K_closed == K_recursion
+== K_reduction checks the code of the three K formulas, not the D values;
+the 3F2 checks those, as it derives its terms from D(m, n) alone. A
 block that asks for r = 0, 1, ..., R sweeps this column c across r instead
 of summing sum_s C(r, s) c[s] at each r: row r reads I_sum, with K_closed =
 c[0] - I_sum. ``_sweep`` is the sweep, in Newton's forward-difference form:
@@ -49,15 +48,15 @@ and the 3F2 column equals this one. The sweep is linear and, over r = 0..R,
 one-to-one on columns of at most R + 1 entries (binomial inversion), so
 I_hyp == I_sum at every r exactly when the two columns are equal. A
 block's verdict is that comparison and one more: K_recursion's row ==
-K_reduction's row == the K_closed row. It needs no test of d == c[0], on
-which I_subtract = d - K_closed == I_sum rests: that is entry 0 of the
-column comparison. When both hold, every row agrees, I_subtract == I_hyp
-== I_sum, and the validity test reduces to K_closed >= 0 and I_sum >= 0
-(K_closed <= d is I_subtract >= 0), so the block's rows are a ``zip`` of
-its columns. Any other block, by a pole ((2, 1) in the domain), a wrong
-column or a wrong sweep, is built as single queries, as a block of one r
-is: from ``_column_sums`` and ``_i_hyp`` at each r. No swept value reaches
-a row but through the ``zip``, and each wrong row shows its own values.
+K_reduction's row == the K_closed row. As c[0] is d itself, I_subtract =
+d - K_closed == I_sum holds by construction. When both hold, every row
+agrees, I_subtract == I_hyp == I_sum, and the validity test reduces to
+K_closed >= 0 and I_sum >= 0 (K_closed <= d is I_subtract >= 0), so the
+block's rows are a ``zip`` of its columns. Any other block, by a pole
+((2, 1) in the domain), a wrong column or a wrong sweep, is built as single
+queries, as a block of one r is: from ``_column_sums`` and ``_i_hyp`` at
+each r. No swept value reaches a row but through the ``zip``, and each
+wrong row shows its own values.
 
 Degrees. At a fixed m every route is a polynomial in (n, r) on n >= 2,
 r >= 0. D(m', n) = C(n+m'-2, m') has degree m' in n, so I_sum, the sum over
@@ -275,23 +274,18 @@ def dim_K_reduction(m: int, n: int, r: int) -> int:
     return _k_reduction_row(m, r, _d_levels(m, n, r))[r]
 
 
-def _d_column(m: int, n: int, r: int) -> list[int]:
+def _d_column(m: int, n: int, r: int, d: int, ds: list[int]) -> list[int]:
     """The signed column (-1)^s D(m-2s, n) for s = 0..depth, the lesser of r and m // 2.
 
     Past that depth C(r, s) or D(m-2s, n) is 0, so the column holds every
-    nonzero term of the sums at r and at any smaller r. It is the module
-    docstring's upward walk; the sign flips at each step, and a floor
-    division of an exact quotient is exact for either sign.
+    nonzero term of the sums at r and at any smaller r. It is d = D(m, n),
+    then ``ds = _d_levels(m, n, r)`` read downward, then D(0, n) where the
+    column is one term deeper than the triangles: at even m with r >= m/2.
     """
-    depth = min(r, m // 2)
-    M = m - 2 * depth
-    d = -dim_D(M, n) if depth % 2 else dim_D(M, n)
-    col = [d]
-    while M < m:
-        d = -d * (n + M - 1) * (n + M) // ((M + 1) * (M + 2))
-        M += 2
-        col.append(d)
-    col.reverse()
+    col = [d, *reversed(ds)]
+    if len(ds) < min(r, m // 2):
+        col.append(dim_D(0, n))
+    col[1::2] = [-c for c in col[1::2]]
     return col
 
 
@@ -312,7 +306,7 @@ def dim_K_closed(m: int, n: int, r: int) -> int:
     s = min(r, floor(m/2)). The terms come from the D column.
     """
     _validate(m, n, r)
-    return _column_sums(_d_column(m, n, r), r)[0]
+    return _column_sums(_d_column(m, n, r, dim_D(m, n), _d_levels(m, n, r)), r)[0]
 
 
 def dim_I_sum(m: int, n: int, r: int) -> int:
@@ -322,7 +316,7 @@ def dim_I_sum(m: int, n: int, r: int) -> int:
     s = min(r, floor(m/2)). The terms come from the D column.
     """
     _validate(m, n, r)
-    return _column_sums(_d_column(m, n, r), r)[1]
+    return _column_sums(_d_column(m, n, r, dim_D(m, n), _d_levels(m, n, r)), r)[1]
 
 
 def dim_I_hyp(m: int, n: int, r: int) -> Fraction:
@@ -459,7 +453,7 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
         raise ValueError("D exceeds the int-to-str limit")
     ds = _d_levels(m, n, top)
     rec_row, red_row = _k_recursion_row(m, top, ds), _k_reduction_row(m, top, ds)
-    col = _d_column(m, n, top)
+    col = _d_column(m, n, top, d, ds)
     if 0 < top == len(rs) - 1:
         sums = _sweep(col, top)
         k_closed = [*map(sub, repeat(col[0]), sums)]

@@ -98,12 +98,15 @@ def is_integer(q: Fraction | int) -> bool:
 def as_fraction(value) -> Fraction:
     """``value`` as a Fraction; a value whose type is exactly Fraction is returned as is.
 
-    Every public function that takes a rational reads it through here.
+    Every public function that takes a rational reads it through here. A
+    ``str`` is read by :func:`parse_rational`, in the strict ``p/q`` form
+    only, not by ``Fraction``, which would take ``' 1.5e2 '`` as 150.
 
     Raises:
         TypeError: ``value`` is a float. Its binary value is seldom the number
             it was written as (0.1 is 3602879701896397/2^55), so it is refused
             rather than converted.
+        ValueError: ``value`` is a ``str`` that :func:`parse_rational` refuses.
     """
     # Fraction(f) builds a new object through the numbers ABCs even when f
     # already is a Fraction; skip that for the common case.
@@ -111,6 +114,8 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(f"expected an exact rational (int or Fraction), got the float {value!r}")
+    if isinstance(value, str):
+        return parse_rational(value)
     return Fraction(value)
 
 

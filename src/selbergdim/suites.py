@@ -24,8 +24,11 @@ Exhaustive suites ignore seed and cases:
 * ``hockey``      -- hockey-stick identity for all 0 <= s < r <= 40;
 * ``routes``      -- every dimension route agrees, D = K + I, and the
                      hypergeometric value is integral, on the grid
-                     1 <= m <= 8, 2 <= n <= 10, 0 <= r <= n, checked on
-                     the rows of ``dims._iter_rows``, one block per (m, n);
+                     1 <= m <= 8, 2 <= n <= 10, 0 <= r <= n: each row of
+                     ``dims._iter_rows``, one block per (m, n), must equal
+                     the single query at its r, which sums the D column
+                     and runs the 3F2 kernel there, and the checks run on
+                     that query's values;
 * ``closedforms`` -- image-dimension closed forms at r = n and r = n - 1,
                      plus the parity-split product form, for
                      2 <= m <= 8, m <= n <= 12.
@@ -140,22 +143,29 @@ def _hockey(r: int, s: int) -> str | None:
     return None if hockey_stick_check(r, s) else ""
 
 
-# The fields of a row that the routes check tests, read by name in one call.
+# The fields of a row that the routes check reads, by name in one call.
 _ROUTES_TESTED = operator.itemgetter(
-    *map(dims._ROW_FIELDS.index, ("routes_agree", "D", "K_closed", "I_sum", "I_hyp"))
+    *map(dims._ROW_FIELDS.index,
+         ("m", "n", "r", "routes_agree", "D", "K_closed", "I_sum", "I_hyp"))
 )
 
 
 def _routes(*row: object) -> str | None:
-    """Check one row of ``dims._iter_rows``, whose integral I_hyp is the int.
+    """Check one row of ``dims._iter_rows`` against its single query, ``_block_rows(m, n, (r,))``.
 
-    Any other I_hyp is a non-integral Fraction, or None on a series error.
+    An agreeing swept block neither sums the D column nor runs the 3F2
+    kernel; the single query does both at r, as ``dims`` does. The row must
+    equal it, and the query's values must agree, add up to D and hold an
+    integral I_hyp, kept as the int (any other is a non-integral Fraction,
+    or None on a series error). A counterexample shows the query's values.
     """
-    agree, d, k_closed, i_sum, i_hyp = _ROUTES_TESTED(row)
-    if agree and d == k_closed + i_sum and type(i_hyp) is int:
+    m, n, r, *_ = _ROUTES_TESTED(row)
+    single = next(dims._block_rows(m, n, (r,)))
+    *_, agree, d, k_closed, i_sum, i_hyp = _ROUTES_TESTED(single)
+    if single == row and agree and d == k_closed + i_sum and type(i_hyp) is int:
         return None
     return (": D={D} K=({K_recursion},{K_reduction},{K_closed}) "
-            "I=({I_sum},{I_hyp},{I_subtract})").format_map(dict(zip(dims._ROW_FIELDS, row)))
+            "I=({I_sum},{I_hyp},{I_subtract})").format_map(dict(zip(dims._ROW_FIELDS, single)))
 
 
 def _closedforms(m: int, n: int) -> str | None:

@@ -1047,3 +1047,78 @@ def test_classify_any_document_exits_with_a_documented_code(tmp_path_factory, do
     else:
         assert out.getvalue() and err.getvalue() == ""
     assert strict or code == cli.EXIT_USAGE
+
+
+# Option values for the argv property: values at and around the domain edges,
+# negative and malformed ones, and one with more digits than the int-to-str
+# limit. Every m, n and range stays <= 60 and every --cases <= 50, so each
+# request is small.
+_HUGE = "1" * 5000
+_BAD_INTS = ("", "x", " 4", "1_0", "2.0", _HUGE, f"-{_HUGE}")
+_EDGE_INTS = st.sampled_from((-1, 0, 1, 2, 3, 58, 59, 60))
+_INT_TOKENS = st.one_of(_EDGE_INTS.map(str), st.sampled_from(_BAD_INTS))
+_RANGES = st.one_of(
+    # lo..hi with hi a little past lo, equal to it or below it.
+    st.builds(lambda lo, step: f"{lo}..{min(lo + step, 60)}", _EDGE_INTS, st.integers(-1, 2)),
+    _EDGE_INTS.map(str),
+    st.sampled_from(
+        ("", "..", "2..", "..3", "2..x", "1..2..3", "3...4", f"{_HUGE}..2", f"1..{_HUGE}")
+    ),
+)
+
+
+@st.composite
+def _request_argvs(draw, tmp_dir):
+    """An argv of ``dims``, ``table`` or ``verify``, each option drawn from its own values.
+
+    An option, required or not, may be left out, and a ``--out`` path may
+    hold a line break or a NUL, or name a directory that does not exist.
+    """
+    options = {
+        "dims": {"-m": _INT_TOKENS, "-n": _INT_TOKENS, "-r": _INT_TOKENS},
+        "table": {
+            "--m-range": _RANGES, "--n-range": _RANGES,
+            "--r-policy": st.sampled_from((*cli._R_POLICY_NAMES, "only_n", "")),
+            "--out": st.sampled_from((
+                f"{tmp_dir}/table.out", f"{tmp_dir}/no/such dir/t.csv", f"{tmp_dir}/no\n/t.csv",
+                f"{tmp_dir}/a\x00b.csv", f"{tmp_dir}/new\nline.csv",
+            )),
+        },
+        "verify": {
+            "suite": st.sampled_from((*cli.SUITE_NAMES, "all", "everything", "")),
+            "--seed": st.sampled_from(("-1", "0", "1", str(2**64), *_BAD_INTS)),
+            "--cases": st.sampled_from(("-1", "0", "1", "2", "50", *_BAD_INTS)),
+        },
+    }
+    command = draw(st.sampled_from(sorted(options)))
+    argv = [command]
+    formats = st.sampled_from((*cli.FORMATS, "xml"))
+    for option, values in [*options[command].items(), ("--format", formats)]:
+        if draw(st.integers(0, 5)):  # left out one time in six
+            value = draw(values)
+            argv += [value] if option == "suite" else [option, value]
+    return argv
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(st.data())
+def test_any_request_argv_exits_with_a_documented_code(tmp_path_factory, data):
+    argv = data.draw(_request_argvs(tmp_path_factory.getbasetemp()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, by_argparse = cli.main(argv), False
+        except SystemExit as exc:
+            code, by_argparse = exc.code, True
+    err = err.getvalue()
+    if by_argparse:
+        assert code == cli.EXIT_USAGE
+    else:
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DISAGREEMENT, cli.EXIT_ASSUMPTION)
+        # An error the package reports is one line, with no control byte; any
+        # other exit writes no error.
+        assert err.count("\n") == (code == cli.EXIT_USAGE) and err.endswith("\n") == bool(err)
+        assert not re.search(r"[\x00-\x1f\x7f]", err[:-1])
+    assert "set_int_max_str_digits" not in err
+    if "int-to-str limit" in err:
+        assert any(sum(map(str.isdigit, token)) > cli._digit_limit() for token in argv)

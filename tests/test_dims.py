@@ -101,11 +101,12 @@ class TestKernelRoutes:
         assert dim_K_closed(6, 9, 0) == 0
 
     def test_alternating_sums_stop_at_r(self, monkeypatch):
-        # C(r, s) = 0 for s > r, so at r = 3 each sum walks s = 3 down to 0
-        # only, not m // 2 = 300 terms. The walk starts from the one C inside
-        # dim_D at the deepest term, D(594, 3) = C(595, 594), and takes every
-        # later term from the last one; the C(r, s) are math.comb's.
+        # C(r, s) = 0 for s > r, so at r = 3 each sum reads the terms s = 0..3
+        # only, not m // 2 = 300 terms: one C inside dim_D for each
+        # D(600 - 2s, 3) = C(601 - 2s, 600 - 2s), D(600, 3) first and then the
+        # triangles' levels upward; the C(r, s) are math.comb's.
         calls = []
+        terms = [(601, 600), (595, 594), (597, 596), (599, 598)]
 
         def counting(r, s):
             calls.append((r, s))
@@ -114,10 +115,10 @@ class TestKernelRoutes:
         monkeypatch.setattr(dims, "binom", counting)
         # 3 D(598, 3) - 3 D(596, 3) + D(594, 3) = 3*599 - 3*597 + 595.
         assert dim_K_closed(600, 3, 3) == 601
-        assert calls == [(595, 594)]
+        assert calls == terms
         calls.clear()
         assert dim_I_sum(600, 3, 3) == 0
-        assert calls == [(595, 594)]
+        assert calls == terms
 
     def test_domain_errors(self):
         for fn in (dim_K_recursion, dim_K_reduction, dim_K_closed, dim_I_sum, dim_I_hyp):
@@ -559,14 +560,11 @@ class TestTriangleBuilders:
 
     @pytest.mark.parametrize("m,n,r", _STEP_POINTS)
     def test_a_block_computes_each_level_once(self, dim_d_levels, m, n, r):
-        # One dim_D per triangle level, shared by both builders, one for
-        # D(m, n) and one for the column's deepest term, D(m - 2 min(r, m // 2), n).
-        steps = min((m - 1) // 2, r)
+        # One dim_D per term D(m - 2s, n) of the column, s = 0..min(r, m // 2):
+        # D(m, n), the triangle levels, which both builders and the column
+        # share, and D(0, n) where the column is one term deeper.
         assert next(dims._block_rows(m, n, (r,)))[_AGREE]
-        assert len(dim_d_levels) == steps + 2
-        assert sorted(dim_d_levels) == sorted(
-            [*range(m - 2 * steps, m - 1, 2), m, m - 2 * min(r, m // 2)]
-        )
+        assert sorted(dim_d_levels) == [m - 2 * s for s in range(min(r, m // 2), -1, -1)]
 
     @staticmethod
     def routes_failures() -> tuple[int, list[tuple]]:
@@ -575,8 +573,9 @@ class TestTriangleBuilders:
         return result.failed, list(dims._iter_rows((1, 8), (2, 10)))
 
     def test_shifted_d_levels_break_the_routes(self, monkeypatch):
-        # D(m', n) where D(m'-2, n) belongs: both triangles read the same wrong
-        # list, so they agree with each other, but not with the column.
+        # D(m', n) where D(m'-2, n) belongs: both triangles and the D column
+        # read the same wrong list, so the three K routes agree with each
+        # other, but not with the 3F2, which takes its terms from D(m, n) alone.
         def shifted(m, n, r):
             steps = min((m - 1) // 2, r)
             return [dim_D(level + 2, n) for level in range(m - 2 * steps, m - 1, 2)]
@@ -594,6 +593,27 @@ class TestTriangleBuilders:
         failed, rows = self.routes_failures()
         assert failed > 0
         assert not all(row[_AGREE] for row in rows)
+
+    @pytest.mark.parametrize(
+        "wrong_d",
+        [
+            lambda m, n, true: math.comb(n + m - 1, m) if m >= 0 else 0,
+            lambda m, n, true: true(m, n) + (m >= 3),
+            # Only the D column reads D(0, n), and only through dim_D.
+            lambda m, n, true: 0 if m == 0 else true(m, n),
+            lambda m, n, true: 2 * true(m, n),
+        ],
+        ids=["C(n+m-1, m)", "+1 at m >= 3", "D(0, n) = 0", "2 D"],
+    )
+    def test_a_wrong_dim_D_breaks_the_routes(self, monkeypatch, wrong_d):
+        # The triangles and the D column read the same D values, so the K
+        # routes agree with each other whatever they are; the 3F2, built from
+        # D(m, n) alone, is what a wrong D must fail against.
+        monkeypatch.setattr(dims, "dim_D", lambda m, n, true=dims.dim_D: wrong_d(m, n, true))
+        failed, _ = self.routes_failures()
+        assert failed > 0
+        points = [(m, n, r) for m in range(1, 13) for n in range(2, 13) for r in range(n + 1)]
+        assert not all(compute_record(DimQuery(*point)).routes_agree for point in points)
 
 
 class TestDeepInputsAndBoundedTables:
@@ -827,6 +847,16 @@ def frozen_dim_I_sum(m: int, n: int, r: int) -> int:
     )
 
 
+def d_column(m: int, n: int, r: int) -> list[int]:
+    """``dims._d_column`` at (m, n, r), from the D(m, n) and the levels a block passes it."""
+    return dims._d_column(m, n, r, dims.dim_D(m, n), dims._d_levels(m, n, r))
+
+
+def frozen_d_column(m: int, n: int, r: int) -> list[int]:
+    """(-1)^s D(m-2s, n), s = 0..min(r, m // 2), one ``dims.dim_D`` each: an oracle of its own."""
+    return [(-1) ** s * dims.dim_D(m - 2 * s, n) for s in range(min(r, m // 2) + 1)]
+
+
 class TestAlternatingSumsMatchFrozenRoutes:
     @settings(max_examples=400)
     @given(
@@ -850,10 +880,13 @@ class TestAlternatingSumsMatchFrozenRoutes:
                 assert dim_K_closed(m, 1, r) == frozen_dim_K_closed(m, 1, r)
                 assert dim_I_sum(m, 1, r) == frozen_dim_I_sum(m, 1, r)
 
-    @pytest.mark.parametrize("m,n,r", [(1, 5, 3), (6, 4, 2), (9, 5, 5), (40, 30, 12)])
+    @pytest.mark.parametrize(
+        "m,n,r", [(1, 5, 3), (6, 4, 2), (9, 5, 5), (40, 30, 12), (8, 5, 4), (2, 1, 1)]
+    )
     def test_terms_are_the_signed_products_in_walk_order(self, m, n, r):
         terms = [(-1) ** s * binom(r, s) * dim_D(m - 2 * s, n) for s in range(min(r, m // 2) + 1)]
-        column = dims._d_column(m, n, r)
+        column = d_column(m, n, r)
+        assert column == frozen_d_column(m, n, r)
         assert len(column) == len(terms)
         assert dims._column_sums(column, r) == (-sum(terms[1:]), sum(terms))
 
@@ -872,13 +905,13 @@ class TestColumnSweep:
         blocks = [(m, n) for m in range(1, 41) for n in range(1, 41)] + [(400, 400)]
         wrong = []
         for m, n in blocks:
-            column = dims._d_column(m, n, n)
+            column = d_column(m, n, n)
             for row in dims._block_rows(m, n, range(n + 1)):
                 if (row[_K_CLOSED], row[_I_SUM]) != column_sums(column, row[2]):
                     wrong.append(row[:3])
         assert wrong == []
         # Only the block that fails its verdict, (2, 1), sums its column, once per row.
-        assert calls == [(dims._d_column(2, 1, 1), 0), (dims._d_column(2, 1, 1), 1)]
+        assert calls == [(d_column(2, 1, 1), 0), (d_column(2, 1, 1), 1)]
 
     def test_single_r_rows_are_the_swept_rows_at_their_r(self):
         swept = {row[:3]: row for row in dims._iter_rows((1, 12), (1, 40))}
@@ -970,7 +1003,7 @@ class TestHypColumnSweep:
         )
         assert list(dims._block_rows(4, 5, range(6))) == true_rows
         col = dims._hyp_column(4, 5, 5, 35)
-        assert col == dims._d_column(4, 5, 5)
+        assert col == d_column(4, 5, 5)
         monkeypatch.setattr(dims, "_hyp_column", lambda *args: [col[0] + 1, *col[1:]])
         rows = list(dims._block_rows(4, 5, range(6)))
         assert rows[3][_I_HYP] == 8 + Fraction(1, 840) and type(rows[3][_I_HYP]) is Fraction
@@ -1009,7 +1042,7 @@ class TestHypColumnSweep:
         blocks = [(m, n) for m in range(1, 61) for n in range(1, 61)] + [(400, 400), (60, 3000)]
         unequal = []
         for m, n in blocks:
-            if dims._hyp_column(m, n, n, dim_D(m, n)) != dims._d_column(m, n, n):
+            if dims._hyp_column(m, n, n, dim_D(m, n)) != d_column(m, n, n):
                 unequal.append((m, n))
         assert unequal == [(2, 1)]
         sweep, sweeps = dims._sweep, []
@@ -1025,7 +1058,8 @@ class TestHypColumnSweep:
 # agree was emitted as columns, kept verbatim as an oracle, with its sweep;
 # only the digit limit is left out, the column comparison takes the one
 # list of ``_hyp_column``, and the kernel's pair comes from ``kernel_pair``.
-# It reads every helper from dims, so a patched helper reaches both.
+# It reads every other helper from dims, so a patched helper reaches both,
+# but builds its D column itself, ``frozen_d_column`` unless one is given.
 
 
 def frozen_sweep(col: list[int], top: int) -> Iterator[int]:
@@ -1035,12 +1069,14 @@ def frozen_sweep(col: list[int], top: int) -> Iterator[int]:
         v = [*map(add, v, v[1 : keep + 1]), 0]
 
 
-def frozen_block_rows(m: int, n: int, rs: Sequence[int]) -> Iterator[tuple]:
+def frozen_block_rows(
+    m: int, n: int, rs: Sequence[int], col: list[int] | None = None
+) -> Iterator[tuple]:
     top = rs[-1]
     d = dims.dim_D(m, n)
     ds = dims._d_levels(m, n, top)
     rec_row, red_row = dims._k_recursion_row(m, top, ds), dims._k_reduction_row(m, top, ds)
-    col = dims._d_column(m, n, top)
+    col = frozen_d_column(m, n, top) if col is None else col
     sums = None
     same = False
     if 0 < top == len(rs) - 1:
@@ -1152,7 +1188,7 @@ class TestZippedBlocks:
         hyp_calls = recorded_i_hyp(monkeypatch)
         assert_same_rows(list(dims._block_rows(m, n, rs)), singles)
         assert zips == [1] and sums_calls == hyp_calls == []
-        for helper, args in (("_sweep", (dims._d_column(m, n, n), n)),
+        for helper, args in (("_sweep", (d_column(m, n, n), n)),
                              ("_hyp_column", (m, n, n, dim_D(m, n)))):
             true = getattr(dims, helper)
             size = len(true(*args))
@@ -1183,7 +1219,7 @@ class TestZippedBlocks:
         for builder in _K_ROW_BUILDERS:
             monkeypatch.setattr(dims, builder, lambda *args: list(k_row))
         rows = list(dims._block_rows(m, n, range(n + 1)))
-        assert_same_rows(rows, list(frozen_block_rows(m, n, range(n + 1))))
+        assert_same_rows(rows, list(frozen_block_rows(m, n, range(n + 1), col)))
         assert all(row[_AGREE] for row in rows)
         assert [row[_VALID] for row in rows] == [True] + [False] * n
 
@@ -1251,10 +1287,10 @@ def block_row(query: DimQuery, d: int) -> tuple:
     """The one row of the query's block, ``compute_record``'s row, with D taken as ``d``.
 
     Only the block's own D(m, n) is replaced: the D column is the true one,
-    even where its deepest term is D(m, n) itself.
+    D(m, n) at its head included.
     """
     m, n, r = query.m, query.n, query.r
-    column = dims._d_column(m, n, r)
+    column = d_column(m, n, r)
     true_dim_D = dims.dim_D
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dims, "dim_D", lambda m_, n_: d if (m_, n_) == (m, n) else true_dim_D(m_, n_))

@@ -225,6 +225,18 @@ class TestTextForm:
             "PYTHONINTMAXSTRDIGITS=0 lifts it"
         )
 
+    @pytest.mark.parametrize("text", [" 1.5e2 ", "2.0", " 0.5 ", "1e-3", "3/4 "])
+    def test_a_str_is_read_in_the_strict_form_only(self, text):
+        # Fraction would read each of these: ' 1.5e2 ' as 150, '2.0' as 2.
+        for fn in (format_rational, is_integer, lambda q: pochhammer(q, 2)):
+            with pytest.raises(ValueError, match=f"invalid rational literal '{text}'"):
+                fn(text)
+
+    def test_a_str_in_the_strict_form_is_its_rational(self):
+        assert format_rational("-2/6") == "-1/3"
+        assert is_integer("4") and not is_integer("1/3")
+        assert pochhammer("1/2", 2) == Fraction(3, 4)
+
     @given(rationals)
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q

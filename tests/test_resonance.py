@@ -303,3 +303,12 @@ class TestConfigJson:
             ExponentConfig(m=2, g=F(1, 2), lambdas=())
         with pytest.raises(ValueError, match="m must be an integer >= 1, got True"):
             ExponentConfig(m=True, g=F(1, 2), lambdas=(F(1, 4),))
+
+    @pytest.mark.parametrize(
+        "g, lambdas, text", [(" 0.5 ", ["1/3"], " 0.5 "), ("1/2", ["1e-3"], "1e-3")]
+    )
+    def test_config_reads_a_str_in_the_strict_form_only(self, g, lambdas, text):
+        # Fraction would read ' 0.5 ' as 1/2 and '1e-3' as 1/1000.
+        with pytest.raises(ValueError, match=f"invalid rational literal '{text}'"):
+            ExponentConfig(2, g, lambdas)
+        assert ExponentConfig(2, "1/2", ["-1/3"]) == ExponentConfig(2, F(1, 2), (F(-1, 3),))

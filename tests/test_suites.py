@@ -97,6 +97,36 @@ def test_routes_counterexample_pretty(monkeypatch, run_cli):
     )
 
 
+def _i_hyp_without_d(m, n, r, d):
+    num, den, _ = dims._eval_scaled_3f2(-2 * r, -m, 1 - m, 2 - n - m, 3 - n - m, 2, 1, 1)
+    q, rem = divmod(num, den)
+    return Fraction(num, den) if rem else q
+
+
+def _column_sums_one_term_short(col, r):
+    total = sum(math.comb(r, s) * c for s, c in zip(range(r), col))
+    return col[0] - total, total
+
+
+@pytest.mark.parametrize(
+    "name, mutant, result",
+    [
+        ("_i_hyp", _i_hyp_without_d,
+         SuiteResult("routes", 59, 445, 0, "m=1 n=3 r=0: D=2 K=(0,0,0) I=(2,1,2)")),
+        ("_column_sums", _column_sums_one_term_short,
+         SuiteResult("routes", 293, 211, 0, "m=1 n=2 r=0: D=1 K=(0,0,1) I=(0,1,0)")),
+    ],
+    ids=["_i_hyp without d", "_column_sums over range(r)"],
+)
+def test_routes_runs_the_single_query_routes(monkeypatch, name, mutant, result):
+    # An agreeing swept block reads neither the 3F2 kernel nor _column_sums, so
+    # the suite also builds each row's single query, which reads both, as
+    # `dims` does. The counterexample shows that query's values: its I_hyp of
+    # 1 at (1, 3, 0), where the swept row holds I_hyp = I_sum = 2.
+    monkeypatch.setattr(dims, name, mutant)
+    assert run_suites("routes") == [result]
+
+
 @pytest.mark.parametrize("name", ["hockey", "routes", "closedforms"])
 @pytest.mark.parametrize("seed,cases", [(0, 1), (7, 3), (2**64 + 5, 10_000)])
 def test_exhaustive_suites_ignore_seed_and_cases(name, seed, cases):
