@@ -15,10 +15,16 @@ and a CSV cell with a comma, a quote or a line break is quoted (RFC 4180).
 
 Each output kind has one schema: a record's is ``RECORD_COLUMNS``, and
 the verify outputs take theirs from ``SuiteResult``'s fields. Every record
-renderer takes a row of ``dims._block_rows``. ``table --format csv|json``
-writes each row as it is computed and keeps none, so memory stays constant;
-the pretty table needs every row's width first, so it keeps each row's
-cells, not the row, and writes its first line after the last row.
+renderer takes a row of ``dims._block_rows``. ``table`` takes the blocks of
+``dims._iter_blocks``, one per (m, n): a zipped block, whose routes agree
+on every row, is its columns, and its records go out in one write, made
+from the record renderer's text of one marked row with m, n and D filled
+in once per block and each r, K and I value made text once; any other
+block is written one record at a time. ``table --format csv|json``
+writes each block as it is computed and keeps none, so memory grows with n
+alone (a block has at most n + 1 records); the pretty table needs every
+row's width first, so it keeps each row's cells, not the row, and writes
+its first line after the last row.
 
 A well-formed request is parsed directly, from a table read at import from
 the subcommand parsers' own actions. Help and every other argv go to
@@ -48,9 +54,12 @@ import json
 import os
 import re
 import sys
-from typing import Any, Callable, Iterable, Sequence
+from itertools import chain, repeat
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .dims import R_POLICIES, _AGREE, _ROW_FIELDS, DomainError, _block_rows, _iter_rows, _validate
+from .dims import (
+    R_POLICIES, _AGREE, _ROW_FIELDS, DomainError, _block, _iter_blocks, _rows, _validate,
+)
 from .exactnum import _TOO_MANY_DIGITS, _digit_limit, format_rational
 from .resonance import (
     ConfigParseError, ResonanceReport, classify, config_from_json, config_to_json_dict,
@@ -215,41 +224,82 @@ _DIMS_RENDERERS: dict[str, Callable[[tuple], str]] = {
 }
 
 
-# Table writers: each writes the rows it is given through ``write`` and
-# returns whether every row's routes agree. csv and json write each row as
-# soon as it is computed and keep none of them, so a row past the digit
-# limit ends the stream there; the pretty table needs every row's width
-# before its first line, so it keeps each row's cells, not the row, and
-# writes nothing until the last row is in. ``_iter_rows`` raises
-# DomainError before a writer runs, so the only ValueError a writer meets is
-# the digit limit's.
+# Table writers: each writes the blocks of ``_iter_blocks`` through ``write``
+# and returns whether every row's routes agree. A zipped block is written as
+# one text, made from its columns by ``_block_text``; any other block's rows
+# are rendered and written one at a time. csv and json write each block as
+# soon as it is computed and keep none, so a row past the digit limit, which
+# ``_block`` never leaves in a zipped block, ends the stream at its record;
+# the pretty table needs every row's width before its first line, so it
+# keeps each row's cells, not the row, and writes nothing until the last
+# block is in. ``_iter_blocks`` raises DomainError before a writer runs, so
+# the only ValueError a writer meets is the digit limit's.
 
-def _write_csv(rows: Iterable[tuple], write: Callable[[str], Any]) -> bool:
+# A zipped block's records are written from one record text in which r, K, I
+# and the validity text are the gaps \0, \1, \2 and \3, and m, n and D the
+# marks \4, \5 and \6: control characters that no record text holds.
+_GAPS = re.compile("[\0-\3]")
+
+
+def _record_texts(blocks: Iterable, render: Callable[[tuple], str]) -> Iterator[tuple[str, bool]]:
+    """(text, agree) for each zipped block as one text, and for each row of any other block.
+
+    The template is what ``render`` writes of a row whose m, n, D, r, K and I
+    are their marks, and whose validity, its one false flag, becomes its gap.
+    ``order`` lists the gaps as they come, and each is then the gap \\0.
+    """
+    marked = next(_rows(("\4", "\5", "\6", ["\0"], ["\1"], ["\2"], [False])))
+    template = render(marked).replace(_bool_str[False], "\3")
+    order = [*map(ord, _GAPS.findall(template))]
+    template = _GAPS.sub("\0", template)
+    for block in blocks:
+        if type(block) is tuple:
+            yield _block_text(block, template, order), True
+        else:
+            for row in block:
+                yield render(row), row[_AGREE]
+
+
+def _block_text(block: tuple, marked: str, order: list[int]) -> str:
+    """The records of a zipped block, from the record text of ``_record_texts``.
+
+    m, n and D fill their marks, once per block, and the gaps split the text
+    into pieces that every row shares. Each record is those pieces zipped
+    with the columns of the gaps, in ``order``, each entry of which is made
+    text once (by repr, a builtin call that is faster than str's).
+    """
+    m, n, d, rs, k, i, valid = block
+    flags = [*map(_bool_str.__getitem__, valid)]
+    columns = [*map(repr, rs)], [*map(repr, k)], [*map(repr, i)], flags
+    pieces = marked.replace("\4", repr(m)).replace("\5", repr(n)).replace("\6", repr(d)).split("\0")
+    parts = [*chain.from_iterable(zip(map(repeat, pieces), map(columns.__getitem__, order)))]
+    return "".join(map("".join, zip(*parts, repeat(pieces[-1]))))
+
+
+def _write_csv(blocks: Iterable, write: Callable[[str], Any]) -> bool:
     write(_csv_row(CSV_COLUMNS) + "\n")
     agree = True
-    for row in rows:
-        write(_record_csv(row) + "\n")
-        agree = agree and row[_AGREE]
+    for text, ok in _record_texts(blocks, lambda row: _record_csv(row) + "\n"):
+        write(text)
+        agree = agree and ok
     return agree
 
 
-def _write_json(rows: Iterable[tuple], write: Callable[[str], Any]) -> bool:
-    # The bytes of json.dumps(list_of_records, indent=2) + "\n", one record at a time.
-    agree = True
-    opening = "[\n"
-    for row in rows:
-        write(opening + _record_json(row, 1))
-        opening = ",\n"
-        agree = agree and row[_AGREE]
-    write("[]\n" if opening == "[\n" else "\n]\n")
+def _write_json(blocks: Iterable, write: Callable[[str], Any]) -> bool:
+    # The bytes of json.dumps(list_of_records, indent=2) + "\n", one block at a
+    # time: each item follows ",\n", which is "[\n" before the first.
+    agree, first = True, True
+    for text, ok in _record_texts(blocks, lambda row: ",\n" + _record_json(row, 1)):
+        write("[" + text[1:] if first else text)
+        agree, first = agree and ok, False
+    write("[]\n" if first else "\n]\n")
     return agree
 
 
-def _write_pretty(rows: Iterable[tuple], write: Callable[[str], Any]) -> bool:
-    lines, agree = [list(CSV_COLUMNS)], True
-    for row in rows:
-        lines.append(_record_cells(row))
-        agree = agree and row[_AGREE]
+def _write_pretty(blocks: Iterable, write: Callable[[str], Any]) -> bool:
+    # The csv table's lines, split at their commas, which no cell holds.
+    lines: list[list[str]] = []
+    agree = _write_csv(blocks, lambda text: lines.extend(s.split(",") for s in text.splitlines()))
     widths = [max(len(line[col]) for line in lines) for col in range(len(CSV_COLUMNS))]
     for line in lines:
         write("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() + "\n")
@@ -407,9 +457,12 @@ def _usage_error(args: argparse.Namespace, message: str) -> int:
 
 
 def _row(m: int, n: int, r: int) -> tuple:
-    """The row of (m, n, r), checked by ``_validate``, under the interpreter's digit limit."""
+    """The row of (m, n, r), checked by ``_validate``, under the interpreter's digit limit.
+
+    A block of one r is built as a single query, a generator of its one row.
+    """
     _validate(m, n, r)
-    return next(_block_rows(m, n, (r,), _digit_limit()))
+    return next(_block(m, n, (r,), _digit_limit()))
 
 
 def _cmd_dims(args: argparse.Namespace) -> int:
@@ -419,8 +472,8 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    # _iter_rows checks the bounds before anything is opened or written.
-    rows = _iter_rows(args.m_range, args.n_range, _R_POLICY_NAMES[args.r_policy], _digit_limit())
+    # _iter_blocks checks the bounds before anything is opened or written.
+    blocks = _iter_blocks(args.m_range, args.n_range, _R_POLICY_NAMES[args.r_policy], _digit_limit())
     write_table = _TABLE_WRITERS[args.format]
     if args.out is not None:
         # A path with a NUL byte makes open() raise ValueError. Around the
@@ -432,11 +485,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
             return _usage_error(args, f"cannot write {args.out}: {exc}")
         try:
             with handle:
-                agree = write_table(rows, handle.write)
+                agree = write_table(blocks, handle.write)
         except OSError as exc:
             return _usage_error(args, f"cannot write {args.out}: {exc}")
     else:
-        agree = write_table(rows, sys.stdout.write)
+        agree = write_table(blocks, sys.stdout.write)
     return EXIT_OK if agree else EXIT_DISAGREEMENT
 
 
@@ -593,7 +646,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _usage_error(args, str(exc))
     # Once the domain and parse checks pass, the only ValueError a command
     # raises is the int-to-str digit limit's: argparse and _cmd_verify vet
-    # run_suites' arguments, _iter_rows raises DomainError before any write,
+    # run_suites' arguments, _iter_blocks raises DomainError before any write,
     # config_from_json wraps its own ValueErrors, the engine raises none on
     # validated input, and the commands catch open()'s themselves.
     except ValueError:

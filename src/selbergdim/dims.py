@@ -52,11 +52,13 @@ K_reduction's row == the K_closed row. As c[0] is d itself, I_subtract =
 d - K_closed == I_sum holds by construction. When both hold, every row
 agrees, I_subtract == I_hyp == I_sum, and the validity test reduces to
 K_closed >= 0 and I_sum >= 0 (K_closed <= d is I_subtract >= 0), so the
-block's rows are a ``zip`` of its columns. Any other block, by a pole
-((2, 1) in the domain), a wrong column or a wrong sweep, is built as single
-queries, as a block of one r is: from ``_column_sums`` and ``_i_hyp`` at
-each r. No swept value reaches a row but through the ``zip``, and each
-wrong row shows its own values.
+block is zipped: it is kept as its columns, its rows are a ``zip`` of them,
+and the table writers of ``cli`` render it from the columns. Any other
+block, by a pole ((2, 1) in the domain), a wrong column or a wrong sweep,
+is built as single queries, as a block of one r is: from ``_column_sums``
+and ``_i_hyp`` at each r. No swept value reaches a row or a writer but
+through the columns of a zipped block, and each wrong row shows its own
+values.
 
 Degrees. At a fixed m every route is a polynomial in (n, r) on n >= 2,
 r >= 0. D(m', n) = C(n+m'-2, m') has degree m' in n, so I_sum, the sum over
@@ -77,7 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import accumulate, islice, repeat, takewhile
+from itertools import accumulate, chain, islice, repeat, takewhile
 from operator import and_, le, mul, sub
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
@@ -121,7 +123,7 @@ def _validate(m: int, n: int, r: int) -> None:
     ``DimQuery``, every public route and ``cli._row`` call this, so
     each rule and message lives here. The ``type(v) is int`` test rejects
     bool and costs no more than a range test. The private row builders trust
-    their arguments: ``_iter_rows`` checks a table's bounds once instead.
+    their arguments: ``_iter_blocks`` checks a table's bounds once instead.
     """
     if not type(m) is type(n) is type(r) is int:
         name, value = next((k, v) for k, v in (("m", m), ("n", n), ("r", r)) if type(v) is not int)
@@ -422,15 +424,19 @@ def compute_record(query: DimQuery) -> DimensionRecord:
     return DimensionRecord(query, *next(_block_rows(query.m, query.n, (query.r,)))[_QUERY:])
 
 
-def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[tuple]:
-    """The rows of (m, n, r) for each r of ``rs``, which ascend, laid out as ``_ROW_FIELDS``.
+def _block(m: int, n: int, rs: Sequence[int], limit: int = 0) -> tuple | Iterator[tuple]:
+    """The block of (m, n) over ``rs``, which ascend: a zipped block's columns, else its rows.
 
     D, the D levels, both K rows K(m, n, 0..R) and the D column are built
-    once, at R = rs[-1], when the first row is asked for. A block of
-    r = 0, 1, ..., R with R >= 1 (for strictly ascending ``rs``, R ==
-    len(rs) - 1) is swept and, if it passes its verdict, zipped (module
-    docstring, "The D column"). Every other row is a single query, from one
-    ``_column_sums`` and one ``_i_hyp`` at its r.
+    once, at R = rs[-1]. A block of r = 0, 1, ..., R with R >= 1 (for
+    strictly ascending ``rs``, R == len(rs) - 1) is swept and, if it passes
+    its verdict, zipped (module docstring, "The D column"): it is the tuple
+    (m, n, D, rs, K, I, valid) of its constants and its columns, with
+    K_recursion == K_reduction == K_closed == K[j], I_sum == I_hyp ==
+    I_subtract == I[j] and in_validity_range == valid[j] at r = rs[j], each
+    column a list. Every other block is a generator of its rows, laid out as
+    ``_ROW_FIELDS``, each a single query from one ``_column_sums`` and one
+    ``_i_hyp`` at its r when it is asked for. ``_rows`` gives either's rows.
 
     A nonzero ``limit`` is a digit limit for printed rows: every row holds
     D, so a D of more than ``limit`` digits raises ValueError before the
@@ -442,6 +448,15 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
     n <= 2 and D <= 1), and compares it: a D below 2^(3 limit) < 10^limit
     passes on one bit_length test. Callers that print pass the interpreter's
     int-to-str limit; library callers pass none and get exact rows at any size.
+
+    D's test bounds the K and I of a zipped block at every r <= n - 1: there
+    I_sum counts the multisets of m of n - 1 kinds (D(m, n) of them) in which
+    each of r given kinds occurs at most once, by inclusion-exclusion over
+    the kinds forced to occur twice, so 0 <= I <= D and 0 <= K = D - I <= D.
+    At r = n, I = C(n, m) - C(n, m - 1) is negative for n < 2m - 1, where K =
+    D - I passes D. So a zipped block whose last K or -I is 2^(3 limit) or
+    more is returned as rows, which a writer prints one at a time and so
+    stops at the record past the limit.
     """
     top = rs[-1]
     if limit and m + n - 2 > 3 * limit:
@@ -458,10 +473,18 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
         sums = _sweep(col, top)
         k_closed = [*map(sub, repeat(col[0]), sums)]
         if _hyp_column(m, n, top, d) == col and rec_row == red_row == k_closed:
-            valid = map(and_, map(le, repeat(0), k_closed), map(le, repeat(0), sums))
-            yield from zip(repeat(m), repeat(n), rs, repeat(d), rec_row, red_row, k_closed,
-                           sums, sums, sums, repeat(None), repeat(True), valid)
-            return
+            valid = [*map(and_, map(le, repeat(0), k_closed), map(le, repeat(0), sums))]
+            block = m, n, d, rs, k_closed, sums, valid
+            over = limit and max(k_closed[-1], -sums[-1]).bit_length() > 3 * limit
+            return _rows(block) if over else block
+
+    return _query_rows(m, n, rs, d, rec_row, red_row, col)
+
+
+def _query_rows(
+    m: int, n: int, rs: Sequence[int], d: int, rec_row: list[int], red_row: list[int], col: list[int]
+) -> Iterator[tuple]:
+    """The rows of a block built as single queries, each when it is asked for (``_block``)."""
     for r in rs:
         k_rec, k_red = rec_row[r], red_row[r]
         k_clo, i_sum = _column_sums(col, r)
@@ -480,17 +503,31 @@ def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[t
         yield m, n, r, d, k_rec, k_red, k_clo, i_sum, i_hyp, i_sub, hyp_error, agree, valid
 
 
-def _iter_rows(
+def _rows(block: tuple | Iterator[tuple]) -> Iterator[tuple]:
+    """The rows of a ``_block``: a zipped block's are a ``zip`` of its columns."""
+    if type(block) is not tuple:
+        return block
+    m, n, d, rs, k, i, valid = block
+    return zip(repeat(m), repeat(n), rs, repeat(d), k, k, k, i, i, i,
+               repeat(None), repeat(True), valid)
+
+
+def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[tuple]:
+    """The rows of ``_block(m, n, rs, limit)``, which is built when the first is asked for."""
+    yield from _rows(_block(m, n, rs, limit))
+
+
+def _iter_blocks(
     m_range: tuple[int, int], n_range: tuple[int, int], r_policy: RPolicy = "all", limit: int = 0
-) -> Iterator[tuple]:
-    """Lazily yield the rows of ``table``, one at a time, in (m, n, r) order.
+) -> Iterator[tuple | Iterator[tuple]]:
+    """Lazily yield the ``_block`` of each (m, n) of ``table``, with ``limit``, in (m, n) order.
 
     The bounds and the policy are checked when this is called, before the
-    first row is computed, so bad input raises DomainError before a caller
-    writes anything. Rows are computed as they are asked for and none is
-    kept, so a caller that writes each one out runs in constant memory
-    however large the ranges are. Each (m, n) is one ``_block_rows`` over
-    the policy's r values, with ``limit``.
+    first block is computed, so bad input raises DomainError before a caller
+    writes anything. Blocks are computed as they are asked for and none is
+    kept, so a caller that writes each one out runs in memory that grows
+    with n alone (a block has at most n + 1 rows), however many blocks
+    there are. Each block is over the policy's r values.
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
@@ -502,14 +539,15 @@ def _iter_rows(
         )
     if r_policy not in R_POLICIES:
         raise DomainError(f"unknown r policy {r_policy!r}; expected one of {R_POLICIES}")
-    r_values = _R_VALUES[r_policy]
+    ns = range(n_lo, n_hi + 1)
+    return (_block(m, n, _R_VALUES[r_policy](n), limit) for m in range(m_lo, m_hi + 1) for n in ns)
 
-    def rows() -> Iterator[tuple]:
-        for m in range(m_lo, m_hi + 1):
-            for n in range(n_lo, n_hi + 1):
-                yield from _block_rows(m, n, r_values(n), limit)
 
-    return rows()
+def _iter_rows(
+    m_range: tuple[int, int], n_range: tuple[int, int], r_policy: RPolicy = "all"
+) -> Iterator[tuple]:
+    """Lazily yield the rows of ``table``, in (m, n, r) order: those of ``_iter_blocks``."""
+    return chain.from_iterable(map(_rows, _iter_blocks(m_range, n_range, r_policy)))
 
 
 def iter_table(

@@ -245,7 +245,8 @@ class TestDigitLimit:
     def test_table_stops_at_the_record_over_the_limit(self, run_cli, monkeypatch, fmt):
         small = row_of(compute_record(DimQuery(2, 4, 1)))
         big = row_of(compute_record(DimQuery(10000, 10000, 2)))
-        monkeypatch.setattr(cli, "_iter_rows", lambda *args: iter([small, big, small]))
+        # Three blocks built as single queries, each of one row.
+        monkeypatch.setattr(cli, "_iter_blocks", lambda *args: iter([[small], [big], [small]]))
         code, out, err = run_cli("table", "--m-range", "2..2", "--n-range", "4..4",
                                  "--format", fmt)
         assert code == 1
@@ -262,7 +263,7 @@ class TestDigitLimit:
         # The digit limit's ValueError in mid-stream is not a write error.
         small = row_of(compute_record(DimQuery(2, 4, 1)))
         big = row_of(compute_record(DimQuery(10000, 10000, 2)))
-        monkeypatch.setattr(cli, "_iter_rows", lambda *args: iter([small, big, small]))
+        monkeypatch.setattr(cli, "_iter_blocks", lambda *args: iter([[small], [big], [small]]))
         path = tmp_path / "table.csv"
         code, out, err = run_cli("table", "--m-range", "2..2", "--n-range", "4..4",
                                  "--out", str(path))
@@ -370,6 +371,36 @@ class TestDigitLimit:
             assert dims.dim_D(m, n) >= 10 ** limit
         else:
             assert dims.dim_D(m, n) < 10 ** limit
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 12))
+    @example(8, 3, 1)  # D = 9 passes, and K = 9 at r = 3 has 4 > 3 bits: rows
+    @example(8, 3, 2)  # the same block, zipped
+    @example(4, 3, 1)  # D = 5 and K(4, 3, 3) = 6: K passes D at r = n, zipped
+    def test_a_zipped_block_holds_no_value_past_the_limit(self, m, n, limit):
+        # D's test bounds each K and I below r = n; a block whose last K or -I
+        # is 2^(3 limit) or more is built as rows, which a writer prints one
+        # at a time.
+        rs = range(n + 1)
+        try:
+            block = dims._block(m, n, rs, limit)
+        except ValueError:
+            assert dims.dim_D(m, n) >= 10 ** limit
+            return
+        rows = list(dims._block_rows(m, n, rs))
+        assert list(dims._rows(block)) == rows
+        k, i = dims._ROW_FIELDS.index("K_closed"), dims._ROW_FIELDS.index("I_sum")
+        if type(block) is tuple:
+            assert all(abs(row[k]) < 10 ** limit and abs(row[i]) < 10 ** limit for row in rows)
+        else:
+            assert (m, n) == (2, 1) or max(rows[-1][k], -rows[-1][i]).bit_length() > 3 * limit
+
+    def test_a_block_past_the_bit_bound_is_written_row_by_row(self, run_cli, monkeypatch):
+        argv = ("table", "--m-range", "8..8", "--n-range", "3..3")
+        expected = run_cli(*argv)
+        assert type(dims._block(8, 3, range(4), 1)) is not tuple
+        monkeypatch.setattr(cli, "_digit_limit", lambda: 1)
+        assert run_cli(*argv) == expected
 
     @pytest.mark.parametrize("m", [1065, 1066, 1067, 1068])
     def test_dims_early_check_matches_the_limit(self, run_cli, m):
@@ -1022,23 +1053,49 @@ def _classify_documents(draw):
     return "{" + present + "}", strict
 
 
+@st.composite
+def _undecodable_documents(draw) -> tuple[bytes, bool]:
+    """The UTF-8 bytes of a classify document with bytes put in that make it not UTF-8.
+
+    A 0xff byte or a lone continuation byte 0x80 goes anywhere, inside a
+    string too; a UTF-16 byte order mark goes in front. Each is not UTF-8
+    wherever it stands: 0xff never is, and one more continuation byte than
+    the lead bytes call for cannot be.
+    """
+    doc = draw(_classify_documents())[0].encode("utf-8")
+    bad = draw(st.sampled_from([b"\xff", b"\x80", b"\xff\xfe"]))
+    at = 0 if bad == b"\xff\xfe" else draw(st.integers(0, len(doc)))
+    return doc[:at] + bad + doc[at:], False
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     st.one_of(
         _classify_documents(),
         st.tuples(st.sampled_from(["[]", "1", '"x"', "", "{", "NaN", '{"m": 2, "m": 3}']),
                   st.just(True)),
+        _undecodable_documents(),
     ),
     st.sampled_from(cli.FORMATS),
 )
 @example(("[" * 100000, True), "json")
+@example((b'{"m": 2, "g": "1/\xff3", "lambdas": ["1/5", "1/7"]}', False), "pretty")
+@example((b'\xff\xfe{"m": 2, "g": "1/3", "lambdas": ["1/5", "1/7"]}', False), "csv")
+@example((b'{"m": 2, "g": "1/3", "lambdas": ["1/5", "\x80"]}', False), "json")
 def test_classify_any_document_exits_with_a_documented_code(tmp_path_factory, document, fmt):
     doc, strict = document
     path = tmp_path_factory.getbasetemp() / "classify-document.json"
-    path.write_text(doc, encoding="utf-8")
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["classify", str(path), "--format", fmt])
+    if isinstance(doc, bytes):
+        # Bytes that are not UTF-8 cannot be read: one line says so.
+        assert (code, out.getvalue()) == (cli.EXIT_USAGE, "")
+        assert err.getvalue().startswith(f"selbergdim classify: error: cannot read {path}: ")
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_ASSUMPTION)
     if code == cli.EXIT_USAGE:
         # One line of the package's own, never the interpreter's digit-limit text.

@@ -331,6 +331,13 @@ TABLE_JSON_SHA256 = {
     "only-n": (2, "b1a98d1c00b50fe52cf008a3544d0d980ae83e20bf1a1c840720c9d232b3b504"),
     "only-n-minus-1": (0, "e8765b87f9614c7bd80f87ed27926aef93e1c347bc85777e4ea54b314f1d4c94"),
 }
+# The same grids as the pretty table, taken before the table writers took
+# blocks: each column padded to its widest cell, of every row.
+TABLE_PRETTY_SHA256 = {
+    "all": (2, "4faa7dc1747859eaaf0ad1f36d9ec7a0e6fcc62850d11527693a0f5ca05c2423"),
+    "only-n": (2, "3757094dd80efc7dfbcad8dbafaee5d4edc25bde5e40d74c6edf01579820b478"),
+    "only-n-minus-1": (0, "073dd3822923e696d3aa68e9d3ba8aaabcd68231525c237710a27a27539664a4"),
+}
 # Each point's exit code and JSON, in this order, under one sha256.
 DIMS_SHA256 = "94ba1b2ccb1ca6a680dff2770e7d813473028932d8a564ddc5858c7f6241c3d6"
 # m = 200 - 37i mod 200 visits every m in 1..200 once and n = 80 - 53i mod 80
@@ -359,6 +366,14 @@ def test_table_json_digest_is_pinned(run_cli, r_policy):
     # Only the n = 1 hyp_error records make the routes disagree here.
     assert ('"hyp_error": "' in out) == (code == 2)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == TABLE_JSON_SHA256[r_policy]
+
+
+@pytest.mark.parametrize("r_policy", TABLE_PRETTY_SHA256)
+def test_table_pretty_digest_is_pinned(run_cli, r_policy):
+    argv = ("table", "--m-range", "1..40", "--n-range", "1..30", "--r-policy", r_policy)
+    code, out, err = run_cli(*argv, "--format", "pretty")
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == TABLE_PRETTY_SHA256[r_policy]
 
 
 def test_dims_json_digest_is_pinned(run_cli):

@@ -1,9 +1,9 @@
-"""``table`` as a stream: csv and json records are written as they are computed.
+"""``table`` as a stream: csv and json records are written block by block, as computed.
 
-The CLI's table writers take the rows of ``dims._iter_rows``, which looks
-``_block_rows`` up in ``dims`` for every (m, n), and ``iter_table`` builds
-its records from those rows, so wrapping ``_block_rows`` there counts or
-alters each record on its way to the writer or the caller.
+The CLI's table writers take the blocks of ``dims._iter_blocks``, which
+looks ``_block`` up in ``dims`` for every (m, n), and ``iter_table`` builds
+its records from the rows of those blocks, so wrapping ``_block`` there
+counts or alters each block on its way to the writer or the caller.
 """
 
 import dataclasses
@@ -26,16 +26,29 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 @pytest.fixture
 def computed(monkeypatch):
-    """The (m, n, r) of every record computed, in order, while the test runs."""
+    """The (m, n, r) of every record computed, in order, while the test runs.
+
+    A zipped block's records are all computed when ``_block`` builds its
+    columns; any other block's rows are computed one at a time, as each is
+    asked for.
+    """
     calls = []
-    block_rows = dims._block_rows
+    block = dims._block
 
     def counting(m, n, rs, limit=0):
-        for row in block_rows(m, n, rs, limit):
-            calls.append(row[:3])
-            yield row
+        built = block(m, n, rs, limit)
+        if type(built) is tuple:
+            calls.extend((m, n, r) for r in rs)
+            return built
 
-    monkeypatch.setattr(dims, "_block_rows", counting)
+        def rows():
+            for row in built:
+                calls.append(row[:3])
+                yield row
+
+        return rows()
+
+    monkeypatch.setattr(dims, "_block", counting)
     return calls
 
 
@@ -58,14 +71,18 @@ class _Sink:
 
 class TestStreaming:
     ARGV = ("table", "--m-range", "1..4", "--n-range", "2..3")  # 4 * (3 + 4) = 28 records
+    # Every block of ARGV is zipped, of 3 records at n = 2 and 4 at n = 3,
+    # and is computed all at once: the count of records computed after each.
+    BLOCKS_DONE = [3, 7, 10, 14, 17, 21, 24, 28]
 
     @pytest.mark.parametrize(
         "fmt,expected",
         [
-            # The header before any record, then each record right after it is computed.
-            ("csv", list(range(29))),
-            # Each record with its separator, then the closing bracket.
-            ("json", list(range(1, 29)) + [28]),
+            # The header before any record, then each block in one write,
+            # right after it is computed and before the next one is begun.
+            ("csv", [0, *BLOCKS_DONE]),
+            # Each block with its separators, then the closing bracket.
+            ("json", [*BLOCKS_DONE, 28]),
             # The pretty table needs every width first: each of its 29 lines
             # is written after the last record is computed.
             ("pretty", [28] * 29),
@@ -77,12 +94,30 @@ class TestStreaming:
         assert cli.main([*self.ARGV, "--format", fmt]) == 0
         assert len(computed) == 28
         assert sink.computed_at == expected
+        sizes = [b - a for a, b in zip([0, *self.BLOCKS_DONE], self.BLOCKS_DONE)]
+        if fmt == "csv":
+            # The header, then each block's records, and no other, in one write.
+            assert [part.count("\n") for part in sink.parts] == [1, *sizes]
+        elif fmt == "json":
+            # Each block's items in one write, then the closing bracket.
+            assert [part.count('"m": ') for part in sink.parts] == [*sizes, 0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_block_of_single_queries_is_written_row_by_row(self, monkeypatch, computed, fmt):
+        # only-n gives blocks of one r, built as single queries: 8 of one record.
+        sink = _Sink(computed)
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert cli.main([*self.ARGV, "--r-policy", "only-n", "--format", fmt]) == 0
+        assert len(computed) == 8
+        assert sink.computed_at == ([*range(9)] if fmt == "csv" else [*range(1, 9), 8])
 
     def test_iter_table_is_lazy_and_validates_eagerly(self, computed):
         records = iter_table((1, 4), (2, 3))
         assert computed == []
         first = next(records)
-        assert computed == [(1, 2, 0)] and first.query == dims.DimQuery(1, 2, 0)
+        # The first block, (1, 2) over r = 0..2, is zipped: computed whole.
+        assert computed == [(1, 2, 0), (1, 2, 1), (1, 2, 2)]
+        assert first.query == dims.DimQuery(1, 2, 0)
         assert [first, *records] == table((1, 4), (2, 3))
         with pytest.raises(dims.DomainError, match="empty range"):
             iter_table((4, 1), (2, 3))
@@ -96,18 +131,21 @@ class TestStreaming:
         argv = ("table", "--m-range", "1..6", "--n-range", "2..3", "--format", fmt)
         code, clean, _ = run_cli(*argv)
         assert code == 0
-        block_rows = dims._block_rows
+        block = dims._block
         k_reduction, routes_agree = ROW_COLUMNS.index("K_reduction"), cli._AGREE
 
         def off_at_3_2_1(m, n, rs, limit=0):
-            for row in block_rows(m, n, rs, limit):
-                values = list(row)
-                if row[:3] == (3, 2, 1):
-                    values[k_reduction] += 1
-                    values[routes_agree] = False
-                yield tuple(values)
+            # The (3, 2) block becomes rows, as a block that fails its verdict
+            # is; every other block stays zipped.
+            built = block(m, n, rs, limit)
+            if (m, n) != (3, 2):
+                return built
+            rows = [list(row) for row in dims._rows(built)]
+            rows[1][k_reduction] += 1
+            rows[1][routes_agree] = False
+            return map(tuple, rows)
 
-        monkeypatch.setattr(dims, "_block_rows", off_at_3_2_1)
+        monkeypatch.setattr(dims, "_block", off_at_3_2_1)
         code, out, err = run_cli(*argv)
         assert (code, err) == (2, "")
         out_path = tmp_path / f"table.{fmt}"
@@ -164,7 +202,8 @@ class TestJsonWriter:
             dims.compute_record(dims.DimQuery(2, 1, 1)), hyp_error='pole "k=1"\\\n\té '
         )
         buf = io.StringIO()
-        assert cli._write_json([row_of(rec)] * 2, buf.write) is False
+        # One block of two rows, built as single queries.
+        assert cli._write_json([[row_of(rec)] * 2], buf.write) is False
         assert buf.getvalue() == json.dumps([record_json_dict(rec)] * 2, indent=2) + "\n"
 
     def test_empty_stream_is_an_empty_list(self):
@@ -191,8 +230,40 @@ def test_pretty_writer_is_the_frozen_table():
     i_sum, i_hyp = (cli.CSV_COLUMNS.index(c) for c in ("I_sum", "I_hyp"))
     assert any(c[i_sum].startswith("-") for c in cells) and any(c[i_hyp] == "" for c in cells)
     buf = io.StringIO()
-    assert cli._write_pretty(iter(rows), buf.write) is False
+    assert cli._write_pretty(dims._iter_blocks((1, 12), (1, 15)), buf.write) is False
     assert buf.getvalue() == frozen_pretty_table(rows)
+
+
+# Every block of m <= 40 and 1 <= n <= 40 over r = 0..n, and the deep block (400, 400).
+_WRITER_BLOCKS = [(m, n) for m in range(1, 41) for n in range(1, 41)] + [(400, 400)]
+
+
+def frozen_table(fmt: str, rows) -> str:
+    """The table of ``rows`` as it was written one row at a time, kept as an oracle."""
+    if fmt == "csv":
+        lines = [cli.CSV_COLUMNS] + [frozen_record_cells(row) for row in rows]
+        return "".join(cli._csv_row(line) + "\n" for line in lines)
+    if fmt == "json":
+        records = [dims.DimensionRecord(dims.DimQuery(*row[:3]), *row[3:]) for row in rows]
+        return json.dumps([record_json_dict(rec) for rec in records], indent=2) + "\n"
+    return frozen_pretty_table(rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
+def test_each_writer_writes_every_block_as_its_rows(fmt):
+    # A zipped block is written from its columns, any other block row by row;
+    # either way its table is that of its rows.
+    zipped = 0
+    for m, n in _WRITER_BLOCKS:
+        block = dims._block(m, n, range(n + 1))
+        zipped += type(block) is tuple
+        rows = list(dims._block_rows(m, n, range(n + 1)))
+        buf = io.StringIO()
+        agree = cli._TABLE_WRITERS[fmt]([block], buf.write)
+        assert agree is all(row[cli._AGREE] for row in rows), (m, n)
+        assert buf.getvalue() == frozen_table(fmt, rows), (m, n)
+    # Every block but the pole block (2, 1) is zipped.
+    assert zipped == len(_WRITER_BLOCKS) - 1
 
 
 def _traced_peak(m_hi: int) -> int:
