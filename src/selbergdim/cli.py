@@ -21,10 +21,12 @@ on every row, is its columns, and its records go out in one write, made
 from the record renderer's text of one marked row with m, n and D filled
 in once per block and each r, K and I value made text once; any other
 block is written one record at a time. ``table --format csv|json``
-writes each block as it is computed and keeps none, so memory grows with n
-alone (a block has at most n + 1 records); the pretty table needs every
-row's width first, so it keeps each row's cells, not the row, and writes
-its first line after the last row.
+writes each block as it is computed and keeps none, so memory grows with
+the n range alone: a block has at most n + 1 records, and each n carries
+two K chains of about three ints per r value (``dims._iter_blocks``), but
+nothing grows with the m range or the records written. The pretty table
+needs every row's width first, so it keeps each row's cells, not the row,
+and writes its first line after the last row.
 
 A well-formed request is parsed directly, from a table read at import from
 the subcommand parsers' own actions. Help and every other argv go to

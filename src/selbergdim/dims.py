@@ -18,10 +18,18 @@ The K triangles. ``dim_K_recursion`` peels off one resonant point at a
 time and ``dim_K_reduction`` drops two integration variables at a time, so
 K(m, n, r) reads only K(m-2j, n, 0..r-j) and both run bottom-up: each step
 to level m' reads the whole row of level m' - 2, consumes D(m'-2, n) and
-writes a row one entry wider. From the row of ``_k_start`` they take
-min((m-1)//2, r) steps of width <= r+1 to level m, at constant stack depth.
-``_d_levels`` lists the D each step consumes, once for both triangles
-and the D column.
+writes a row one entry wider. Each route has one step function,
+``_k_recursion_steps`` and ``_k_reduction_steps``. From the row of
+``_k_start`` a query takes min((m-1)//2, r) steps of width <= r+1 to level
+m, at constant stack depth. ``_d_levels`` lists the D each step consumes,
+once for both triangles and the D column. A table walks the same ladder
+once: each n and parity of m is a chain, whose first block builds its
+triangles from the base at width R + 1, for the top r value R, and whose
+every later block steps the two rows of the block two below it once each,
+at the same width, with that block's D (``_iter_blocks``). This is the
+bottom-up build itself, carried from block to block, not a memo: each chain
+holds one row per route and its last R D levels, and each block replaces
+them. The routes share only the D levels, as in a triangle.
 
 The D column. ``dim_K_closed`` and ``dim_I_sum`` split one alternating sum
 over the signed column (-1)^s D(m-2s, n) of ``_d_column``: D(m, n), the
@@ -234,13 +242,21 @@ def _d_levels(m: int, n: int, r: int) -> list[int]:
     return [dim_D(level, n) for level in range(m - 2 * steps, m - 1, 2)]
 
 
-def _k_recursion_row(m: int, r: int, ds: list[int]) -> list[int]:
-    """K(m, n, 0..r) by the recursion of ``dim_K_recursion``, over ``ds = _d_levels(m, n, r)``."""
-    row = _k_start(m, r + 1 - len(ds))
+def _k_recursion_steps(row: list[int], ds: Sequence[int]) -> list[int]:
+    """``row`` after one step of the recursion per d in ``ds``, upward.
+
+    A step takes K(m'-2, n, 0..w-1) and d = D(m'-2, n) to K(m', n, 0..w);
+    entry t reads the entries of the old row below t.
+    """
     for d in ds:
         # new[t] = D(m'-2, n) + new[t-1] - old[t-1], from new[0] = 0.
         row = list(accumulate(map(sub, repeat(d, len(row)), row), initial=0))
     return row
+
+
+def _k_recursion_row(m: int, r: int, ds: list[int]) -> list[int]:
+    """K(m, n, 0..r) by the recursion of ``dim_K_recursion``, over ``ds = _d_levels(m, n, r)``."""
+    return _k_recursion_steps(_k_start(m, r + 1 - len(ds)), ds)
 
 
 def dim_K_recursion(m: int, n: int, r: int) -> int:
@@ -254,14 +270,18 @@ def dim_K_recursion(m: int, n: int, r: int) -> int:
     return _k_recursion_row(m, r, _d_levels(m, n, r))[r]
 
 
-def _k_reduction_row(m: int, r: int, ds: list[int]) -> list[int]:
-    """K(m, n, 0..r) by the reduction of ``dim_K_reduction``, over ``ds = _d_levels(m, n, r)``."""
-    row = _k_start(m, r + 1 - len(ds))
+def _k_reduction_steps(row: list[int], ds: Sequence[int]) -> list[int]:
+    """``row`` after one step of the reduction per d in ``ds``, as ``_k_recursion_steps``."""
     for d in ds:
         # new[t] = t D(m'-2, n) - (old[1] + ... + old[t-1]); old[0] = 0, so
         # the running prefix sum of old[0..t-1] is the subtrahend.
         row = [t * d - acc for t, acc in enumerate(accumulate(row, initial=0))]
     return row
+
+
+def _k_reduction_row(m: int, r: int, ds: list[int]) -> list[int]:
+    """K(m, n, 0..r) by the reduction of ``dim_K_reduction``, over ``ds = _d_levels(m, n, r)``."""
+    return _k_reduction_steps(_k_start(m, r + 1 - len(ds)), ds)
 
 
 def dim_K_reduction(m: int, n: int, r: int) -> int:
@@ -417,14 +437,17 @@ def dim_I_full_resonance_product(m: int, n: int) -> Fraction:
 def compute_record(query: DimQuery) -> DimensionRecord:
     """Run every route for one query and report, never raise, on disagreement.
 
-    The values are those of the one row of ``_block_rows(m, n, (r,))``. A
-    3F2 error (at n = 1, where a lower parameter can vanish too early) goes
-    to ``hyp_error``, and any disagreement to ``routes_agree = False``.
+    The values are those of the one row of ``_block(m, n, (r,))``, a block
+    of single queries. A 3F2 error (at n = 1, where a lower parameter can
+    vanish too early) goes to ``hyp_error``, and any disagreement to
+    ``routes_agree = False``.
     """
-    return DimensionRecord(query, *next(_block_rows(query.m, query.n, (query.r,)))[_QUERY:])
+    return DimensionRecord(query, *next(_block(query.m, query.n, (query.r,)))[_QUERY:])
 
 
-def _block(m: int, n: int, rs: Sequence[int], limit: int = 0) -> tuple | Iterator[tuple]:
+def _block(
+    m: int, n: int, rs: Sequence[int], limit: int = 0, chain: list | None = None
+) -> tuple | Iterator[tuple]:
     """The block of (m, n) over ``rs``, which ascend: a zipped block's columns, else its rows.
 
     D, the D levels, both K rows K(m, n, 0..R) and the D column are built
@@ -437,6 +460,14 @@ def _block(m: int, n: int, rs: Sequence[int], limit: int = 0) -> tuple | Iterato
     column a list. Every other block is a generator of its rows, laid out as
     ``_ROW_FIELDS``, each a single query from one ``_column_sums`` and one
     ``_i_hyp`` at its r when it is asked for. ``_rows`` gives either's rows.
+
+    The levels and rows come from the base, or, in a table, from ``chain``,
+    which block (m - 2, n) over the same ``rs`` filled with its D, D levels
+    and K rows: this block's levels are those and that D, the last R of
+    them, and each K row is that route's row stepped once with that D. A
+    zipped block, whose verdict checked all of them, leaves its own in the
+    chain; any other block empties it, so the next block starts from the
+    base and reads no row of a failed verdict.
 
     A nonzero ``limit`` is a digit limit for printed rows: every row holds
     D, so a D of more than ``limit`` digits raises ValueError before the
@@ -466,18 +497,29 @@ def _block(m: int, n: int, rs: Sequence[int], limit: int = 0) -> tuple | Iterato
     d = dim_D(m, n)
     if limit and d.bit_length() > 3 * limit and d >= 10 ** limit:
         raise ValueError("D exceeds the int-to-str limit")
-    ds = _d_levels(m, n, top)
-    rec_row, red_row = _k_recursion_row(m, top, ds), _k_reduction_row(m, top, ds)
+    if chain:
+        d_below, ds, rec_row, red_row = chain
+        # D(m - 2, n) joins the levels below it, and the lowest of R falls off.
+        ds = [*ds[len(ds) == top :], d_below]
+        # K(m, n, 0..R) reads K(m - 2, n, 0..R-1) alone.
+        rec_row = _k_recursion_steps(rec_row[:top], (d_below,))
+        red_row = _k_reduction_steps(red_row[:top], (d_below,))
+    else:
+        ds = _d_levels(m, n, top)
+        rec_row, red_row = _k_recursion_row(m, top, ds), _k_reduction_row(m, top, ds)
     col = _d_column(m, n, top, d, ds)
     if 0 < top == len(rs) - 1:
         sums = _sweep(col, top)
         k_closed = [*map(sub, repeat(col[0]), sums)]
         if _hyp_column(m, n, top, d) == col and rec_row == red_row == k_closed:
+            if chain is not None:
+                chain[:] = d, ds, rec_row, red_row
             valid = [*map(and_, map(le, repeat(0), k_closed), map(le, repeat(0), sums))]
             block = m, n, d, rs, k_closed, sums, valid
             over = limit and max(k_closed[-1], -sums[-1]).bit_length() > 3 * limit
             return _rows(block) if over else block
-
+    if chain:
+        chain.clear()
     return _query_rows(m, n, rs, d, rec_row, red_row, col)
 
 
@@ -524,10 +566,13 @@ def _iter_blocks(
 
     The bounds and the policy are checked when this is called, before the
     first block is computed, so bad input raises DomainError before a caller
-    writes anything. Blocks are computed as they are asked for and none is
-    kept, so a caller that writes each one out runs in memory that grows
-    with n alone (a block has at most n + 1 rows), however many blocks
-    there are. Each block is over the policy's r values.
+    writes anything. Each block is over the policy's r values, and is
+    computed when it is asked for; none is kept. Each n and parity of m is
+    one chain (module docstring, "The K triangles"), kept only while a later
+    block reads it, up to m = m_hi - 2: at most 3 (R + 1) ints for the top r
+    value R of its n. So a caller that writes each block out runs in memory
+    that grows with the n range, not with the m range or the number of
+    blocks.
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
@@ -539,8 +584,23 @@ def _iter_blocks(
         )
     if r_policy not in R_POLICIES:
         raise DomainError(f"unknown r policy {r_policy!r}; expected one of {R_POLICIES}")
-    ns = range(n_lo, n_hi + 1)
-    return (_block(m, n, _R_VALUES[r_policy](n), limit) for m in range(m_lo, m_hi + 1) for n in ns)
+    return _walk(m_lo, m_hi, range(n_lo, n_hi + 1), _R_VALUES[r_policy], limit)
+
+
+def _walk(
+    m_lo: int, m_hi: int, ns: range, r_values: Callable[[int], Sequence[int]], limit: int
+) -> Iterator[tuple | Iterator[tuple]]:
+    """The blocks of ``_iter_blocks``, m walking up, each with its (n, parity of m) chain."""
+    # chains[p][i], the chain of ns[i] at m = m_lo + p (mod 2), refilled by
+    # each block; None where no later block reads it.
+    chains = [[[] if m + 2 <= m_hi else None for _ in ns] for m in (m_lo, m_lo + 1)]
+    for m in range(m_lo, m_hi + 1):
+        links, last = chains[(m - m_lo) % 2], m + 2 > m_hi
+        for i, n in enumerate(ns):
+            chain = links[i]
+            if last:
+                links[i] = None
+            yield _block(m, n, r_values(n), limit, chain)
 
 
 def _iter_rows(
@@ -556,8 +616,9 @@ def iter_table(
     """Lazily yield the records of ``table``, one at a time, in (m, n, r) order.
 
     The records are built from the rows of ``_iter_rows``: the bounds and the
-    policy are checked when this is called, and none is kept. Each record
-    equals ``compute_record`` of its query.
+    policy are checked when this is called, and none is kept, so memory
+    grows with the n range alone (``_iter_blocks``). Each record equals
+    ``compute_record`` of its query.
     """
     rows = _iter_rows(m_range, n_range, r_policy)
     return (DimensionRecord(DimQuery(*row[:_QUERY]), *row[_QUERY:]) for row in rows)

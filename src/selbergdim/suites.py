@@ -151,7 +151,7 @@ _ROUTES_TESTED = operator.itemgetter(
 
 
 def _routes(*row: object) -> str | None:
-    """Check one row of ``dims._iter_rows`` against its single query, ``_block_rows(m, n, (r,))``.
+    """Check one row of ``dims._iter_rows`` against its single query, ``_block(m, n, (r,))``.
 
     An agreeing swept block neither sums the D column nor runs the 3F2
     kernel; the single query does both at r, as ``dims`` does. The row must
@@ -160,7 +160,7 @@ def _routes(*row: object) -> str | None:
     or None on a series error). A counterexample shows the query's values.
     """
     m, n, r, *_ = _ROUTES_TESTED(row)
-    single = next(dims._block_rows(m, n, (r,)))
+    single = next(dims._block(m, n, (r,)))
     *_, agree, d, k_closed, i_sum, i_hyp = _ROUTES_TESTED(single)
     if single == row and agree and d == k_closed + i_sum and type(i_hyp) is int:
         return None

@@ -576,11 +576,22 @@ class TestTriangleBuilders:
         # D(m', n) where D(m'-2, n) belongs: both triangles and the D column
         # read the same wrong list, so the three K routes agree with each
         # other, but not with the 3F2, which takes its terms from D(m, n) alone.
+        # The table's blocks past the first of a chain read the chain's D,
+        # which becomes D(m, n) in place of D(m - 2, n); the rest read the
+        # shifted levels of the base.
         def shifted(m, n, r):
             steps = min((m - 1) // 2, r)
             return [dim_D(level + 2, n) for level in range(m - 2 * steps, m - 1, 2)]
 
+        block = dims._block
+
+        def shifted_chain(m, n, rs, limit=0, chain=None):
+            if chain:
+                chain[0] = dim_D(m, n)
+            return block(m, n, rs, limit, chain)
+
         monkeypatch.setattr(dims, "_d_levels", shifted)
+        monkeypatch.setattr(dims, "_block", shifted_chain)
         failed, rows = self.routes_failures()
         assert all(row[_K_REC] == row[_K_RED] for row in rows)
         assert failed > 0
@@ -588,8 +599,11 @@ class TestTriangleBuilders:
 
     @pytest.mark.parametrize("builder", ["_k_recursion_row", "_k_reduction_row"])
     def test_perturbed_levels_for_one_builder_break_the_routes(self, monkeypatch, builder):
-        build = getattr(dims, builder)
-        monkeypatch.setattr(dims, builder, lambda m, r, ds: build(m, r, [d + 1 for d in ds]))
+        # Each builder's triangle and a table's carried row take its route's
+        # steps, so D + 1 there reaches both.
+        name = builder.replace("_row", "_steps")
+        steps = getattr(dims, name)
+        monkeypatch.setattr(dims, name, lambda row, ds: steps(row, [d + 1 for d in ds]))
         failed, rows = self.routes_failures()
         assert failed > 0
         assert not all(row[_AGREE] for row in rows)
@@ -678,11 +692,61 @@ class TestDeepInputsAndBoundedTables:
             monkeypatch.setattr(dims, name, counting(name))
         return builds
 
-    def test_table_builds_each_row_once_per_m_n(self, row_builds):
-        # 30 * 29 = 870 (m, n), and 14,790 records over them.
+    @pytest.fixture
+    def carried_steps(self, monkeypatch, row_builds):
+        """(R, steps) for every K row stepped outside a row builder, by name, while the test runs.
+
+        Such a row is a table chain's, K(m - 2, n, 0..R-1) stepped to
+        K(m, n, 0..R); R = n under the policy of every r.
+        """
+        carried, building = {}, []
+        for name in ("_k_recursion_row", "_k_reduction_row"):
+            build = getattr(dims, name)
+
+            def marked(*args, build=build):
+                building.append(1)
+                try:
+                    return build(*args)
+                finally:
+                    building.pop()
+
+            monkeypatch.setattr(dims, name, marked)
+        for name in ("_k_recursion_steps", "_k_reduction_steps"):
+            steps, calls = getattr(dims, name), carried.setdefault(name, [])
+
+            def counted(row, ds, steps=steps, calls=calls):
+                if not building:
+                    calls.append((len(row), len(ds)))
+                return steps(row, ds)
+
+            monkeypatch.setattr(dims, name, counted)
+        return carried
+
+    def test_table_builds_each_row_once_per_m_n(self, row_builds, carried_steps):
+        # 30 * 29 = 870 (m, n), and 14,790 records over them. Each n and
+        # parity of m is one chain: its first block, at m = 1 or 2, builds
+        # both rows from the base, and each later block steps each row once.
         assert len(table((1, 30), (2, 30))) == 14_790
-        every_m_n = [(m, n) for m in range(1, 31) for n in range(2, 31)]
+        starts = [(m, n) for m in (1, 2) for n in range(2, 31)]
+        assert row_builds == {"_k_recursion_row": starts, "_k_reduction_row": starts}
+        later = [(n, 1) for m in range(3, 31) for n in range(2, 31)]
+        assert carried_steps == {"_k_recursion_steps": later, "_k_reduction_steps": later}
+
+    def test_a_block_that_fails_its_verdict_ends_its_chain(self, row_builds, carried_steps):
+        # (2, 1) fails at its 3F2 pole, so (4, 1) starts from the base again.
+        list(dims._iter_rows((1, 6), (1, 2)))
+        starts = [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1)]
+        assert row_builds == {"_k_recursion_row": starts, "_k_reduction_row": starts}
+        later = [(n, 1) for n in (1, 2, 2, 1, 2, 1, 2)]  # (3, 1), (3, 2), (4, 2), (5, 1), ...
+        assert carried_steps == {"_k_recursion_steps": later, "_k_reduction_steps": later}
+
+    @pytest.mark.parametrize("r_policy", ["only_n", "only_n_minus_1"])
+    def test_blocks_of_one_r_keep_no_chain(self, row_builds, carried_steps, r_policy):
+        # A block of one r has no verdict over its rows, so none is carried.
+        list(dims._iter_rows((1, 8), (2, 4), r_policy))
+        every_m_n = [(m, n) for m in range(1, 9) for n in range(2, 5)]
         assert row_builds == {"_k_recursion_row": every_m_n, "_k_reduction_row": every_m_n}
+        assert carried_steps == {"_k_recursion_steps": [], "_k_reduction_steps": []}
 
     def test_compute_record_builds_each_row_once(self, row_builds):
         compute_record(DimQuery(7, 9, 4))
@@ -703,6 +767,68 @@ def _span(hi: int, width: int) -> st.SearchStrategy[tuple[int, int]]:
     return st.integers(1, hi).flatmap(
         lambda lo: st.tuples(st.just(lo), st.integers(lo, min(lo + width, hi)))
     )
+
+
+def _blocks_as_built(blocks) -> list:
+    """Each block as it compares: a zipped block's tuple, any other block's list of rows."""
+    return [block if type(block) is tuple else list(block) for block in blocks]
+
+
+class TestCarriedChains:
+    """A table's blocks, which step carried rows, against blocks built per (m, n) from the base."""
+
+    @staticmethod
+    def per_block(m_range, n_range, r_policy) -> list:
+        return _blocks_as_built(
+            dims._block(m, n, dims._R_VALUES[r_policy](n))
+            for m in range(m_range[0], m_range[1] + 1)
+            for n in range(n_range[0], n_range[1] + 1)
+        )
+
+    @staticmethod
+    def assert_same_blocks(m_range, n_range, r_policy) -> list:
+        want = TestCarriedChains.per_block(m_range, n_range, r_policy)
+        got = _blocks_as_built(dims._iter_blocks(m_range, n_range, r_policy))
+        assert got == want
+        rows = list(dims._iter_rows(m_range, n_range, r_policy))
+        assert_same_rows(rows, [row for block in want for row in dims._rows(block)])
+        return want
+
+    @settings(max_examples=60, deadline=None)
+    @given(_span(60, 6), _span(20, 5), st.sampled_from(dims.R_POLICIES))
+    # The pole block (2, 1) fails its verdict mid-chain.
+    @example(m_range=(1, 8), n_range=(1, 3), r_policy="all")
+    # Chains that start past m = 2n + 1, from triangles of n steps.
+    @example(m_range=(54, 60), n_range=(1, 20), r_policy="all")
+    @example(m_range=(54, 60), n_range=(15, 20), r_policy="only_n")
+    @example(m_range=(54, 60), n_range=(1, 6), r_policy="only_n_minus_1")
+    def test_table_blocks_are_the_blocks_built_from_the_base(self, m_range, n_range, r_policy):
+        self.assert_same_blocks(m_range, n_range, r_policy)
+        # A D bent once, at the first block that computes it, fails that block's
+        # verdict; the next block of its chain must not read it, as a block
+        # built from the base computes the D again.
+        m0, n0 = m_range[1] - 2, max(n_range[0], 2)
+        if r_policy != "all" or m0 < max(m_range[0], 2) or n0 > n_range[1]:
+            return
+        true_d = dims.dim_D
+
+        def bent_once(m, n):
+            if (m, n) == (m0, n0) and not bent:
+                bent.append((m, n))
+                return true_d(m, n) + 1
+            return true_d(m, n)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dims, "dim_D", bent_once)
+            bent = []
+            want = self.per_block(m_range, n_range, r_policy)
+            bent = []
+            got = _blocks_as_built(dims._iter_blocks(m_range, n_range, r_policy))
+        assert got == want
+        width = n_range[1] - n_range[0] + 1
+        at = (m0 - m_range[0]) * width + n0 - n_range[0]
+        assert type(want[at]) is list and not all(row[_AGREE] for row in want[at])
+        assert type(want[at + 2 * width]) is tuple
 
 
 class TestRowsMatchRecords:

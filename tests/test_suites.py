@@ -65,17 +65,23 @@ def test_hockey_counterexample(monkeypatch):
 
 
 def _break_routes_at_4_6_2(monkeypatch):
-    block_rows = dims._block_rows
+    # Only the single query's row at (4, 6, 2) is bent: the table's block
+    # (4, 6) is zipped, and passes through as it is.
+    block = dims._block
     r_at, k_red = map(ROW_COLUMNS.index, ("r", "K_reduction"))
 
-    def off_at_4_6_2(m, n, rs, limit=0):
-        for row in block_rows(m, n, rs, limit):
-            if (m, n, row[r_at]) == (4, 6, 2):
-                # K_reduction one too high, and so the routes disagree.
-                row = replace_row(row, K_reduction=row[k_red] + 1, routes_agree=False)
-            yield row
+    def off_at_4_6_2(m, n, rs, *args):
+        built = block(m, n, rs, *args)
+        if type(built) is tuple:
+            return built
+        # K_reduction one too high, and so the routes disagree.
+        return (
+            replace_row(row, K_reduction=row[k_red] + 1, routes_agree=False)
+            if (m, n, row[r_at]) == (4, 6, 2) else row
+            for row in built
+        )
 
-    monkeypatch.setattr(dims, "_block_rows", off_at_4_6_2)
+    monkeypatch.setattr(dims, "_block", off_at_4_6_2)
 
 
 ROUTES_COUNTEREXAMPLE = "m=4 n=6 r=2: D=70 K=(29,30,29) I=(41,41,41)"
