@@ -15,7 +15,7 @@ and a CSV cell with a comma, a quote or a line break is quoted (RFC 4180).
 
 Each output kind has one schema: a record's is ``RECORD_COLUMNS``, and
 the verify outputs take theirs from ``SuiteResult``'s fields. Every record
-renderer takes a row of ``dims._block_rows``. ``table`` takes the blocks of
+renderer takes one row of ``dims._rows``. ``table`` takes the blocks of
 ``dims._iter_blocks``, one per (m, n): a zipped block, whose routes agree
 on every row, is its columns, and its records go out in one write, made
 from the record renderer's text of one marked row with m, n and D filled
@@ -51,13 +51,12 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, repeat
-from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .dims import (
     R_POLICIES, _AGREE, _ROW_FIELDS, DomainError, _block, _iter_blocks, _rows, _validate,
@@ -278,7 +277,7 @@ def _block_text(block: tuple, marked: str, order: list[int]) -> str:
     return "".join(map("".join, zip(*parts, repeat(pieces[-1]))))
 
 
-def _write_csv(blocks: Iterable, write: Callable[[str], Any]) -> bool:
+def _write_csv(blocks: Iterable, write: Callable[[str], object]) -> bool:
     write(_csv_row(CSV_COLUMNS) + "\n")
     agree = True
     for text, ok in _record_texts(blocks, lambda row: _record_csv(row) + "\n"):
@@ -287,7 +286,7 @@ def _write_csv(blocks: Iterable, write: Callable[[str], Any]) -> bool:
     return agree
 
 
-def _write_json(blocks: Iterable, write: Callable[[str], Any]) -> bool:
+def _write_json(blocks: Iterable, write: Callable[[str], object]) -> bool:
     # The bytes of json.dumps(list_of_records, indent=2) + "\n", one block at a
     # time: each item follows ",\n", which is "[\n" before the first.
     agree, first = True, True
@@ -298,7 +297,7 @@ def _write_json(blocks: Iterable, write: Callable[[str], Any]) -> bool:
     return agree
 
 
-def _write_pretty(blocks: Iterable, write: Callable[[str], Any]) -> bool:
+def _write_pretty(blocks: Iterable, write: Callable[[str], object]) -> bool:
     # The csv table's lines, split at their commas, which no cell holds.
     lines: list[list[str]] = []
     agree = _write_csv(blocks, lambda text: lines.extend(s.split(",") for s in text.splitlines()))
@@ -318,7 +317,7 @@ _TABLE_WRITERS: dict[str, Callable[..., bool]] = {
 # ---------------------------------------------------------------------------
 # classify rendering
 
-def _violation_parts(v: Any) -> list[str]:
+def _violation_parts(v: object) -> list[str]:
     # The pretty report and classify's CSV join these: the condition, then
     # j (point tests only), k and the value, each as name=value.
     j = [f"j={v.j}"] if v.j is not None else []
@@ -344,7 +343,7 @@ def _json_list(items: Sequence[str], pad: str) -> str:
     return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
 
 
-def _classify_json(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
+def _classify_json(cfg: object, report: ResonanceReport, row: tuple | None) -> str:
     config = config_to_json_dict(cfg)
     return _CLASSIFY_JSON % (
         config["m"], config["g"],
@@ -360,7 +359,7 @@ def _classify_json(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
     )
 
 
-def _classify_pretty(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
+def _classify_pretty(cfg: object, report: ResonanceReport, row: tuple | None) -> str:
     config = config_to_json_dict(cfg)
     lines = [
         f"config: m={config['m']} g={config['g']} lambdas=[{', '.join(config['lambdas'])}]",
@@ -387,7 +386,7 @@ def _classify_pretty(cfg: Any, report: ResonanceReport, row: tuple | None) -> st
 _CLASSIFY_RECORD_FROM = CSV_COLUMNS.index("D")
 
 
-def _classify_csv(cfg: Any, report: ResonanceReport, row: tuple | None) -> str:
+def _classify_csv(cfg: object, report: ResonanceReport, row: tuple | None) -> str:
     cells = {
         "m": str(cfg.m),
         "n": str(cfg.n),
@@ -411,14 +410,11 @@ _CLASSIFY_RENDERERS = {
 # ---------------------------------------------------------------------------
 # verify rendering
 
-# suite, the counts, counterexample: the csv columns, as asdict/astuple order them.
-_SUITE_FIELDS = tuple(field.name for field in dataclasses.fields(SuiteResult))
-
 
 def _verify_pretty(results: Sequence[SuiteResult], args: argparse.Namespace) -> str:
     lines = []
     for res in results:
-        counts = " ".join(f"{name}={getattr(res, name)}" for name in _SUITE_FIELDS[1:-1])
+        counts = " ".join(f"{name}={getattr(res, name)}" for name in SuiteResult._fields[1:-1])
         lines.append(f"{res.suite}: {counts}")
         if res.counterexample is not None:
             lines.append(f"  counterexample: {res.counterexample}")
@@ -431,17 +427,14 @@ def _verify_json(results: Sequence[SuiteResult], args: argparse.Namespace) -> st
     return json.dumps({
         "seed": args.seed,
         "cases": args.cases,
-        "results": [dataclasses.asdict(res) for res in results],
+        "results": [dict(zip(SuiteResult._fields, res._values())) for res in results],
         "all_passed": all(res.ok for res in results),
     }, indent=2) + "\n"
 
 
 def _verify_csv(results: Sequence[SuiteResult], args: argparse.Namespace) -> str:
-    rows = (dataclasses.astuple(res) for res in results)
-    return _lines(
-        [_csv_row(_SUITE_FIELDS)]
-        + [_csv_row(["" if value is None else str(value) for value in row]) for row in rows]
-    )
+    cells = (["" if value is None else str(value) for value in res._values()] for res in results)
+    return _lines([_csv_row(SuiteResult._fields), *map(_csv_row, cells)])
 
 
 _VERIFY_RENDERERS = {"pretty": _verify_pretty, "json": _verify_json, "csv": _verify_csv}
@@ -611,7 +604,7 @@ def _parse_direct(argv: Sequence[str]) -> argparse.Namespace | None:
         return None
     options, positionals, required, defaults = _DIRECT[argv[0]]
     pending = iter(positionals)
-    values: dict[str, Any] = {}
+    values: dict[str, object] = {}
     tokens = iter(argv[1:])
     for token in tokens:
         if token in options:

@@ -85,13 +85,13 @@ degree bounds on the code's values. Its grids are swept blocks, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat, takewhile
 from operator import and_, le, mul, sub
-from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
-from .exactnum import binom
+from .exactnum import _Frozen, binom
 from .hyper import HyperEvalError, _eval_scaled_3f2
 
 __all__ = [
@@ -111,7 +111,7 @@ __all__ = [
     "table",
 ]
 
-RPolicy = Literal["all", "only_n", "only_n_minus_1"]
+RPolicy = str  # one of R_POLICIES
 # The r values that ``table`` takes for one n, by policy.
 _R_VALUES: dict[str, Callable[[int], Sequence[int]]] = {
     "all": lambda n: range(n + 1),
@@ -144,8 +144,7 @@ def _validate(m: int, n: int, r: int) -> None:
         raise DomainError(f"r must satisfy 0 <= r <= n={n}, got {r}")
 
 
-@dataclass(frozen=True)
-class DimQuery:
+class DimQuery(_Frozen):
     """A dimension query: m >= 1 variables, n >= 1 points, 0 <= r <= n resonant (``_validate``)."""
 
     m: int
@@ -156,8 +155,7 @@ class DimQuery:
         _validate(self.m, self.n, self.r)
 
 
-@dataclass(frozen=True)
-class DimensionRecord:
+class DimensionRecord(_Frozen):
     """Every route's answer for one query, plus the agreement verdicts.
 
     ``I_hyp`` is an exact rational, as its integrality is part of what is
@@ -198,8 +196,8 @@ class DimensionRecord:
 # A record as a flat tuple, the row every record renderer takes: the fields of
 # its query, then its own after the query, with an integral I_hyp kept as the
 # int. Every row position and column list derives from these names.
-_ROW_FIELDS = tuple(f.name for f in fields(DimQuery) + fields(DimensionRecord)[1:])
-_QUERY = len(fields(DimQuery))
+_ROW_FIELDS = DimQuery._fields + DimensionRecord._fields[1:]
+_QUERY = len(DimQuery._fields)
 _AGREE = _ROW_FIELDS.index("routes_agree")
 
 
@@ -397,9 +395,7 @@ def _hyp_column(m: int, n: int, top: int, d: int) -> list[int]:
     return list(accumulate(takewhile(all, factors), lambda w, ab: -w * ab[0] // ab[1], initial=d))
 
 
-class ExtremeImageDims(NamedTuple):
-    at_n: int
-    at_n_minus_1: int
+ExtremeImageDims = namedtuple("ExtremeImageDims", "at_n at_n_minus_1")
 
 
 def dim_I_extremes(m: int, n: int) -> ExtremeImageDims:
@@ -552,11 +548,6 @@ def _rows(block: tuple | Iterator[tuple]) -> Iterator[tuple]:
     m, n, d, rs, k, i, valid = block
     return zip(repeat(m), repeat(n), rs, repeat(d), k, k, k, i, i, i,
                repeat(None), repeat(True), valid)
-
-
-def _block_rows(m: int, n: int, rs: Sequence[int], limit: int = 0) -> Iterator[tuple]:
-    """The rows of ``_block(m, n, rs, limit)``, which is built when the first is asked for."""
-    yield from _rows(_block(m, n, rs, limit))
 
 
 def _iter_blocks(

@@ -13,7 +13,8 @@ plain ints (the 3F2 kernel, the public identity checks and the resonance
 tests in :mod:`selbergdim.resonance` work on those ints), binomial
 coefficients with the vanishing convention for out-of-range arguments, a
 direct-summation checker for the hockey-stick identity, and the strict
-``p/q`` text form used for rationals in all CLI and JSON output.
+``p/q`` text form used for rationals in all CLI and JSON output. Its
+``_Frozen`` is the base of the package's immutable value classes.
 """
 
 from __future__ import annotations
@@ -175,3 +176,61 @@ def hockey_stick_check(r: int, s: int) -> bool:
         raise ValueError(f"hockey_stick_check requires 0 <= s < r, got (r={r}, s={s})")
     lhs = sum(binom(t, s) for t in range(s, r))
     return lhs == binom(r, s + 1)
+
+
+class _Frozen:
+    """The base of the package's immutable values: a subclass's annotations are its fields.
+
+    Each subclass reads its own annotations once, when it is defined, and
+    appends them to its bases' as ``_fields`` (also its ``__match_args__``);
+    a class attribute of a field's name is that field's default, kept in
+    ``_defaults``. An instance is built from its values by position or
+    keyword, bound as a function with the fields as its parameters would
+    bind them, and ``__post_init__`` then checks or converts them, setting
+    a field by ``object.__setattr__``. It equals only an instance of its
+    own class with equal values, hashes as the tuple of its values, prints
+    as ``Name(field=value, ...)`` and refuses assignment and deletion: the
+    surface of a frozen dataclass, with no code generated per class. The
+    values live in the instance's ``__dict__``, which ``copy`` and
+    ``pickle`` restore directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__match_args__ = (*cls._fields, *cls.__annotations__)
+        cls._defaults = {k: getattr(cls, k) for k in cls._fields if hasattr(cls, k)}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields, values = self._fields, kwargs
+        if len(args) == len(fields) and not kwargs:
+            values = zip(fields, args)
+        elif args or kwargs.keys() != set(fields):
+            given = dict(zip(fields, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(fields) or given.keys() & kwargs or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__}() takes {fields}, each once or by default; "
+                                f"got {len(args)} by position and {sorted(kwargs)} by keyword")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check or convert the values just set; the base takes them as they are."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot be set or deleted")
+
+    __delattr__ = __setattr__

@@ -36,10 +36,9 @@ loud, reproducible counterexample rather than a silent assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import _scale, as_fraction, scaled_rising
+from .exactnum import _Frozen, _scale, as_fraction, scaled_rising
 
 __all__ = [
     "HypParams3F2",
@@ -78,8 +77,7 @@ class ZeroDenominatorError(HyperEvalError):
     """A closed-form denominator Pochhammer vanished."""
 
 
-@dataclass(frozen=True)
-class HypParams3F2:
+class HypParams3F2(_Frozen):
     """Parameters of a 3F2 series: three upper, two lower, one argument.
 
     Values are coerced to Fraction on construction (an exact Fraction is

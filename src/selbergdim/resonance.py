@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Any, Iterator
 
 from .dims import DimensionRecord, DimQuery, compute_record
-from .exactnum import _scale, as_fraction, format_rational, parse_rational
+from .exactnum import _Frozen, _scale, as_fraction, format_rational, parse_rational
 
 __all__ = [
     "ExponentConfig",
@@ -59,8 +58,7 @@ class ConfigParseError(ValueError):
     """A configuration document that does not parse; message carries the field path."""
 
 
-@dataclass(frozen=True)
-class ExponentConfig:
+class ExponentConfig(_Frozen):
     """Exponents (g, lambda_1..lambda_n) of the integrand, with m variables."""
 
     m: int
@@ -82,8 +80,7 @@ class ExponentConfig:
         return len(self.lambdas)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Frozen):
     """One failed non-resonance test.
 
     ``condition`` is one of ``point``/``infinity``/``diagonal``; ``j`` is the
@@ -97,8 +94,7 @@ class Violation:
     j: int | None = None
 
 
-@dataclass(frozen=True)
-class ResonanceReport:
+class ResonanceReport(_Frozen):
     """Classification verdict for one configuration."""
 
     resonant_indices: tuple[int, ...]
@@ -159,7 +155,7 @@ def classify(cfg: ExponentConfig) -> ResonanceReport:
         for k in range(2, m + 1):
             yield DIAGONAL, None, k, math.comb(k, 2) * G
 
-    violations = tuple(Violation(condition=condition, j=j, k=k, value=Fraction(value // L))
+    violations = tuple(Violation(condition, k, Fraction(value // L), j)
                        for condition, j, k, value in tests() if value % L == 0)
     return ResonanceReport(resonant, Fraction(lam_inf, L), violations)
 
@@ -190,7 +186,7 @@ def _json_int(text: str) -> int | str:
         return _LongInt(text)
 
 
-def config_from_json(doc: str | bytes | dict[str, Any]) -> ExponentConfig:
+def config_from_json(doc: str | bytes | dict[str, object]) -> ExponentConfig:
     """Parse the JSON shape {"m": int, "g": "p/q", "lambdas": ["p/q", ...]}.
 
     Error messages name the offending field (and list position for
@@ -231,7 +227,7 @@ def config_from_json(doc: str | bytes | dict[str, Any]) -> ExponentConfig:
     return ExponentConfig(m=m, g=g, lambdas=lambdas)
 
 
-def _rational_field(path: str, text: Any) -> Fraction:
+def _rational_field(path: str, text: object) -> Fraction:
     """``parse_rational(text)``, its ValueError raised as a ConfigParseError that names ``path``."""
     try:
         return parse_rational(text)
@@ -239,7 +235,7 @@ def _rational_field(path: str, text: Any) -> Fraction:
         raise ConfigParseError(f"{path}: {exc}") from exc
 
 
-def config_to_json_dict(cfg: ExponentConfig) -> dict[str, Any]:
+def config_to_json_dict(cfg: ExponentConfig) -> dict[str, object]:
     """The canonical JSON object for a configuration (round-trips exactly)."""
     return {
         "m": cfg.m,

@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import dims, hyper
-from .exactnum import binom, format_rational, hockey_stick_check
+from .exactnum import _Frozen, binom, format_rational, hockey_stick_check
 
 __all__ = ["Lcg", "SuiteResult", "run_suites"]
 
@@ -97,8 +97,9 @@ class Lcg:
             yield (L, *[p * (L // q) for p, q in pairs], lo + (state >> 33) % span)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(_Frozen):
+    """A suite's name, its passed, failed and skipped counts, and its first counterexample."""
+
     suite: str
     passed: int
     failed: int
@@ -180,11 +181,10 @@ def _closedforms(m: int, n: int) -> str | None:
     return None if ok else ""
 
 
-class _Suite(NamedTuple):
-    names: str  # the inputs' names, as a counterexample prints them
-    check: Callable[..., str | None]
-    cases: int | None  # default number of checks; None for an exhaustive suite
-    inputs: Callable[[Lcg], Iterable[tuple]]  # the draws of rng, or the grid, which ignores it
+# A suite: the inputs' names, as a counterexample prints them; the check of
+# one input; the default number of checks, None for an exhaustive suite; and
+# its inputs, a function of rng: the draws of rng, or the grid, which ignores it.
+_Suite = namedtuple("_Suite", "names check cases inputs")
 
 
 _SUITES: dict[str, _Suite] = {

@@ -331,10 +331,10 @@ class TestDigitLimit:
         # is compared once computed; D(3, 2^5740) has 5,183, certain from m
         # and n alone. The row builder refuses each only when given that limit.
         with pytest.raises(ValueError):
-            next(dims._block_rows(m, n, (1,), 4300))
+            next(dims._rows(dims._block(m, n, (1,), 4300)))
         rec = compute_record(DimQuery(m, n, 1))
         assert rec.D == math.comb(m + n - 2, m) and rec.routes_agree
-        assert row_of(rec) == next(dims._block_rows(m, n, (1,)))
+        assert row_of(rec) == next(dims._rows(dims._block(m, n, (1,))))
 
     @pytest.mark.parametrize("argv", [
         ("dims", "-m", "1000000", "-n", "1000000", "-r", "1000000"),
@@ -366,7 +366,7 @@ class TestDigitLimit:
     @example(10, 1, 1)  # j = -1 and D = 0
     def test_the_row_builder_refuses_exactly_a_d_past_the_limit(self, m, n, limit):
         try:
-            next(dims._block_rows(m, n, (0,), limit))
+            next(dims._rows(dims._block(m, n, (0,), limit)))
         except ValueError:
             assert dims.dim_D(m, n) >= 10 ** limit
         else:
@@ -387,7 +387,7 @@ class TestDigitLimit:
         except ValueError:
             assert dims.dim_D(m, n) >= 10 ** limit
             return
-        rows = list(dims._block_rows(m, n, rs))
+        rows = list(dims._rows(dims._block(m, n, rs)))
         assert list(dims._rows(block)) == rows
         k, i = dims._ROW_FIELDS.index("K_closed"), dims._ROW_FIELDS.index("I_sum")
         if type(block) is tuple:

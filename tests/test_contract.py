@@ -2,11 +2,15 @@
 tables", a fixed public surface, and a README example that runs."""
 
 import ast
+import copy
 import hashlib
 import importlib
 import json
 import operator
+import os
+import pickle
 import re
+import subprocess
 import sys
 import types
 from fractions import Fraction
@@ -42,6 +46,26 @@ PACKAGE_ALL = [
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+# What importing some modules loads, of the three the CLI's start-up leaves
+# out, in a fresh ``python -S``: no site, so no .pth file imports anything.
+_PROBE = "import sys, {}; print(*{{'dataclasses', 'inspect', 'typing'}} & sys.modules.keys())"
+
+
+def _loaded_by(modules: str) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", _PROBE.format(modules)], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    return set(out.split())
+
+
+def test_the_cli_starts_without_dataclasses_inspect_or_typing():
+    # With what they import, the three took about 15 ms of every CLI call's
+    # start-up (Python 3.11, 2 vCPUs, warm bytecode cache). Only what the
+    # stdlib modules the CLI imports load on this interpreter is allowed.
+    floor = _loaded_by("argparse, fractions, json, math, re, itertools, operator, collections.abc")
+    assert _loaded_by("selbergdim.cli") <= floor
 
 
 def test_sources_found():
@@ -616,3 +640,95 @@ def test_record_csv_is_csv_row_of_the_cells(row, past_limit):
     assert cli._record_csv(row) == want
     assert cli._record_cells(row) == frozen_record_cells(row)
     assert cli._DIMS_RENDERERS["csv"](row) == cli._csv_row(cli.CSV_COLUMNS) + "\n" + want + "\n"
+
+
+# The immutable value classes, each with the values of one instance by field
+# name, in field order, its exact repr (which shows the values as the class
+# converts them: an int I_hyp or 3F2 parameter as its Fraction), the
+# arguments its own checks refuse with their errors, and the fields left to
+# their defaults when only the first values are given. ExtremeImageDims is a
+# named tuple, so it equals the plain tuple of its values as well.
+_VALUE_CASES = [
+    (selbergdim.DimQuery, {"m": 4, "n": 5, "r": 3}, "DimQuery(m=4, n=5, r=3)",
+     [((1, 2, 3), selbergdim.DomainError), ((0, 2, 1), selbergdim.DomainError),
+      ((True, 2, 1), selbergdim.DomainError)], {}),
+    (selbergdim.DimensionRecord,
+     {"query": selbergdim.DimQuery(2, 4, 4), "D": 5, "K_recursion": 1, "K_reduction": 1,
+      "K_closed": 1, "I_sum": 4, "I_hyp": 4, "I_subtract": 4, "hyp_error": None,
+      "routes_agree": True, "in_validity_range": True},
+     "DimensionRecord(query=DimQuery(m=2, n=4, r=4), D=5, K_recursion=1, K_reduction=1, "
+     "K_closed=1, I_sum=4, I_hyp=Fraction(4, 1), I_subtract=4, hyp_error=None, "
+     "routes_agree=True, in_validity_range=True)",
+     [], {}),
+    (selbergdim.HypParams3F2,
+     {"upper": (Fraction(-2), 1, 2), "lower": (3, 4), "argument": Fraction(1, 2)},
+     "HypParams3F2(upper=(Fraction(-2, 1), Fraction(1, 1), Fraction(2, 1)), "
+     "lower=(Fraction(3, 1), Fraction(4, 1)), argument=Fraction(1, 2))",
+     [(((1, 2), (3, 4)), ValueError), (((1, 2, 3), (4,)), ValueError),
+      (((1, 2, 3), (4, 5), 0.5), TypeError)], {"argument": Fraction(1)}),
+    (selbergdim.ExponentConfig,
+     {"m": 2, "g": Fraction(1, 3), "lambdas": (Fraction(1, 5), Fraction(-2, 7))},
+     "ExponentConfig(m=2, g=Fraction(1, 3), lambdas=(Fraction(1, 5), Fraction(-2, 7)))",
+     [((0, Fraction(1, 3), (Fraction(1, 5),)), ValueError), ((2, Fraction(1, 3), ()), ValueError),
+      ((2, Fraction(1, 3), "1/5"), TypeError), ((2, 0.5, (1,)), TypeError)], {}),
+    (selbergdim.Violation, {"condition": "point", "k": 2, "value": Fraction(3), "j": 1},
+     "Violation(condition='point', k=2, value=Fraction(3, 1), j=1)",
+     [], {"j": None}),
+    (selbergdim.ResonanceReport,
+     {"resonant_indices": (1,), "lambda_infinity": Fraction(-1, 2),
+      "violations": (selbergdim.Violation("diagonal", 2, Fraction(1)),)},
+     "ResonanceReport(resonant_indices=(1,), lambda_infinity=Fraction(-1, 2), "
+     "violations=(Violation(condition='diagonal', k=2, value=Fraction(1, 1), j=None),))",
+     [], {}),
+    (selbergdim.SuiteResult,
+     {"suite": "pfaff", "passed": 3, "failed": 1, "skipped": 2, "counterexample": "a=1 b=2"},
+     "SuiteResult(suite='pfaff', passed=3, failed=1, skipped=2, counterexample='a=1 b=2')",
+     [], {}),
+    (selbergdim.dims.ExtremeImageDims, {"at_n": 3, "at_n_minus_1": 4},
+     "ExtremeImageDims(at_n=3, at_n_minus_1=4)",
+     [], {}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,named,text,invalid,defaults", _VALUE_CASES, ids=[case[0].__name__ for case in _VALUE_CASES]
+)
+def test_value_classes_build_compare_print_and_stay_frozen(cls, named, text, invalid, defaults):
+    names, values = tuple(named), tuple(named.values())
+    assert cls.__match_args__ == names
+    value = cls(*values)
+    assert tuple(getattr(value, name) for name in names) == values
+    assert cls(**named) == value and cls(*values[:1], **dict(list(named.items())[1:])) == value
+    assert repr(value) == text
+    # The values given for all but the defaulted fields, which read their defaults.
+    short = cls(*values[: len(values) - len(defaults)])
+    assert {name: getattr(short, name) for name in defaults} == defaults
+    for args, exc in invalid:
+        with pytest.raises(exc):
+            cls(*args)
+    with pytest.raises(TypeError):
+        cls(*values[:-1 - len(defaults)])  # a missing value
+    with pytest.raises(TypeError):
+        cls(*values, bogus=1)  # an unknown field
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})  # a value given twice
+    with pytest.raises(TypeError):
+        cls(*values, values[0])  # one value too many
+
+    assert hash(value) == hash(values) == hash(cls(*values))
+    assert value != types.SimpleNamespace(**named)
+    if not issubclass(cls, tuple):
+        # Equal only to an instance of its own class, not to its values or a subclass's.
+        assert value != values
+        assert value != type("Sub", (cls,), {})(*values)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == values
+
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is cls and copied == value and repr(copied) == text
+    with pytest.raises(AttributeError):
+        setattr(copy.deepcopy(value), names[0], values[0])

@@ -322,8 +322,8 @@ class TestComputeRecord:
             (kind, row[:3])
             for m in range(1, 401)
             for kind, rows in (
-                ("block", dims._block_rows(m, 1, range(2))),
-                ("single", (next(dims._block_rows(m, 1, (r,))) for r in (0, 1))),
+                ("block", dims._rows(dims._block(m, 1, range(2)))),
+                ("single", (next(dims._rows(dims._block(m, 1, (r,)))) for r in (0, 1))),
             )
             for row in rows
             if not row[_AGREE]
@@ -563,7 +563,7 @@ class TestTriangleBuilders:
         # One dim_D per term D(m - 2s, n) of the column, s = 0..min(r, m // 2):
         # D(m, n), the triangle levels, which both builders and the column
         # share, and D(0, n) where the column is one term deeper.
-        assert next(dims._block_rows(m, n, (r,)))[_AGREE]
+        assert next(dims._rows(dims._block(m, n, (r,))))[_AGREE]
         assert sorted(dim_d_levels) == [m - 2 * s for s in range(min(r, m // 2), -1, -1)]
 
     @staticmethod
@@ -1032,7 +1032,7 @@ class TestColumnSweep:
         wrong = []
         for m, n in blocks:
             column = d_column(m, n, n)
-            for row in dims._block_rows(m, n, range(n + 1)):
+            for row in dims._rows(dims._block(m, n, range(n + 1))):
                 if (row[_K_CLOSED], row[_I_SUM]) != column_sums(column, row[2]):
                     wrong.append(row[:3])
         assert wrong == []
@@ -1103,7 +1103,7 @@ class TestHypColumnSweep:
         blocks = [(m, n) for m in range(1, 41) for n in range(1, 41)] + [(400, 400), (60, 3000)]
         wrong = []
         for m, n in blocks:
-            for row in dims._block_rows(m, n, range(n + 1)):
+            for row in dims._rows(dims._block(m, n, range(n + 1))):
                 got = type(row[_I_HYP]), row[_I_HYP], row[_HYP_ERROR]
                 if got != kernel_hyp(m, n, row[2]):
                     wrong.append(row[:3])
@@ -1111,7 +1111,7 @@ class TestHypColumnSweep:
         # Only the block with the domain's one pole runs the kernel, at each r.
         assert calls == [(2, 1, 0), (2, 1, 1)]
         # The one pole row of the domain, (2, 1, 1).
-        row = list(dims._block_rows(2, 1, range(2)))[1]
+        row = list(dims._rows(dims._block(2, 1, range(2))))[1]
         assert row[_I_HYP] is None and not row[_AGREE]
         assert row[_HYP_ERROR] == "denominator vanishes at term k=1 before the series terminates"
 
@@ -1120,18 +1120,18 @@ class TestHypColumnSweep:
         # r = 3 (p1 = -2r), one unit of 840 past I_sum = 8, and -1 at r = 2;
         # at every other r it is the true kernel. A bent 3F2 column sends the
         # block to the kernel; the true column does not, so no row moves.
-        true_rows = list(dims._block_rows(4, 5, range(6)))
+        true_rows = list(dims._rows(dims._block(4, 5, range(6))))
         assert [row[_I_SUM] for row in true_rows[2:4]] == [16, 8] and true_rows[0][3] == 35
         kernel = dims._eval_scaled_3f2
         bad = {-6: (8 * 840 + 1, 840 * 35, 4), -4: (-1, 35, 3)}
         monkeypatch.setattr(
             dims, "_eval_scaled_3f2", lambda p1, *rest: bad.get(p1) or kernel(p1, *rest)
         )
-        assert list(dims._block_rows(4, 5, range(6))) == true_rows
+        assert list(dims._rows(dims._block(4, 5, range(6)))) == true_rows
         col = dims._hyp_column(4, 5, 5, 35)
         assert col == d_column(4, 5, 5)
         monkeypatch.setattr(dims, "_hyp_column", lambda *args: [col[0] + 1, *col[1:]])
-        rows = list(dims._block_rows(4, 5, range(6)))
+        rows = list(dims._rows(dims._block(4, 5, range(6))))
         assert rows[3][_I_HYP] == 8 + Fraction(1, 840) and type(rows[3][_I_HYP]) is Fraction
         assert not rows[3][_AGREE] and rows[3][_VALID]
         assert rows[2][_I_HYP] == -1 and type(rows[2][_I_HYP]) is int
@@ -1153,13 +1153,13 @@ class TestHypColumnSweep:
             row = getattr(dims, builder)(m, n, ds)
             monkeypatch.setattr(dims, builder, lambda *args, row=row: row)
         calls = recorded_i_hyp(monkeypatch)
-        next(dims._block_rows(m, n, range(n + 1)))
+        next(dims._rows(dims._block(m, n, range(n + 1))))
         assert calls == []
         for k, delta in itertools.product(range(len(col)), deltas):
             bent = col[:k] + [col[k] + delta] + col[k + 1 :]
             monkeypatch.setattr(dims, "_hyp_column", lambda *args, bent=bent: bent)
             calls.clear()
-            next(dims._block_rows(m, n, range(n + 1)))
+            next(dims._rows(dims._block(m, n, range(n + 1))))
             assert calls == [(m, n, 0)], (k, delta)
 
     def test_one_sweep_per_block_and_the_kernel_only_where_columns_differ(self, monkeypatch):
@@ -1175,7 +1175,7 @@ class TestHypColumnSweep:
         monkeypatch.setattr(dims, "_sweep", lambda col, top: sweeps.append(top) or sweep(col, top))
         calls = recorded_i_hyp(monkeypatch)
         for m, n in blocks:
-            list(dims._block_rows(m, n, range(n + 1)))
+            list(dims._rows(dims._block(m, n, range(n + 1))))
         assert sweeps == [n for _, n in blocks]
         assert calls == [(2, 1, 0), (2, 1, 1)]
 
@@ -1260,13 +1260,14 @@ class TestZippedBlocks:
         blocks = [(m, n) for m in range(1, 41) for n in range(1, 41)] + [(400, 400), (60, 3000)]
         for m, n in blocks:
             rs = range(n + 1)
-            assert_same_rows(list(dims._block_rows(m, n, rs)), list(frozen_block_rows(m, n, rs)))
+            rows = list(dims._rows(dims._block(m, n, rs)))
+            assert_same_rows(rows, list(frozen_block_rows(m, n, rs)))
 
     @pytest.mark.parametrize("builder", _K_ROW_BUILDERS)
     def test_a_bent_k_row_moves_its_own_row_alone(self, monkeypatch, builder):
         # Entry k of one K row one too high: the block is not zipped, row k
         # disagrees and every other row is the true one.
-        true_rows = list(dims._block_rows(12, 9, range(10)))
+        true_rows = list(dims._rows(dims._block(12, 9, range(10))))
         assert all(row[_AGREE] for row in true_rows)
         build = getattr(dims, builder)
         column = ROW_COLUMNS.index("K_recursion" if builder == _K_ROW_BUILDERS[0] else "K_reduction")
@@ -1277,7 +1278,7 @@ class TestZippedBlocks:
                 return row
 
             monkeypatch.setattr(dims, builder, bent)
-            rows = list(dims._block_rows(12, 9, range(10)))
+            rows = list(dims._rows(dims._block(12, 9, range(10))))
             assert_same_rows(rows, list(frozen_block_rows(12, 9, range(10))))
             assert not rows[k][_AGREE] and rows[k][column] == true_rows[k][column] + 1
             assert_same_rows(rows[:k] + rows[k + 1 :], true_rows[:k] + true_rows[k + 1 :])
@@ -1290,7 +1291,7 @@ class TestZippedBlocks:
         monkeypatch.setattr(dims, "zip", lambda *cols: zips.append(1) or zip(*cols), raising=False)
         for m, n in [(m, n) for m in range(1, 41) for n in range(1, 41)] + [(400, 400)]:
             zips.clear()
-            rows = list(dims._block_rows(m, n, range(n + 1)))
+            rows = list(dims._rows(dims._block(m, n, range(n + 1))))
             zipped = (m, n) != (2, 1)
             assert len(zips) == zipped, (m, n)
             assert all(row[_AGREE] for row in rows) == zipped, (m, n)
@@ -1304,7 +1305,7 @@ class TestZippedBlocks:
         # not zipped, and each row is the one-r block's row at its r, from one
         # _column_sums and one kernel series, whatever the bent entry held.
         rs = range(n + 1)
-        singles = [next(dims._block_rows(m, n, (r,))) for r in rs]
+        singles = [next(dims._rows(dims._block(m, n, (r,)))) for r in rs]
         zips = []
         monkeypatch.setattr(dims, "zip", lambda *cols: zips.append(1) or zip(*cols), raising=False)
         column_sums, sums_calls = dims._column_sums, []
@@ -1312,7 +1313,7 @@ class TestZippedBlocks:
             dims, "_column_sums", lambda col, r: sums_calls.append(r) or column_sums(col, r)
         )
         hyp_calls = recorded_i_hyp(monkeypatch)
-        assert_same_rows(list(dims._block_rows(m, n, rs)), singles)
+        assert_same_rows(list(dims._rows(dims._block(m, n, rs))), singles)
         assert zips == [1] and sums_calls == hyp_calls == []
         for helper, args in (("_sweep", (d_column(m, n, n), n)),
                              ("_hyp_column", (m, n, n, dim_D(m, n)))):
@@ -1326,7 +1327,8 @@ class TestZippedBlocks:
 
                 monkeypatch.setattr(dims, helper, bent)
                 del zips[:], sums_calls[:], hyp_calls[:]
-                assert_same_rows(list(dims._block_rows(m, n, rs)), singles)
+                rows = list(dims._rows(dims._block(m, n, rs)))
+                assert_same_rows(rows, singles)
                 assert zips == [], (helper, k)
                 assert sums_calls == list(rs) and hyp_calls == [(m, n, r) for r in rs]
             monkeypatch.setattr(dims, helper, true)
@@ -1344,7 +1346,7 @@ class TestZippedBlocks:
         monkeypatch.setattr(dims, "_hyp_column", lambda *args: col)
         for builder in _K_ROW_BUILDERS:
             monkeypatch.setattr(dims, builder, lambda *args: list(k_row))
-        rows = list(dims._block_rows(m, n, range(n + 1)))
+        rows = list(dims._rows(dims._block(m, n, range(n + 1))))
         assert_same_rows(rows, list(frozen_block_rows(m, n, range(n + 1), col)))
         assert all(row[_AGREE] for row in rows)
         assert [row[_VALID] for row in rows] == [True] + [False] * n
@@ -1421,7 +1423,7 @@ def block_row(query: DimQuery, d: int) -> tuple:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dims, "dim_D", lambda m_, n_: d if (m_, n_) == (m, n) else true_dim_D(m_, n_))
         patch.setattr(dims, "_d_column", lambda *args: column)
-        return next(dims._block_rows(m, n, (r,)))
+        return next(dims._rows(dims._block(m, n, (r,))))
 
 
 def assert_same_record(got: DimensionRecord, want: DimensionRecord) -> None:
@@ -1474,7 +1476,7 @@ class TestRecordMatchesFractionOracle:
         r = n if data is None else data.draw(st.integers(0, n))
         query = DimQuery(m, n, r)
         want = frozen_record(query, *self.rows(query))
-        assert_row_is_record(next(dims._block_rows(m, n, (r,))), want)
+        assert_row_is_record(next(dims._rows(dims._block(m, n, (r,)))), want)
         assert_same_record(compute_record(query), want)
 
     @settings(max_examples=60, deadline=None)

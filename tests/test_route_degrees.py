@@ -33,7 +33,7 @@ def test_routes_agree_on_every_proof_grid():
     for m in range(1, M_MAX + 1):
         n0 = max(2, m // 2)
         for n in range(n0, n0 + m + 1):
-            for row in dims._block_rows(m, n, range(m // 2 + 1)):
+            for row in dims._rows(dims._block(m, n, range(m // 2 + 1))):
                 rows += 1
                 disagree += not row[dims._AGREE]
     assert (rows, disagree) == (39_245, 0)
@@ -48,7 +48,7 @@ def test_route_degrees_in_n_and_r():
         n1 = max(2, m // 2 + 3)
         rs = range(m // 2 + 4)
         ns = range(n1, n1 + m + 4)
-        grid = {n: list(dims._block_rows(m, n, rs)) for n in ns}
+        grid = {n: list(dims._rows(dims._block(m, n, rs))) for n in ns}
         for field, degree in ((I_SUM, m), (K_RECURSION, m - 2)):
             name = dims._ROW_FIELDS[field]
             for r in rs:

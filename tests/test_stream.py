@@ -6,7 +6,6 @@ its records from the rows of those blocks, so wrapping ``_block`` there
 counts or alters each block on its way to the writer or the caller.
 """
 
-import dataclasses
 import io
 import json
 import os
@@ -199,9 +198,9 @@ class TestJsonWriter:
         assert out == json.dumps([record_json_dict(rec) for rec in records], indent=2) + "\n"
 
     def test_strings_escaped_as_json_dumps_escapes_them(self):
-        rec = dataclasses.replace(
-            dims.compute_record(dims.DimQuery(2, 1, 1)), hyp_error='pole "k=1"\\\n\té '
-        )
+        computed = dims.compute_record(dims.DimQuery(2, 1, 1))
+        fields = {name: getattr(computed, name) for name in dims.DimensionRecord._fields}
+        rec = dims.DimensionRecord(**{**fields, "hyp_error": 'pole "k=1"\\\n\té '})
         buf = io.StringIO()
         # One block of two rows, built as single queries.
         assert cli._write_json([[row_of(rec)] * 2], buf.write) is False
@@ -258,7 +257,7 @@ def test_each_writer_writes_every_block_as_its_rows(fmt):
     for m, n in _WRITER_BLOCKS:
         block = dims._block(m, n, range(n + 1))
         zipped += type(block) is tuple
-        rows = list(dims._block_rows(m, n, range(n + 1)))
+        rows = list(dims._rows(dims._block(m, n, range(n + 1))))
         buf = io.StringIO()
         agree = cli._TABLE_WRITERS[fmt]([block], buf.write)
         assert agree is all(row[cli._AGREE] for row in rows), (m, n)
